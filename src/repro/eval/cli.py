@@ -189,86 +189,43 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faultsim(args: argparse.Namespace) -> int:
-    from ..faultlab import CampaignSpec, run_campaign
+def _campaign_params(args: argparse.Namespace, kind: str) -> dict:
+    """The request the given campaign flags make (the family fills in)."""
+    from ..grid.families import CAMPAIGNS
 
-    if args.k:
-        k_values = tuple(args.k)
-    else:
-        # Default thresholds off the largest swept N (the Fig. 6 regime:
-        # half, three-quarter and full recovery).
-        n_max = max(args.n)
-        k_values = tuple(sorted({max(1, n_max // 2),
-                                 max(1, 3 * n_max // 4), n_max}))
+    params = {key: value for key, value in vars(args).items()
+              if key in CAMPAIGNS[kind].keys and value is not None}
+    if kind == "faultsim" and "k_values" not in params:
+        # Thresholds off the largest swept N (the Fig. 6 regime: half,
+        # three-quarter and full recovery).
+        n_max = max(params["n_values"])
+        params["k_values"] = sorted({max(1, n_max // 2),
+                                     max(1, 3 * n_max // 4), n_max})
+    return params
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from ..engine import default_processes
+    from ..grid.families import CAMPAIGNS
+
+    campaign = CAMPAIGNS[args.command]
     try:
-        spec = CampaignSpec(
-            n_values=tuple(args.n),
-            k_values=k_values,
-            densities=tuple(args.densities),
-            models=tuple(args.models),
-            strategies=tuple(args.strategies),
-            trials=args.trials,
-            seed=args.seed,
-            stuck_open_fraction=args.stuck_open_fraction,
-            batch_size=args.batch_size,
-        )
+        spec = campaign.spec(_campaign_params(args, args.command))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from ..engine import default_processes
-
     store = None if args.no_cache else args.cache
     processes = (default_processes() if args.processes == 0
                  else args.processes)
     try:
-        result = run_campaign(spec, store=store, processes=processes)
+        result = campaign.run(spec, store=store, processes=processes)
     except sqlite3.DatabaseError as error:
         print(f"error: cannot use campaign store {store!r}: {error}",
               file=sys.stderr)
         print(f"hint: delete {store!r} and rerun", file=sys.stderr)
         return 1
-    print(result.render())
-    return 0
-
-
-def _cmd_varsweep(args: argparse.Namespace) -> int:
-    from ..synthesis import synthesize_lattice_dual
-    from ..varsim import VariationCampaignSpec, run_variation_campaign
-
-    try:
-        benchmark = by_name(args.bench)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    lattice = synthesize_lattice_dual(benchmark.function.on)
-    try:
-        spec = VariationCampaignSpec(
-            lattice=lattice,
-            sigmas=tuple(args.sigmas),
-            crossbar_rows=args.crossbar_rows,
-            crossbar_cols=args.crossbar_cols,
-            trials=args.trials,
-            seed=args.seed,
-            nominal=args.nominal,
-            batch_size=args.batch_size,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    from ..engine import default_processes
-
-    store = None if args.no_cache else args.cache
-    processes = (default_processes() if args.processes == 0
-                 else args.processes)
-    try:
-        result = run_variation_campaign(spec, store=store,
-                                        processes=processes)
-    except sqlite3.DatabaseError as error:
-        print(f"error: cannot use campaign store {store!r}: {error}",
-              file=sys.stderr)
-        print(f"hint: delete {store!r} and rerun", file=sys.stderr)
-        return 1
-    print(f"benchmark {benchmark.name}: {benchmark.description}")
+    if args.command == "varsweep":
+        print(f"benchmark {args.bench}: {by_name(args.bench).description}")
     print(result.render())
     return 0
 
@@ -402,18 +359,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
     if args.kind == "synthesis":
         return {"kind": "synthesis",
                 "jobs": [{"bench": name} for name in args.benches]}
-    if args.kind == "faultsim":
-        n_max = max(args.n)
-        k_values = args.k or sorted({max(1, n_max // 2),
-                                     max(1, 3 * n_max // 4), n_max})
-        return {"kind": "faultsim", "n_values": args.n,
-                "k_values": list(k_values), "densities": args.densities,
-                "trials": args.trials, "seed": args.seed,
-                "batch_size": args.batch_size}
-    return {"kind": "varsweep", "bench": args.bench, "sigmas": args.sigmas,
-            "crossbar_rows": args.crossbar_rows,
-            "crossbar_cols": args.crossbar_cols, "trials": args.trials,
-            "seed": args.seed, "batch_size": args.batch_size}
+    return {"kind": args.kind, **_campaign_params(args, args.kind)}
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -695,42 +641,30 @@ def build_parser() -> argparse.ArgumentParser:
         "faultsim",
         help="run a Monte-Carlo fault-tolerance campaign (yield / clean-k "
              "recovery sweeps) through the faultlab engine")
-    faultsim.add_argument("--n", type=int, nargs="+", default=[16],
-                          help="crossbar sizes N to sweep")
-    faultsim.add_argument("--k", type=int, nargs="+", default=None,
+    # Campaign flags are named after the spec fields they set; one left
+    # out takes the spec's default (see _campaign_params).
+    faultsim.add_argument("--n", dest="n_values", type=int, nargs="+",
+                          default=[16], help="crossbar sizes N to sweep")
+    faultsim.add_argument("--k", dest="k_values", type=int, nargs="+",
                           help="clean-square thresholds (default: N/2, "
                                "3N/4, N of the largest size)")
     faultsim.add_argument("--densities", type=float, nargs="+",
                           default=[0.01, 0.05, 0.1],
                           help="defect densities to sweep")
-    faultsim.add_argument("--models", nargs="+", default=["bernoulli"],
+    faultsim.add_argument("--models", nargs="+",
                           choices=["bernoulli", "clustered"],
                           help="defect models to sweep")
-    faultsim.add_argument("--strategies", nargs="+", default=["greedy"],
+    faultsim.add_argument("--strategies", nargs="+",
                           choices=["greedy", "exact"],
                           help="clean-subarray extraction strategies")
-    faultsim.add_argument("--trials", type=int, default=1000,
+    faultsim.add_argument("--trials", type=int,
                           help="Monte-Carlo trials per grid point")
-    faultsim.add_argument("--seed", type=int, default=0,
+    faultsim.add_argument("--seed", type=int,
                           help="campaign seed (bit-reproducible)")
-    faultsim.add_argument("--stuck-open-fraction", type=float, default=0.8,
+    faultsim.add_argument("--stuck-open-fraction", type=float,
                           help="share of defects that are stuck-open")
-    faultsim.add_argument("--batch-size", type=int, default=256,
+    faultsim.add_argument("--batch-size", type=int,
                           help="trials per sharded worker batch")
-    faultsim.add_argument("--processes", type=int, default=1,
-                          help="worker processes (0 = auto)")
-    faultsim.add_argument("--cache", default=".nanoxbar-campaigns.sqlite",
-                          help="persistent campaign-store path")
-    faultsim.add_argument("--no-cache", action="store_true",
-                          help="skip campaign persistence")
-    faultsim.add_argument("--profile", action="store_true",
-                          help="print a span-tree timing breakdown "
-                               "afterwards")
-    faultsim.add_argument("--sample-profile", action="store_true",
-                          help="sample the main thread's wall-clock "
-                               "stacks and print a top-N self-time table "
-                               "afterwards")
-    faultsim.set_defaults(fn=_cmd_faultsim)
 
     varsweep = sub.add_parser(
         "varsweep",
@@ -742,33 +676,36 @@ def build_parser() -> argparse.ArgumentParser:
     varsweep.add_argument("--sigmas", type=float, nargs="+",
                           default=[0.1, 0.3, 0.6],
                           help="lognormal variation strengths to sweep")
-    varsweep.add_argument("--crossbar-rows", type=int, default=16,
+    varsweep.add_argument("--crossbar-rows", type=int,
                           help="physical crossbar rows the lattice is "
-                               "placed on")
-    varsweep.add_argument("--crossbar-cols", type=int, default=16,
-                          help="physical crossbar columns")
-    varsweep.add_argument("--trials", type=int, default=500,
+                               "placed on (default: the lattice's, at "
+                               "least 16)")
+    varsweep.add_argument("--crossbar-cols", type=int,
+                          help="physical crossbar columns (default: the "
+                               "lattice's, at least 16)")
+    varsweep.add_argument("--trials", type=int,
                           help="Monte-Carlo trials per sigma")
-    varsweep.add_argument("--seed", type=int, default=0,
+    varsweep.add_argument("--seed", type=int,
                           help="campaign seed (bit-reproducible)")
-    varsweep.add_argument("--nominal", type=float, default=1.0,
+    varsweep.add_argument("--nominal", type=float,
                           help="nominal crosspoint resistance")
-    varsweep.add_argument("--batch-size", type=int, default=128,
+    varsweep.add_argument("--batch-size", type=int,
                           help="trials per sharded worker batch")
-    varsweep.add_argument("--processes", type=int, default=1,
-                          help="worker processes (0 = auto)")
-    varsweep.add_argument("--cache", default=".nanoxbar-campaigns.sqlite",
-                          help="persistent campaign-store path")
-    varsweep.add_argument("--no-cache", action="store_true",
-                          help="skip campaign persistence")
-    varsweep.add_argument("--profile", action="store_true",
-                          help="print a span-tree timing breakdown "
-                               "afterwards")
-    varsweep.add_argument("--sample-profile", action="store_true",
-                          help="sample the main thread's wall-clock "
-                               "stacks and print a top-N self-time table "
-                               "afterwards")
-    varsweep.set_defaults(fn=_cmd_varsweep)
+    for campaign in (faultsim, varsweep):
+        campaign.add_argument("--processes", type=int, default=1,
+                              help="worker processes (0 = auto)")
+        campaign.add_argument("--cache", default=".nanoxbar-campaigns.sqlite",
+                              help="persistent campaign-store path")
+        campaign.add_argument("--no-cache", action="store_true",
+                              help="skip campaign persistence")
+        campaign.add_argument("--profile", action="store_true",
+                              help="print a span-tree timing breakdown "
+                                   "afterwards")
+        campaign.add_argument("--sample-profile", action="store_true",
+                              help="sample the main thread's wall-clock "
+                                   "stacks and print a top-N self-time "
+                                   "table afterwards")
+        campaign.set_defaults(fn=_cmd_campaign)
 
     grid = sub.add_parser(
         "grid",
@@ -845,9 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "synthesize")
     submit.add_argument("--bench", default="xnor2",
                         help="[varsweep] benchmark function to sweep")
-    submit.add_argument("--n", type=int, nargs="+", default=[8],
-                        help="[faultsim] crossbar sizes N")
-    submit.add_argument("--k", type=int, nargs="+", default=None,
+    submit.add_argument("--n", dest="n_values", type=int, nargs="+",
+                        default=[8], help="[faultsim] crossbar sizes N")
+    submit.add_argument("--k", dest="k_values", type=int, nargs="+",
                         help="[faultsim] clean-square thresholds")
     submit.add_argument("--densities", type=float, nargs="+",
                         default=[0.05],
@@ -855,15 +792,15 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--sigmas", type=float, nargs="+",
                         default=[0.2, 0.5],
                         help="[varsweep] variation strengths")
-    submit.add_argument("--crossbar-rows", type=int, default=8,
+    submit.add_argument("--crossbar-rows", type=int,
                         help="[varsweep] physical crossbar rows")
-    submit.add_argument("--crossbar-cols", type=int, default=8,
+    submit.add_argument("--crossbar-cols", type=int,
                         help="[varsweep] physical crossbar columns")
-    submit.add_argument("--trials", type=int, default=100,
+    submit.add_argument("--trials", type=int,
                         help="[campaigns] Monte-Carlo trials per point")
-    submit.add_argument("--seed", type=int, default=0,
+    submit.add_argument("--seed", type=int,
                         help="[campaigns] campaign seed")
-    submit.add_argument("--batch-size", type=int, default=50,
+    submit.add_argument("--batch-size", type=int,
                         help="[campaigns] trials per sharded batch")
     submit.set_defaults(fn=_cmd_submit)
 

@@ -10,13 +10,12 @@ of sampled chips per grid point:
   model, strategy, trial count, seed);
 * :class:`CampaignPoint` — one sampled ensemble (every ``k`` threshold is
   answered from the same ensemble's recovered-``k`` histogram);
-* :func:`iter_campaign` — the streaming core: expands the grid, shards
-  each point's trial batches through
-  :func:`repro.engine.pool.map_sharded`, persists its histogram in the
-  engine's :class:`~repro.engine.store.JsonStore` keyed by
-  ``(model, N, density, strategy, trials, seed, ...)`` and **yields** the
-  :class:`PointEstimate` as soon as the point completes — the batch
-  server streams these to clients incrementally;
+* :func:`iter_campaign` — the family's batch task and histogram fold on
+  the shared :class:`repro.engine.campaign.PointRunner`: it persists each
+  point's histogram in the engine's :class:`~repro.engine.store.JsonStore`
+  keyed by ``(model, N, density, strategy, trials, seed, ...)`` and
+  **yields** the :class:`PointEstimate` as soon as the point completes —
+  the batch server streams these to clients incrementally;
 * :func:`run_campaign` — drains the iterator into an aggregate
   :class:`CampaignResult`.
 
@@ -30,31 +29,14 @@ reorderings, and across cache hits/misses.
 from __future__ import annotations
 
 import hashlib
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from ..engine.pool import batch_sizes, iter_sharded
+from ..engine.campaign import CampaignRun, PointRunner, build_spec
+from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
-from ..obs import get_logger, log_event, metrics, tracing
-
-_LOG = get_logger("faultlab")
-
-_POINTS = metrics.registry()
-_POINT_SECONDS = _POINTS.histogram(
-    "campaign_point_seconds", "wall-clock per completed campaign grid point",
-    labels={"family": "faultsim"})
-_POINTS_DONE = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "completed"})
-_POINTS_CACHED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "cached"})
-_POINTS_FAILED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "failed"})
 from .kernels import recovered_k_batch, recovered_k_exact_batch
 from .maps import bernoulli_defect_batch, clustered_defect_batch
 
@@ -114,13 +96,19 @@ class CampaignPoint:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Declarative sweep grid for one campaign run."""
+    """Declarative sweep grid for one campaign run.
 
-    n_values: tuple[int, ...]
+    Also the faultsim request schema (:func:`spec_from_params`): ``axis``
+    names a list field's one value in a grid point.
+    """
+
+    n_values: tuple[int, ...] = field(metadata={"axis": "n"})
     k_values: tuple[int, ...]
-    densities: tuple[float, ...]
-    models: tuple[str, ...] = ("bernoulli",)
-    strategies: tuple[str, ...] = ("greedy",)
+    densities: tuple[float, ...] = field(metadata={"axis": "density"})
+    models: tuple[str, ...] = field(default=("bernoulli",),
+                                    metadata={"axis": "model"})
+    strategies: tuple[str, ...] = field(default=("greedy",),
+                                        metadata={"axis": "strategy"})
     trials: int = 1000
     seed: int = 0
     stuck_open_fraction: float = 0.8
@@ -216,15 +204,8 @@ class PointEstimate:
         return 0
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(CampaignRun):
     """Everything one ``run_campaign`` call produced."""
-
-    spec: CampaignSpec
-    estimates: list[PointEstimate]
-    elapsed: float = 0.0
-    cache_hits: int = 0
-    trials_sampled: int = 0
 
     def estimate(self, point: CampaignPoint) -> PointEstimate:
         for est in self.estimates:
@@ -270,11 +251,6 @@ class CampaignResult:
             "max_k": est.max_k,
         } for est in self.estimates]
 
-    @property
-    def throughput(self) -> float:
-        """Freshly sampled trials per second (cache hits excluded)."""
-        return self.trials_sampled / self.elapsed if self.elapsed > 0 else 0.0
-
     def render(self) -> str:
         from .report import render_campaign
 
@@ -282,7 +258,7 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# The sharded runner
+# The family's pieces, run by the shared point runner
 # ----------------------------------------------------------------------
 def _point_batch_task(task: tuple) -> tuple[int, ...]:
     """Worker body: sample one trial batch, return its recovered-k histogram.
@@ -307,6 +283,24 @@ def _point_batch_task(task: tuple) -> tuple[int, ...]:
     return tuple(int(x) for x in np.bincount(ks, minlength=n + 1))
 
 
+def _point_tasks(point: CampaignPoint) -> list[tuple]:
+    """One worker task per seeded trial batch of this grid point."""
+    root = np.random.SeedSequence(point.entropy())
+    sizes = batch_sizes(point.trials, point.batch_size)
+    return [
+        (point.model, point.n, point.density, point.strategy,
+         point.stuck_open_fraction, batch_trials, child)
+        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
+    ]
+
+
+def _fold(point: CampaignPoint, histograms: list) -> PointEstimate:
+    """Sum the batches' recovered-k histograms into the point's estimate."""
+    total = np.sum(np.array(histograms, dtype=np.int64), axis=0)
+    return PointEstimate(point, tuple(int(x) for x in total),
+                         cache_hit=False)
+
+
 def _valid_payload(payload, point: CampaignPoint) -> bool:
     if not isinstance(payload, dict):
         return False
@@ -315,28 +309,6 @@ def _valid_payload(payload, point: CampaignPoint) -> bool:
             and len(histogram) == point.n + 1
             and all(isinstance(c, int) and c >= 0 for c in histogram)
             and sum(histogram) == point.trials)
-
-
-def point_from_params(params: dict) -> CampaignPoint:
-    """Build one validated :class:`CampaignPoint` from a flat mapping.
-
-    The grid front-end (:mod:`repro.grid`) speaks in per-point parameter
-    dicts; this routes them through a single-point :class:`CampaignSpec`
-    so every spec invariant (model/strategy names, the ``exact`` size
-    ceiling, ranges) is enforced identically to ``run_campaign``.
-    """
-    spec = CampaignSpec(
-        n_values=(int(params["n"]),),
-        k_values=(0,),
-        densities=(float(params["density"]),),
-        models=(str(params.get("model", "bernoulli")),),
-        strategies=(str(params.get("strategy", "greedy")),),
-        trials=int(params.get("trials", 1000)),
-        seed=int(params.get("seed", 0)),
-        stuck_open_fraction=float(params.get("stuck_open_fraction", 0.8)),
-        batch_size=int(params.get("batch_size", 256)),
-    )
-    return spec.points()[0]
 
 
 def payload_for(estimate: PointEstimate) -> dict:
@@ -360,31 +332,47 @@ def estimate_from_payload(point: CampaignPoint, payload,
                          cache_hit=cache_hit)
 
 
+def estimate_record(estimate: PointEstimate) -> dict:
+    """One grid-point answer as the batch server's JSON record."""
+    point = estimate.point
+    return {
+        "model": point.model,
+        "n": point.n,
+        "density": point.density,
+        "strategy": point.strategy,
+        "trials": estimate.trials,
+        "k_histogram": list(estimate.k_histogram),
+        "mean_k": estimate.mean_k,
+        "cache_hit": estimate.cache_hit,
+    }
+
+
+_RUNNER = PointRunner("faultsim", "faultlab", _point_batch_task, _fold,
+                      payload_for, estimate_from_payload)
+
+
+def spec_from_params(params: dict, point: bool = False) -> CampaignSpec:
+    """The faultsim parser (:func:`repro.engine.campaign.build_spec`).
+
+    A grid point's ``k`` thresholds are ``(0,)``: they only read the
+    sampled histogram, so they never change the point.
+    """
+    return build_spec(CampaignSpec, params, point=point,
+                      given={"k_values": (0,)} if point else None)
+
+
+def point_from_params(params: dict) -> CampaignPoint:
+    """Build one validated :class:`CampaignPoint` from a flat grid point."""
+    return spec_from_params(params, point=True).points()[0]
+
+
 def compute_point(point: CampaignPoint, processes: int = 1) -> PointEstimate:
     """Sample one grid point from scratch (no store probe, no persist).
 
-    Batch seeds come from :meth:`CampaignPoint.entropy` alone, so the
-    result is bit-identical wherever and however often it runs — the
-    property the grid claim protocol leans on when a lease expires and a
-    second worker recomputes a point.
+    Bit-identical wherever and however often it runs (content seeds).
     """
-    tasks = _point_tasks(point)
-    accumulator = np.zeros(point.n + 1, dtype=np.int64)
-    for histogram in iter_sharded(_point_batch_task, tasks, processes):
-        accumulator += np.array(histogram, dtype=np.int64)
-    return PointEstimate(point, tuple(int(x) for x in accumulator),
-                         cache_hit=False)
-
-
-def _point_tasks(point: CampaignPoint) -> list[tuple]:
-    """One worker task per seeded trial batch of this grid point."""
-    root = np.random.SeedSequence(point.entropy())
-    sizes = batch_sizes(point.trials, point.batch_size)
-    return [
-        (point.model, point.n, point.density, point.strategy,
-         point.stuck_open_fraction, batch_trials, child)
-        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
-    ]
+    (estimate,) = _RUNNER.iter_points([point], _point_tasks, None, processes)
+    return estimate
 
 
 def iter_campaign(spec: CampaignSpec,
@@ -392,92 +380,17 @@ def iter_campaign(spec: CampaignSpec,
                   processes: int = 1):
     """Yield one :class:`PointEstimate` per grid point as it completes.
 
-    The streaming face of the runner: the batch server forwards each
-    estimate to its clients the moment the point's trials are in, and
-    every fresh point is persisted before it is yielded (an interrupted
-    campaign resumes from the store).  Point order matches
-    :meth:`CampaignSpec.points`.  Batch seeds are content-addressed
-    (never position-based), so streamed estimates are bit-identical to
-    the aggregate runner's, serial or pooled — and the pooled path keeps
-    the whole grid's batches in flight at once
-    (:func:`repro.engine.pool.iter_sharded`): workers sample point
-    ``i+1`` while point ``i`` is being yielded.
-
-    Args:
-        store: a :class:`~repro.engine.store.JsonStore`, a path to open one
-            at (closed when the iterator is exhausted), or ``None`` for no
-            persistence.
-        processes: worker count (``1`` = serial; results are
-            bit-identical either way).
+    Points come in :meth:`CampaignSpec.points` order; ``store`` and
+    ``processes`` are as in
+    :meth:`~repro.engine.campaign.PointRunner.iter_points`.  Batch seeds
+    are content-addressed, so streamed estimates are bit-identical to the
+    aggregate runner's, serial or pooled.
     """
-    owned = isinstance(store, str)
-    json_store: JsonStore | None = JsonStore(store) if owned else store
-    try:
-        yield from _iter_campaign(spec, json_store, processes)
-    finally:
-        if owned and json_store is not None:
-            json_store.close()
-
-
-def _iter_campaign(spec: CampaignSpec, store: JsonStore | None,
-                   processes: int):
-    # Plan the whole grid first (store probes are cheap reads), so one
-    # shared pool can pipeline every fresh batch across points.
-    plans: list[tuple[CampaignPoint, PointEstimate | None, int]] = []
-    tasks: list[tuple] = []
-    for point in spec.points():
-        payload = store.get(point.key()) if store is not None else None
-        cached_estimate = (estimate_from_payload(point, payload)
-                          if payload is not None else None)
-        if cached_estimate is not None:
-            plans.append((point, cached_estimate, 0))
-            continue
-        point_tasks = _point_tasks(point)
-        tasks.extend(point_tasks)
-        plans.append((point, None, len(point_tasks)))
-
-    results = iter_sharded(_point_batch_task, tasks, processes)
-    for point, cached, task_count in plans:
-        if cached is not None:
-            _POINTS_CACHED.inc()
-            yield cached
-            continue
-        # The span closes before the yield: it times sampling + persist,
-        # not however long the consumer sits on the estimate.
-        with tracing.span("faultlab.point", key=point.key()):
-            point_start = time.perf_counter()
-            try:
-                accumulator = np.zeros(point.n + 1, dtype=np.int64)
-                for _ in range(task_count):
-                    accumulator += np.array(next(results), dtype=np.int64)
-                estimate = PointEstimate(
-                    point, tuple(int(x) for x in accumulator),
-                    cache_hit=False)
-                if store is not None:
-                    store.put(point.key(), payload_for(estimate))
-            except Exception:
-                _POINTS_FAILED.inc()
-                raise
-            point_seconds = time.perf_counter() - point_start
-            _POINT_SECONDS.observe(point_seconds)
-            _POINTS_DONE.inc()
-            log_event(_LOG, "point done", key=point.key(),
-                      trials=point.trials,
-                      seconds=round(point_seconds, 6))
-        yield estimate
+    return _RUNNER.iter_points(spec.points(), _point_tasks, store, processes)
 
 
 def run_campaign(spec: CampaignSpec,
                  store: JsonStore | str | None = None,
                  processes: int = 1) -> CampaignResult:
     """Run a whole campaign through :func:`iter_campaign` and aggregate."""
-    start = time.perf_counter()
-    estimates = list(iter_campaign(spec, store, processes))
-    return CampaignResult(
-        spec=spec,
-        estimates=estimates,
-        elapsed=time.perf_counter() - start,
-        cache_hits=sum(1 for est in estimates if est.cache_hit),
-        trials_sampled=sum(est.point.trials for est in estimates
-                           if not est.cache_hit),
-    )
+    return CampaignResult.drain(spec, iter_campaign(spec, store, processes))

@@ -8,9 +8,9 @@ workers (processes or hosts sharing one store file) claim rows under
 leases, fill them, and timestamp them, with lease expiry + bounded retry
 returning crashed workers' rows to the pool:
 
+* :mod:`repro.grid.families` — the workload-family registry (one parser
+  per family, shared with the batch server and the CLI);
 * :mod:`repro.grid.config`   — the config format and grid identity;
-* :mod:`repro.grid.families` — per-family param -> payload adapters on
-  the repo's content-addressed campaign/portfolio computations;
 * :mod:`repro.grid.runner`   — plan / claim-loop / status / export;
 * :mod:`repro.grid.worker`   — the ``python -m repro.grid.worker``
   process entry ``grid run --workers N`` fans out to.

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
-#: The workload families a grid can sweep.
-FAMILIES = ("synthesis", "faultsim", "varsweep", "bench")
+from .families import FAMILIES, GridConfigError
 
 _POLICY_DEFAULTS = {
     "workers": 1,
@@ -51,10 +50,6 @@ _POLICY_DEFAULTS = {
 
 _KNOWN_KEYS = frozenset(
     {"name", "family", "grid", "fixed", "points", "store", *_POLICY_DEFAULTS})
-
-
-class GridConfigError(ValueError):
-    """A malformed grid config (bad key, type, or empty grid)."""
 
 
 @dataclass(frozen=True)

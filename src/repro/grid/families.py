@@ -1,250 +1,230 @@
-"""Workload-family adapters: grid params in, JSON payloads out.
+"""The workload-family registry: one parser per family for every front end.
 
-Each family maps a flat per-point parameter dict onto the repo's existing
-content-addressed computations:
+* ``faultsim`` / ``varsweep`` — the Monte-Carlo campaigns of
+  :mod:`repro.faultlab.campaign` and :mod:`repro.varsim.campaign` (the
+  varsweep lattice is the dual construction of the named benchmark).  The
+  batch server and ``nanoxbar faultsim`` / ``varsweep`` build their specs
+  through the same :attr:`CampaignFamily.spec` parser as grid points do, and a
+  grid point is computed as the one-point campaign it parses to, so all of
+  them share point keys and store payloads and dedup against each other.
+* ``synthesis`` — one portfolio race per (benchmark, strategy set).
+* ``bench`` — SOP metric extraction per benchmark (the Fig. 3/5 size
+  formula inputs).
 
-* ``faultsim``  — :mod:`repro.faultlab.campaign` Monte-Carlo points.  The
-  grid row's key **is** :meth:`~repro.faultlab.campaign.CampaignPoint.key`
-  and its payload is the exact ``run_campaign`` store payload, so grid
-  sweeps and campaign runs dedup against each other bidirectionally.
-* ``varsweep``  — :mod:`repro.varsim.campaign` sigma points; the lattice
-  comes from a benchmark name via the same
-  ``synthesize_lattice_dual(bench.function.on)`` construction the batch
-  server uses, so served / campaign / grid answers share keys.
-* ``synthesis`` — one portfolio race per (benchmark, strategy set),
-  keyed by :meth:`repro.boolean.truthtable.TruthTable.content_hash`.
-* ``bench``     — SOP metric extraction per benchmark (the Fig. 3/5 size
-  formula inputs), also keyed by content hash.
-
-The contract every adapter upholds: ``point_key`` is content-addressed
-(never position-derived), and ``compute`` is a pure function of the
-params — a lease-expired point recomputed by another worker produces a
-bit-identical payload.
+Every ``key`` is content-addressed (never position-derived) and every
+``compute`` a pure function of the params, so a lease-expired point
+recomputed by another worker is bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
-from ..engine.portfolio import run_portfolio
+from ..engine import DEFAULT_STRATEGIES, known_strategies, lattice_to_text, run_portfolio
+from ..engine.campaign import build_spec, check_keys, request_keys
 from ..faultlab import campaign as faultsim_campaign
 from ..varsim import campaign as varsweep_campaign
-from .config import FAMILIES, GridConfigError
+
+
+class GridConfigError(ValueError):
+    """A malformed grid config (bad key, type, family, or empty grid)."""
 
 
 class GridPointError(ValueError):
-    """A parameter dict the family adapter rejects."""
+    """A parameter dict the family rejects."""
 
 
-def _str_params(params: dict[str, Any], *names: str) -> None:
-    for name in names:
-        if name not in params:
-            raise GridPointError(f"point misses required parameter {name!r}")
-
-
-# ----------------------------------------------------------------------
-# faultsim
-# ----------------------------------------------------------------------
-def _faultsim_point(params: dict[str, Any]):
-    _str_params(params, "n", "density")
-    try:
-        return faultsim_campaign.point_from_params(params)
-    except (TypeError, ValueError, KeyError) as error:
-        raise GridPointError(f"bad faultsim point: {error}") from error
-
-
-def _faultsim_key(params: dict[str, Any]) -> str:
-    return _faultsim_point(params).key()
-
-
-def _faultsim_compute(params: dict[str, Any], processes: int) -> dict:
-    point = _faultsim_point(params)
-    estimate = faultsim_campaign.compute_point(point, processes)
-    return faultsim_campaign.payload_for(estimate)
-
-
-def _faultsim_validate(params: dict[str, Any], payload: Any) -> bool:
-    point = _faultsim_point(params)
-    return faultsim_campaign.estimate_from_payload(point, payload) is not None
-
-
-# ----------------------------------------------------------------------
-# varsweep
-# ----------------------------------------------------------------------
-_VARSWEEP_DEFAULTS = {
-    "trials": 500,
-    "seed": 0,
-    "nominal": 1.0,
-    "batch_size": 128,
-}
-
-
-def _varsweep_spec(params: dict[str, Any]):
-    """Single-sigma spec + point for one varsweep grid row."""
-    _str_params(params, "bench", "sigma")
+def _benchmark(params: dict[str, Any]):
+    """The suite benchmark the ``bench`` parameter names."""
     from ..eval.benchsuite import by_name
+
+    if "bench" not in params:
+        raise GridPointError("missing required parameter 'bench'")
+    try:
+        return by_name(params["bench"])
+    except KeyError as error:
+        raise GridPointError(str(error.args[0])) from None
+
+
+def parse_strategies(value: Any) -> tuple[str, ...]:
+    """A non-empty list of strategy names the portfolio knows."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise GridPointError(
+            f"'strategies' must be a non-empty list, got {value!r}")
+    unknown = [name for name in value if name not in known_strategies()]
+    if unknown:
+        raise GridPointError(f"unknown strategies {unknown}")
+    return tuple(value)
+
+
+def _varsweep_spec_from_params(params: dict[str, Any], point: bool = False):
+    """The varsweep parser: ``bench`` names the lattice, the rest the spec.
+
+    The crossbar defaults to the lattice's size, at least 16 x 16.
+    """
     from ..synthesis import synthesize_lattice_dual
 
-    try:
-        benchmark = by_name(str(params["bench"]))
-    except KeyError as error:
-        raise GridPointError(str(error.args[0])) from error
-    lattice = synthesize_lattice_dual(benchmark.function.on)
-    kwargs = {name: type(default)(params.get(name, default))
-              for name, default in _VARSWEEP_DEFAULTS.items()}
-    try:
-        spec = varsweep_campaign.VariationCampaignSpec(
-            lattice=lattice,
-            sigmas=(float(params["sigma"]),),
-            crossbar_rows=int(params.get("crossbar_rows",
-                                         max(16, lattice.rows))),
-            crossbar_cols=int(params.get("crossbar_cols",
-                                         max(16, lattice.cols))),
-            **kwargs,
-        )
-    except (TypeError, ValueError) as error:
-        raise GridPointError(f"bad varsweep point: {error}") from error
-    return spec, spec.points()[0]
+    lattice = synthesize_lattice_dual(_benchmark(params).function.on)
+    return build_spec(
+        varsweep_campaign.VariationCampaignSpec,
+        {key: value for key, value in params.items() if key != "bench"},
+        point=point,
+        given={"lattice": lattice,
+               "crossbar_rows": max(16, lattice.rows),
+               "crossbar_cols": max(16, lattice.cols)})
 
 
-def _varsweep_key(params: dict[str, Any]) -> str:
-    _, point = _varsweep_spec(params)
-    return point.key()
+@dataclass(frozen=True)
+class CampaignFamily:
+    """A Monte-Carlo family, which the server and CLI run as well.
+
+    ``spec(params, point=False)`` is its one parser; ``keys`` its request
+    keys (see :func:`~repro.engine.campaign.build_spec`).
+    """
+
+    spec: Callable[..., Any]
+    keys: frozenset[str]
+    iterate: Callable[..., Iterator[Any]]
+    run: Callable[..., Any]
+    encode: Callable[[Any], dict]
+    decode: Callable[..., Any]
+    record: Callable[[Any], dict]
+
+    def parse(self, params: dict[str, Any]):
+        return self.spec(params, True)
+
+    def key(self, spec) -> str:
+        return spec.points()[0].key()
+
+    def compute(self, spec, processes: int) -> dict:
+        (estimate,) = self.iterate(spec, None, processes)
+        return self.encode(estimate)
+
+    def validate(self, spec, payload: Any) -> bool:
+        return self.decode(spec.points()[0], payload) is not None
 
 
-def _varsweep_compute(params: dict[str, Any], processes: int) -> dict:
-    spec, point = _varsweep_spec(params)
-    estimate = varsweep_campaign.compute_point(spec, point, processes)
-    return varsweep_campaign.payload_for(estimate)
+class _Synthesis:
+    """One portfolio race per (benchmark, strategy set)."""
+
+    def parse(self, params: dict[str, Any]):
+        check_keys(params, {"bench", "strategies"})
+        strategies = params.get("strategies", list(DEFAULT_STRATEGIES))
+        if isinstance(strategies, str):
+            strategies = [name for name in strategies.split(",") if name]
+        return _benchmark(params), parse_strategies(strategies)
+
+    def key(self, parsed) -> str:
+        benchmark, strategies = parsed
+        return (f"grid/synthesis/v1/{benchmark.name}"
+                f"/{benchmark.function.on.content_hash()}"
+                f"/{','.join(strategies)}")
+
+    def compute(self, parsed, processes: int) -> dict:
+        benchmark, strategies = parsed
+        result = run_portfolio(benchmark.function.on, strategies)
+        return {
+            "bench": benchmark.name,
+            "n": benchmark.n,
+            "strategy": result.strategy,
+            "rows": result.lattice.rows,
+            "cols": result.lattice.cols,
+            "area": result.area,
+            "lattice": lattice_to_text(result.lattice),
+            "outcomes": [
+                {"strategy": outcome.strategy, "status": outcome.status,
+                 "area": outcome.area}
+                for outcome in result.outcomes
+            ],
+        }
+
+    def validate(self, parsed, payload: Any) -> bool:
+        return (isinstance(payload, dict)
+                and isinstance(payload.get("lattice"), str)
+                and isinstance(payload.get("area"), int))
 
 
-def _varsweep_validate(params: dict[str, Any], payload: Any) -> bool:
-    _, point = _varsweep_spec(params)
-    return varsweep_campaign.estimate_from_payload(point, payload) \
-        is not None
+class _Bench:
+    """SOP metric extraction for one benchmark."""
+
+    def parse(self, params: dict[str, Any]):
+        check_keys(params, {"bench"})
+        return _benchmark(params)
+
+    def key(self, benchmark) -> str:
+        return (f"grid/bench/v1/{benchmark.name}"
+                f"/{benchmark.function.on.content_hash()}")
+
+    def compute(self, benchmark, processes: int) -> dict:
+        return {"bench": benchmark.name, **benchmark.function.sop_metrics()}
+
+    def validate(self, benchmark, payload: Any) -> bool:
+        return (isinstance(payload, dict)
+                and isinstance(payload.get("products"), int)
+                and isinstance(payload.get("dual_products"), int))
 
 
-# ----------------------------------------------------------------------
-# synthesis
-# ----------------------------------------------------------------------
-def _synthesis_parts(params: dict[str, Any]):
-    _str_params(params, "bench")
-    from ..engine.jobs import DEFAULT_STRATEGIES
-    from ..engine.portfolio import known_strategies
-    from ..eval.benchsuite import by_name
-
-    try:
-        benchmark = by_name(str(params["bench"]))
-    except KeyError as error:
-        raise GridPointError(str(error.args[0])) from error
-    strategies = params.get("strategies", list(DEFAULT_STRATEGIES))
-    if isinstance(strategies, str):
-        strategies = [s for s in strategies.split(",") if s]
-    strategies = tuple(str(s) for s in strategies)
-    unknown = set(strategies) - set(known_strategies())
-    if unknown:
-        raise GridPointError(f"unknown strategies {sorted(unknown)}")
-    return benchmark, strategies
-
-
-def _synthesis_key(params: dict[str, Any]) -> str:
-    benchmark, strategies = _synthesis_parts(params)
-    return (f"grid/synthesis/v1/{benchmark.name}"
-            f"/{benchmark.function.on.content_hash()}"
-            f"/{','.join(strategies)}")
-
-
-def _synthesis_compute(params: dict[str, Any], processes: int) -> dict:
-    from ..engine import lattice_to_text
-
-    benchmark, strategies = _synthesis_parts(params)
-    result = run_portfolio(benchmark.function.on, strategies)
-    return {
-        "bench": benchmark.name,
-        "n": benchmark.n,
-        "strategy": result.strategy,
-        "rows": result.lattice.rows,
-        "cols": result.lattice.cols,
-        "area": result.area,
-        "lattice": lattice_to_text(result.lattice),
-        "outcomes": [
-            {"strategy": outcome.strategy, "status": outcome.status,
-             "area": outcome.area}
-            for outcome in result.outcomes
-        ],
-    }
-
-
-def _synthesis_validate(params: dict[str, Any], payload: Any) -> bool:
-    return (isinstance(payload, dict)
-            and isinstance(payload.get("lattice"), str)
-            and isinstance(payload.get("area"), int))
-
-
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def _bench_benchmark(params: dict[str, Any]):
-    _str_params(params, "bench")
-    from ..eval.benchsuite import by_name
-
-    try:
-        return by_name(str(params["bench"]))
-    except KeyError as error:
-        raise GridPointError(str(error.args[0])) from error
-
-
-def _bench_key(params: dict[str, Any]) -> str:
-    benchmark = _bench_benchmark(params)
-    return (f"grid/bench/v1/{benchmark.name}"
-            f"/{benchmark.function.on.content_hash()}")
-
-
-def _bench_compute(params: dict[str, Any], processes: int) -> dict:
-    benchmark = _bench_benchmark(params)
-    metrics = benchmark.function.sop_metrics()
-    return {"bench": benchmark.name, **metrics}
-
-
-def _bench_validate(params: dict[str, Any], payload: Any) -> bool:
-    return (isinstance(payload, dict)
-            and isinstance(payload.get("products"), int)
-            and isinstance(payload.get("dual_products"), int))
-
-
-_ADAPTERS = {
-    "faultsim": (_faultsim_key, _faultsim_compute, _faultsim_validate),
-    "varsweep": (_varsweep_key, _varsweep_compute, _varsweep_validate),
-    "synthesis": (_synthesis_key, _synthesis_compute, _synthesis_validate),
-    "bench": (_bench_key, _bench_compute, _bench_validate),
+_REGISTRY: dict[str, Any] = {
+    "synthesis": _Synthesis(),
+    "faultsim": CampaignFamily(
+        spec=faultsim_campaign.spec_from_params,
+        keys=request_keys(faultsim_campaign.CampaignSpec),
+        iterate=faultsim_campaign.iter_campaign,
+        run=faultsim_campaign.run_campaign,
+        encode=faultsim_campaign.payload_for,
+        decode=faultsim_campaign.estimate_from_payload,
+        record=faultsim_campaign.estimate_record),
+    "varsweep": CampaignFamily(
+        spec=_varsweep_spec_from_params,
+        keys=request_keys(varsweep_campaign.VariationCampaignSpec)
+        | {"bench"},
+        iterate=varsweep_campaign.iter_variation_campaign,
+        run=varsweep_campaign.run_variation_campaign,
+        encode=varsweep_campaign.payload_for,
+        decode=varsweep_campaign.estimate_from_payload,
+        record=varsweep_campaign.estimate_record),
+    "bench": _Bench(),
 }
 
-assert set(_ADAPTERS) == set(FAMILIES)
+#: The workload families a grid can sweep.
+FAMILIES = tuple(_REGISTRY)
+
+#: The Monte-Carlo families, by name.
+CAMPAIGNS = {name: family for name, family in _REGISTRY.items()
+             if isinstance(family, CampaignFamily)}
+
+
+def _parse(family: str, params: dict[str, Any]):
+    try:
+        handler = _REGISTRY[family]
+    except KeyError:
+        raise GridConfigError(
+            f"unknown family {family!r} "
+            f"(expected one of {', '.join(FAMILIES)})") from None
+    try:
+        return handler, handler.parse(params)
+    except ValueError as error:
+        raise GridPointError(f"bad {family} point: {error}") from error
 
 
 def point_key(family: str, params: dict[str, Any]) -> str:
     """Content-addressed store key for one (family, params) point."""
-    return _adapter(family)[0](params)
+    handler, parsed = _parse(family, params)
+    return handler.key(parsed)
 
 
 def compute(family: str, params: dict[str, Any], processes: int = 1) -> dict:
     """Run one point from scratch; deterministic in ``params`` alone."""
-    return _adapter(family)[1](params, processes)
+    handler, parsed = _parse(family, params)
+    return handler.compute(parsed, processes)
 
 
 def validate_payload(family: str, params: dict[str, Any],
                      payload: Any) -> bool:
     """Is this persisted payload a complete answer for the point?"""
     try:
-        return _adapter(family)[2](params, payload)
+        handler, parsed = _parse(family, params)
     except GridPointError:
         return False
-
-
-def _adapter(family: str):
-    try:
-        return _ADAPTERS[family]
-    except KeyError:
-        raise GridConfigError(
-            f"unknown family {family!r} "
-            f"(expected one of {', '.join(FAMILIES)})") from None
+    return handler.validate(parsed, payload)

@@ -43,18 +43,22 @@ from ..engine import (
     FaultToleranceSpec,
     JobResult,
     SynthesisJob,
-    known_strategies,
     lattice_to_text,
 )
 from ..engine.store import GridRow
-from ..faultlab import CampaignSpec, PointEstimate
+from ..faultlab import CampaignSpec
+# Each campaign family's per-point record lives with the family; the
+# server re-exports it under its wire-format name.
+from ..faultlab.campaign import estimate_record as fault_estimate_record  # noqa: F401
 from ..grid import GridConfig, GridConfigError, GridPointError
 from ..grid import config_from_dict as grid_config_from_dict
 from ..grid import point_key as grid_point_key
-from ..varsim import VariationCampaignSpec, VariationPointEstimate
+from ..grid.families import CAMPAIGNS, parse_strategies
+from ..varsim import VariationCampaignSpec
+from ..varsim.campaign import estimate_record as variation_estimate_record  # noqa: F401
 
 #: The workload families the server fronts.
-KINDS = ("synthesis", "faultsim", "varsweep", "grid")
+KINDS = ("synthesis", *CAMPAIGNS, "grid")
 
 
 class ProtocolError(ValueError):
@@ -96,10 +100,11 @@ def _digest(kind: str, parts: list[str]) -> str:
 def _synthesis_job_from_json(entry: Any) -> SynthesisJob:
     if not isinstance(entry, dict):
         raise ProtocolError("synthesis jobs must be JSON objects")
-    strategies = tuple(entry.get("strategies", DEFAULT_STRATEGIES))
-    unknown = set(strategies) - set(known_strategies())
-    if unknown:
-        raise ProtocolError(f"unknown strategies {sorted(unknown)}")
+    try:
+        strategies = parse_strategies(
+            entry.get("strategies", DEFAULT_STRATEGIES))
+    except GridPointError as error:
+        raise ProtocolError(str(error)) from error
     fault_tolerance = None
     if "fault_tolerance" in entry:
         ft = entry["fault_tolerance"]
@@ -156,76 +161,28 @@ def _parse_synthesis(payload: dict) -> Submission:
                       points_total=len(jobs), jobs=jobs, echo=echo)
 
 
-_FAULTSIM_FIELDS = {
-    "n_values", "k_values", "densities", "models", "strategies", "trials",
-    "seed", "stuck_open_fraction", "batch_size",
-}
-
-
-def _parse_faultsim(payload: dict) -> Submission:
-    kwargs = {key: value for key, value in payload.items()
-              if key in _FAULTSIM_FIELDS}
-    kwargs["n_values"] = tuple(_require(payload, "n_values"))
-    kwargs["k_values"] = tuple(_require(payload, "k_values"))
-    kwargs["densities"] = tuple(_require(payload, "densities"))
-    for field in ("models", "strategies"):
-        if field in kwargs:
-            kwargs[field] = tuple(kwargs[field])
+def _parse_campaign(kind: str, payload: dict) -> Submission:
+    params = {key: value for key, value in payload.items() if key != "kind"}
     try:
-        spec = CampaignSpec(**kwargs)
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"bad faultsim spec: {error}") from error
+        spec = CAMPAIGNS[kind].spec(params)
+    except ValueError as error:
+        raise ProtocolError(f"bad {kind} spec: {error}") from error
     points = spec.points()
     parts = [point.key() for point in points]
-    parts.append(f"k={','.join(str(k) for k in spec.k_values)}")
-    echo = {"kind": "faultsim", "n_values": list(spec.n_values),
-            "k_values": list(spec.k_values),
-            "densities": list(spec.densities),
-            "models": list(spec.models),
-            "strategies": list(spec.strategies), "trials": spec.trials,
-            "seed": spec.seed}
-    return Submission(kind="faultsim",
-                      coalesce_key=_digest("faultsim", parts),
-                      points_total=len(points), spec=spec, echo=echo)
-
-
-_VARSWEEP_FIELDS = {
-    "sigmas", "crossbar_rows", "crossbar_cols", "trials", "seed",
-    "nominal", "batch_size",
-}
-
-
-def _parse_varsweep(payload: dict) -> Submission:
-    kwargs = {key: value for key, value in payload.items()
-              if key in _VARSWEEP_FIELDS}
-    kwargs["sigmas"] = tuple(_require(payload, "sigmas"))
-    if "bench" in payload:
-        from ..eval.benchsuite import by_name
-        from ..synthesis import synthesize_lattice_dual
-
-        try:
-            benchmark = by_name(str(payload["bench"]))
-        except KeyError as error:
-            raise ProtocolError(str(error.args[0])) from error
-        lattice = synthesize_lattice_dual(benchmark.function.on)
-        bench_name = benchmark.name
+    fields: dict[str, Any]
+    if kind == "faultsim":
+        parts.append(f"k={','.join(str(k) for k in spec.k_values)}")
+        fields = {"n_values": list(spec.n_values),
+                  "k_values": list(spec.k_values),
+                  "densities": list(spec.densities),
+                  "models": list(spec.models),
+                  "strategies": list(spec.strategies)}
     else:
-        raise ProtocolError("varsweep submissions need a 'bench' name")
-    kwargs.setdefault("crossbar_rows", max(16, lattice.rows))
-    kwargs.setdefault("crossbar_cols", max(16, lattice.cols))
-    try:
-        spec = VariationCampaignSpec(lattice=lattice, **kwargs)
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"bad varsweep spec: {error}") from error
-    points = spec.points()
-    echo = {"kind": "varsweep", "bench": bench_name,
-            "sigmas": list(spec.sigmas),
-            "crossbar_rows": spec.crossbar_rows,
-            "crossbar_cols": spec.crossbar_cols, "trials": spec.trials,
-            "seed": spec.seed}
-    return Submission(kind="varsweep",
-                      coalesce_key=_digest(
-                          "varsweep", [point.key() for point in points]),
+        fields = {"bench": params["bench"], "sigmas": list(spec.sigmas),
+                  "crossbar_rows": spec.crossbar_rows,
+                  "crossbar_cols": spec.crossbar_cols}
+    echo = {"kind": kind, **fields, "trials": spec.trials, "seed": spec.seed}
+    return Submission(kind=kind, coalesce_key=_digest(kind, parts),
                       points_total=len(points), spec=spec, echo=echo)
 
 
@@ -256,10 +213,8 @@ def parse_submission(payload: Any) -> Submission:
     kind = _require(payload, "kind")
     if kind == "synthesis":
         return _parse_synthesis(payload)
-    if kind == "faultsim":
-        return _parse_faultsim(payload)
-    if kind == "varsweep":
-        return _parse_varsweep(payload)
+    if kind in CAMPAIGNS:
+        return _parse_campaign(kind, payload)
     if kind == "grid":
         return _parse_grid(payload)
     raise ProtocolError(f"unknown submission kind {kind!r} "
@@ -280,34 +235,6 @@ def job_result_record(result: JobResult) -> dict:
         "area": result.area,
         "cache_hit": result.cache_hit,
         "lattice": lattice_to_text(result.lattice),
-    }
-
-
-def fault_estimate_record(estimate: PointEstimate) -> dict:
-    """One faultsim grid-point answer as a JSON record."""
-    point = estimate.point
-    return {
-        "model": point.model,
-        "n": point.n,
-        "density": point.density,
-        "strategy": point.strategy,
-        "trials": estimate.trials,
-        "k_histogram": list(estimate.k_histogram),
-        "mean_k": estimate.mean_k,
-        "cache_hit": estimate.cache_hit,
-    }
-
-
-def variation_estimate_record(estimate: VariationPointEstimate) -> dict:
-    """One varsweep sigma-point answer as a JSON record."""
-    return {
-        "sigma": estimate.point.sigma,
-        "trials": estimate.trials,
-        "aware_delays": list(estimate.aware_delays),
-        "oblivious_delays": list(estimate.oblivious_delays),
-        "aware_mean": estimate.aware_mean,
-        "oblivious_mean": estimate.oblivious_mean,
-        "cache_hit": estimate.cache_hit,
     }
 
 

@@ -21,19 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from ..engine import BatchEngine, JsonStore
-from ..faultlab import iter_campaign
 from ..grid import iter_grid_points
+from ..grid.families import CAMPAIGNS
 from ..obs import tracing
 from ..obs.health import HealthMonitor, default_server_rules
 from ..obs.timeline import MetricsRecorder
-from ..varsim import iter_variation_campaign
-from .protocol import (
-    Submission,
-    fault_estimate_record,
-    grid_row_record,
-    job_result_record,
-    variation_estimate_record,
-)
+from .protocol import Submission, grid_row_record, job_result_record
 
 #: ``emit`` events: ("running", None), ("point", record),
 #: ("done", None), ("failed", message).
@@ -107,17 +100,6 @@ class WorkerBridge:
                         for result in self.engine.submit(
                                 submission.jobs).result():
                             emit("point", job_result_record(result))
-                    elif submission.kind == "faultsim":
-                        for estimate in iter_campaign(
-                                submission.spec, store=self.store,
-                                processes=self.processes):
-                            emit("point", fault_estimate_record(estimate))
-                    elif submission.kind == "varsweep":
-                        for estimate in iter_variation_campaign(
-                                submission.spec, store=self.store,
-                                processes=self.processes):
-                            emit("point",
-                                 variation_estimate_record(estimate))
                     elif submission.kind == "grid":
                         # The served grid drains in-process against the
                         # bridge's store; external `nanoxbar grid`
@@ -127,9 +109,12 @@ class WorkerBridge:
                                 submission.grid, self.store,
                                 worker="server"):
                             emit("point", grid_row_record(row, verdict))
-                    else:  # pragma: no cover - parse_submission gates kinds
-                        raise ValueError(
-                            f"unknown kind {submission.kind!r}")
+                    else:
+                        campaign = CAMPAIGNS[submission.kind]
+                        for estimate in campaign.iterate(
+                                submission.spec, store=self.store,
+                                processes=self.processes):
+                            emit("point", campaign.record(estimate))
                 except Exception as error:  # anything the job raised is sent to the client
                     emit("failed", f"{type(error).__name__}: {error}")
                 else:

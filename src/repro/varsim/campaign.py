@@ -14,12 +14,11 @@ over the on-set) through the batched Bellman-Ford kernel of
 * :class:`VariationCampaignPoint` — one sampled ensemble (one sigma; the
   aware and oblivious policies share the ensemble, so they are comparable
   trial-by-trial);
-* :func:`iter_variation_campaign` — the streaming core: shards each
-  point's trial batches through :func:`repro.engine.pool.map_sharded`,
-  persists its delay vectors in the engine's
+* :func:`iter_variation_campaign` — the family's batch task and delay
+  fold on the shared :class:`repro.engine.campaign.PointRunner`: it
+  persists each sigma's delay vectors in the engine's
   :class:`~repro.engine.store.JsonStore` and **yields** the
-  :class:`VariationPointEstimate` as soon as the sigma completes — the
-  batch server streams these to clients incrementally;
+  :class:`VariationPointEstimate` as soon as the sigma completes;
 * :func:`run_variation_campaign` — drains the iterator into an aggregate
   :class:`VariationCampaignResult`.
 
@@ -38,32 +37,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice
-from ..engine.pool import batch_sizes, iter_sharded
+from ..engine.campaign import CampaignRun, PointRunner
+from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
-from ..obs import get_logger, log_event, metrics, tracing
-
-_LOG = get_logger("varsim")
-
-_POINTS = metrics.registry()
-_POINT_SECONDS = _POINTS.histogram(
-    "campaign_point_seconds", "wall-clock per completed campaign grid point",
-    labels={"family": "varsweep"})
-_POINTS_DONE = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "completed"})
-_POINTS_CACHED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "cached"})
-_POINTS_FAILED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "failed"})
 from ..xbareval.delay import onset_critical_delay_batch
 from .ensembles import (
     lognormal_variation_batch,
@@ -129,10 +112,14 @@ class VariationCampaignPoint:
 
 @dataclass(frozen=True)
 class VariationCampaignSpec:
-    """Declarative sweep grid for one variation campaign run."""
+    """Declarative sweep grid for one variation campaign run.
+
+    Also the varsweep request schema
+    (:func:`repro.engine.campaign.build_spec`).
+    """
 
     lattice: Lattice
-    sigmas: tuple[float, ...]
+    sigmas: tuple[float, ...] = field(metadata={"axis": "sigma"})
     crossbar_rows: int
     crossbar_cols: int
     trials: int = 500
@@ -217,15 +204,8 @@ class VariationPointEstimate:
         return 1.0 - self.aware_p95 / self.oblivious_p95
 
 
-@dataclass
-class VariationCampaignResult:
+class VariationCampaignResult(CampaignRun):
     """Everything one ``run_variation_campaign`` call produced."""
-
-    spec: VariationCampaignSpec
-    estimates: list[VariationPointEstimate]
-    elapsed: float = 0.0
-    cache_hits: int = 0
-    trials_sampled: int = 0
 
     def estimate(self, sigma: float) -> VariationPointEstimate:
         for est in self.estimates:
@@ -246,11 +226,6 @@ class VariationCampaignResult:
             "p95_gain": est.p95_improvement,
         } for est in self.estimates]
 
-    @property
-    def throughput(self) -> float:
-        """Freshly sampled trials per second (cache hits excluded)."""
-        return self.trials_sampled / self.elapsed if self.elapsed > 0 else 0.0
-
     def render(self) -> str:
         from .report import render_variation_campaign
 
@@ -258,7 +233,7 @@ class VariationCampaignResult:
 
 
 # ----------------------------------------------------------------------
-# The sharded runner
+# The family's pieces, run by the shared point runner
 # ----------------------------------------------------------------------
 def _point_batch_task(task: tuple) -> tuple[tuple[float, ...],
                                             tuple[float, ...]]:
@@ -287,6 +262,31 @@ def _point_batch_task(task: tuple) -> tuple[tuple[float, ...],
     delays = onset_critical_delay_batch(lattice, minterm_array, submaps)
     return (tuple(delays[:batch_trials].tolist()),
             tuple(delays[batch_trials:].tolist()))
+
+
+def _point_tasks(spec: VariationCampaignSpec,
+                 point: VariationCampaignPoint) -> list[tuple]:
+    """One worker task per seeded trial batch of this sigma point."""
+    minterms = tuple(spec.lattice.to_truth_table().minterms())
+    if not minterms:
+        raise ValueError(
+            "variation campaign is undefined for a constant-0 lattice: "
+            "critical delay has no conducting on-set input")
+    root = np.random.SeedSequence(point.entropy())
+    sizes = batch_sizes(point.trials, point.batch_size)
+    return [
+        (spec.lattice, minterms, point.sigma, point.crossbar_rows,
+         point.crossbar_cols, point.nominal, batch_trials, child)
+        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
+    ]
+
+
+def _fold(point: VariationCampaignPoint,
+          batches: list) -> VariationPointEstimate:
+    """Concatenate the batches' delay vectors into the point's estimate."""
+    aware = tuple(d for batch_aware, _ in batches for d in batch_aware)
+    oblivious = tuple(d for _, batch_obl in batches for d in batch_obl)
+    return VariationPointEstimate(point, aware, oblivious, cache_hit=False)
 
 
 def _valid_payload(payload, point: VariationCampaignPoint) -> bool:
@@ -327,45 +327,34 @@ def estimate_from_payload(point: VariationCampaignPoint, payload,
                                   cache_hit=cache_hit)
 
 
+def estimate_record(estimate: VariationPointEstimate) -> dict:
+    """One sigma-point answer as the batch server's JSON record."""
+    return {
+        "sigma": estimate.point.sigma,
+        "trials": estimate.trials,
+        "aware_delays": list(estimate.aware_delays),
+        "oblivious_delays": list(estimate.oblivious_delays),
+        "aware_mean": estimate.aware_mean,
+        "oblivious_mean": estimate.oblivious_mean,
+        "cache_hit": estimate.cache_hit,
+    }
+
+
+_RUNNER = PointRunner("varsweep", "varsim", _point_batch_task, _fold,
+                      payload_for, estimate_from_payload)
+
+
 def compute_point(spec: VariationCampaignSpec,
                   point: VariationCampaignPoint,
                   processes: int = 1) -> VariationPointEstimate:
     """Sample one sigma point from scratch (no store probe, no persist).
 
-    Batch seeds come from :meth:`VariationCampaignPoint.entropy` alone,
-    so the result is bit-identical wherever and however often it runs —
-    the property the grid claim protocol leans on when a lease expires
-    and a second worker recomputes a point.  ``spec`` carries the lattice
-    (the point only stores its content hash).
+    Bit-identical wherever and however often it runs (content seeds).
+    ``spec`` carries the lattice (the point only stores its content hash).
     """
-    table = spec.lattice.to_truth_table()
-    minterms = tuple(table.minterms())
-    if not minterms:
-        raise ValueError(
-            "variation campaign is undefined for a constant-0 lattice: "
-            "critical delay has no conducting on-set input")
-    aware: list[float] = []
-    oblivious: list[float] = []
-    tasks = _point_tasks(spec, point, minterms)
-    for batch_aware, batch_oblivious in iter_sharded(
-            _point_batch_task, tasks, processes):
-        aware.extend(batch_aware)
-        oblivious.extend(batch_oblivious)
-    return VariationPointEstimate(point, tuple(aware), tuple(oblivious),
-                                  cache_hit=False)
-
-
-def _point_tasks(spec: VariationCampaignSpec,
-                 point: VariationCampaignPoint,
-                 minterms: tuple[int, ...]) -> list[tuple]:
-    """One worker task per seeded trial batch of this sigma point."""
-    root = np.random.SeedSequence(point.entropy())
-    sizes = batch_sizes(point.trials, point.batch_size)
-    return [
-        (spec.lattice, minterms, point.sigma, point.crossbar_rows,
-         point.crossbar_cols, point.nominal, batch_trials, child)
-        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
-    ]
+    (estimate,) = _RUNNER.iter_points([point], partial(_point_tasks, spec),
+                                      None, processes)
+    return estimate
 
 
 def iter_variation_campaign(spec: VariationCampaignSpec,
@@ -373,108 +362,16 @@ def iter_variation_campaign(spec: VariationCampaignSpec,
                             processes: int = 1):
     """Yield one :class:`VariationPointEstimate` per sigma as it completes.
 
-    The streaming face of the runner: the batch server forwards each
-    estimate to its clients the moment the sigma's trials are in, and
-    every fresh point is persisted before it is yielded (an interrupted
-    campaign resumes from the store).  Point order matches
-    :meth:`VariationCampaignSpec.points`.  Batch seeds are
-    content-addressed (never position-based), so streamed estimates are
-    bit-identical to the aggregate runner's, serial or pooled — and the
-    pooled path keeps the whole grid's batches in flight at once
-    (:func:`repro.engine.pool.iter_sharded`).
-
-    Args:
-        store: a :class:`~repro.engine.store.JsonStore`, a path to open one
-            at (closed when the iterator is exhausted), or ``None`` for no
-            persistence.
-        processes: worker count (``1`` = serial; results are
-            bit-identical either way).
-
-    Raises:
-        ValueError: when the spec's lattice computes the constant-0
-            function — critical delay is undefined on an empty on-set.
+    As :func:`repro.faultlab.campaign.iter_campaign`; a constant-0 lattice
+    raises :class:`ValueError` (critical delay needs a non-empty on-set).
     """
-    table = spec.lattice.to_truth_table()
-    minterms = tuple(table.minterms())
-    if not minterms:
-        raise ValueError(
-            "variation campaign is undefined for a constant-0 lattice: "
-            "critical delay has no conducting on-set input")
-    owned = isinstance(store, str)
-    json_store: JsonStore | None = JsonStore(store) if owned else store
-    try:
-        yield from _iter_variation_campaign(spec, minterms, json_store,
-                                            processes)
-    finally:
-        if owned and json_store is not None:
-            json_store.close()
-
-
-def _iter_variation_campaign(spec: VariationCampaignSpec,
-                             minterms: tuple[int, ...],
-                             store: JsonStore | None,
-                             processes: int):
-    # Plan the whole grid first (store probes are cheap reads), so one
-    # shared pool can pipeline every fresh batch across sigmas.
-    plans: list[tuple[VariationCampaignPoint,
-                      VariationPointEstimate | None, int]] = []
-    tasks: list[tuple] = []
-    for point in spec.points():
-        payload = store.get(point.key()) if store is not None else None
-        cached_estimate = (estimate_from_payload(point, payload)
-                          if payload is not None else None)
-        if cached_estimate is not None:
-            plans.append((point, cached_estimate, 0))
-            continue
-        point_tasks = _point_tasks(spec, point, minterms)
-        tasks.extend(point_tasks)
-        plans.append((point, None, len(point_tasks)))
-
-    results = iter_sharded(_point_batch_task, tasks, processes)
-    for point, cached, task_count in plans:
-        if cached is not None:
-            _POINTS_CACHED.inc()
-            yield cached
-            continue
-        # The span closes before the yield: it times sampling + persist,
-        # not however long the consumer sits on the estimate.
-        with tracing.span("varsim.point", key=point.key()):
-            point_start = time.perf_counter()
-            try:
-                aware: list[float] = []
-                oblivious: list[float] = []
-                for _ in range(task_count):
-                    batch_aware, batch_oblivious = next(results)
-                    aware.extend(batch_aware)
-                    oblivious.extend(batch_oblivious)
-                estimate = VariationPointEstimate(point, tuple(aware),
-                                                  tuple(oblivious),
-                                                  cache_hit=False)
-                if store is not None:
-                    store.put(point.key(), payload_for(estimate))
-            except Exception:
-                _POINTS_FAILED.inc()
-                raise
-            point_seconds = time.perf_counter() - point_start
-            _POINT_SECONDS.observe(point_seconds)
-            _POINTS_DONE.inc()
-            log_event(_LOG, "point done", key=point.key(),
-                      trials=point.trials,
-                      seconds=round(point_seconds, 6))
-        yield estimate
+    return _RUNNER.iter_points(spec.points(), partial(_point_tasks, spec),
+                               store, processes)
 
 
 def run_variation_campaign(spec: VariationCampaignSpec,
                            store: JsonStore | str | None = None,
                            processes: int = 1) -> VariationCampaignResult:
     """Run a whole campaign through :func:`iter_variation_campaign`."""
-    start = time.perf_counter()
-    estimates = list(iter_variation_campaign(spec, store, processes))
-    return VariationCampaignResult(
-        spec=spec,
-        estimates=estimates,
-        elapsed=time.perf_counter() - start,
-        cache_hits=sum(1 for est in estimates if est.cache_hit),
-        trials_sampled=sum(est.point.trials for est in estimates
-                           if not est.cache_hit),
-    )
+    return VariationCampaignResult.drain(
+        spec, iter_variation_campaign(spec, store, processes))

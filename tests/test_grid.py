@@ -176,6 +176,10 @@ class TestFamilies:
         with pytest.raises(GridPointError):
             point_key("bench", {"bench": "no-such-bench"})
 
+    def test_unknown_params_are_named(self):
+        with pytest.raises(GridPointError, match="trails"):
+            point_key("faultsim", {"n": 6, "density": 0.05, "trails": 50})
+
     def test_unknown_family_raises_config_error(self):
         with pytest.raises(GridConfigError, match="unknown family"):
             point_key("mystery", {})
@@ -202,6 +206,36 @@ class TestFamilies:
         with pytest.raises(GridPointError, match="unknown strategies"):
             point_key("synthesis", {"bench": "xnor2",
                                     "strategies": "alchemy"})
+
+
+class TestFrontEndsShareKeys:
+    """The CLI, the server and the grid fill in the same defaults."""
+
+    @pytest.mark.parametrize("cli, request_fields, point", [
+        (["varsweep", "--bench", "xnor2", "--sigmas", "0.3"],
+         {"kind": "varsweep", "bench": "xnor2", "sigmas": [0.3]},
+         {"bench": "xnor2", "sigma": 0.3}),
+        (["varsweep", "--bench", "sym6_2", "--sigmas", "0.3"],
+         {"kind": "varsweep", "bench": "sym6_2", "sigmas": [0.3]},
+         {"bench": "sym6_2", "sigma": 0.3}),
+        (["faultsim", "--n", "8", "--densities", "0.05"],
+         {"kind": "faultsim", "n_values": [8], "k_values": [4],
+          "densities": [0.05]},
+         {"n": 8, "density": 0.05}),
+    ], ids=["varsweep-xnor2", "varsweep-sym6_2", "faultsim"])
+    def test_same_point_key(self, tmp_path, capsys, cli, request_fields,
+                            point):
+        from repro.server.protocol import parse_submission
+
+        trials = {"trials": 8, "batch_size": 4}
+        store = str(tmp_path / "cli.sqlite")
+        assert cli_main([*cli, "--trials", "8", "--batch-size", "4",
+                         "--cache", store]) == 0
+        served = parse_submission({**request_fields, **trials})
+        (key,) = [p.key() for p in served.spec.points()]
+        assert point_key(served.kind, {**point, **trials}) == key
+        with JsonStore(store) as persisted:
+            assert len(persisted) == 1 and persisted.get(key) is not None
 
 
 class TestClaimProtocol:
@@ -567,6 +601,14 @@ class TestCli:
         assert cli_main(["grid", "run", config,
                          "--store", str(tmp_path / "s.sqlite")]) == 2
         assert "unknown family" in capsys.readouterr().err
+
+    def test_malformed_point_params_exit_2(self, tmp_path, capsys):
+        config = self._config_path(
+            tmp_path, family="varsweep", points=[{"sigma": 0.3}],
+            fixed={"bench": "xnor2", "trials": "abc"})
+        assert cli_main(["grid", "plan", config,
+                         "--store", str(tmp_path / "s.sqlite")]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_failed_points_exit_1(self, tmp_path, monkeypatch, capsys):
         config = self._config_path(tmp_path, max_attempts=1)

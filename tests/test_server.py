@@ -132,6 +132,28 @@ class TestProtocol:
             parse_submission({"kind": "faultsim", "n_values": [6],
                               "k_values": [3], "densities": [1.5]})
 
+    @pytest.mark.parametrize("payload", [
+        {**FAULTSIM_PAYLOAD, "n_values": 6},
+        {**FAULTSIM_PAYLOAD, "densities": 0.05},
+        {**VARSWEEP_PAYLOAD, "sigmas": 0.3},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2"}],
+         "strategies": 5},
+        {"kind": "grid", "config": {
+            "name": "g", "family": "synthesis",
+            "points": [{"bench": "xnor2"}], "fixed": {"strategies": 5}}},
+        {"kind": "grid", "config": {
+            "name": "g", "family": "varsweep", "grid": {"sigma": [0.3]},
+            "fixed": {"bench": "xnor2", "trials": "abc"}}},
+    ], ids=["n_values", "densities", "sigmas", "strategies",
+            "grid-strategies", "grid-trials"])
+    def test_malformed_fields_rejected(self, payload):
+        with pytest.raises(ProtocolError):
+            parse_submission(payload)
+
+    def test_unknown_campaign_field_rejected(self):
+        with pytest.raises(ProtocolError, match="trails"):
+            parse_submission({**FAULTSIM_PAYLOAD, "trails": 50})
+
     def test_coalesce_keys_are_content_addressed(self):
         spelled = parse_submission({"kind": "synthesis",
                                     "jobs": [{"bench": "xnor2"}]})
