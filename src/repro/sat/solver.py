@@ -6,12 +6,46 @@ SAT solver, so the package carries its own.  The design follows MiniSat:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with clause learning,
-* VSIDS-style variable activities with exponential decay,
+* VSIDS-style variable activities with exponential decay, ordered by a lazy
+  ``heapq`` (stale entries are skipped when popped, never removed),
 * phase saving and Luby-sequence restarts.
 
-The solver is complete; performance is adequate for the instance sizes the
-paper's experiments need (thousands of variables / tens of thousands of
-clauses).
+Layout
+------
+Literals stay DIMACS integers.  Everything unit propagation touches is a
+flat list, and the value test and the enqueue are inlined, so its inner
+loop makes no dict lookups, no ``abs()`` calls and no calls to other
+solver methods:
+
+* ``vals`` and ``watches`` are indexed by the literal.  Both have length
+  ``2 * cap + 1``, so Python's negative indexing lets ``vals[lit]`` address
+  literals ``-cap..cap`` directly.  ``vals[lit]`` is 1 when ``lit`` is
+  true, -1 when it is false and 0 when it is unassigned.
+* ``level``, ``reason``, ``activity``, ``saved_phase`` and the conflict
+  analysis ``seen`` marks are indexed by variable.
+* A clause is a list of literals whose first two are watched.  Watch lists
+  and ``reason`` hold the clause lists themselves.
+
+``cap`` grows geometrically as variables are registered; ``add_cnf``
+registers a formula's variables once, up front.
+
+Trajectory contract
+-------------------
+The layout is free to change; the search is not.  The order of
+propagation, the clause-literal swaps, the learnt-literal order, every heap
+push and pop (stale entries included, also after the 1e100 activity
+rescale), the Luby restarts and the saved phases are pinned, so every
+``statistics()`` count and every model is reproducible.  Every exact
+lattice, ``proved`` flag, cached payload and served answer follows from
+them.  ``tests/test_sat_trajectory.py`` checks the first ``solve()`` of
+fresh solvers against ``tests/data/sat_trajectory_golden.json``.  Only a
+change that means to move the search regenerates that file, with::
+
+    PYTHONPATH=src python tests/test_sat_trajectory.py --write
+
+Incremental use follows MiniSat: a satisfiable ``solve()`` keeps a copy of
+the model and returns at decision level 0, so clauses added afterwards are
+simplified against level-0 facts only.
 """
 
 from __future__ import annotations
@@ -20,6 +54,11 @@ import heapq
 from typing import Iterable, Sequence
 
 from .cnf import Cnf
+
+
+#: Left in the watch-list slot of a clause that moved to another watch.
+#: Real clauses are never empty, so the falsy marker filters out cleanly.
+_MOVED: list[int] = []
 
 
 class SolverError(RuntimeError):
@@ -43,33 +82,57 @@ class Solver:
 
     def __init__(self) -> None:
         self.num_vars = 0
+        self.cap = 0
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign: dict[int, bool] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, int | None] = {}
+        # Indexed by literal (length 2 * cap + 1).
+        self.vals: list[int] = [0]
+        self.watches: list[list[list[int]]] = [[]]
+        # Indexed by variable (length cap + 1).
+        self.level: list[int] = [0]
+        self.reason: list[list[int] | None] = [None]
+        self.activity: list[float] = [0.0]
+        self.saved_phase: list[bool] = [False]
+        self.seen: list[bool] = [False]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity: dict[int, float] = {}
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
-        self.saved_phase: dict[int, bool] = {}
         self.order_heap: list[tuple[float, int]] = []
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
+        self._model: list[bool] = [False]
 
     # ------------------------------------------------------------------
     # Problem construction
     # ------------------------------------------------------------------
     def _register_var(self, var: int) -> None:
-        if var > self.num_vars:
-            for v in range(self.num_vars + 1, var + 1):
-                self.activity[v] = 0.0
-                heapq.heappush(self.order_heap, (0.0, v))
-            self.num_vars = var
+        """Make variables ``1..var`` known to the solver."""
+        if var <= self.num_vars:
+            return
+        if var > self.cap:
+            self._reserve(max(var, 2 * self.cap))
+        for v in range(self.num_vars + 1, var + 1):
+            heapq.heappush(self.order_heap, (0.0, v))
+        self.num_vars = var
+
+    def _reserve(self, cap: int) -> None:
+        """Grow every array to hold variables ``1..cap``."""
+        old, grow = self.cap, cap - self.cap
+        # Positive literals keep indices 1..old; the negative ones live at
+        # the tail, so the new ones go in between.
+        self.vals = self.vals[:old + 1] + [0] * (2 * grow) + self.vals[old + 1:]
+        self.watches = (self.watches[:old + 1]
+                        + [[] for _ in range(2 * grow)]
+                        + self.watches[old + 1:])
+        self.level += [0] * grow
+        self.reason += [None] * grow
+        self.activity += [0.0] * grow
+        self.saved_phase += [False] * grow
+        self.seen += [False] * grow
+        self.cap = cap
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False when the formula became trivially UNSAT."""
@@ -77,43 +140,45 @@ class Solver:
             return False
         seen: set[int] = set()
         clause: list[int] = []
+        top = 0
         for lit in literals:
             if lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self._register_var(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > top:
+                top = var
             if -lit in seen:
+                self._register_var(top)
                 return True  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            clause.append(lit)
+            if lit not in seen:
+                seen.add(lit)
+                clause.append(lit)
+        self._register_var(top)
         # Level-0 simplification.
+        vals = self.vals
         simplified: list[int] = []
         for lit in clause:
-            val = self._value(lit)
-            if val is True:
+            val = vals[lit]
+            if val > 0:
                 return True
-            if val is None:
+            if val == 0:
                 simplified.append(lit)
         if not simplified:
             self.ok = False
             return False
         if len(simplified) == 1:
-            if not self._enqueue(simplified[0], None):
-                self.ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            self._enqueue(simplified[0], None)
+            if self._propagate() is not None:
                 self.ok = False
                 return False
             return True
-        index = len(self.clauses)
         self.clauses.append(simplified)
-        self.watches.setdefault(simplified[0], []).append(index)
-        self.watches.setdefault(simplified[1], []).append(index)
+        self.watches[simplified[0]].append(simplified)
+        self.watches[simplified[1]].append(simplified)
         return True
 
     def add_cnf(self, cnf: Cnf) -> bool:
+        """Add every clause of ``cnf``; False once the formula is UNSAT."""
         self._register_var(cnf.num_vars)
         for clause in cnf:
             if not self.add_clause(clause):
@@ -123,143 +188,149 @@ class Solver:
     # ------------------------------------------------------------------
     # Assignment primitives
     # ------------------------------------------------------------------
-    def _value(self, lit: int) -> bool | None:
-        val = self.assign.get(abs(lit))
-        if val is None:
-            return None
-        return val if lit > 0 else not val
-
-    def _current_level(self) -> int:
-        return len(self.trail_lim)
-
-    def _enqueue(self, lit: int, reason_idx: int | None) -> bool:
-        val = self._value(lit)
-        if val is not None:
-            return val
-        var = abs(lit)
-        self.assign[var] = lit > 0
-        self.level[var] = self._current_level()
-        self.reason[var] = reason_idx
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        """Make the unassigned literal ``lit`` true at the current level."""
+        var = lit if lit > 0 else -lit
+        self.vals[lit] = 1
+        self.vals[-lit] = -1
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
         self.trail.append(lit)
-        return True
 
-    def _propagate(self) -> int | None:
-        """Unit propagation; returns a conflicting clause index or None."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = -p
-            watchlist = self.watches.get(false_lit)
-            if not watchlist:
-                continue
-            i = j = 0
-            while i < len(watchlist):
-                ci = watchlist[i]
-                i += 1
-                clause = self.clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation; returns a conflicting clause or None."""
+        trail = self.trail
+        vals = self.vals
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        current = len(self.trail_lim)
+        start = qhead = self.qhead
+        conflict: list[int] | None = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchlist = watches[false_lit]
+            moved = False
+            for pos, clause in enumerate(watchlist):
+                # Keep the false watch at position 1.
                 first = clause[0]
-                if self._value(first) is True:
-                    watchlist[j] = ci
-                    j += 1
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if vals[first] > 0:
                     continue
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(ci)
+                    lit = clause[k]
+                    if vals[lit] >= 0:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
+                        watchlist[pos] = _MOVED
+                        moved = True
                         break
                 else:
-                    watchlist[j] = ci
-                    j += 1
-                    if self._value(first) is False:
-                        while i < len(watchlist):
-                            watchlist[j] = watchlist[i]
-                            j += 1
-                            i += 1
-                        del watchlist[j:]
-                        self.qhead = len(self.trail)
-                        return ci
-                    self._enqueue(first, ci)
-            del watchlist[j:]
-        return None
+                    if vals[first] < 0:
+                        conflict = clause
+                        break
+                    vals[first] = 1
+                    vals[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = current
+                    reason[var] = clause
+                    trail.append(first)
+            if moved:
+                watchlist[:] = filter(None, watchlist)
+            if conflict is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = len(trail) if conflict is not None else qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in self.activity:
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self.order_heap, (-self.activity[var], var))
-
-    def _analyze(self, conflict_idx: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """Derive the 1UIP learned clause and its backjump level."""
+        level = self.level
+        seen = self.seen
+        trail = self.trail
+        activity = self.activity
+        heap = self.order_heap
         learnt: list[int] = []
-        seen: set[int] = set()
         counter = 0
-        p: int | None = None
-        clause = self.clauses[conflict_idx]
-        index = len(self.trail) - 1
-        current = self._current_level()
+        p = 0  # no literal is 0, so the conflict clause skips nothing
+        clause = conflict
+        index = len(trail) - 1
+        current = len(self.trail_lim)
         while True:
             for q in clause:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                var = abs(q)
-                if var in seen or self.level[var] == 0:
+                var = q if q > 0 else -q
+                if seen[var] or level[var] == 0:
                     continue
-                seen.add(var)
-                self._bump_var(var)
-                if self.level[var] == current:
+                seen[var] = True
+                # Bump the activity; rescale everything past 1e100.
+                act = activity[var] + self.var_inc
+                activity[var] = act
+                if act > 1e100:
+                    for v in range(len(activity)):
+                        activity[v] *= 1e-100
+                    self.var_inc *= 1e-100
+                    act = activity[var]
+                heapq.heappush(heap, (-act, var))
+                if level[var] == current:
                     counter += 1
                 else:
                     learnt.append(q)
-            while abs(self.trail[index]) not in seen:
+            while True:
+                p = trail[index]
                 index -= 1
-            p_lit = self.trail[index]
-            index -= 1
-            var = abs(p_lit)
-            seen.discard(var)
+                var = p if p > 0 else -p
+                if seen[var]:
+                    break
+            seen[var] = False
             counter -= 1
             if counter == 0:
-                p = p_lit
                 break
-            reason_idx = self.reason[var]
-            if reason_idx is None:
+            reason = self.reason[var]
+            if reason is None:
                 raise SolverError("non-UIP literal without a reason")
-            clause = self.clauses[reason_idx]
-            p = p_lit
+            clause = reason
+        for q in learnt:
+            seen[q if q > 0 else -q] = False
         learnt.insert(0, -p)
         if len(learnt) == 1:
             return learnt, 0
-        # Backjump to the second-highest level in the clause.
-        levels = sorted((self.level[abs(q)] for q in learnt[1:]), reverse=True)
-        back_level = levels[0]
-        # Put a literal of the backjump level in watch position 1.
+        # Backjump to the second-highest level in the clause, and put a
+        # literal of that level in watch position 1.
+        back_level = max(level[abs(q)] for q in learnt[1:])
         for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == back_level:
+            if level[abs(learnt[k])] == back_level:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back_level
 
     def _backtrack(self, target_level: int) -> None:
-        if self._current_level() <= target_level:
+        if len(self.trail_lim) <= target_level:
             return
+        trail = self.trail
+        vals = self.vals
+        phase = self.saved_phase
+        activity = self.activity
+        heap = self.order_heap
         boundary = self.trail_lim[target_level]
-        for lit in reversed(self.trail[boundary:]):
-            var = abs(lit)
-            self.saved_phase[var] = self.assign[var]
-            del self.assign[var]
-            del self.level[var]
-            del self.reason[var]
-            heapq.heappush(self.order_heap, (-self.activity[var], var))
-        del self.trail[boundary:]
+        for lit in reversed(trail[boundary:]):
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            vals[lit] = 0
+            vals[-lit] = 0
+            heapq.heappush(heap, (-activity[var], var))
+        del trail[boundary:]
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -267,12 +338,14 @@ class Solver:
     def _pick_branch_var(self) -> int | None:
         # Lazy-deletion heap: stale entries only perturb the order, never
         # correctness, so the first unassigned entry is good enough.
-        while self.order_heap:
-            _, var = heapq.heappop(self.order_heap)
-            if var not in self.assign:
+        heap = self.order_heap
+        vals = self.vals
+        while heap:
+            var = heapq.heappop(heap)[1]
+            if vals[var] == 0:
                 return var
         for var in range(1, self.num_vars + 1):
-            if var not in self.assign:
+            if vals[var] == 0:
                 return var
         return None
 
@@ -290,16 +363,20 @@ class Solver:
 
         Returns:
             True (SAT — model available via :meth:`model`), False (UNSAT),
-            or None when the budget ran out.
+            or None when the budget ran out.  The solver is back at
+            decision level 0 afterwards, so clauses may be added between
+            calls.
         """
         if not self.ok:
             return False
         for lit in assumptions:
             self._register_var(abs(lit))
-        conflict = self._propagate()
-        if conflict is not None:
+        if self._propagate() is not None:
             self.ok = False
             return False
+        vals = self.vals
+        watches = self.watches
+        trail_lim = self.trail_lim
         restart_count = 0
         conflicts_until_restart = 100 * luby(1)
         total_conflicts = 0
@@ -308,7 +385,7 @@ class Solver:
             if conflict is not None:
                 self.conflicts += 1
                 total_conflicts += 1
-                if self._current_level() == 0:
+                if not trail_lim:
                     self.ok = False
                     return False
                 learnt, back_level = self._analyze(conflict)
@@ -316,15 +393,12 @@ class Solver:
                 # re-establishes them and detects contradicted assumptions.
                 self._backtrack(back_level)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self.ok = False
-                        return False
+                    self._enqueue(learnt[0], None)
                 else:
-                    index = len(self.clauses)
                     self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(index)
-                    self.watches.setdefault(learnt[1], []).append(index)
-                    self._enqueue(learnt[0], index)
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc *= self.var_decay
                 if conflict_budget is not None and total_conflicts >= conflict_budget:
                     self._backtrack(0)
@@ -333,31 +407,32 @@ class Solver:
                 if conflicts_until_restart <= 0:
                     restart_count += 1
                     conflicts_until_restart = 100 * luby(restart_count + 1)
-                    self._backtrack(min(len(assumptions), self._current_level()))
+                    self._backtrack(min(len(assumptions), len(trail_lim)))
                 continue
             # No conflict: extend the assignment.
-            if self._current_level() < len(assumptions):
-                lit = assumptions[self._current_level()]
-                val = self._value(lit)
-                if val is False:
+            if len(trail_lim) < len(assumptions):
+                lit = assumptions[len(trail_lim)]
+                val = vals[lit]
+                if val < 0:
                     self._backtrack(0)
                     return False
-                self.trail_lim.append(len(self.trail))
-                if val is None:
+                trail_lim.append(len(self.trail))
+                if val == 0:
                     self._enqueue(lit, None)
                 continue
             var = self._pick_branch_var()
             if var is None:
+                self._model = [v > 0 for v in vals[:self.num_vars + 1]]
+                self._backtrack(0)
                 return True
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            phase = self.saved_phase.get(var, False)
-            self._enqueue(var if phase else -var, None)
+            trail_lim.append(len(self.trail))
+            self._enqueue(var if self.saved_phase[var] else -var, None)
 
     # ------------------------------------------------------------------
     def model(self) -> dict[int, bool]:
-        """The satisfying assignment after a True result."""
-        return {var: self.assign.get(var, False) for var in range(1, self.num_vars + 1)}
+        """The satisfying assignment of the last True result."""
+        return {var: self._model[var] for var in range(1, len(self._model))}
 
     def statistics(self) -> dict[str, int]:
         return {

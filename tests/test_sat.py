@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,6 +132,65 @@ class TestSolverBasics:
         assert stats["vars"] == 2
 
 
+class TestIncremental:
+    """Clauses added after a ``solve()`` see level-0 facts, not the model."""
+
+    def test_add_clause_after_sat_solve(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        solver.add_clause([-1, 3])
+        assert solver.solve() is True
+        # x1 = x3 = True satisfies all three clauses.
+        assert solver.add_clause([1, -2, 3]) is True
+        assert solver.solve() is True
+        cnf = Cnf()
+        cnf.add_clauses([[1, 2], [-1, 3], [1, -2, 3]])
+        assert cnf.evaluate(solver.model())
+
+    def test_add_unit_after_solve_under_assumptions(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        solver.add_clause([-1, 3])
+        assert solver.solve(assumptions=[-1]) is True
+        assert solver.model()[1] is False
+        assert solver.add_clause([1]) is True
+        assert solver.solve() is True
+        assert solver.model()[1] and solver.model()[3]
+
+    def test_model_survives_later_clauses(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        assert solver.solve() is True
+        model = solver.model()
+        flipped = -1 if model[1] else 1
+        assert solver.add_clause([flipped]) is True
+        assert solver.model() == model
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_add_solve_sequence_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(3, 6)
+        cnf = Cnf(num_vars)
+        solver = Solver()
+        for _ in range(25):
+            width = rng.choice((1, 2, 2, 3, 3, 3))
+            chosen = rng.sample(range(1, num_vars + 1), width)
+            clause = [v if rng.random() < 0.5 else -v for v in chosen]
+            cnf.add_clause(clause)
+            if not solver.add_clause(clause):
+                assert brute_force_cnf(cnf) is None
+            assumed = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 2))]
+            with_units = Cnf(num_vars)
+            with_units.add_clauses(cnf.clauses)
+            with_units.add_clauses([lit] for lit in assumed)
+            expected = brute_force_cnf(with_units)
+            result = solver.solve(assumptions=assumed)
+            assert result is (expected is not None)
+            if result:
+                assert with_units.evaluate(solver.model())
+
+
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, width: int = 3) -> Cnf:
     cnf = Cnf(num_vars)
     for _ in range(num_clauses):
@@ -169,16 +229,37 @@ class TestSolverAgainstBruteForce:
 
 
 def enumerate_models(cnf: Cnf, over_vars: int):
-    """All assignments of vars 1..over_vars extendable to full models."""
-    models = set()
-    for bits in range(1 << cnf.num_vars):
-        model = {v: bool((bits >> (v - 1)) & 1) for v in range(1, cnf.num_vars + 1)}
-        if cnf.evaluate(model):
-            models.add(tuple(model[v] for v in range(1, over_vars + 1)))
-    return models
+    """All assignments of vars 1..over_vars extendable to full models.
+
+    Exhaustive over all ``2**num_vars`` assignments, evaluated as numpy
+    bit columns: one boolean array per variable.
+    """
+    bits = np.arange(1 << cnf.num_vars)
+    columns = [((bits >> (v - 1)) & 1).astype(bool)
+               for v in range(1, cnf.num_vars + 1)]
+    satisfied = np.ones(bits.size, dtype=bool)
+    for clause in cnf.clauses:
+        clause_true = np.zeros(bits.size, dtype=bool)
+        for lit in clause:
+            column = columns[abs(lit) - 1]
+            clause_true |= column if lit > 0 else ~column
+        satisfied &= clause_true
+    kept = np.stack(columns[:over_vars], axis=1)[satisfied]
+    return {tuple(bool(x) for x in row) for row in kept}
 
 
 class TestEncodings:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_enumerate_models_matches_evaluate(self, seed):
+        rng = random.Random(seed)
+        cnf = random_cnf(rng, 6, 8)
+        reference = set()
+        for bits in range(1 << cnf.num_vars):
+            model = {v: bool((bits >> (v - 1)) & 1) for v in range(1, cnf.num_vars + 1)}
+            if cnf.evaluate(model):
+                reference.add(tuple(model[v] for v in range(1, 4)))
+        assert enumerate_models(cnf, 3) == reference
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
     def test_amo_pairwise_exact_semantics(self, k):
         cnf = Cnf(k)
