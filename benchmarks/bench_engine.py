@@ -70,7 +70,7 @@ def test_engine_throughput(save_table, tmp_path):
     save_table("engine_throughput", "\n".join(lines))
 
 
-# -- raw-speed core pass: wide-n dedup and portfolio preemption ----------
+# -- raw-speed core pass: wide-n dedup ------------------------------------
 
 def test_wide_n_semicanonical_hit_rate(save_table, save_core_speed,
                                        tmp_path):
@@ -136,55 +136,3 @@ def test_wide_n_semicanonical_hit_rate(save_table, save_core_speed,
     save_table("engine_wide_n", "\n".join(
         ["wide-n semi-canonical dedup (warm rerun hit rate 1.0):"]
         + lines))
-
-
-def test_portfolio_preemption_latency(save_table, save_core_speed):
-    """Raced portfolio vs serial on functions whose winner seals early.
-
-    AND-of-6 hits the area lower bound with the first strategy; the
-    raced portfolio kills the remaining strategies instead of running
-    them to completion.  Verdicts must match the serial run exactly —
-    the wall-clock cut is reported (and asserted only in full runs,
-    where the margin dwarfs scheduler noise).
-    """
-    import os
-
-    from repro.boolean.truthtable import TruthTable
-    from repro.engine import run_portfolio, run_portfolio_raced
-
-    smoke = os.environ.get("CORE_SPEED_SMOKE") == "1"
-    repeats = 2 if smoke else 5
-    table = TruthTable.from_minterms(6, [(1 << 6) - 1])
-
-    def best_of(runner):
-        verdict, elapsed = None, []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            verdict = runner(table)
-            elapsed.append(time.perf_counter() - start)
-        return verdict, min(elapsed)
-
-    serial, serial_seconds = best_of(run_portfolio)
-    raced, raced_seconds = best_of(run_portfolio_raced)
-    assert raced.strategy == serial.strategy
-    assert raced.lattice == serial.lattice
-    preempted = sum(1 for o in raced.outcomes if o.status == "preempted")
-    assert preempted >= 1
-    speedup = serial_seconds / raced_seconds
-    if not smoke:
-        assert speedup >= 1.0  # preemption must not cost wall-clock
-
-    save_core_speed("portfolio_preemption", {
-        "smoke": smoke,
-        "function": "and-of-6",
-        "serial_seconds": serial_seconds,
-        "raced_seconds": raced_seconds,
-        "speedup": speedup,
-        "strategies_preempted": preempted,
-    })
-    save_table("engine_preemption", "\n".join([
-        "portfolio preemption (and-of-6, winner seals at the lower "
-        "bound)",
-        f"serial {serial_seconds:.3f}s   raced {raced_seconds:.3f}s   "
-        f"speedup {speedup:.2f}x   preempted {preempted} strategies",
-    ]))

@@ -152,65 +152,3 @@ def test_varsim_warm_store(benchmark, save_table, tmp_path):
         f"cold {cold_elapsed:8.3f}s   warm {warm_elapsed:8.3f}s   "
         f"speedup {cold_elapsed / max(warm_elapsed, 1e-9):6.1f}x",
     ]))
-
-
-# -- raw-speed core pass: delay-kernel backend comparison ----------------
-
-def test_delay_kernel_backend_comparison(save_table, save_core_speed):
-    """numpy vs the optional numba backend on the Bellman-Ford kernel.
-
-    Where numba is installed (the dedicated CI job) the jitted kernel
-    must be bit-identical to the vectorized numpy sweeps and >= 2x faster
-    once warmed; without numba the section records "unavailable" so the
-    committed artifact is honest about what it measured.
-    """
-    import numpy as np
-
-    from repro.xbareval import backend
-    from repro.xbareval.delay import best_path_delay_batch
-
-    smoke = os.environ.get("CORE_SPEED_SMOKE") == "1" or SMOKE
-    batch, rows, cols = (32, 24, 12) if smoke else (256, 48, 24)
-    gen = np.random.default_rng(17)
-    grids = gen.random((batch, rows, cols)) < 0.6
-    resistance = 1.0 + gen.random((batch, rows, cols))
-
-    def timed(repeats=3):
-        elapsed = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            out = best_path_delay_batch(grids, resistance)
-            elapsed.append(time.perf_counter() - start)
-        return out, min(elapsed)
-
-    backend.reset_backend_cache()
-    os.environ["NANOXBAR_BACKEND"] = "numpy"
-    try:
-        numpy_out, numpy_elapsed = timed()
-        payload = {"smoke": smoke,
-                   "workload": {"batch": batch, "rows": rows, "cols": cols},
-                   "numpy_seconds": numpy_elapsed}
-        os.environ["NANOXBAR_BACKEND"] = "numba"
-        backend.reset_backend_cache()
-        if backend.numba_kernels() is None:
-            payload["numba"] = "unavailable"
-            verdict = "numba unavailable (numpy-only environment)"
-        else:
-            timed()  # warm the jit cache outside the clock
-            numba_out, numba_elapsed = timed()
-            assert np.array_equal(numba_out, numpy_out)  # bit-identical
-            speedup = numpy_elapsed / numba_elapsed
-            payload["numba_seconds"] = numba_elapsed
-            payload["numba_speedup"] = speedup
-            if not smoke:
-                assert speedup >= 2.0
-            verdict = f"numba {speedup:.1f}x over numpy, bit-identical"
-    finally:
-        os.environ.pop("NANOXBAR_BACKEND", None)
-        backend.reset_backend_cache()
-
-    save_core_speed("delay_backend", payload)
-    save_table("varsim_backend", "\n".join([
-        f"delay kernel backend comparison ({batch}x{rows}x{cols})",
-        f"numpy {numpy_elapsed:8.3f}s   {verdict}",
-    ]))

@@ -38,9 +38,9 @@ def save_table(results_dir):
 def save_core_speed(results_dir):
     """Merge one section into the raw-speed artifact.
 
-    The core-speed story spans three benchmark files (tall-grid floods,
-    backend comparison, engine dedup + preemption); each contributes its
-    own section to ``results/BENCH_core_speed.json`` so a partial rerun
+    The core-speed story spans two benchmark files (tall-grid floods,
+    engine wide-n dedup); each contributes its own section to the local,
+    gitignored ``results/BENCH_core_speed.json`` so a partial rerun
     refreshes only what it measured.
     """
 

@@ -49,10 +49,8 @@ from .pool import batch_sizes, chunk_size, default_processes, map_sharded
 from .portfolio import (
     PortfolioConfig,
     PortfolioResult,
-    area_lower_bound,
     known_strategies,
     run_portfolio,
-    run_portfolio_raced,
 )
 
 from .store import GridRow, JsonStore
@@ -72,7 +70,6 @@ __all__ = [
     "ResultCache",
     "StrategyOutcome",
     "SynthesisJob",
-    "area_lower_bound",
     "canonical_cache_key",
     "canonical_polarity_table",
     "batch_sizes",
@@ -83,7 +80,6 @@ __all__ = [
     "lattice_to_text",
     "map_sharded",
     "run_portfolio",
-    "run_portfolio_raced",
     "transform_lattice_from_canonical",
     "transform_lattice_to_canonical",
 ]

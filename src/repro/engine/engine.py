@@ -49,7 +49,7 @@ from .jobs import (
     SynthesisJob,
 )
 from .pool import default_processes, map_sharded
-from .portfolio import PortfolioConfig, run_portfolio, run_portfolio_raced
+from .portfolio import PortfolioConfig, run_portfolio
 
 _LOG = get_logger("engine")
 
@@ -144,10 +144,7 @@ def _race_task(task: tuple[str, int, int, tuple[str, ...]],
     """
     canon, n, bits, strategies = task
     table = TruthTable.from_bits(n, bits)
-    # Raced mode degrades to serial by itself inside daemonic pool
-    # workers; the verdict is identical either way.
-    race = run_portfolio_raced if config.preempt else run_portfolio
-    outcome = race(table, strategies, config)
+    outcome = run_portfolio(table, strategies, config)
     return canon, CachedResult(
         strategy=outcome.strategy,
         lattice=outcome.lattice,

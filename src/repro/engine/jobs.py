@@ -111,10 +111,9 @@ class StrategyOutcome:
 
     ``status`` is ``"ok"`` (produced a verified lattice), ``"skipped"``
     (deterministic effort gate declined to run it), ``"not-applicable"``
-    (e.g. a non-D-reducible function in the D-reducible flow),
-    ``"failed"`` (the flow raised), or ``"preempted"`` (a raced portfolio
-    killed it after the incumbent provably sealed the race).  ``area`` is
-    -1 unless ``status == "ok"``.
+    (e.g. a non-D-reducible function in the D-reducible flow), or
+    ``"failed"`` (the flow raised or its candidate failed verification).
+    ``area`` is -1 unless ``status == "ok"``.
     """
 
     strategy: str

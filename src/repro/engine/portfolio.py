@@ -13,21 +13,11 @@ gates — rather than wall-clock timeouts, so a portfolio run produces
 bit-identical results in serial and pooled execution (the acceptance
 contract of :class:`repro.engine.engine.BatchEngine`).  Elapsed times are
 recorded per strategy for reporting only; they never influence the outcome.
-
-:func:`run_portfolio_raced` (``PortfolioConfig.preempt``) races the
-incumbent-independent strategies as concurrent processes and *preempts*
-the rest once a verified winner has provably sealed the race — the first
-result matching the sound area lower bound of
-:func:`area_lower_bound`, when every still-pending strategy sits later in
-the priority order.  The preemption rule is chosen so the raced verdict
-(winner strategy and lattice) is **identical** to the serial one on every
-input; only loser statuses (``"preempted"``) and wall-clock differ.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 
@@ -41,7 +31,6 @@ from ..synthesis.optimize import fold_lattice
 from ..synthesis.pcircuit import best_pcircuit
 from ..xbareval import implements_table
 from .jobs import DEFAULT_STRATEGIES, StrategyOutcome
-from .pool import _pool_context
 
 
 @dataclass(frozen=True)
@@ -59,21 +48,11 @@ class PortfolioConfig:
     optimal_max_upper_area: int = 16
     pcircuit_max_vars: int = 6
     dreducible_max_vars: int = 8
-    #: Race strategies as concurrent processes and kill provable losers
-    #: (:func:`run_portfolio_raced`).  Changes wall-clock only, never the
-    #: verdict, so it is *excluded* from the cache fingerprint.
-    preempt: bool = False
 
     def fingerprint(self, strategies: tuple[str, ...] = DEFAULT_STRATEGIES
                     ) -> str:
-        """Stable text identifying (config, strategy set) for cache keys.
-
-        ``preempt`` is deliberately not part of the fingerprint: raced
-        and serial runs return the same winner and lattice by contract,
-        so their cache entries are interchangeable.
-        """
+        """Stable text identifying (config, strategy set) for cache keys."""
         payload = asdict(self)
-        payload.pop("preempt")
         payload["strategies"] = list(strategies)
         return json.dumps(payload, sort_keys=True)
 
@@ -194,212 +173,6 @@ def run_portfolio(table: TruthTable,
             continue
         # Batched whole-table verification (repro.xbareval): one flood
         # call per candidate instead of 2^n scalar percolation checks.
-        if not implements_table(lattice, table):
-            outcomes.append(StrategyOutcome(
-                name, "failed", elapsed=elapsed,
-                detail="candidate failed verification"))
-            continue
-        outcomes.append(StrategyOutcome(
-            name, "ok", lattice.area, lattice.shape, elapsed))
-        if best is None or lattice.area < best.area:
-            best, winner = lattice, name
-    if best is None:
-        raise RuntimeError(
-            f"no strategy produced a lattice (tried {list(strategies)})")
-    return PortfolioResult(best, winner, tuple(outcomes))
-
-
-def area_lower_bound(table: TruthTable) -> int:
-    """A sound lower bound on any implementing lattice's area.
-
-    Every variable in the function's support must label at least one
-    site (a lattice with no ``v``-literal site cannot depend on ``v``),
-    and no lattice has fewer than one site — so ``max(1, |support|)``.
-    This is the bound that lets preemption keep the serial verdict: once
-    a verified incumbent reaches it, no pending strategy can *strictly*
-    beat it, and strictly-smaller is the only way to displace.
-    """
-    return max(1, len(table.support()))
-
-
-def _raced_worker(name: str, n: int, bits: int, config: PortfolioConfig,
-                  cancel, queue) -> None:
-    """Child-process body: run one strategy, report through the queue."""
-    if cancel.is_set():
-        queue.put((name, "preempted", None, 0.0,
-                   "preempted before starting"))
-        return
-    table = TruthTable.from_bits(n, bits)
-    start = time.perf_counter()
-    try:
-        lattice = _STRATEGY_RUNNERS[name](table, config, None)
-    except _Skip as gate:
-        queue.put((name, "skipped", None, time.perf_counter() - start,
-                   str(gate)))
-        return
-    except Exception as error:  # a failed flow loses the race
-        queue.put((name, "failed", None, time.perf_counter() - start,
-                   f"{type(error).__name__}: {error}"))
-        return
-    elapsed = time.perf_counter() - start
-    if lattice is None:
-        queue.put((name, "not-applicable", None, elapsed, ""))
-        return
-    queue.put((name, "ok", lattice, elapsed, ""))
-
-
-#: Strategies whose result depends on the incumbent (``best``); they must
-#: run at their serial position rather than in the concurrent wave.
-_INCUMBENT_DEPENDENT = frozenset({"optimal"})
-
-_PREEMPT_DETAIL = "preempted: incumbent reached the area lower bound"
-
-
-def run_portfolio_raced(table: TruthTable,
-                        strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
-                        config: PortfolioConfig | None = None
-                        ) -> PortfolioResult:
-    """:func:`run_portfolio` with real preemption — same verdict, faster.
-
-    The incumbent-independent strategies run as concurrent child
-    processes sharing a cancellation event.  When a result has been
-    verified whose area equals :func:`area_lower_bound` *and* every
-    still-running strategy sits later in the priority order, the pending
-    children are killed: none of them could strictly beat the bound, and
-    a later-priority tie never displaces, so the serial winner is already
-    sealed.  Incumbent-dependent strategies (``optimal`` reads the best
-    heuristic area for its effort gate and upper bound) replay at their
-    exact serial position afterwards — or are preempted outright when the
-    incumbent entering that position has sealed the race.
-
-    Environments where child processes cannot be spawned (daemonic pool
-    workers, sandboxes) fall back to the serial :func:`run_portfolio` —
-    identical results, serial wall-clock.
-    """
-    config = config or PortfolioConfig()
-    unknown = [s for s in strategies if s not in _STRATEGY_RUNNERS]
-    if unknown:
-        raise ValueError(f"unknown strategies {unknown}; "
-                         f"known: {sorted(_STRATEGY_RUNNERS)}")
-
-    if table.is_constant():
-        lattice = constant_lattice(table.n, bool(table.evaluate(0)))
-        outcome = StrategyOutcome("constant", "ok", lattice.area,
-                                  lattice.shape)
-        return PortfolioResult(lattice, "constant", (outcome,))
-
-    racing = [name for name in strategies
-              if name not in _INCUMBENT_DEPENDENT]
-    if len(racing) < 2:
-        return run_portfolio(table, strategies, config)
-
-    try:
-        ctx = _pool_context()  # fork when single-threaded, else forkserver
-        cancel = ctx.Event()
-        queue = ctx.Queue()
-        procs: dict[str, multiprocessing.Process] = {}
-        for name in racing:
-            proc = ctx.Process(
-                target=_raced_worker,
-                args=(name, table.n, table.bits, config, cancel, queue),
-                daemon=True)
-            proc.start()
-            procs[name] = proc
-    except (AssertionError, OSError, PermissionError, RuntimeError,
-            ImportError, ValueError):
-        # Daemonic pool workers cannot have children (AssertionError on
-        # 3.10/3.11, RuntimeError later); sandboxes may refuse the
-        # semaphores.  Same results either way.
-        for proc in locals().get("procs", {}).values():  # pragma: no cover
-            proc.terminate()
-        return run_portfolio(table, strategies, config)
-
-    priority = {name: index for index, name in enumerate(strategies)}
-    lower_bound = area_lower_bound(table)
-    collected: dict[str, tuple[str, Lattice | None, float, str]] = {}
-    preempted: set[str] = set()
-    pending = set(racing)
-    incumbent: tuple[int, str] | None = None  # (priority, name) of best ok
-    try:
-        while pending:
-            name, status, lattice, elapsed, detail = queue.get()
-            pending.discard(name)
-            if status == "ok" and not implements_table(lattice, table):
-                status, lattice, detail = ("failed", None,
-                                           "candidate failed verification")
-            collected[name] = (status, lattice, elapsed, detail)
-            if status == "ok":
-                area = lattice.area
-                entry = (priority[name], name)
-                if incumbent is None:
-                    incumbent = entry
-                else:
-                    best_area = collected[incumbent[1]][1].area
-                    if area < best_area or (area == best_area
-                                            and entry < incumbent):
-                        incumbent = entry
-            if (incumbent is not None and pending
-                    and collected[incumbent[1]][1].area == lower_bound
-                    and all(priority[other] > incumbent[0]
-                            for other in pending)):
-                # Sealed: nothing pending can strictly beat the bound,
-                # and none of it could win a tie. Kill the losers.
-                cancel.set()
-                for other in pending:
-                    procs[other].terminate()
-                preempted = set(pending)
-                pending.clear()
-    finally:
-        for proc in procs.values():
-            proc.join(timeout=5.0)
-        queue.close()
-
-    # Replay the serial loop order over the collected results, running
-    # incumbent-dependent strategies inline at their exact position.
-    best: Lattice | None = None
-    winner = ""
-    outcomes: list[StrategyOutcome] = []
-    for name in strategies:
-        if name in preempted:
-            outcomes.append(StrategyOutcome(
-                name, "preempted", detail=_PREEMPT_DETAIL))
-            continue
-        if name in collected:
-            status, lattice, elapsed, detail = collected[name]
-            if status != "ok":
-                outcomes.append(StrategyOutcome(
-                    name, status, elapsed=elapsed, detail=detail))
-                continue
-            outcomes.append(StrategyOutcome(
-                name, "ok", lattice.area, lattice.shape, elapsed))
-            if best is None or lattice.area < best.area:
-                best, winner = lattice, name
-            continue
-        # Incumbent-dependent strategy at its serial position.
-        if best is not None and best.area == lower_bound:
-            # It cannot strictly beat the sealed incumbent; skip the run.
-            outcomes.append(StrategyOutcome(
-                name, "preempted", detail=_PREEMPT_DETAIL))
-            continue
-        runner = _STRATEGY_RUNNERS[name]
-        start = time.perf_counter()
-        try:
-            lattice = runner(table, config, best)
-        except _Skip as gate:
-            outcomes.append(StrategyOutcome(
-                name, "skipped", elapsed=time.perf_counter() - start,
-                detail=str(gate)))
-            continue
-        except Exception as error:  # a failed strategy loses the race
-            outcomes.append(StrategyOutcome(
-                name, "failed", elapsed=time.perf_counter() - start,
-                detail=f"{type(error).__name__}: {error}"))
-            continue
-        elapsed = time.perf_counter() - start
-        if lattice is None:
-            outcomes.append(StrategyOutcome(
-                name, "not-applicable", elapsed=elapsed))
-            continue
         if not implements_table(lattice, table):
             outcomes.append(StrategyOutcome(
                 name, "failed", elapsed=elapsed,

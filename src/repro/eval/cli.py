@@ -120,7 +120,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         DEFAULT_STRATEGIES,
         BatchEngine,
         FaultToleranceSpec,
-        PortfolioConfig,
         SynthesisJob,
     )
     from .benchsuite import suite
@@ -151,8 +150,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     cache_path = ":memory:" if args.no_cache else args.cache
     processes = None if args.processes == 0 else args.processes
     try:
-        engine = BatchEngine(cache_path=cache_path, processes=processes,
-                             config=PortfolioConfig(preempt=args.preempt))
+        engine = BatchEngine(cache_path=cache_path, processes=processes)
     except sqlite3.DatabaseError as error:
         print(f"error: cannot open cache {cache_path!r}: {error}",
               file=sys.stderr)
@@ -617,9 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-vars", type=int, default=None,
                        help="restrict to benchmarks with at most this many "
                             "variables")
-    batch.add_argument("--preempt", action="store_true",
-                       help="race portfolio strategies concurrently and kill "
-                            "provable losers (same verdict, less wall-clock)")
     batch.add_argument("--no-optimal", action="store_true",
                        help="drop the SAT-optimal strategy from the portfolio")
     batch.add_argument("--defect-density", type=float, default=0.0,

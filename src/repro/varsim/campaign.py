@@ -131,8 +131,8 @@ class VariationCampaignSpec:
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
         if not self.sigmas:
             raise ValueError("campaign grid needs at least one sigma")
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("sigmas must be non-negative")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigmas):
+            raise ValueError("sigmas must be finite and non-negative")
         if (self.crossbar_rows < self.lattice.rows
                 or self.crossbar_cols < self.lattice.cols):
             raise ValueError("crossbar smaller than the lattice")
@@ -140,8 +140,8 @@ class VariationCampaignSpec:
             raise ValueError("trials must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.nominal <= 0:
-            raise ValueError("nominal resistance must be positive")
+        if not (math.isfinite(self.nominal) and self.nominal > 0):
+            raise ValueError("nominal resistance must be finite and positive")
 
     def points(self) -> list[VariationCampaignPoint]:
         """Grid expansion: one point per sigma."""

@@ -23,6 +23,7 @@ are answered for every trial at once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,10 @@ def lognormal_variation_batch(trials: int, rows: int, cols: int, sigma: float,
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if nominal <= 0:
-        raise ValueError("nominal resistance must be positive")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and non-negative")
+    if not (math.isfinite(nominal) and nominal > 0):
+        raise ValueError("nominal resistance must be finite and positive")
     # One standard-normal draw, transformed in place (the ensemble draw is
     # the hot allocation of a campaign batch).
     values = gen.standard_normal((trials, rows, cols))

@@ -28,11 +28,6 @@ suite (``tests/test_xbareval.py``) asserts agreement on every kernel, and
 and the :mod:`repro.engine` portfolio verification.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    requested_backend,
-    using_numba,
-)
 from .connectivity import (
     MAX_PACKED_ROWS,
     left_right_blocked_8_batch,
@@ -65,7 +60,6 @@ from .placement import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "CHUNK_ASSIGNMENTS",
     "CHUNK_GRIDS",
     "MAX_PACKED_ROWS",
@@ -86,8 +80,6 @@ __all__ = [
     "percolation_duality_holds_batch",
     "placement_valid_batch",
     "placement_valid_grid",
-    "requested_backend",
     "site_masks",
     "top_bottom_connected_batch",
-    "using_numba",
 ]

@@ -8,13 +8,14 @@ The scalar references live in :mod:`repro.crossbar.paths`:
   grid's OFF sites (8-adjacency), the percolation dual.
 
 Here the same questions are answered for a whole *batch* of grids at
-once, through several interchangeable kernels:
+once.  The dispatch has one rule: the scipy label pass when scipy imports
+and stays healthy, the packed floods otherwise.
 
 * a **single label pass** (when :mod:`scipy.ndimage` is importable and
   healthy): the batch is stacked into one image with blank separator
   rows and labelled in one C call — connectivity is then a
   components-touching-both-edges lookup.  A scipy ABI failure mid-call
-  degrades the process to the numpy kernels with one logged event
+  degrades the process to the packed floods with one logged event
   instead of raising mid-campaign;
 * an iterative label-propagation flood on **packed bitsets** (pure
   numpy): each grid column becomes ``uint64`` words whose bit ``k`` is
@@ -27,9 +28,7 @@ once, through several interchangeable kernels:
   boundaries — tall fabrics stay packed instead of falling back to the
   boolean flood;
 * the **unpacked boolean flood**, kept as the bit-exact pure-python/
-  numpy reference the property suite measures everything against;
-* optional **numba JIT kernels** (``NANOXBAR_BACKEND=numba``, see
-  :mod:`repro.xbareval.backend`), bit-exact against the numpy paths.
+  numpy reference the property suite measures everything against.
 
 Every kernel is bit-exact against its scalar reference on all inputs (the
 property suite in ``tests/test_xbareval.py`` asserts agreement on
@@ -42,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..boolean.bitops import popcount_u64, popcount_u64_multiword
-from . import backend as _backend
 from . import events as _events
 
 try:  # optional accelerator: one C-level label pass for a whole batch
@@ -63,7 +61,7 @@ _STRUCT_8 = np.ones((3, 3), dtype=np.int64)
 
 #: Health flag for the scipy label pass: a runtime failure (ABI drift,
 #: broken extension) flips it off for the rest of the process with one
-#: logged event, and every later batch takes the numpy kernels.
+#: logged event, and every later batch takes the packed floods.
 _label_healthy = True
 
 
@@ -81,8 +79,7 @@ def _degrade_label_pass(error: Exception) -> None:
 
 
 def _label_pass_available() -> bool:
-    return (_ndimage is not None and _label_healthy
-            and not _backend.force_numpy())
+    return _ndimage is not None and _label_healthy
 
 
 def _as_batch(grids: np.ndarray) -> np.ndarray:
@@ -337,9 +334,6 @@ def top_bottom_connected_batch(grids: np.ndarray) -> np.ndarray:
     batch, rows, cols = grids.shape
     if rows == 0 or cols == 0 or batch == 0:
         return np.zeros(batch, dtype=bool)
-    kernels = _backend.numba_kernels()
-    if kernels is not None:
-        return kernels.top_bottom_connected_batch(grids)
     if _label_pass_available():
         try:
             return _top_bottom_connected_label(grids)
@@ -478,9 +472,6 @@ def left_right_blocked_8_batch(grids: np.ndarray) -> np.ndarray:
         return np.ones(batch, dtype=bool)
     if batch == 0:
         return np.zeros(0, dtype=bool)
-    kernels = _backend.numba_kernels()
-    if kernels is not None:
-        return kernels.left_right_blocked_8_batch(grids)
     if _label_pass_available():
         try:
             return _left_right_blocked_8_label(grids)

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import backend as _backend
 from .lattice_eval import conduction_tensor, lattice_truthtable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,13 +66,9 @@ def best_path_delay_batch(conduction: np.ndarray,
         return np.full(batch, np.inf)
     res = np.broadcast_to(np.asarray(resistance, dtype=np.float64),
                           grids.shape)
-    if (res <= 0).any():
+    # Written so NaN fails too: the fixpoint test below never holds on it.
+    if not (res > 0).all():
         raise ValueError("resistances must be positive")
-    kernels = _backend.numba_kernels()
-    if kernels is not None:
-        # Bit-identical by construction: the JIT kernel replays this
-        # function's exact sweep order (see _numba_kernels).
-        return kernels.best_path_delay_batch(grids, res)
     # OFF sites cost inf: relaxation can never route through them, and a
     # grid with no conducting path keeps an all-inf bottom row.
     site_cost = np.where(grids, res, np.inf)

@@ -1,7 +1,7 @@
 """Kernel-side degradation-event hook (dependency inversion point).
 
 The evaluation kernels occasionally need to say something operational —
-"scipy label pass failed, degrading", "numba unavailable" — but kernel
+"scipy label pass failed, degrading" — but kernel
 packages must stay importable with zero knowledge of the observability
 stack (lint rule NX302).  So the kernels emit through this one-function
 seam, and the composition root (``repro/__init__``) injects the

@@ -96,10 +96,8 @@ def test_packed_flood_kernel_runs_on_fallback(monkeypatch):
     disabled so the popcount-using branch actually runs).
     """
     from repro.crossbar.paths import top_bottom_connected
-    from repro.xbareval import backend, connectivity
+    from repro.xbareval import connectivity
 
-    monkeypatch.setenv(backend.BACKEND_ENV, "numpy")
-    backend.reset_backend_cache()
     monkeypatch.setattr(connectivity, "popcount_u64",
                         popcount_u64_unpackbits)
     monkeypatch.setattr(connectivity, "_ndimage", None)

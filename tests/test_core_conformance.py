@@ -1,16 +1,16 @@
-"""Cross-backend kernel conformance against a committed golden file.
+"""Kernel conformance against a committed golden file.
 
-The flood and delay kernels promise *bit-identical* outputs whatever
-executes them — single-word packed, multi-word packed, the scipy label
-pass, or the optional numba backend (``NANOXBAR_BACKEND=numba``).  This
-suite pins that promise to ``tests/data/core_conformance_golden.json``:
-sha256 digests of the raw output bytes on deterministic, arithmetically
-synthesized workloads (no RNG, so the inputs are identical on every
-platform and numpy version).
+The flood and delay kernels promise *bit-identical* outputs whichever
+path the dispatch takes — the scipy label pass when scipy imports, the
+single- or multi-word packed floods otherwise.  This suite pins that
+promise to ``tests/data/core_conformance_golden.json``: sha256 digests
+of the raw output bytes on deterministic, arithmetically synthesized
+workloads (no RNG, so the inputs are identical on every platform and
+numpy version).
 
-CI runs the same file under the numpy job and the numba job; both must
-match the one golden, which is what makes the backends provably
-bit-identical to each other without ever installing both in one job.
+Every case runs twice against the same digests: once as dispatched (the
+label pass where scipy is installed) and once with scipy hidden from the
+flood module, so the packed path is pinned even where scipy is present.
 
 Regenerate (only after an intentional kernel-semantics change) with::
 
@@ -29,9 +29,9 @@ import pytest
 
 from repro.xbareval import (
     best_path_delay_batch,
+    connectivity,
     left_right_blocked_8_batch,
     top_bottom_connected_batch,
-    using_numba,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "core_conformance_golden.json"
@@ -75,8 +75,17 @@ def test_golden_file_is_in_sync_with_cases():
         == list(CASES)
 
 
-@pytest.mark.parametrize("batch,rows,cols", CASES)
-def test_kernel_outputs_match_golden(batch, rows, cols):
+#: Every case as dispatched, then with scipy hidden (the packed floods).
+DISPATCHES = [
+    pytest.param(*case, scipy,
+                 id=("" if scipy else "no-scipy-") + "{}-{}-{}".format(*case))
+    for scipy in (True, False) for case in CASES]
+
+
+@pytest.mark.parametrize("batch,rows,cols,scipy", DISPATCHES)
+def test_kernel_outputs_match_golden(batch, rows, cols, scipy, monkeypatch):
+    if not scipy:
+        monkeypatch.setattr(connectivity, "_ndimage", None)
     golden = json.loads(GOLDEN.read_text())
     want = next(c for c in golden["cases"]
                 if (c["batch"], c["rows"], c["cols"]) == (batch, rows, cols))
@@ -87,16 +96,12 @@ def test_kernel_outputs_match_golden(batch, rows, cols):
     assert got["delay"] == want["delay"]
 
 
-def test_backend_identity_is_reported():
-    """Smoke doc: the active backend is queryable (CI logs rely on it)."""
-    assert using_numba() in (True, False)
-
-
 def _write_golden() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     payload = {
         "comment": "sha256 of raw kernel output bytes; shared by the "
-                   "numpy and numba CI jobs to prove bit-identity",
+                   "scipy label pass and the packed floods to prove "
+                   "bit-identity",
         "cases": [_case_record(*case) for case in CASES],
     }
     GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,11 +1,12 @@
-"""Docs stay truthful: every command and env var they name must exist.
+"""Docs stay truthful: every command, flag and env var they name must exist.
 
 The ``docs/`` tree (and the README) is checked against the code itself —
 a ``nanoxbar <subcommand>`` reference must be a real subparser (including
-the nested ``nanoxbar grid <command>`` choices), and every ``NANOXBAR_*``
-environment variable mentioned must be one the source tree actually
-reads.  Renaming a command or a switch without updating the docs fails
-the build.
+the nested ``nanoxbar grid <command>`` choices), every ``--flag`` that
+follows such a reference on the same line must be an option of that
+subparser, and every ``NANOXBAR_*`` environment variable mentioned must
+be one the source tree actually reads.  Renaming a command or a switch
+without updating the docs fails the build.
 """
 
 import argparse
@@ -25,6 +26,11 @@ DOC_FILES = sorted(REPO.glob("docs/*.md")) + [REPO / "README.md"]
 _SUBCOMMAND_RE = re.compile(r"nanoxbar\s+([a-z][a-z0-9-]*)")
 _GRID_SUBCOMMAND_RE = re.compile(r"nanoxbar\s+grid\s+([a-z][a-z0-9-]*)")
 _ENV_RE = re.compile(r"NANOXBAR_[A-Z_]+[A-Z]")
+#: ``nanoxbar grid <command>`` or ``nanoxbar <subcommand>``: the parser
+#: that must accept the flags after it on the same line.
+_INVOCATION_RE = re.compile(r"nanoxbar\s+(grid\s+[a-z][a-z0-9-]*|[a-z][a-z0-9-]*)")
+#: A ``--flag`` token (``--format=json`` names ``--format``).
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _subparser_choices(parser: argparse.ArgumentParser) -> dict:
@@ -41,6 +47,18 @@ def cli_choices():
     nested = {name: set(_subparser_choices(sub))
               for name, sub in top.items()}
     return set(top), nested
+
+
+@pytest.fixture(scope="module")
+def cli_options():
+    """Option strings per command: ``"batch"``, ``"grid run"``, ..."""
+    options = {}
+    for name, sub in _subparser_choices(build_parser()).items():
+        options[name] = set(sub._option_string_actions)
+        for nested_name, nested in _subparser_choices(sub).items():
+            options[f"{name} {nested_name}"] = set(
+                nested._option_string_actions)
+    return options
 
 
 def _read(path: pathlib.Path) -> str:
@@ -71,6 +89,26 @@ def test_docs_reference_only_real_subcommands(path, cli_choices):
     assert not grid_unknown, (
         f"{path.name} references 'nanoxbar grid' subcommands that do not "
         f"exist: {sorted(grid_unknown)}")
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_docs_pass_only_real_flags(path, cli_options):
+    wrong = []
+    for number, line in enumerate(_read(path).splitlines(), 1):
+        calls = list(_INVOCATION_RE.finditer(line))
+        ends = [call.start() for call in calls[1:]] + [len(line)]
+        for call, end in zip(calls, ends):
+            command = " ".join(call.group(1).split())
+            # unknown commands fail test_docs_reference_only_real_subcommands
+            known = cli_options.get(command)
+            if known is None:
+                continue
+            wrong += [f"line {number}: nanoxbar {command} {flag}"
+                      for flag in _FLAG_RE.findall(line, call.end(), end)
+                      if flag not in known]
+    assert not wrong, (
+        f"{path.name} passes flags their subcommand does not accept: "
+        f"{wrong}")
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,8 @@ class TestPortfolio:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategies"):
             run_portfolio(TruthTable.from_bits(2, 0b0110), ("quantum",))
+        with pytest.raises(RuntimeError, match="no strategy produced"):
+            run_portfolio(TruthTable.from_bits(2, 0b0110), ())
 
     def test_winner_is_minimum_area(self):
         table = TruthTable.from_bits(3, 0b10010110)  # xor3

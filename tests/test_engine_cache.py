@@ -19,6 +19,7 @@ from repro.engine.cache import (
     transform_lattice_to_canonical,
 )
 from repro.engine.jobs import StrategyOutcome
+from repro.engine.portfolio import PortfolioConfig
 from repro.synthesis.compose import constant_lattice
 from repro.synthesis.lattice_dual import synthesize_lattice_dual
 from repro.synthesis.optimize import fold_lattice
@@ -233,6 +234,18 @@ def test_cache_key_width_is_stable():
     assert len(canon1) == 64
     assert len(canon4) == 64
     assert canon1 != canon4
+
+
+def test_portfolio_fingerprint_text_is_pinned():
+    """The config fingerprint is part of every cache key: any change to
+    its text makes every existing on-disk cache miss."""
+    assert PortfolioConfig().fingerprint() == (
+        '{"dreducible_max_vars": 8, "optimal_conflict_budget": 20000, '
+        '"optimal_max_upper_area": 16, "optimal_max_vars": 4, '
+        '"pcircuit_max_vars": 6, '
+        '"strategies": ["dual", "dreducible", "pcircuit", "optimal"]}')
+    assert PortfolioConfig(dreducible_max_vars=3).fingerprint() \
+        != PortfolioConfig().fingerprint()
 
 
 def test_npn_canonical_matches_module_for_small_n():

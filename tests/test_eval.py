@@ -225,6 +225,12 @@ class TestCliErrorPaths:
         assert code == 2
         assert "sigmas" in capsys.readouterr().err
 
+    def test_varsweep_nan_sigma(self, capsys):
+        code = cli_main(["varsweep", "--bench", "xnor2", "--sigmas",
+                         "nan", "--trials", "5", "--no-cache"])
+        assert code == 2
+        assert "sigmas" in capsys.readouterr().err
+
     def test_varsweep_crossbar_smaller_than_lattice(self, capsys):
         code = cli_main(["varsweep", "--bench", "xnor2",
                          "--crossbar-rows", "1", "--crossbar-cols", "1",

@@ -144,8 +144,13 @@ class TestProtocol:
         {"kind": "grid", "config": {
             "name": "g", "family": "varsweep", "grid": {"sigma": [0.3]},
             "fixed": {"bench": "xnor2", "trials": "abc"}}},
+        # Python's json parses NaN and Infinity
+        {**VARSWEEP_PAYLOAD, "sigmas": [float("nan")]},
+        {**VARSWEEP_PAYLOAD, "sigmas": [float("inf")]},
+        {**VARSWEEP_PAYLOAD, "nominal": float("nan")},
     ], ids=["n_values", "densities", "sigmas", "strategies",
-            "grid-strategies", "grid-trials"])
+            "grid-strategies", "grid-trials", "sigmas-nan", "sigmas-inf",
+            "nominal-nan"])
     def test_malformed_fields_rejected(self, payload):
         with pytest.raises(ProtocolError):
             parse_submission(payload)

@@ -65,6 +65,12 @@ def test_lognormal_batch_rejects_bad_parameters():
         lognormal_variation_batch(2, 2, 2, -0.1, gen)
     with pytest.raises(ValueError):
         lognormal_variation_batch(2, 2, 2, 0.1, gen, nominal=0.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lognormal_variation_batch(2, 2, 2, sigma, gen)
+    for nominal in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lognormal_variation_batch(2, 2, 2, 0.1, gen, nominal=nominal)
     with pytest.raises(ValueError):
         lognormal_variation_batch(-1, 2, 2, 0.1, gen)
 
@@ -228,6 +234,11 @@ def test_campaign_rejects_bad_specs():
         _spec(trials=0)
     with pytest.raises(ValueError):
         _spec(nominal=0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _spec(sigmas=(0.2, value))
+        with pytest.raises(ValueError):
+            _spec(nominal=value)
     with pytest.raises(ValueError, match="constant-0"):
         run_variation_campaign(_spec(lattice=Lattice(1, [[False]]),
                                      crossbar_rows=4, crossbar_cols=4))

@@ -269,13 +269,8 @@ def test_multiword_cross_word_carry_paths():
 def test_tall_grids_stay_packed_in_dispatch(monkeypatch):
     """Without scipy the dispatch must pick the multi-word packed kernel
     for tall grids, not the slow unpacked fallback."""
-    from repro.xbareval import backend as be
     from repro.xbareval import connectivity as conn
 
-    # pin the numpy path: a live numba backend would (correctly) answer
-    # before the multi-word kernel this test instruments
-    monkeypatch.setenv(be.BACKEND_ENV, "numpy")
-    be.reset_backend_cache()
     calls = []
     real = conn._top_bottom_connected_packed_multiword
     monkeypatch.setattr(conn, "_ndimage", None)
@@ -296,13 +291,6 @@ def test_scipy_label_failure_degrades_once(monkeypatch):
     if conn._ndimage is None:
         pytest.skip("scipy not installed")
 
-    # pin auto dispatch: a live numba backend would answer before the
-    # broken label pass this test plants
-    from repro.xbareval import backend as be
-
-    monkeypatch.setenv(be.BACKEND_ENV, "auto")
-    be.reset_backend_cache()
-
     class _BrokenNdimage:
         @staticmethod
         def label(*args, **kwargs):
@@ -318,40 +306,6 @@ def test_scipy_label_failure_degrades_once(monkeypatch):
     # later batches skip the broken accelerator entirely
     assert np.array_equal(left_right_blocked_8_batch(grids),
                           conn._left_right_blocked_8_unpacked(grids))
-
-
-def test_backend_env_selection(monkeypatch):
-    """NANOXBAR_BACKEND=numpy pins the packed path; unknown values and a
-    missing numba degrade to auto with one logged event, never an error."""
-    from repro.xbareval import backend as be
-    from repro.xbareval import connectivity as conn
-
-    rng = np.random.default_rng(11)
-    grids = rng.random((2, 6, 6)) < 0.5
-    want = conn._top_bottom_connected_unpacked(grids).tolist()
-
-    monkeypatch.setenv(be.BACKEND_ENV, "numpy")
-    be.reset_backend_cache()
-    assert be.requested_backend() == "numpy"
-    assert be.force_numpy() and not be.using_numba()
-    assert top_bottom_connected_batch(grids).tolist() == want
-
-    monkeypatch.setenv(be.BACKEND_ENV, "no-such-backend")
-    be.reset_backend_cache()
-    assert be.requested_backend() == "auto"
-    assert top_bottom_connected_batch(grids).tolist() == want
-
-    monkeypatch.setenv(be.BACKEND_ENV, "numba")
-    be.reset_backend_cache()
-    # with numba installed this exercises the JIT kernels; without it the
-    # fallback must be silent and bit-identical
-    assert top_bottom_connected_batch(grids).tolist() == want
-    assert left_right_blocked_8_batch(grids).tolist() == \
-        conn._left_right_blocked_8_unpacked(grids).tolist()
-
-    monkeypatch.delenv(be.BACKEND_ENV)
-    be.reset_backend_cache()
-    assert be.requested_backend() == "auto"
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ differently, so the agreement bound is relative, not bit-exact).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,32 @@ def test_best_path_delay_batch_rejects_bad_inputs():
     with pytest.raises(ValueError):
         best_path_delay_batch(np.ones((1, 2, 2), dtype=bool),
                               np.zeros((1, 2, 2)))
+
+
+def test_best_path_delay_batch_rejects_nan_resistance():
+    """NaN is rejected up front; it would otherwise keep the fixpoint
+    loop from ever settling (NaN never compares equal).  The call runs
+    on a daemon thread so a regression fails here instead of hanging."""
+    grids = np.ones((1, 3, 3), dtype=bool)
+    res = np.ones((1, 3, 3))
+    res[0, 1, 1] = np.nan
+    outcome = []
+
+    def call():
+        try:
+            best_path_delay_batch(grids, res)
+            outcome.append("returned")
+        except ValueError as error:
+            outcome.append(str(error))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), "still running after 10 s"
+    assert outcome == ["resistances must be positive"]
+    # an infinite resistance stays accepted: the path routes around it
+    res[0, 1, 1] = np.inf
+    assert best_path_delay_batch(grids, res).tolist() == [3.0]
 
 
 @settings(max_examples=60, deadline=None)
