@@ -30,13 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bist import _base_vectors
+from .bist import _base_vectors, bist_configurations
 from .faults import (
     CrossbarFabric,
     CrosspointStuckClosed,
     CrosspointStuckOpen,
     Fault,
     TestConfiguration,
+    all_single_faults,
+    detection_matrix,
 )
 
 
@@ -73,16 +75,13 @@ def diagnosis_configurations(rows: int, cols: int) -> list[TestConfiguration]:
 def configuration_fails(fabric: CrossbarFabric, config: TestConfiguration,
                         fault: Fault) -> bool:
     """Pass/fail outcome of one configuration under a fault."""
-    return any(
-        fabric.detects(config.program, vector, fault)
-        for vector in config.vectors
-    )
+    return bool(detection_matrix(fabric, [config], [fault])[0, 0])
 
 
 def signature(fabric: CrossbarFabric, configs: list[TestConfiguration],
               fault: Fault) -> tuple[bool, ...]:
     """The pass/fail vector (True = fail) across the diagnosis suite."""
-    return tuple(configuration_fails(fabric, config, fault) for config in configs)
+    return tuple(detection_matrix(fabric, configs, [fault])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -188,19 +187,17 @@ def build_fault_dictionary(rows: int, cols: int,
                            extra_configurations: list[TestConfiguration] | None = None
                            ) -> FaultDictionary:
     """Simulate the full fault universe against diagnosis + BIST configs."""
-    from .bist import bist_configurations
-    from .faults import all_single_faults
-
     fabric = CrossbarFabric(rows, cols)
     configs = diagnosis_configurations(rows, cols)
     configs += [c for c in bist_configurations(rows, cols)
                 if c.name not in {"all-on", "all-off"}]
     if extra_configurations:
         configs += list(extra_configurations)
+    universe = all_single_faults(rows, cols, include_bridges=include_bridges)
+    matrix = detection_matrix(fabric, configs, universe)
     groups: dict[tuple[bool, ...], list[Fault]] = {}
-    for fault in all_single_faults(rows, cols, include_bridges=include_bridges):
-        observed = signature(fabric, configs, fault)
-        groups.setdefault(observed, []).append(fault)
+    for fault, observed in zip(universe, matrix.tolist()):
+        groups.setdefault(tuple(observed), []).append(fault)
     return FaultDictionary(
         rows=rows,
         cols=cols,
@@ -213,19 +210,15 @@ def run_bisd(rows: int, cols: int) -> BisdReport:
     """Inject every single crosspoint fault and check unique diagnosis."""
     fabric = CrossbarFabric(rows, cols)
     configs = diagnosis_configurations(rows, cols)
-    correct = 0
-    total = 0
-    for r in range(rows):
-        for c in range(cols):
-            for fault, kind in (
-                (CrosspointStuckOpen(r, c), "stuck_open"),
-                (CrosspointStuckClosed(r, c), "stuck_closed"),
-            ):
-                total += 1
-                observed = signature(fabric, configs, fault)
-                result = diagnose(rows, cols, observed)
-                if result == Diagnosis(kind, r, c):
-                    correct += 1
+    injected = [(fault(r, c), Diagnosis(kind, r, c))
+                for r in range(rows) for c in range(cols)
+                for fault, kind in ((CrosspointStuckOpen, "stuck_open"),
+                                    (CrosspointStuckClosed, "stuck_closed"))]
+    matrix = detection_matrix(fabric, configs, [f for f, _ in injected])
+    correct = sum(
+        diagnose(rows, cols, tuple(observed)) == expected
+        for (_, expected), observed in zip(injected, matrix.tolist())
+    )
     return BisdReport(
         rows=rows,
         cols=cols,
@@ -233,5 +226,5 @@ def run_bisd(rows: int, cols: int) -> BisdReport:
         num_configurations=len(configs),
         theoretical_minimum=_codeword_bits(rows, cols),
         num_correct=correct,
-        num_faults=total,
+        num_faults=len(injected),
     )

@@ -16,12 +16,20 @@ classes):
   behave as stuck lines at this abstraction and are folded in);
 * ``BridgeFault`` — two *adjacent* columns or rows shorted, wired-AND
   semantics (the dominant coupling model for nanowire bundles).
+
+:meth:`CrossbarFabric.evaluate` simulates one vector under one fault;
+:func:`detection_matrix` answers every (fault, configuration) detection
+question of a suite at once, and every suite-level question below goes
+through it.  ``evaluate``/``detects`` stay as the scalar reference it is
+property-tested against (``tests/test_reliability_detection_matrix.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .defects import CrosspointState, DefectMap
 
@@ -99,6 +107,29 @@ class CrossbarFabric:
                 f"configuration must be {self.rows}x{self.cols}"
             )
 
+    def check_fault(self, fault: Fault) -> None:
+        """Reject a fault that names a line or crosspoint off this fabric.
+
+        A bridge shorts lines ``index`` and ``index + 1``, so both must
+        exist.  Raises ``ValueError`` naming the fault.
+        """
+        if isinstance(fault, (CrosspointStuckOpen, CrosspointStuckClosed)):
+            ok = (_within(fault.row, self.rows)
+                  and _within(fault.col, self.cols))
+        elif (isinstance(fault, (LineStuckAt, BridgeFault))
+              and fault.line in ("row", "col")):
+            lines = self.rows if fault.line == "row" else self.cols
+            if isinstance(fault, BridgeFault):
+                lines -= 1
+            ok = _within(fault.index, lines)
+        else:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"{fault!r} is not a fault of the {self.rows}x{self.cols} "
+                "fabric"
+            )
+
     # ------------------------------------------------------------------
     def evaluate(self, program: Sequence[Sequence[bool]], vector: Sequence[bool],
                  fault: Fault | None = None,
@@ -111,6 +142,8 @@ class CrossbarFabric:
         self.check_configuration(program)
         if len(vector) != self.cols:
             raise ValueError(f"vector must have {self.cols} entries")
+        if fault is not None:
+            self.check_fault(fault)
         inputs = [bool(v) for v in vector]
         # Column-line faults act on the input values seen by all rows.
         if isinstance(fault, LineStuckAt) and fault.line == "col":
@@ -160,11 +193,11 @@ class CrossbarFabric:
     def detected_by_suite(self, configurations: Sequence["TestConfiguration"],
                           fault: Fault) -> bool:
         """True when any configuration/vector pair detects the fault."""
-        return any(
-            self.detects(config.program, vector, fault)
-            for config in configurations
-            for vector in config.vectors
-        )
+        return bool(detection_matrix(self, configurations, [fault]).any())
+
+
+def _within(index: object, count: int) -> bool:
+    return isinstance(index, (int, np.integer)) and 0 <= index < count
 
 
 @dataclass(frozen=True)
@@ -191,6 +224,104 @@ def fault_equivalence_note(fault: Fault, fabric: CrossbarFabric) -> str | None:
     return None
 
 
+# ----------------------------------------------------------------------
+# The batched fault simulator
+# ----------------------------------------------------------------------
+#: Element budget for one chunk of the fault axis in
+#: :func:`detection_matrix`, counted as unpacked ``(faults, vectors,
+#: rows, cols)`` crosspoint reads; bounds the kernel's working set on
+#: large fabrics.
+CHUNK_ELEMENTS = 1 << 22
+
+# Where a fault acts, as in CrossbarFabric.evaluate: on the program, on
+# the input columns, or on the observed row outputs.
+_CROSSPOINT, _COL_STUCK, _COL_BRIDGE, _ROW_STUCK, _ROW_BRIDGE = range(5)
+
+
+def _fault_codes(fabric: CrossbarFabric, faults: Sequence[Fault]) -> np.ndarray:
+    """``(F, 4)`` edits ``(kind, line or row, col, value)``, one per fault."""
+    codes = []
+    for fault in faults:
+        fabric.check_fault(fault)
+        if isinstance(fault, (CrosspointStuckOpen, CrosspointStuckClosed)):
+            codes.append((_CROSSPOINT, fault.row, fault.col,
+                          isinstance(fault, CrosspointStuckClosed)))
+        elif isinstance(fault, LineStuckAt):
+            kind = _COL_STUCK if fault.line == "col" else _ROW_STUCK
+            codes.append((kind, fault.index, 0, bool(fault.value)))
+        else:
+            kind = _COL_BRIDGE if fault.line == "col" else _ROW_BRIDGE
+            codes.append((kind, fault.index, 0, 0))
+    return np.array(codes, dtype=np.int64).reshape(len(codes), 4)
+
+
+def _edit_lines(values: np.ndarray, codes: np.ndarray,
+                stuck: int, bridge: int) -> None:
+    """Apply stuck lines and wired-AND bridges along the last axis, in place.
+
+    ``values`` is ``(F, V, lines)``: fault ``f``'s inputs or outputs.
+    """
+    kind, line, _, value = codes.T
+    hit = np.flatnonzero(kind == stuck)
+    values[hit, :, line[hit]] = value[hit, None].astype(bool)
+    hit = np.flatnonzero(kind == bridge)
+    low = line[hit]
+    shorted = values[hit, :, low] & values[hit, :, low + 1]
+    values[hit, :, low] = shorted
+    values[hit, :, low + 1] = shorted
+
+
+def _row_outputs(programs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Wired-AND read-out of ``(F, R, C)`` programs under ``(F, V, C)`` inputs.
+
+    Returns ``(F, V, R)``: a row reads 1 unless one of its programmed
+    columns carries a 0.  The column axis is packed eight to a byte.
+    """
+    programmed = np.packbits(programs, axis=-1)[:, None, :, :]
+    zeros = np.packbits(~inputs, axis=-1)[:, :, None, :]
+    return ~(programmed & zeros).any(axis=-1)
+
+
+def detection_matrix(fabric: CrossbarFabric,
+                     configurations: Sequence[TestConfiguration],
+                     faults: Sequence[Fault]) -> np.ndarray:
+    """Which configurations detect which faults, as a ``(F, K)`` bool array.
+
+    Entry ``[i, k]`` is ``any(fabric.detects(configurations[k].program, v,
+    faults[i]) for v in configurations[k].vectors)``.  Each configuration's
+    fault-free response is computed once; each fault is applied as an edit
+    where :meth:`CrossbarFabric.evaluate` applies it (program, inputs or
+    outputs), and the fault axis is walked in chunks of at most
+    :data:`CHUNK_ELEMENTS` crosspoint reads.  A fault off the fabric
+    raises ``ValueError`` (:meth:`CrossbarFabric.check_fault`).
+    """
+    codes = _fault_codes(fabric, faults)
+    detected = np.zeros((len(codes), len(configurations)), dtype=bool)
+    for k, config in enumerate(configurations):
+        fabric.check_configuration(config.program)
+        if any(len(vector) != fabric.cols for vector in config.vectors):
+            raise ValueError(f"vector must have {fabric.cols} entries")
+        if not config.vectors:
+            continue
+        program = np.array(config.program, dtype=bool)
+        vectors = np.array(config.vectors, dtype=bool)
+        golden = _row_outputs(program[None], vectors[None])[0]
+        step = max(1, CHUNK_ELEMENTS // (len(vectors) * program.size))
+        for start in range(0, len(codes), step):
+            chunk = codes[start:start + step]
+            programs = np.repeat(program[None], len(chunk), axis=0)
+            kind, row, col, value = chunk.T
+            hit = np.flatnonzero(kind == _CROSSPOINT)
+            programs[hit, row[hit], col[hit]] = value[hit].astype(bool)
+            inputs = np.repeat(vectors[None], len(chunk), axis=0)
+            _edit_lines(inputs, chunk, _COL_STUCK, _COL_BRIDGE)
+            outputs = _row_outputs(programs, inputs)
+            _edit_lines(outputs, chunk, _ROW_STUCK, _ROW_BRIDGE)
+            detected[start:start + len(chunk), k] = (
+                outputs != golden).any(axis=(1, 2))
+    return detected
+
+
 def undetected_faults(fabric: CrossbarFabric,
                       configurations: Sequence[TestConfiguration],
                       faults: Sequence[Fault] | None = None) -> list[Fault]:
@@ -198,10 +329,8 @@ def undetected_faults(fabric: CrossbarFabric,
     universe = list(faults) if faults is not None else all_single_faults(
         fabric.rows, fabric.cols
     )
-    return [
-        fault for fault in universe
-        if not fabric.detected_by_suite(configurations, fault)
-    ]
+    caught = detection_matrix(fabric, configurations, universe).any(axis=1)
+    return [fault for fault, hit in zip(universe, caught.tolist()) if not hit]
 
 
 def coverage(fabric: CrossbarFabric,

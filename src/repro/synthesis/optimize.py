@@ -10,15 +10,21 @@ cheap semantic-preserving post-passes recover part of the gap:
   the site's switch and its input wire can be dropped).
 
 Both passes verify against the full truth table, so they are exact for the
-function sizes used in the experiments.
+function sizes used in the experiments.  A candidate is checked from the
+current lattice's site masks with the row, column or site edited
+(:func:`repro.xbareval.evaluate_masks`), one flood per candidate; a
+:class:`Lattice` is built only from accepted edits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice
+from ..xbareval.lattice_eval import SiteMasks, evaluate_masks, site_masks
 
 
 def remove_row(lattice: Lattice, row: int) -> Lattice:
@@ -37,6 +43,10 @@ def remove_col(lattice: Lattice, col: int) -> Lattice:
     return Lattice(lattice.n, rows)
 
 
+def _computes(n: int, masks: SiteMasks, target: TruthTable) -> bool:
+    return bool(np.array_equal(evaluate_masks(n, masks), target.values))
+
+
 def fold_lattice(lattice: Lattice, target: TruthTable) -> Lattice:
     """Greedy row/column deletion while the target function is preserved.
 
@@ -46,22 +56,23 @@ def fold_lattice(lattice: Lattice, target: TruthTable) -> Lattice:
     if target.n != lattice.n:
         raise ValueError("variable space mismatch")
     current = lattice
+    masks = site_masks(current)
     improved = True
     while improved:
         improved = False
         r = 0
         while current.rows > 1 and r < current.rows:
-            candidate = remove_row(current, r)
-            if candidate.implements(target):
-                current = candidate
+            candidate = tuple(np.delete(m, r, axis=0) for m in masks)
+            if _computes(current.n, candidate, target):
+                current, masks = remove_row(current, r), candidate
                 improved = True
             else:
                 r += 1
         c = 0
         while current.cols > 1 and c < current.cols:
-            candidate = remove_col(current, c)
-            if candidate.implements(target):
-                current = candidate
+            candidate = tuple(np.delete(m, c, axis=1) for m in masks)
+            if _computes(current.n, candidate, target):
+                current, masks = remove_col(current, c), candidate
                 improved = True
             else:
                 c += 1
@@ -76,18 +87,23 @@ def simplify_sites(lattice: Lattice, target: TruthTable) -> Lattice:
     """
     if target.n != lattice.n:
         raise ValueError("variable space mismatch")
-    current = lattice
-    for r in range(current.rows):
-        for c in range(current.cols):
-            site = current.site(r, c)
+    sites = [list(row) for row in lattice.sites]
+    var, positive, is_literal, const = site_masks(lattice)
+    is_literal, const = is_literal.copy(), const.copy()
+    for r, row in enumerate(sites):
+        for c, site in enumerate(row):
             if site is True or site is False:
                 continue
+            is_literal[r, c] = False
             for replacement in (True, False):
-                candidate = current.with_site(r, c, replacement)
-                if candidate.implements(target):
-                    current = candidate
+                const[r, c] = replacement
+                if _computes(lattice.n, (var, positive, is_literal, const),
+                             target):
+                    row[c] = replacement
                     break
-    return current
+            else:
+                is_literal[r, c], const[r, c] = True, False
+    return Lattice(lattice.n, sites)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ batches at once:
   lattice materialised via packed literal masks in one broadcast;
   :func:`lattice_truthtable` returns a
   :class:`~repro.boolean.truthtable.TruthTable` without a Python-level
-  loop over assignments;
+  loop over assignments, through :func:`evaluate_masks`, which also
+  checks edited site masks without building a lattice;
 * :mod:`~repro.xbareval.placement` — batched defect-aware placement
   validity (one placement per fabric of an ensemble, or many placements
   against one fabric);
@@ -45,6 +46,7 @@ from .lattice_eval import (
     conduction_tensor,
     evaluate_assignments,
     evaluate_labellings,
+    evaluate_masks,
     implements_table,
     lattice_truthtable,
     site_masks,
@@ -71,6 +73,7 @@ __all__ = [
     "defect_map_states",
     "evaluate_assignments",
     "evaluate_labellings",
+    "evaluate_masks",
     "implements_table",
     "lattice_critical_delay_batch",
     "lattice_site_codes",

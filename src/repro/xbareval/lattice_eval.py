@@ -31,9 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (bounds the dense ``(chunk, rows, cols)`` tensor).
 CHUNK_ASSIGNMENTS = 1 << 14
 
+#: ``(var, positive, is_literal, const)``, each ``(rows, cols)``.
+SiteMasks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @lru_cache(maxsize=1024)
-def site_masks(lattice: "Lattice") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def site_masks(lattice: "Lattice") -> SiteMasks:
     """Per-site packed literal masks for broadcast evaluation.
 
     Returns ``(var, positive, is_literal, const)`` arrays, each of shape
@@ -85,7 +88,13 @@ def conduction_tensor(lattice: "Lattice",
         assignments = np.arange(1 << lattice.n, dtype=np.int64)
     else:
         assignments = np.asarray(assignments, dtype=np.int64)
-    var, positive, is_literal, const = site_masks(lattice)
+    return _masks_tensor(site_masks(lattice), assignments, force_on, force_off)
+
+
+def _masks_tensor(masks: SiteMasks, assignments: np.ndarray,
+                  force_on: np.ndarray | None,
+                  force_off: np.ndarray | None) -> np.ndarray:
+    var, positive, is_literal, const = masks
     bits = (assignments[:, None, None] >> var[None, :, :]) & 1
     grids = np.where(is_literal[None], (bits == 1) == positive[None],
                      const[None])
@@ -110,34 +119,46 @@ def evaluate_assignments(lattice: "Lattice", assignments: np.ndarray,
     return top_bottom_connected_batch(grids)
 
 
+def evaluate_masks(n: int, masks: SiteMasks,
+                   force_on: np.ndarray | None = None,
+                   force_off: np.ndarray | None = None) -> np.ndarray:
+    """All ``2^n`` outputs of the lattice whose site masks are ``masks``.
+
+    The evaluation loop behind :func:`lattice_truthtable`: conduction
+    grids for :data:`CHUNK_ASSIGNMENTS` assignments at a time, one flood
+    per chunk.  Callers that edit a lattice's :func:`site_masks` (delete
+    a row, fix a site) check the edit here without building a
+    :class:`~repro.crossbar.lattice.Lattice`.
+    """
+    if n > MAX_DENSE_VARS:
+        raise ValueError(
+            f"dense truth tables support at most {MAX_DENSE_VARS} variables, got {n}"
+        )
+    from .connectivity import top_bottom_connected_batch
+
+    total = 1 << n
+    values = np.empty(total, dtype=bool)
+    for start in range(0, total, CHUNK_ASSIGNMENTS):
+        stop = min(start + CHUNK_ASSIGNMENTS, total)
+        values[start:stop] = top_bottom_connected_batch(_masks_tensor(
+            masks, np.arange(start, stop, dtype=np.int64),
+            force_on, force_off))
+    return values
+
+
 def lattice_truthtable(lattice: "Lattice",
                        force_on: np.ndarray | None = None,
                        force_off: np.ndarray | None = None) -> TruthTable:
     """Dense semantics of a lattice without a Python loop over assignments.
 
-    Materialises all ``2^n`` conduction grids via packed literal masks in
-    one broadcast and floods the whole batch at once.  Bit-exact against
-    the scalar reference ``Lattice.to_truth_table_scalar()`` (asserted by
-    the property suite in ``tests/test_xbareval.py``).
+    Materialises the ``2^n`` conduction grids via packed literal masks,
+    a chunk of assignments per broadcast, and floods each chunk at once
+    (:func:`evaluate_masks`).  Bit-exact against the scalar reference
+    ``Lattice.to_truth_table_scalar()`` (asserted by the property suite
+    in ``tests/test_xbareval.py``).
     """
-    n = lattice.n
-    if n > MAX_DENSE_VARS:
-        raise ValueError(
-            f"dense truth tables support at most {MAX_DENSE_VARS} variables, got {n}"
-        )
-    total = 1 << n
-    if total <= CHUNK_ASSIGNMENTS:
-        return TruthTable(n, evaluate_assignments(lattice,
-                                                  np.arange(total,
-                                                            dtype=np.int64),
-                                                  force_on, force_off))
-    values = np.empty(total, dtype=bool)
-    for start in range(0, total, CHUNK_ASSIGNMENTS):
-        stop = min(start + CHUNK_ASSIGNMENTS, total)
-        values[start:stop] = evaluate_assignments(
-            lattice, np.arange(start, stop, dtype=np.int64),
-            force_on, force_off)
-    return TruthTable(n, values)
+    return TruthTable(lattice.n, evaluate_masks(
+        lattice.n, site_masks(lattice), force_on, force_off))
 
 
 def implements_table(lattice: "Lattice", table: TruthTable) -> bool:

@@ -6,7 +6,8 @@ the nested ``nanoxbar grid <command>`` choices), every ``--flag`` that
 follows such a reference on the same line must be an option of that
 subparser, and every ``NANOXBAR_*`` environment variable mentioned must
 be one the source tree actually reads.  Renaming a command or a switch
-without updating the docs fails the build.
+without updating the docs fails the build, and so does a package under
+``src/repro`` that ``docs/architecture.md`` never names.
 """
 
 import argparse
@@ -126,6 +127,17 @@ def test_docs_reference_only_real_env_vars(path, env_vars_in_src):
     assert not unknown, (
         f"{path.name} mentions environment variables the code never "
         f"reads: {sorted(unknown)} (known: {sorted(env_vars_in_src)})")
+
+
+def test_architecture_page_names_every_package():
+    text = _read(REPO / "docs" / "architecture.md")
+    packages = sorted(path.parent.name for path in
+                      (REPO / "src" / "repro").glob("*/__init__.py"))
+    assert packages, "no packages found under src/repro?"
+    missing = [name for name in packages
+               if not re.search(rf"\brepro\.{name}\b", text)]
+    assert not missing, (
+        f"docs/architecture.md does not name packages {missing}")
 
 
 def test_operations_page_covers_every_stock_watchdog_rule():
