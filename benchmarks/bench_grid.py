@@ -14,8 +14,9 @@ Quantifies the grid subsystem's contract on a real store file:
   the grid with every point computed exactly once (hard asserts on the
   per-row results and the attempt counters; wall-clock reported).
 
-Results land in ``benchmarks/results/BENCH_grid.json``.  ``GRID_SMOKE=1``
-shrinks workloads for CI runners; the fidelity asserts stay strict.
+A full run writes ``benchmarks/results/BENCH_grid.json``.
+``GRID_SMOKE=1`` shrinks workloads for CI runners, keeps the fidelity
+asserts strict and writes nothing.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ def test_two_worker_fanout_bit_identical(tmp_path):
     }
 
 
-def test_write_artifact(save_table):
-    ARTIFACT.parent.mkdir(exist_ok=True)
-    ARTIFACT.write_text(json.dumps(_REPORT, indent=2, sort_keys=True) + "\n")
+def test_write_artifact():
+    if not SMOKE:
+        ARTIFACT.write_text(json.dumps(_REPORT, indent=2, sort_keys=True)
+                            + "\n")
     lines = ["grid bench summary", "=================="]
     fidelity = _REPORT.get("fidelity", {})
     if fidelity:
@@ -195,4 +197,4 @@ def test_write_artifact(save_table):
                      f"{fanout['points']} points in "
                      f"{fanout['wall_seconds']}s "
                      f"({', '.join(fanout['workers_used'])})")
-    save_table("BENCH_grid", "\n".join(lines))
+    print("\n" + "\n".join(lines))

@@ -17,9 +17,10 @@ Three independent guarantees behind the history/SSE/dashboard layer:
    the known hot kernels (the ``varsim``/``xbareval`` compute modules) —
    the tool points at the real work, not at harness plumbing.
 
-``OBS_LIVE_SMOKE=1`` shrinks sample counts and relaxes the bounds for
-noisy CI runners but keeps every measurement shape identical.  Each test
-merges its section into ``benchmarks/results/BENCH_obs_live.json``.
+On a full run each test merges its section into
+``benchmarks/results/BENCH_obs_live.json``.  ``OBS_LIVE_SMOKE=1`` shrinks
+sample counts and relaxes the bounds for noisy CI runners but keeps every
+measurement shape identical, and writes nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ ARTIFACT = pathlib.Path(__file__).parent / "results" / "BENCH_obs_live.json"
 
 def _merge_artifact(section: str, payload: dict) -> None:
     """Read-modify-write one section of the combined artifact."""
-    ARTIFACT.parent.mkdir(exist_ok=True)
+    if SMOKE:
+        return
     report = {}
     if ARTIFACT.exists():
         report = json.loads(ARTIFACT.read_text())
@@ -76,7 +78,7 @@ def _jobs():
             for b in suite(max_vars=5)]
 
 
-def test_recorder_overhead_at_production_tick(save_table, tmp_path):
+def test_recorder_overhead_at_production_tick(tmp_path):
     jobs = _jobs()
     cache = str(tmp_path / "bench-obs-live.sqlite")
     recorder = MetricsRecorder(interval=1.0)
@@ -114,7 +116,7 @@ def test_recorder_overhead_at_production_tick(save_table, tmp_path):
         "overhead_fraction": overhead,
         "overhead_limit": OVERHEAD_LIMIT,
     })
-    save_table("obs_live_recorder", "\n".join([
+    print("\n" + "\n".join([
         "Recorder overhead (warm engine path, 1s tick, "
         f"{SAMPLES} interleaved runs/mode)",
         f"{'mode':10s} {'median[s]':>10s} {'fn/s':>9s}",
@@ -129,7 +131,7 @@ def test_recorder_overhead_at_production_tick(save_table, tmp_path):
         f"recorder overhead {overhead:.1%} exceeds {OVERHEAD_LIMIT:.0%}")
 
 
-def test_sse_loses_no_frames_during_client_burst(save_table):
+def test_sse_loses_no_frames_during_client_burst():
     handle = serve_in_thread(processes=1, job_workers=2, obs_tick=0.05)
     client = ServerClient(port=handle.port, timeout=60.0)
     try:
@@ -191,7 +193,7 @@ def test_sse_loses_no_frames_during_client_burst(save_table):
         "burst_seconds": burst_seconds,
         "frames_lost": 0,
     })
-    save_table("obs_live_sse", "\n".join([
+    print("\n" + "\n".join([
         f"SSE integrity under a {BURST_CLIENTS}-client burst "
         f"({BURST_CLIENTS * BURST_JOBS_EACH} jobs in "
         f"{burst_seconds:.2f}s)",
@@ -201,7 +203,7 @@ def test_sse_loses_no_frames_during_client_burst(save_table):
     ]))
 
 
-def test_profiler_attributes_hot_kernels(save_table):
+def test_profiler_attributes_hot_kernels():
     # xor5's dual lattice fills the whole 16x16 crossbar, so each trial
     # does real evaluation work — a multi-second serial window the
     # sampler can see into.
@@ -235,7 +237,7 @@ def test_profiler_attributes_hot_kernels(save_table):
         "top": [{"function": label, "self": self_count}
                 for label, self_count, _total in report.top(5)],
     })
-    save_table("obs_live_profiler", "\n".join([
+    print("\n" + "\n".join([
         f"Sampling-profiler attribution (serial varsweep, "
         f"{spec.trials} trials x {len(spec.sigmas)} sigmas, "
         f"{report.interval * 1000:.0f}ms interval)",

@@ -11,10 +11,10 @@ listener on an ephemeral localhost port:
   clients submitting distinct campaigns (reported, not asserted — timing
   noise must not fail the bench).
 
-Everything lands in ``benchmarks/results/BENCH_server.json`` (the
-committed artifact) plus the usual rendered table.  ``SERVER_SMOKE=1``
-shrinks workloads and concurrency for CI runners; the fidelity and
-coalescing asserts stay strict.
+A full run writes everything to ``benchmarks/results/BENCH_server.json``
+(the committed artifact) and prints the throughput table.
+``SERVER_SMOKE=1`` shrinks workloads and concurrency for CI runners,
+keeps the fidelity and coalescing asserts strict and writes nothing.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def test_coalescing_one_computation(client):
     }
 
 
-def test_throughput_by_concurrency(client, save_table):
+def test_throughput_by_concurrency(client):
     """Wall-clock throughput of distinct jobs at growing client counts."""
     rows = []
     for level_index, clients in enumerate(CONCURRENCY):
@@ -190,7 +190,7 @@ def test_throughput_by_concurrency(client, save_table):
             "trials_per_s": round(finished * TRIALS / elapsed, 1),
         })
     _REPORT["throughput"] = rows
-    save_table("server_throughput", "\n".join(
+    print("\n" + "\n".join(
         [f"batch server, faultsim jobs N={CROSSBAR_N} x {TRIALS} trials, "
          f"{JOBS_PER_CLIENT} jobs/client"] +
         [f"clients={row['clients']:>2d}  jobs={row['jobs']:>3d}  "
@@ -198,7 +198,7 @@ def test_throughput_by_concurrency(client, save_table):
          f"{row['trials_per_s']:10.1f} trials/s" for row in rows]))
 
 
-def test_write_artifact(client, results_dir):
+def test_write_artifact(client):
     """Flush the accumulated report (runs last by definition order)."""
     _REPORT["server"] = {
         "queue": client.stats()["queue"],
@@ -207,6 +207,6 @@ def test_write_artifact(client, results_dir):
     assert _REPORT["served_equals_direct"] == {
         "synthesis": True, "faultsim": True, "varsweep": True}
     assert _REPORT["coalescing"]["computations"] == 1
-    ARTIFACT.write_text(json.dumps(_REPORT, indent=2, sort_keys=True)
-                        + "\n")
-    print(f"[saved to {ARTIFACT}]")
+    if not SMOKE:
+        ARTIFACT.write_text(json.dumps(_REPORT, indent=2, sort_keys=True)
+                            + "\n")

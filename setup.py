@@ -25,7 +25,7 @@ setup(
     # unpackbits-based fallback in repro.boolean.bitops on 1.x at import.
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
         # optional accelerator: repro.xbareval uses one scipy.ndimage.label
         # pass per batch when available (pure-numpy fallback otherwise)
         "fast": ["scipy"],

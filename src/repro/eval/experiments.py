@@ -1,9 +1,9 @@
-"""Experiment registry: one entry per paper table/figure (see DESIGN.md).
+"""Experiment registry: one entry per paper table/figure.
 
 Every experiment returns an :class:`ExperimentResult` whose rows regenerate
 the corresponding artefact of the DATE'17 paper.  ``fast=True`` shrinks
-sweeps for use inside the pytest-benchmark harness; the full runs are what
-EXPERIMENTS.md records.
+the sweeps for the tier-1 claim checks (``tests/test_paper_claims.py``);
+``nanoxbar run <id>`` runs the full sweeps.
 """
 
 from __future__ import annotations

@@ -51,55 +51,19 @@ def pick_shared_literal(column_product: Cube, row_product: Cube) -> Literal:
     return shared[0]
 
 
-#: Site tie-break strategies for :func:`lattice_from_covers`.  Any shared
-#: literal yields a correct lattice; the choice affects how well the result
-#: folds afterwards (an ablation knob, see benchmarks/bench_ablations.py).
-TIE_BREAKS = ("first", "last", "frequent")
-
-
-def lattice_from_covers(cover: Cover, dual_cover: Cover,
-                        tie_break: str = "first") -> Lattice:
+def lattice_from_covers(cover: Cover, dual_cover: Cover) -> Lattice:
     """Altun-Riedel lattice for explicit covers of ``f`` and ``f^D``.
 
-    Args:
-        tie_break: which shared literal to place when several qualify —
-            ``"first"``/``"last"`` in variable order, or ``"frequent"``
-            (the literal shared by the most product pairs overall, which
-            maximises site repetition and tends to fold better).
+    Site (i, j) holds the first literal, in variable order, that column
+    product ``p_j`` shares with row product ``q_i``.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}; expected {TIE_BREAKS}")
     n = cover.n
     if cover.num_products == 0:
         return constant_lattice(n, False)
     if dual_cover.num_products == 0:
         return constant_lattice(n, True)
-    shared_lists = [
-        [p.shared_literals(q) for p in cover]
-        for q in dual_cover
-    ]
-    for row in shared_lists:
-        for shared in row:
-            if not shared:
-                raise SynthesisError(
-                    "duality lemma violated: a product pair shares no literal"
-                )
-    if tie_break == "frequent":
-        counts: dict[Literal, int] = {}
-        for row in shared_lists:
-            for shared in row:
-                for lit in shared:
-                    counts[lit] = counts.get(lit, 0) + 1
-        sites = [
-            [max(shared, key=lambda lit: (counts[lit], -lit.var))
-             for shared in row]
-            for row in shared_lists
-        ]
-    elif tie_break == "last":
-        sites = [[shared[-1] for shared in row] for row in shared_lists]
-    else:
-        sites = [[shared[0] for shared in row] for row in shared_lists]
-    return Lattice(n, sites)
+    return Lattice(n, [[pick_shared_literal(p, q) for p in cover]
+                       for q in dual_cover])
 
 
 def synthesize_lattice_dual(function: BooleanFunction | TruthTable,

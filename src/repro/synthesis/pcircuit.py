@@ -26,6 +26,7 @@ from typing import Callable
 
 from ..boolean.cube import Literal
 from ..boolean.function import BooleanFunction
+from ..boolean.minimize import minimize
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice
 from .compose import (
@@ -139,18 +140,17 @@ def _default_block_synthesizer(table: TruthTable) -> Lattice:
 def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
                         polarity: bool = True,
                         block_synthesizer: BlockSynthesizer | None = None,
-                        use_flexibility: bool = True,
                         verify: bool = True) -> PCircuitLattice:
     """Build the P-circuit lattice for one (var, polarity) split.
+
+    The blocks ``f^=``/``f^!=`` are minimized with ``I`` as don't-care
+    (the [7] flexibility).
 
     Args:
         function: the target.
         var, polarity: the split.
         block_synthesizer: lattice engine for the (n-1)-variable blocks
             (defaults to the dual-based construction).
-        use_flexibility: when True, blocks ``f^=``/``f^!=`` are minimized
-            with ``I`` as don't-care (the [7] flexibility); when False the
-            full cofactors are used (``f^I`` then still ``I`` — harmless).
         verify: exhaustively check the recomposed lattice.
     """
     table = function.on if isinstance(function, BooleanFunction) else function
@@ -158,15 +158,9 @@ def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
     dec = pcircuit_decompose(table, var, polarity)
 
     def synthesize_block(on: TruthTable, dc: TruthTable) -> Lattice:
-        if use_flexibility:
-            from ..boolean.minimize import minimize
-
-            # Resolve the flexibility once, by two-level minimization, then
-            # synthesize the resolved (completely specified) function.
-            cover = minimize(on, dc)
-            resolved = cover.to_truth_table()
-            return synth(resolved)
-        return synth(on | dc)
+        # Resolve the flexibility once, by two-level minimization, then
+        # synthesize the resolved (completely specified) function.
+        return synth(minimize(on, dc).to_truth_table())
 
     lat_eq = synthesize_block(dec.f_eq_on, dec.f_eq_dc)
     lat_neq = synthesize_block(dec.f_neq_on, dec.f_neq_dc)
@@ -193,8 +187,8 @@ def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
 
 
 def best_pcircuit(function: BooleanFunction | TruthTable,
-                  block_synthesizer: BlockSynthesizer | None = None,
-                  use_flexibility: bool = True) -> PCircuitLattice:
+                  block_synthesizer: BlockSynthesizer | None = None
+                  ) -> PCircuitLattice:
     """Try every (var, polarity) split and keep the smallest lattice."""
     table = function.on if isinstance(function, BooleanFunction) else function
     best: PCircuitLattice | None = None
@@ -203,7 +197,6 @@ def best_pcircuit(function: BooleanFunction | TruthTable,
             candidate = synthesize_pcircuit(
                 table, var, polarity,
                 block_synthesizer=block_synthesizer,
-                use_flexibility=use_flexibility,
             )
             if best is None or candidate.area < best.area:
                 best = candidate

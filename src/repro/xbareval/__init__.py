@@ -23,7 +23,7 @@ batches at once:
 
 The scalar functions stay in place as bit-exact references; the property
 suite (``tests/test_xbareval.py``) asserts agreement on every kernel, and
-``benchmarks/bench_xbareval.py`` tracks the speedups.  Consumers:
+``tests/test_paper_claims.py`` on fixed benchmark-suite workloads.  Consumers:
 :class:`repro.crossbar.lattice.Lattice`, the synthesis candidate checks,
 :mod:`repro.reliability.lattice_mapping`, :mod:`repro.faultlab.kernels`
 and the :mod:`repro.engine` portfolio verification.

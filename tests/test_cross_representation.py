@@ -126,10 +126,10 @@ class TestDeterminism:
         second = synthesize_lattice_dual(t)
         assert first == second
 
-    def test_experiments_are_seeded(self):
+    def test_experiments_are_seeded(self, fast_experiment):
         from repro.eval import get_experiment
 
-        a = get_experiment("bism").run(True)
+        a = fast_experiment("bism")
         b = get_experiment("bism").run(True)
         assert a.rows == b.rows
 

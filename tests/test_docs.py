@@ -5,9 +5,10 @@ a ``nanoxbar <subcommand>`` reference must be a real subparser (including
 the nested ``nanoxbar grid <command>`` choices), every ``--flag`` that
 follows such a reference on the same line must be an option of that
 subparser, and every ``NANOXBAR_*`` environment variable mentioned must
-be one the source tree actually reads.  Renaming a command or a switch
-without updating the docs fails the build, and so does a package under
-``src/repro`` that ``docs/architecture.md`` never names.
+be one the source tree actually reads, and every backticked repo path
+must exist.  Renaming a command, a switch or a file without updating the
+docs fails the build, and so does a package under ``src/repro`` that
+``docs/architecture.md`` never names.
 """
 
 import argparse
@@ -32,6 +33,13 @@ _ENV_RE = re.compile(r"NANOXBAR_[A-Z_]+[A-Z]")
 _INVOCATION_RE = re.compile(r"nanoxbar\s+(grid\s+[a-z][a-z0-9-]*|[a-z][a-z0-9-]*)")
 #: A ``--flag`` token (``--format=json`` names ``--format``).
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: Fenced code blocks, dropped before the inline code spans are read.
+_FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+_CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+#: A repo path in a code span: relative, no spaces, ending in a directory
+#: slash or a file extension (``src/``, ``ROADMAP.md``, ``tests/x.py``).
+_REPO_PATH_RE = re.compile(
+    r"\.?[\w-]+(?:[./][\w-]+)*(?:/|\.(?:py|md|json|toml|yml|txt))")
 
 
 def _subparser_choices(parser: argparse.ArgumentParser) -> dict:
@@ -110,6 +118,16 @@ def test_docs_pass_only_real_flags(path, cli_options):
     assert not wrong, (
         f"{path.name} passes flags their subcommand does not accept: "
         f"{wrong}")
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_docs_name_only_real_repo_paths(path):
+    spans = _CODE_SPAN_RE.findall(_FENCE_RE.sub("", _read(path)))
+    missing = sorted({span for span in spans
+                      if _REPO_PATH_RE.fullmatch(span)
+                      and not (REPO / span).exists()})
+    assert not missing, (
+        f"{path.name} names repo paths that do not exist: {missing}")
 
 
 @pytest.fixture(scope="module")

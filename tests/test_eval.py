@@ -102,49 +102,49 @@ class TestExperiments:
         with pytest.raises(KeyError):
             get_experiment("nope")
 
-    def test_fig4_experiment_rows(self):
-        result = get_experiment("fig4").run(True)
+    def test_fig4_experiment_rows(self, fast_experiment):
+        result = fast_experiment("fig4")
         assert all(row["implements"] for row in result.rows)
         by_method = {row["method"]: row for row in result.rows}
         assert by_method["paper Fig. 4 (hand)"]["area"] == 6
         assert by_method["Fig. 5 formula [2]"]["area"] >= 6
 
-    def test_fig1_experiment(self):
-        result = get_experiment("fig1").run(True)
+    def test_fig1_experiment(self, fast_experiment):
+        result = fast_experiment("fig1")
         assert len(result.rows) == 3
         assert all(row["implements_xnor2"] for row in result.rows)
 
-    def test_bist_experiment_full_coverage(self):
-        result = get_experiment("bist").run(True)
+    def test_bist_experiment_full_coverage(self, fast_experiment):
+        result = fast_experiment("bist")
         assert all(row["coverage"] == 1.0 for row in result.rows)
         assert all(row["configs"] < row["naive_configs"] for row in result.rows)
 
-    def test_bisd_experiment_logarithmic(self):
-        result = get_experiment("bisd").run(True)
+    def test_bisd_experiment_logarithmic(self, fast_experiment):
+        result = fast_experiment("bisd")
         for row in result.rows:
             assert row["accuracy"] == 1.0
             assert row["configs"] == row["log2(resources)"] + 2
 
-    def test_render_contains_notes(self):
-        result = get_experiment("fig1").run(True)
+    def test_render_contains_notes(self, fast_experiment):
+        result = fast_experiment("fig1")
         assert "notes:" in result.render()
 
-    def test_metrics_experiment_styles(self):
-        result = get_experiment("metrics").run(True)
+    def test_metrics_experiment_styles(self, fast_experiment):
+        result = fast_experiment("metrics")
         styles = {row["style"] for row in result.rows}
         assert styles == {"diode", "fet", "lattice"}
 
-    def test_expressiveness_experiment(self):
-        result = get_experiment("expressiveness").run(True)
+    def test_expressiveness_experiment(self, fast_experiment):
+        result = fast_experiment("expressiveness")
         full = next(row for row in result.rows if row["shape"] == (2, 2))
         assert full["coverage"] == 1.0
 
-    def test_latticemap_experiment(self):
-        result = get_experiment("latticemap").run(True)
+    def test_latticemap_experiment(self, fast_experiment):
+        result = fast_experiment("latticemap")
         assert result.rows[0]["success_rate"] == 1.0
 
-    def test_tmr_experiment(self):
-        result = get_experiment("tmr").run(True)
+    def test_tmr_experiment(self, fast_experiment):
+        result = fast_experiment("tmr")
         numeric = [row for row in result.rows
                    if isinstance(row["upset_rate"], float)]
         assert numeric[0]["simplex_correct"] == 1.0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.boolean import BooleanFunction, TruthTable
 from repro.crossbar import Lattice
-from repro.eval import all_experiments, by_name, get_experiment
+from repro.eval import all_experiments, by_name
 from repro.reliability import (
     CrossbarFabric,
     STRATEGIES,
@@ -136,16 +136,16 @@ class TestExperimentRegistrySmoke:
         assert len(ids) >= 16
 
     @pytest.mark.parametrize("experiment_id", CHEAP)
-    def test_fast_run_produces_rows(self, experiment_id):
-        result = get_experiment(experiment_id).run(True)
+    def test_fast_run_produces_rows(self, experiment_id, fast_experiment):
+        result = fast_experiment(experiment_id)
         assert result.rows
         assert result.columns
         rendered = result.render()
         assert experiment_id in rendered.split("]")[0]
 
-    def test_rows_expose_declared_columns(self):
+    def test_rows_expose_declared_columns(self, fast_experiment):
         for experiment_id in ("fig3", "bist", "bisd"):
-            result = get_experiment(experiment_id).run(True)
+            result = fast_experiment(experiment_id)
             for row in result.rows:
                 for column in result.columns:
                     assert column in row
