@@ -23,9 +23,9 @@ _MP_STARTERS = frozenset({"Pool", "Process", "get_context",
 class StraySqliteConnect(Rule):
     rule_id = "NX201"
     category = "concurrency"
-    description = ("sqlite3.connect only inside engine.cache / "
-                   "engine.store: they own WAL mode, busy timeouts and "
-                   "the cross-thread connection discipline")
+    description = ("sqlite3.connect only inside engine.store: it owns "
+                   "WAL mode, busy timeouts and the cross-thread "
+                   "connection discipline")
     node_types = (ast.Call,)
     selftest_module = "repro.server.worker"
     fires = (
@@ -47,8 +47,8 @@ class StraySqliteConnect(Rule):
         if ctx.qualified_name(node.func) == "sqlite3.connect":
             yield self.finding(
                 ctx, node,
-                "direct sqlite3.connect outside engine.cache/engine.store; "
-                "go through ResultCache / JsonStore")
+                "direct sqlite3.connect outside engine.store; "
+                "go through JsonStore")
 
 
 @register

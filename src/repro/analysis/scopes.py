@@ -40,11 +40,10 @@ OBS_CONSUMER_PACKAGES = (
     "repro.analysis",
 )
 
-#: The only modules that may open SQLite connections; everything else
-#: goes through their connection-owning classes (WAL mode, busy
+#: The only module that may open SQLite connections; everything else
+#: goes through its connection-owning ``JsonStore`` (WAL mode, busy
 #: timeouts, cross-thread discipline live there).
 SQLITE_OWNERS = (
-    "repro.engine.cache",
     "repro.engine.store",
 )
 

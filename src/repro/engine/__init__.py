@@ -4,14 +4,15 @@ The paper's synthesis flows are single-function calls; this package turns
 them into a batch service:
 
 * :mod:`repro.engine.jobs`      — declarative ``SynthesisJob`` / ``JobResult``
-* :mod:`repro.engine.cache`     — persistent NPN-canonical result store
+* :mod:`repro.engine.cache`     — NPN-canonical cache keys, witness
+  rewrites and the cache-row JSON codec
 * :mod:`repro.engine.portfolio` — strategy race (dual / D-reducible /
   P-circuit / SAT-optimal) under deterministic effort budgets
 * :mod:`repro.engine.pool`      — sharded multiprocessing map with serial
   fallback
-* :mod:`repro.engine.store`     — generic persisted JSON store for other
-  job families (e.g. :mod:`repro.faultlab` campaigns) plus the claimable
-  experiment-grid rows :mod:`repro.grid` orchestrates
+* :mod:`repro.engine.store`     — the one SQLite store: the NPN cache
+  rows, the campaign payloads (e.g. :mod:`repro.faultlab`) and the
+  claimable experiment-grid rows :mod:`repro.grid` orchestrates
 * :mod:`repro.engine.engine`    — the ``BatchEngine`` facade
 
 Quickstart::
@@ -28,7 +29,6 @@ Quickstart::
 
 from .cache import (
     CachedResult,
-    ResultCache,
     canonical_cache_key,
     canonical_polarity_table,
     lattice_from_text,
@@ -67,7 +67,6 @@ __all__ = [
     "JsonStore",
     "PortfolioConfig",
     "PortfolioResult",
-    "ResultCache",
     "StrategyOutcome",
     "SynthesisJob",
     "canonical_cache_key",

@@ -1,4 +1,4 @@
-"""Persistent NPN-canonical result store (SQLite-backed).
+"""The NPN-canonical result cache: keys, witness rewrites, row codec.
 
 Lattice synthesis cost is invariant under input permutation and input
 negation (literals are free in both polarities on a crossbar), and a
@@ -19,9 +19,9 @@ function plus a *polarity slot*:
   :func:`repro.boolean.npn.npn_semicanonical` (exact NPN canonicalisation
   is exponential in ``n``): class members still share a key whenever the
   invariant decisions are tie-free, and because the key is the content
-  hash of the *full* representative table — which the store also keeps
-  verbatim in the ``gtable`` column and re-checks on every probe — a key
-  collision between distinct functions can never surface a wrong hit.
+  hash of the *full* representative table — which the row also keeps
+  verbatim and the engine re-checks on every probe — a key collision
+  between distinct functions can never surface a wrong hit.
   Up to n = 6 the pruned packed-uint64 search of
   :func:`repro.boolean.npn.npn_canonical` keeps exact class-level keys
   affordable.
@@ -31,19 +31,20 @@ of the keyed table (the packed-bit wire format of ``TruthTable.to_bytes``),
 not ad-hoc hex packing — the same content-addressing scheme ``DefectMap``
 uses in the faultlab store.
 
-Every rewritten lattice is re-verified against the requesting function by
-the engine, so a stale or corrupted cache can never produce a wrong
-answer — only a slower one.
+The cache is not a table of its own: each slot is one row of the shared
+:class:`~repro.engine.store.JsonStore`, under :func:`cache_key` (the
+``npn/`` key namespace) with the :func:`result_to_json` payload, so the
+NPN cache, the campaign payloads and the grid rows live in one file
+behind one connection.  Every rewritten lattice is re-verified against
+the requesting function by the engine, so a stale or corrupted row can
+never produce a wrong answer — only a slower one.
 """
 
 from __future__ import annotations
 
-import json
-import sqlite3
-import threading
-import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 from ..boolean.cube import Literal
 from ..boolean.npn import NpnTransform, npn_canonical, npn_semicanonical
@@ -184,14 +185,18 @@ def lattice_from_text(n: int, text: str) -> Lattice:
 
 
 # ----------------------------------------------------------------------
-# The store
+# Cache rows: keys and the JSON codec
 # ----------------------------------------------------------------------
+#: Key namespace of the NPN cache rows in the shared ``json_store`` table.
+CACHE_NAMESPACE = "npn/"
+
+
 @dataclass(frozen=True)
 class CachedResult:
     """One persisted portfolio answer (for the canonical-polarity function).
 
     ``table`` carries the full canonical-polarity truth table when the
-    entry was keyed semi-canonically (``n > MAX_NPN_VARS``): the store
+    entry was keyed semi-canonically (``n > MAX_NPN_VARS``): the row
     persists it verbatim so a probe can prove the hit is for the *same*
     function, not merely the same key.  Exact-keyed entries leave it
     ``None`` (the exact canonical form already is the function).
@@ -207,134 +212,50 @@ class CachedResult:
         return self.lattice.area
 
 
-def _outcomes_to_json(outcomes: tuple[StrategyOutcome, ...]) -> str:
-    return json.dumps([
-        {"strategy": o.strategy, "status": o.status, "area": o.area,
-         "shape": list(o.shape), "elapsed": o.elapsed, "detail": o.detail}
-        for o in outcomes
-    ])
+def cache_key(n: int, canon: str, polarity: bool, config: str) -> str:
+    """The store key of one cache slot.
+
+    ``config`` is the portfolio fingerprint, so differently configured
+    runs never cross-contaminate; ``polarity`` is the witness's output
+    negation (each NPN class holds up to two lattices).
+    """
+    return f"{CACHE_NAMESPACE}{n}/{canon}/{int(polarity)}/{config}"
 
 
-def _outcomes_from_json(text: str) -> tuple[StrategyOutcome, ...]:
-    return tuple(
-        StrategyOutcome(
-            strategy=o["strategy"], status=o["status"], area=o["area"],
-            shape=tuple(o["shape"]), elapsed=o["elapsed"], detail=o["detail"],
+def result_to_json(result: CachedResult) -> dict:
+    """The JSON payload one cache row stores."""
+    return {
+        "strategy": result.strategy,
+        "lattice": lattice_to_text(result.lattice),
+        "outcomes": [
+            {"strategy": o.strategy, "status": o.status, "area": o.area,
+             "shape": list(o.shape), "elapsed": o.elapsed,
+             "detail": o.detail}
+            for o in result.outcomes
+        ],
+        "table": (result.table.to_bytes().hex()
+                  if result.table is not None else None),
+    }
+
+
+def result_from_json(n: int, payload: Any) -> CachedResult | None:
+    """Decode a cache row; ``None`` (a miss) if it does not parse.
+
+    An unparseable row reads as a miss: the engine re-races and
+    overwrites it (corruption costs time, never correctness).
+    """
+    try:
+        return CachedResult(
+            strategy=payload["strategy"],
+            lattice=lattice_from_text(n, payload["lattice"]),
+            outcomes=tuple(
+                StrategyOutcome(
+                    strategy=o["strategy"], status=o["status"],
+                    area=o["area"], shape=tuple(o["shape"]),
+                    elapsed=o["elapsed"], detail=o["detail"])
+                for o in payload["outcomes"]),
+            table=(TruthTable.from_bytes(bytes.fromhex(payload["table"]))
+                   if payload["table"] else None),
         )
-        for o in json.loads(text)
-    )
-
-
-class ResultCache:
-    """SQLite-backed map ``(n, canonical key, config) -> CachedResult``.
-
-    ``path=":memory:"`` gives a process-local ephemeral cache with the same
-    interface.  The ``config`` column fingerprints the portfolio
-    configuration so differently-configured runs never cross-contaminate.
-    """
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS results (
-        n        INTEGER NOT NULL,
-        canon    TEXT    NOT NULL,
-        polarity INTEGER NOT NULL,
-        config   TEXT    NOT NULL,
-        strategy TEXT    NOT NULL,
-        area     INTEGER NOT NULL,
-        lattice  TEXT    NOT NULL,
-        outcomes TEXT    NOT NULL,
-        created  REAL    NOT NULL,
-        gtable   TEXT,
-        PRIMARY KEY (n, canon, polarity, config)
-    )
-    """
-
-    def __init__(self, path: str = ":memory:"):
-        self.path = path
-        # check_same_thread=False + RLock: the BatchEngine's non-blocking
-        # submit path runs batches on a dedicated executor thread while
-        # other threads (e.g. the server's stats endpoint) may probe the
-        # same connection; every statement takes the lock.
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        with self._lock:
-            self._conn.execute(self._SCHEMA)
-            # Migrate pre-semicanonical stores in place: the nullable
-            # gtable column (hex of TruthTable.to_bytes for wide-n
-            # entries) is simply absent there.
-            columns = {row[1] for row in self._conn.execute(
-                "PRAGMA table_info(results)")}
-            if "gtable" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE results ADD COLUMN gtable TEXT")
-            self._conn.commit()
-
-    # -- mapping interface ------------------------------------------------
-    def get(self, n: int, canon: str, polarity: bool,
-            config: str) -> CachedResult | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT strategy, lattice, outcomes, gtable FROM results"
-                " WHERE n = ? AND canon = ? AND polarity = ? AND config = ?",
-                (n, canon, int(polarity), config),
-            ).fetchone()
-        if row is None:
-            return None
-        strategy, lattice_text, outcomes_text, gtable_text = row
-        try:
-            return CachedResult(
-                strategy=strategy,
-                lattice=lattice_from_text(n, lattice_text),
-                outcomes=_outcomes_from_json(outcomes_text),
-                table=(TruthTable.from_bytes(bytes.fromhex(gtable_text))
-                       if gtable_text else None),
-            )
-        except (ValueError, TypeError, KeyError, IndexError,
-                json.JSONDecodeError):
-            # An unparseable row reads as a miss: the engine re-races and
-            # overwrites it (corruption costs time, never correctness).
-            return None
-
-    def put(self, n: int, canon: str, polarity: bool, config: str,
-            result: CachedResult) -> None:
-        self.put_many([(n, canon, polarity, config, result)])
-
-    def put_many(self, entries: list[tuple[int, str, bool, str, CachedResult]]
-                 ) -> None:
-        """Persist a batch of entries in a single transaction/fsync."""
-        now = time.time()
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO results"
-                " (n, canon, polarity, config,"
-                "  strategy, area, lattice, outcomes, created, gtable)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [(n, canon, int(polarity), config, result.strategy,
-                  result.area, lattice_to_text(result.lattice),
-                  _outcomes_to_json(result.outcomes), now,
-                  result.table.to_bytes().hex()
-                  if result.table is not None else None)
-                 for n, canon, polarity, config, result in entries],
-            )
-            self._conn.commit()
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM results").fetchone()
-        return int(count)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM results")
-            self._conn.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def __enter__(self) -> "ResultCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return None

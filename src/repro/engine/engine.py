@@ -3,7 +3,8 @@
 The pipeline for ``run(jobs)``:
 
 1. **Canonicalise** every job's function and probe the persistent cache
-   (:mod:`repro.engine.cache`) under the portfolio-config fingerprint.
+   (:mod:`repro.engine.cache` rows of a :class:`~repro.engine.store.JsonStore`)
+   under the portfolio-config fingerprint.
 2. **Dedupe** the misses by canonical key — one portfolio race per NPN
    class per batch, however many jobs land in it.
 3. **Shard** the unique races across the worker pool
@@ -20,6 +21,7 @@ deterministic, so serial and pooled runs return bit-identical results.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import random
 import threading
@@ -35,11 +37,14 @@ from ..boolean.truthtable import TruthTable
 from ..obs import get_logger, log_event, metrics, tracing
 from ..xbareval import implements_table
 from .cache import (
+    CACHE_NAMESPACE,
     MAX_NPN_VARS,
     CachedResult,
-    ResultCache,
+    cache_key,
     canonical_cache_key,
     canonical_polarity_table,
+    result_from_json,
+    result_to_json,
     transform_lattice_from_canonical,
 )
 from .jobs import (
@@ -50,6 +55,7 @@ from .jobs import (
 )
 from .pool import default_processes, map_sharded
 from .portfolio import PortfolioConfig, run_portfolio
+from .store import JsonStore
 
 _LOG = get_logger("engine")
 
@@ -196,17 +202,21 @@ class BatchEngine:
     """Parallel batch synthesis with a persistent NPN-canonical cache.
 
     Args:
-        cache_path: SQLite file for the result store (``":memory:"`` for an
-            ephemeral per-engine cache).
+        cache_path: SQLite file the cache rows live in (``":memory:"`` for
+            an ephemeral per-engine cache), or an open
+            :class:`~repro.engine.store.JsonStore` the engine borrows and
+            leaves open.
         processes: worker count for the sharded pool; ``1`` runs serially
             and ``None`` picks :func:`~repro.engine.pool.default_processes`.
         config: deterministic portfolio knobs (shared by every job).
     """
 
-    def __init__(self, cache_path: str = ":memory:",
+    def __init__(self, cache_path: str | JsonStore = ":memory:",
                  processes: int | None = 1,
                  config: PortfolioConfig | None = None):
-        self.cache = ResultCache(cache_path)
+        self._opened = contextlib.ExitStack()
+        self.store = (self._opened.enter_context(JsonStore(cache_path))
+                      if isinstance(cache_path, str) else cache_path)
         self.processes = default_processes() if processes is None else processes
         self.config = config or PortfolioConfig()
         self.stats = EngineStats()
@@ -233,7 +243,7 @@ class BatchEngine:
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
         self._submit_executor.shutdown(wait=True)
-        self.cache.close()
+        self._opened.close()
 
     def __enter__(self) -> "BatchEngine":
         return self
@@ -248,7 +258,7 @@ class BatchEngine:
 
         Batches are serialised through a single dedicated worker thread
         (they already shard internally over the process pool, so stacking
-        batch-level threads on top would only contend on the cache
+        batch-level threads on top would only contend on the store
         connection).  Callers — the async server's worker bridge first
         among them — can await the future off their event loop while
         further submissions queue behind it.
@@ -278,7 +288,7 @@ class BatchEngine:
         # is shared by a function and its complement-reachable classmates,
         # so the *polarity* of the witness (its output negation) is part of
         # the slot: each class stores up to two lattices, one per polarity.
-        keys: list[tuple[str, NpnTransform]] = []
+        transforms: list[NpnTransform] = []
         probed: list[CachedResult | None] = []
         tasks: dict[str, tuple[str, int, int, tuple[str, ...]]] = {}
         task_keys: list[str] = []
@@ -287,10 +297,10 @@ class BatchEngine:
             for job in jobs:
                 table = job.table
                 canon, transform = canonical_cache_key(table)
-                config_fp = self.config.fingerprint(job.strategies)
-                polarity = transform.output_negate
-                keys.append((canon, transform))
-                cached = self.cache.get(job.n, canon, polarity, config_fp)
+                transforms.append(transform)
+                task_key = cache_key(job.n, canon, transform.output_negate,
+                                     self.config.fingerprint(job.strategies))
+                cached = result_from_json(job.n, self.store.get(task_key))
                 if cached is not None and cached.table is not None:
                     # Semi-canonical keys hash the full representative, so
                     # a collision cannot happen in practice — but the
@@ -300,7 +310,6 @@ class BatchEngine:
                                                                transform):
                         cached = None
                 probed.append(cached)
-                task_key = f"{job.n}/{canon}/{int(polarity)}/{config_fp}"
                 task_keys.append(task_key)
                 if cached is None:
                     if task_key in tasks:
@@ -318,16 +327,14 @@ class BatchEngine:
                                      self.processes))
         for result in raced.values():
             self._observe_race(result)
-        self.cache.put_many([
-            (int(n), canon, polarity == "1", config_fp, result)
-            for task_key, result in raced.items()
-            for n, canon, polarity, config_fp in [task_key.split("/", 3)]
-        ])
+        if raced:
+            self.store.put_many([(task_key, result_to_json(result))
+                                 for task_key, result in raced.items()])
 
         # Phase 4: rewrite each canonical answer back to its job.
         with tracing.span("engine.rewrite", jobs=len(jobs)):
-            results, healed = self._rewrite_phase(jobs, keys, probed, raced,
-                                                  task_keys)
+            results, healed = self._rewrite_phase(jobs, transforms, probed,
+                                                  raced, task_keys)
 
         # Accounting: one atomic fold into the shared stats, mirrored to
         # the metrics registry (counters are independently atomic; scrape
@@ -381,15 +388,15 @@ class BatchEngine:
     def _rewrite_phase(
         self,
         jobs: list[SynthesisJob],
-        keys: list[tuple[str, NpnTransform]],
+        transforms: list[NpnTransform],
         probed: list[CachedResult | None],
         raced: dict[str, CachedResult],
         task_keys: list[str],
     ) -> tuple[list[JobResult], dict[str, CachedResult]]:
         results: list[JobResult] = []
         healed: dict[str, CachedResult] = {}
-        for index, (job, (_canon, transform), cached) in enumerate(
-                zip(jobs, keys, probed)):
+        for index, (job, transform, cached) in enumerate(
+                zip(jobs, transforms, probed)):
             job_start = time.perf_counter()
             hit = cached is not None
             if cached is None:
@@ -413,10 +420,7 @@ class BatchEngine:
                         (task_keys[index], job.n, g_table.bits,
                          job.strategies),
                         self.config)
-                    n, canon_text, polarity, config_fp = \
-                        task_keys[index].split("/", 3)
-                    self.cache.put(int(n), canon_text, polarity == "1",
-                                   config_fp, cached)
+                    self.store.put(task_keys[index], result_to_json(cached))
                     healed[task_keys[index]] = cached
                     self._observe_race(cached)
                 hit = False
@@ -446,5 +450,6 @@ class BatchEngine:
     def report(self) -> str:
         """Human-readable throughput / cache summary."""
         mode = "serial" if self.processes <= 1 else f"{self.processes} workers"
-        return (f"BatchEngine [{mode}, cache={self.cache.path}, "
-                f"{len(self.cache)} entries]\n" + self.stats.render())
+        return (f"BatchEngine [{mode}, cache={self.store.path}, "
+                f"{self.store.count(CACHE_NAMESPACE)} entries]\n"
+                + self.stats.render())

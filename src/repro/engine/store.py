@@ -1,19 +1,19 @@
-"""Generic persisted JSON store + claimable experiment-grid rows.
+"""The one SQLite store: persisted JSON rows + claimable experiment-grid rows.
 
-The synthesis path keys lattices by NPN-canonical form
-(:mod:`repro.engine.cache`); other batched workloads — first among them the
-Monte-Carlo fault-tolerance campaigns of :mod:`repro.faultlab` — need the
-same durability with free-form keys and JSON payloads.  :class:`JsonStore`
-gives them one table with the cache layer's conventions:
+Every batched workload persists through :class:`JsonStore`, with
+free-form keys and JSON payloads: the synthesis engine's NPN cache rows
+(the ``npn/`` namespace of :mod:`repro.engine.cache`), the Monte-Carlo
+campaign estimates of :mod:`repro.faultlab` and :mod:`repro.varsim`, and
+the grid families' point payloads.  Its conventions:
 
 * SQLite-backed, ``":memory:"`` for an ephemeral per-process store;
 * writes batched into single transactions (``put_many``);
 * unparseable rows read as misses, so corruption costs recompute time,
   never correctness.
 
-Both stores can share one SQLite file: they own distinct tables, so a
-single ``results.sqlite`` can hold the synthesis cache *and* every
-campaign estimate.
+This module is the only one that opens SQLite connections (lint rule
+``NX201``), so a single ``results.sqlite`` holds the synthesis cache
+*and* every campaign estimate behind one connection per store object.
 
 The same file also carries the **experiment-grid rows** that
 :mod:`repro.grid` materialises: each grid point is one row in a
@@ -239,9 +239,15 @@ class JsonStore:
         )
 
     def __len__(self) -> int:
+        return self.count()
+
+    def count(self, prefix: str = "") -> int:
+        """How many entries have keys starting with ``prefix``."""
         with self._lock:
             (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM json_store").fetchone()
+                "SELECT COUNT(*) FROM json_store"
+                " WHERE substr(key, 1, length(?)) = ?",
+                (prefix, prefix)).fetchone()
         return int(count)
 
     def clear(self) -> None:

@@ -7,7 +7,11 @@
   through the same :attr:`CampaignFamily.spec` parser as grid points do, and a
   grid point is computed as the one-point campaign it parses to, so all of
   them share point keys and store payloads and dedup against each other.
-* ``synthesis`` — one portfolio race per (benchmark, strategy set).
+* ``synthesis`` — one synthesis job, answered by the
+  :class:`~repro.engine.BatchEngine` on the grid's own store.  Served
+  synthesis jobs parse through the same :func:`parse_synthesis_job`, and
+  a point's payload is the served record minus ``cache_hit``, so a grid
+  sweep and a served batch share the engine's NPN cache rows both ways.
 * ``bench`` — SOP metric extraction per benchmark (the Fig. 3/5 size
   formula inputs).
 
@@ -21,10 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from ..engine import DEFAULT_STRATEGIES, known_strategies, lattice_to_text, run_portfolio
+from ..engine import (
+    DEFAULT_STRATEGIES,
+    BatchEngine,
+    FaultToleranceSpec,
+    JobResult,
+    JsonStore,
+    SynthesisJob,
+    known_strategies,
+    lattice_from_text,
+    lattice_to_text,
+)
 from ..engine.campaign import build_spec, check_keys, request_keys
 from ..faultlab import campaign as faultsim_campaign
 from ..varsim import campaign as varsweep_campaign
+from ..xbareval import implements_table
 
 
 class GridConfigError(ValueError):
@@ -47,15 +62,82 @@ def _benchmark(params: dict[str, Any]):
         raise GridPointError(str(error.args[0])) from None
 
 
-def parse_strategies(value: Any) -> tuple[str, ...]:
-    """A non-empty list of strategy names the portfolio knows."""
-    if not isinstance(value, (list, tuple)) or not value:
+#: The keys that name a synthesis job's function as a truth table.
+_TABLE_KEYS = {"label", "n", "bits"}
+
+
+def parse_synthesis_job(params: dict[str, Any]) -> SynthesisJob:
+    """The synthesis-job parser of the server and the grid.
+
+    The function is ``bench`` (a suite name) or ``label`` + ``n`` +
+    ``bits`` (its packed truth table).  ``strategies`` is a list or a
+    comma string (the full portfolio by default); ``fault_tolerance`` an
+    object of :class:`~repro.engine.FaultToleranceSpec` fields.  Unknown
+    keys, and ``bench`` next to a truth-table key, are rejected by name.
+    """
+    if "bench" in params and params.keys() & _TABLE_KEYS:
         raise GridPointError(
-            f"'strategies' must be a non-empty list, got {value!r}")
-    unknown = [name for name in value if name not in known_strategies()]
+            f"'bench' names the function; drop "
+            f"{sorted(params.keys() & _TABLE_KEYS)}")
+    check_keys(params, {"strategies", "fault_tolerance",
+                        *({"bench"} if "bench" in params else _TABLE_KEYS)})
+    strategies = params.get("strategies", DEFAULT_STRATEGIES)
+    if isinstance(strategies, str):
+        strategies = [name for name in strategies.split(",") if name]
+    if not isinstance(strategies, (list, tuple)) or not strategies:
+        raise GridPointError(
+            f"'strategies' must be a non-empty list, got {strategies!r}")
+    unknown = [name for name in strategies if name not in known_strategies()]
     if unknown:
         raise GridPointError(f"unknown strategies {unknown}")
-    return tuple(value)
+    fault_tolerance = None
+    if "fault_tolerance" in params:
+        if not isinstance(params["fault_tolerance"], dict):
+            raise GridPointError("fault_tolerance must be a JSON object")
+        try:
+            fault_tolerance = FaultToleranceSpec(**params["fault_tolerance"])
+        except (TypeError, ValueError) as error:
+            raise GridPointError(
+                f"bad fault_tolerance spec: {error}") from None
+    if "bench" in params:
+        benchmark = _benchmark(params)
+        return SynthesisJob.from_function(
+            benchmark.function, benchmark.name, tuple(strategies),
+            fault_tolerance)
+    try:
+        return SynthesisJob(
+            label=str(params["label"]), n=int(params["n"]),
+            bits=int(params["bits"]), strategies=tuple(strategies),
+            fault_tolerance=fault_tolerance)
+    except KeyError as error:
+        raise GridPointError(
+            f"missing required parameter {error.args[0]!r}") from None
+    except (TypeError, ValueError) as error:
+        raise GridPointError(str(error)) from None
+
+
+def job_key(job: SynthesisJob) -> str:
+    """The content address of a synthesis job: what its answer depends on.
+
+    The function *content* (not how the client spelled it), the strategy
+    portfolio and any fault-tolerance post-processing.
+    """
+    return (f"{job.label}/{job.n}/{job.table.content_hash()}"
+            f"/{','.join(job.strategies)}/{job.fault_tolerance!r}")
+
+
+def job_result_record(result: JobResult) -> dict:
+    """One synthesis answer as a JSON record (lattice in text form)."""
+    return {
+        "label": result.label,
+        "n": result.n,
+        "strategy": result.strategy,
+        "rows": result.shape[0],
+        "cols": result.shape[1],
+        "area": result.area,
+        "cache_hit": result.cache_hit,
+        "lattice": lattice_to_text(result.lattice),
+    }
 
 
 def _varsweep_spec_from_params(params: dict[str, Any], point: bool = False):
@@ -97,7 +179,7 @@ class CampaignFamily:
     def key(self, spec) -> str:
         return spec.points()[0].key()
 
-    def compute(self, spec, processes: int) -> dict:
+    def compute(self, spec, processes: int, store: JsonStore | None) -> dict:
         (estimate,) = self.iterate(spec, None, processes)
         return self.encode(estimate)
 
@@ -106,43 +188,35 @@ class CampaignFamily:
 
 
 class _Synthesis:
-    """One portfolio race per (benchmark, strategy set)."""
+    """One synthesis job, answered by the engine on the grid's store."""
 
-    def parse(self, params: dict[str, Any]):
-        check_keys(params, {"bench", "strategies"})
-        strategies = params.get("strategies", list(DEFAULT_STRATEGIES))
-        if isinstance(strategies, str):
-            strategies = [name for name in strategies.split(",") if name]
-        return _benchmark(params), parse_strategies(strategies)
+    parse = staticmethod(parse_synthesis_job)
 
-    def key(self, parsed) -> str:
-        benchmark, strategies = parsed
-        return (f"grid/synthesis/v1/{benchmark.name}"
-                f"/{benchmark.function.on.content_hash()}"
-                f"/{','.join(strategies)}")
+    def key(self, job: SynthesisJob) -> str:
+        return f"grid/synthesis/v2/{job_key(job)}"
 
-    def compute(self, parsed, processes: int) -> dict:
-        benchmark, strategies = parsed
-        result = run_portfolio(benchmark.function.on, strategies)
-        return {
-            "bench": benchmark.name,
-            "n": benchmark.n,
-            "strategy": result.strategy,
-            "rows": result.lattice.rows,
-            "cols": result.lattice.cols,
-            "area": result.area,
-            "lattice": lattice_to_text(result.lattice),
-            "outcomes": [
-                {"strategy": outcome.strategy, "status": outcome.status,
-                 "area": outcome.area}
-                for outcome in result.outcomes
-            ],
-        }
+    def compute(self, job: SynthesisJob, processes: int,
+                store: JsonStore | None) -> dict:
+        with BatchEngine(":memory:" if store is None else store,
+                         processes) as engine:
+            (result,) = engine.run([job])
+        record = job_result_record(result)
+        del record["cache_hit"]
+        return record
 
-    def validate(self, parsed, payload: Any) -> bool:
-        return (isinstance(payload, dict)
-                and isinstance(payload.get("lattice"), str)
-                and isinstance(payload.get("area"), int))
+    def validate(self, job: SynthesisJob, payload: Any) -> bool:
+        """The payload's lattice must implement the job's function."""
+        try:
+            lattice = lattice_from_text(job.n, payload["lattice"])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            return False
+        return (isinstance(payload.get("strategy"), str)
+                and (payload.get("label"), payload.get("n"),
+                     payload.get("rows"), payload.get("cols"),
+                     payload.get("area"))
+                == (job.label, job.n, lattice.rows, lattice.cols,
+                    lattice.area)
+                and implements_table(lattice, job.table))
 
 
 class _Bench:
@@ -156,7 +230,8 @@ class _Bench:
         return (f"grid/bench/v1/{benchmark.name}"
                 f"/{benchmark.function.on.content_hash()}")
 
-    def compute(self, benchmark, processes: int) -> dict:
+    def compute(self, benchmark, processes: int,
+                store: JsonStore | None) -> dict:
         return {"bench": benchmark.name, **benchmark.function.sop_metrics()}
 
     def validate(self, benchmark, payload: Any) -> bool:
@@ -214,10 +289,16 @@ def point_key(family: str, params: dict[str, Any]) -> str:
     return handler.key(parsed)
 
 
-def compute(family: str, params: dict[str, Any], processes: int = 1) -> dict:
-    """Run one point from scratch; deterministic in ``params`` alone."""
+def compute(family: str, params: dict[str, Any], processes: int = 1,
+            store: JsonStore | None = None) -> dict:
+    """Run one point; deterministic in ``params`` alone.
+
+    ``store`` is the grid's store: the synthesis family reads and fills
+    the engine's NPN cache rows there (an ephemeral cache without one).
+    The other families compute from scratch either way.
+    """
     handler, parsed = _parse(family, params)
-    return handler.compute(parsed, processes)
+    return handler.compute(parsed, processes, store)
 
 
 def validate_payload(family: str, params: dict[str, Any],

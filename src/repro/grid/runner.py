@@ -9,7 +9,8 @@ The lifecycle (see ``docs/grid.md`` for the state diagram):
    in ``done`` with ``worker='store'``).
 2. :func:`work_loop` is one worker's claim loop: claim the next pending
    row under a lease, compute it (a pure function of the row's params —
-   see :mod:`repro.grid.families`), publish the result through
+   see :mod:`repro.grid.families`; synthesis points go through the
+   engine's NPN cache rows in the same store), publish the result through
    ``grid_complete`` *and* mirror it into ``json_store`` under the same
    key, so later ``run_campaign`` calls see grid results as cache hits.
 3. :func:`run_workers` fans ``work_loop`` out across worker processes
@@ -91,7 +92,7 @@ def run_point(config: GridConfig, store: JsonStore, row: GridRow,
         start = time.perf_counter()
         try:
             payload = families.compute(config.family, row.params,
-                                       config.processes)
+                                       config.processes, store)
         except Exception as error:
             verdict = store.grid_fail(
                 row.grid_id, row.point_key, worker,

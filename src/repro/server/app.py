@@ -123,8 +123,8 @@ class BatchServer:
     Args:
         host/port: bind address (``port=0`` picks an ephemeral port,
             published on ``self.port`` once started).
-        cache_path: SQLite file shared by the synthesis cache and the
-            campaign store (``":memory:"`` for ephemeral).
+        cache_path: SQLite file of the one store holding the synthesis
+            cache, campaign and grid rows (``":memory:"`` for ephemeral).
         processes: pool width each job shards over.
         job_workers: how many jobs may compute concurrently.
         obs_tick: metrics-recorder tick interval in seconds (``None``

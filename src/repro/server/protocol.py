@@ -38,22 +38,18 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ..engine import (
-    DEFAULT_STRATEGIES,
-    FaultToleranceSpec,
-    JobResult,
-    SynthesisJob,
-    lattice_to_text,
-)
+from ..engine import SynthesisJob
+from ..engine.campaign import check_keys
 from ..engine.store import GridRow
 from ..faultlab import CampaignSpec
-# Each campaign family's per-point record lives with the family; the
-# server re-exports it under its wire-format name.
+# Each family's per-point record lives with the family; the server
+# re-exports it under its wire-format name.
 from ..faultlab.campaign import estimate_record as fault_estimate_record  # noqa: F401
 from ..grid import GridConfig, GridConfigError, GridPointError
 from ..grid import config_from_dict as grid_config_from_dict
 from ..grid import point_key as grid_point_key
-from ..grid.families import CAMPAIGNS, parse_strategies
+from ..grid.families import CAMPAIGNS, job_key, parse_synthesis_job
+from ..grid.families import job_result_record as job_result_record
 from ..varsim import VariationCampaignSpec
 from ..varsim.campaign import estimate_record as variation_estimate_record  # noqa: F401
 
@@ -97,67 +93,32 @@ def _digest(kind: str, parts: list[str]) -> str:
 # ----------------------------------------------------------------------
 # Submissions
 # ----------------------------------------------------------------------
-def _synthesis_job_from_json(entry: Any) -> SynthesisJob:
-    if not isinstance(entry, dict):
-        raise ProtocolError("synthesis jobs must be JSON objects")
-    try:
-        strategies = parse_strategies(
-            entry.get("strategies", DEFAULT_STRATEGIES))
-    except GridPointError as error:
-        raise ProtocolError(str(error)) from error
-    fault_tolerance = None
-    if "fault_tolerance" in entry:
-        ft = entry["fault_tolerance"]
-        if not isinstance(ft, dict):
-            raise ProtocolError("fault_tolerance must be a JSON object")
-        try:
-            fault_tolerance = FaultToleranceSpec(**ft)
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(f"bad fault_tolerance spec: {error}") from error
-    if "bench" in entry:
-        from ..eval.benchsuite import by_name
-
-        try:
-            benchmark = by_name(str(entry["bench"]))
-        except KeyError as error:
-            raise ProtocolError(str(error.args[0])) from error
-        return SynthesisJob.from_function(
-            benchmark.function, benchmark.name, strategies, fault_tolerance)
-    try:
-        return SynthesisJob(
-            label=str(_require(entry, "label")),
-            n=int(_require(entry, "n")),
-            bits=int(_require(entry, "bits")),
-            strategies=strategies,
-            fault_tolerance=fault_tolerance,
-        )
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"bad synthesis job: {error}") from error
-
-
 def _parse_synthesis(payload: dict) -> Submission:
     entries = _require(payload, "jobs")
     if not isinstance(entries, list) or not entries:
         raise ProtocolError("synthesis submissions need a non-empty "
                             "'jobs' list")
-    shared = {}
-    for field in ("strategies", "fault_tolerance"):
-        if field in payload:
-            shared[field] = payload[field]
-    jobs = tuple(_synthesis_job_from_json({**shared, **entry})
-                 for entry in entries)
-    # The coalesce key addresses the computation: the function *content*
-    # (not how the client spelled it), the strategy portfolio and any
-    # fault-tolerance post-processing, in submission order.
-    parts = [
-        f"{job.label}/{job.n}/{job.table.content_hash()}"
-        f"/{','.join(job.strategies)}/{job.fault_tolerance!r}"
-        for job in jobs
-    ]
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise ProtocolError("synthesis jobs must be JSON objects")
+    # Top-level strategies / fault_tolerance apply to every job; each job
+    # (and the submission itself) parses through the grid family's parser.
+    shared = {field: payload[field]
+              for field in ("strategies", "fault_tolerance")
+              if field in payload}
+    try:
+        check_keys(payload, {"kind", "jobs", "strategies",
+                             "fault_tolerance"})
+        jobs = tuple(parse_synthesis_job({**shared, **entry})
+                     for entry in entries)
+    except ValueError as error:
+        raise ProtocolError(f"bad synthesis submission: {error}") from error
+    # The coalesce key addresses the computation (see job_key), in
+    # submission order.
     echo = {"kind": "synthesis",
             "jobs": [{"label": job.label, "n": job.n} for job in jobs]}
     return Submission(kind="synthesis",
-                      coalesce_key=_digest("synthesis", parts),
+                      coalesce_key=_digest("synthesis",
+                                           [job_key(job) for job in jobs]),
                       points_total=len(jobs), jobs=jobs, echo=echo)
 
 
@@ -224,20 +185,6 @@ def parse_submission(payload: Any) -> Submission:
 # ----------------------------------------------------------------------
 # Per-point result records
 # ----------------------------------------------------------------------
-def job_result_record(result: JobResult) -> dict:
-    """One synthesis answer as a JSON record (lattice in text form)."""
-    return {
-        "label": result.label,
-        "n": result.n,
-        "strategy": result.strategy,
-        "rows": result.shape[0],
-        "cols": result.shape[1],
-        "area": result.area,
-        "cache_hit": result.cache_hit,
-        "lattice": lattice_to_text(result.lattice),
-    }
-
-
 def grid_row_record(row: GridRow, verdict: str) -> dict:
     """One terminal grid row as a JSON record."""
     return {

@@ -11,7 +11,8 @@ progress through a thread-safe ``emit`` callback the job queue provides
 
 Shared state is safe by construction: synthesis batches are serialised
 through :meth:`repro.engine.engine.BatchEngine.submit` (one dedicated
-engine thread), and campaign points persist through the thread-safe
+engine thread), and the engine's cache rows, campaign points and grid
+rows all persist through one thread-safe
 :class:`~repro.engine.store.JsonStore`.
 """
 
@@ -21,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from ..engine import BatchEngine, JsonStore
+from ..engine.cache import CACHE_NAMESPACE
 from ..grid import iter_grid_points
 from ..grid.families import CAMPAIGNS
 from ..obs import tracing
@@ -37,9 +39,9 @@ class WorkerBridge:
     """Runs submissions on worker threads, streaming per-point records.
 
     Args:
-        cache_path: one SQLite file backing *both* the engine's
-            NPN-canonical cache and the campaign ``JsonStore`` (they own
-            distinct tables); ``":memory:"`` keeps each ephemeral.
+        cache_path: the SQLite file of the one ``JsonStore`` that holds
+            the engine's NPN-canonical cache rows, the campaign payloads
+            and the grid rows; ``":memory:"`` keeps it ephemeral.
         processes: pool width each job shards over
             (:func:`repro.engine.pool.map_sharded`).
         job_workers: how many served jobs may compute concurrently.
@@ -59,9 +61,8 @@ class WorkerBridge:
     def __init__(self, cache_path: str = ":memory:", processes: int = 1,
                  job_workers: int = 2, obs_tick: float | None = None,
                  health_rules=None):
-        self.engine = BatchEngine(cache_path=cache_path,
-                                  processes=processes)
         self.store = JsonStore(cache_path)
+        self.engine = BatchEngine(self.store, processes=processes)
         self.processes = processes
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, job_workers),
@@ -126,10 +127,11 @@ class WorkerBridge:
     def stats(self) -> dict:
         """Engine hit/dedup statistics plus store occupancy."""
         latest = self.recorder.latest()
+        cached = self.store.count(CACHE_NAMESPACE)
         return {
             "engine": self.engine.stats.as_dict(),
-            "synthesis_cache_entries": len(self.engine.cache),
-            "campaign_store_entries": len(self.store),
+            "synthesis_cache_entries": cached,
+            "campaign_store_entries": len(self.store) - cached,
             "health": self.health.status(),
             "resources": latest["resources"] if latest else None,
         }

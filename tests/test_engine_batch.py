@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.boolean.truthtable import TruthTable
 from repro.engine import (
     BatchEngine,
     FaultToleranceSpec,
+    JsonStore,
     PortfolioConfig,
     SynthesisJob,
+    canonical_cache_key,
     chunk_size,
     known_strategies,
     map_sharded,
     run_portfolio,
 )
+from repro.engine.cache import CACHE_NAMESPACE, cache_key
 from repro.eval.benchsuite import suite
 from repro.eval.cli import main as cli_main
 
@@ -25,6 +31,13 @@ def _semantics(outcomes):
     """Strategy outcomes minus the reporting-only wall-clock field."""
     return [(o.strategy, o.status, o.area, o.shape, o.detail)
             for o in outcomes]
+
+
+def _cache_key(job):
+    """The store key of the NPN cache row answering ``job``."""
+    canon, transform = canonical_cache_key(job.table)
+    return cache_key(job.n, canon, transform.output_negate,
+                     PortfolioConfig().fingerprint(job.strategies))
 
 
 def _jobs(max_vars=4, strategies=FAST, fault_tolerance=None):
@@ -219,20 +232,20 @@ class TestBatchEngine:
     def test_corrupted_cache_self_heals(self, tmp_path):
         """Corruption costs time, never correctness: a tampered entry is
         re-raced and overwritten, not fatal to the batch."""
-        import sqlite3
-
         path = str(tmp_path / "cache.sqlite")
         jobs = _jobs(max_vars=3)
         with BatchEngine(cache_path=path) as engine:
             good = engine.run(jobs)
-        conn = sqlite3.connect(path)
-        # Sabotage every row two ways: one unparseable, the rest a valid
-        # lattice text computing the wrong function (all-constant-1 site).
-        conn.execute("UPDATE results SET lattice = 'garbage tokens !!'"
-                     " WHERE rowid = 1")
-        conn.execute("UPDATE results SET lattice = '1' WHERE rowid > 1")
-        conn.commit()
-        conn.close()
+        keys = list(dict.fromkeys(_cache_key(job) for job in jobs))
+        with JsonStore(path) as store:
+            # Sabotage every row two ways: one unparseable, the rest a
+            # valid lattice text computing the wrong function (an
+            # all-constant-1 site).
+            for index, key in enumerate(keys):
+                payload = store.get(key)
+                assert payload is not None
+                payload["lattice"] = "garbage tokens !!" if index == 0 else "1"
+                store.put(key, payload)
         with BatchEngine(cache_path=path) as engine:
             healed = engine.run(jobs)
             # Stats agree with the per-result story: nothing counts as a
@@ -267,6 +280,51 @@ class TestBatchEngine:
             engine.run(_jobs(max_vars=2))
             text = engine.report()
         assert "hit_rate" in text and "throughput" in text
+
+    def test_borrowed_store_is_shared_safely_across_threads(self):
+        """The server's layout: the engine's batch thread and other
+        threads write one store; no row is lost and the borrowed store
+        outlives the engine."""
+        jobs = _jobs(max_vars=3)
+        errors = []
+
+        def write(worker):
+            try:
+                for index in range(40):
+                    store.put(f"campaign/{worker}/{index}", {"i": index})
+            except Exception as error:  # reported below, not lost in a thread
+                errors.append(error)
+
+        def synthesize():
+            try:
+                for _ in range(4):
+                    results = engine.submit(jobs).result(timeout=60)
+                    assert [r.lattice for r in results] == cold
+            except Exception as error:  # reported below, not lost in a thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JsonStore() as store:
+                with BatchEngine(store) as engine:
+                    cold = [r.lattice for r in engine.run(jobs)]
+                    threads = [threading.Thread(target=write, args=(w,))
+                               for w in range(3)]
+                    threads += [threading.Thread(target=synthesize)
+                                for _ in range(3)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(t.is_alive() for t in threads)
+                    races = engine.stats.races_run
+                assert errors == []
+                assert store.count("campaign/") == 3 * 40
+                assert store.count(CACHE_NAMESPACE) == races
+                assert engine.stats.cache_hits == 3 * 4 * len(jobs)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

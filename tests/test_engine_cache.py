@@ -1,4 +1,4 @@
-"""NPN-canonical cache keys, witness rewrites, and the SQLite store."""
+"""NPN-canonical cache keys, witness rewrites, and the cache rows."""
 
 from __future__ import annotations
 
@@ -10,16 +10,19 @@ from repro.boolean.npn import apply_transform, npn_canonical
 from repro.boolean.truthtable import TruthTable
 from repro.engine.cache import (
     CachedResult,
-    ResultCache,
+    cache_key,
     canonical_cache_key,
     canonical_polarity_table,
     lattice_from_text,
     lattice_to_text,
+    result_from_json,
+    result_to_json,
     transform_lattice_from_canonical,
     transform_lattice_to_canonical,
 )
 from repro.engine.jobs import StrategyOutcome
 from repro.engine.portfolio import PortfolioConfig
+from repro.engine.store import JsonStore
 from repro.synthesis.compose import constant_lattice
 from repro.synthesis.lattice_dual import synthesize_lattice_dual
 from repro.synthesis.optimize import fold_lattice
@@ -163,19 +166,31 @@ class TestLatticeSerialisation:
 
 
 class TestResultCache:
+    """The NPN result cache: codec rows in the shared ``JsonStore``."""
+
     def _entry(self, table: TruthTable) -> CachedResult:
         lattice = _synthesize(table)
         outcome = StrategyOutcome("dual", "ok", lattice.area, lattice.shape,
                                   0.1, "")
         return CachedResult("dual", lattice, (outcome,))
 
+    @staticmethod
+    def _get(store, n, canon, polarity, config):
+        return result_from_json(n, store.get(cache_key(n, canon, polarity,
+                                                       config)))
+
+    @staticmethod
+    def _put(store, n, canon, polarity, config, result):
+        store.put(cache_key(n, canon, polarity, config),
+                  result_to_json(result))
+
     def test_put_get_memory(self):
         table = TruthTable.from_bits(3, 0b10010110)
         canon, _ = canonical_cache_key(table)
-        with ResultCache() as cache:
-            assert cache.get(3, canon, False, "cfg") is None
-            cache.put(3, canon, False, "cfg", self._entry(table))
-            got = cache.get(3, canon, False, "cfg")
+        with JsonStore() as cache:
+            assert self._get(cache, 3, canon, False, "cfg") is None
+            self._put(cache, 3, canon, False, "cfg", self._entry(table))
+            got = self._get(cache, 3, canon, False, "cfg")
             assert got is not None
             assert got.strategy == "dual"
             assert got.lattice.implements(table)
@@ -185,9 +200,9 @@ class TestResultCache:
     def test_config_isolation(self):
         table = TruthTable.from_bits(3, 0b10010110)
         canon, _ = canonical_cache_key(table)
-        with ResultCache() as cache:
-            cache.put(3, canon, False, "cfg-a", self._entry(table))
-            assert cache.get(3, canon, False, "cfg-b") is None
+        with JsonStore() as cache:
+            self._put(cache, 3, canon, False, "cfg-a", self._entry(table))
+            assert self._get(cache, 3, canon, False, "cfg-b") is None
 
     def test_polarity_slots_are_distinct(self):
         """A class stores up to two lattices: one per witness polarity."""
@@ -197,30 +212,33 @@ class TestResultCache:
         key_g, t_g = canonical_cache_key(g)
         assert key_f == key_g
         assert t_f.output_negate != t_g.output_negate
-        with ResultCache() as cache:
-            cache.put(2, key_f, t_f.output_negate, "cfg", self._entry(f))
-            assert cache.get(2, key_g, t_g.output_negate, "cfg") is None
-            cache.put(2, key_g, t_g.output_negate, "cfg", self._entry(g))
+        with JsonStore() as cache:
+            self._put(cache, 2, key_f, t_f.output_negate, "cfg",
+                      self._entry(f))
+            assert self._get(cache, 2, key_g, t_g.output_negate,
+                             "cfg") is None
+            self._put(cache, 2, key_g, t_g.output_negate, "cfg",
+                      self._entry(g))
             assert len(cache) == 2
-            got = cache.get(2, key_f, t_f.output_negate, "cfg")
+            got = self._get(cache, 2, key_f, t_f.output_negate, "cfg")
             assert got is not None and got.lattice.implements(f)
 
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
         table = TruthTable.from_bits(4, 0x6996)
         canon, _ = canonical_cache_key(table)
-        with ResultCache(path) as cache:
-            cache.put(4, canon, False, "cfg", self._entry(table))
-        with ResultCache(path) as cache:
-            got = cache.get(4, canon, False, "cfg")
+        with JsonStore(path) as cache:
+            self._put(cache, 4, canon, False, "cfg", self._entry(table))
+        with JsonStore(path) as cache:
+            got = self._get(cache, 4, canon, False, "cfg")
             assert got is not None
             assert got.lattice.implements(table)
 
     def test_clear(self):
         table = TruthTable.from_bits(2, 0b0110)
         canon, _ = canonical_cache_key(table)
-        with ResultCache() as cache:
-            cache.put(2, canon, False, "cfg", self._entry(table))
+        with JsonStore() as cache:
+            self._put(cache, 2, canon, False, "cfg", self._entry(table))
             cache.clear()
             assert len(cache) == 0
 

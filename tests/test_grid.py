@@ -195,17 +195,50 @@ class TestFamilies:
         assert not families.validate_payload("bench", {"bench": "xnor2"},
                                              {"bench": "xnor2"})
 
-    def test_synthesis_compute_reports_portfolio_outcomes(self):
+    def test_synthesis_compute_is_the_engine_record(self):
+        from repro.engine import BatchEngine, SynthesisJob
+        from repro.eval.benchsuite import by_name
+
         params = {"bench": "xnor2", "strategies": "dual,optimal"}
         payload = families.compute("synthesis", params)
-        assert payload["bench"] == "xnor2"
+        with BatchEngine() as engine:
+            (result,) = engine.run([SynthesisJob.from_function(
+                by_name("xnor2").function, "xnor2", ("dual", "optimal"))])
+        assert payload == _without_cache_hit(
+            families.job_result_record(result))
         assert payload["rows"] * payload["cols"] == payload["area"]
-        assert {o["strategy"] for o in payload["outcomes"]} == \
-            {"dual", "optimal"}
         assert families.validate_payload("synthesis", params, payload)
         with pytest.raises(GridPointError, match="unknown strategies"):
             point_key("synthesis", {"bench": "xnor2",
                                     "strategies": "alchemy"})
+
+    def test_tampered_synthesis_payload_is_recomputed(self):
+        """A stored payload whose lattice does not implement the point's
+        function is not valid: plan leaves the row pending, and the drain
+        recomputes and overwrites it."""
+        params = {"bench": "xnor2", "strategies": ["dual"]}
+        config = config_from_dict({"name": "tampered", "family": "synthesis",
+                                   "points": [params]})
+        good = families.compute("synthesis", params)
+        key = point_key("synthesis", params)
+        tampered = [
+            {**good, "lattice": "1", "rows": 1, "cols": 1, "area": 1},
+            {**good, "lattice": "garbage tokens !!"},
+            {**good, "area": good["area"] + 1},
+            "not a payload",
+        ]
+        for payload in tampered:
+            assert not families.validate_payload("synthesis", params,
+                                                 payload)
+        with JsonStore() as store:
+            store.put(key, tampered[0])
+            grid_id, _, _ = plan(config, store)
+            assert store.grid_counts(grid_id) == {"pending": 1}
+            work_loop(config, grid_id, store, "w0")
+            [row] = export_rows(store, grid_id)
+            assert row["status"] == "done" and row["worker"] == "w0"
+            assert row["result"] == good
+            assert store.get(key) == good
 
 
 class TestFrontEndsShareKeys:
@@ -236,6 +269,84 @@ class TestFrontEndsShareKeys:
         assert point_key(served.kind, {**point, **trials}) == key
         with JsonStore(store) as persisted:
             assert len(persisted) == 1 and persisted.get(key) is not None
+
+
+def _without_cache_hit(record):
+    return {name: value for name, value in record.items()
+            if name != "cache_hit"}
+
+
+class TestOneSynthesisPath:
+    """Served and grid synthesis are one compute path over one cache.
+
+    Every suite function with n <= 4 under the default strategies: the
+    grid payload is the served record minus ``cache_hit``, and on one
+    store file either front end answers from what the other computed.
+    """
+
+    @staticmethod
+    def _serve(path, names):
+        from repro.server.protocol import parse_submission
+        from repro.server.worker import WorkerBridge
+
+        events = []
+        bridge = WorkerBridge(cache_path=path, processes=1)
+        try:
+            bridge.run_submission(
+                parse_submission({"kind": "synthesis", "jobs": [
+                    {"bench": name} for name in names]}),
+                lambda kind, record: events.append((kind, record)))
+        finally:
+            bridge.close()
+        assert events[-1] == ("done", None)
+        return [record for kind, record in events if kind == "point"]
+
+    @staticmethod
+    def _sweep(path, names):
+        config = config_from_dict({"name": "n4", "family": "synthesis",
+                                   "grid": {"bench": names}})
+        with JsonStore(path) as store:
+            grid_id, _, _ = plan(config, store)
+            work_loop(config, grid_id, store, "w0")
+            rows = export_rows(store, grid_id)
+        assert [row["status"] for row in rows] == ["done"] * len(names)
+        return [row["result"] for row in rows]
+
+    @pytest.fixture(scope="class")
+    def answers(self, tmp_path_factory):
+        from repro.eval.benchsuite import suite
+
+        names = [benchmark.name for benchmark in suite(max_vars=4)]
+        served_path = str(tmp_path_factory.mktemp("served") / "s.sqlite")
+        grid_path = str(tmp_path_factory.mktemp("grid") / "g.sqlite")
+        return (names, served_path, self._serve(served_path, names),
+                grid_path, self._sweep(grid_path, names))
+
+    def test_grid_payload_is_the_served_record(self, answers):
+        names, _, served, _, swept = answers
+        assert [record["label"] for record in served] == names
+        assert not any(record["cache_hit"] for record in served)
+        assert swept == [_without_cache_hit(record) for record in served]
+
+    def test_grid_after_a_served_batch_races_nothing(self, answers,
+                                                     monkeypatch):
+        from repro.engine import engine as engine_module
+
+        names, served_path, served, _, _ = answers
+        races = []
+        real = engine_module.run_portfolio
+        monkeypatch.setattr(engine_module, "run_portfolio",
+                            lambda *args: races.append(args) or real(*args))
+        swept = self._sweep(served_path, names)
+        assert races == []
+        assert swept == [_without_cache_hit(record) for record in served]
+
+    def test_served_after_a_grid_sweep_hits_the_cache(self, answers):
+        names, _, served, grid_path, _ = answers
+        again = self._serve(grid_path, names)
+        assert all(record["cache_hit"] for record in again)
+        assert [_without_cache_hit(record) for record in again] == \
+            [_without_cache_hit(record) for record in served]
 
 
 class TestClaimProtocol:
@@ -453,9 +564,9 @@ class TestRunner:
         computed = []
         real_compute = families.compute
 
-        def counting_compute(family, params, processes=1):
+        def counting_compute(family, params, processes=1, store=None):
             computed.append(params["bench"])
-            return real_compute(family, params, processes)
+            return real_compute(family, params, processes, store)
 
         monkeypatch.setattr(families, "compute", counting_compute)
         with JsonStore() as store:
@@ -480,7 +591,7 @@ class TestRunner:
     def test_failing_points_retry_then_land_failed(self, monkeypatch):
         config = _bench_config(points=[{"bench": "xnor2"}], max_attempts=2)
 
-        def exploding_compute(family, params, processes=1):
+        def exploding_compute(family, params, processes=1, store=None):
             raise RuntimeError("kernel exploded")
 
         monkeypatch.setattr(families, "compute", exploding_compute)

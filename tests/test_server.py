@@ -148,9 +148,19 @@ class TestProtocol:
         {**VARSWEEP_PAYLOAD, "sigmas": [float("nan")]},
         {**VARSWEEP_PAYLOAD, "sigmas": [float("inf")]},
         {**VARSWEEP_PAYLOAD, "nominal": float("nan")},
+        # A misspelled key is named, not ignored (the full portfolio
+        # would run), and bench excludes the truth-table keys.
+        {"kind": "synthesis",
+         "jobs": [{"bench": "xnor2", "stratgies": ["dual"]}]},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2"}],
+         "stratgies": ["dual"]},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2", "n": 3,
+                                        "bits": 0x96}]},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2", "bits": 0x96}]},
     ], ids=["n_values", "densities", "sigmas", "strategies",
             "grid-strategies", "grid-trials", "sigmas-nan", "sigmas-inf",
-            "nominal-nan"])
+            "nominal-nan", "job-key-typo", "top-level-key-typo",
+            "bench-with-table", "bench-with-bits"])
     def test_malformed_fields_rejected(self, payload):
         with pytest.raises(ProtocolError):
             parse_submission(payload)
