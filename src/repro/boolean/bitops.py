@@ -44,22 +44,3 @@ popcount_u64 = getattr(np, "bitwise_count", popcount_u64_unpackbits)
 #: True when the native ``np.bitwise_count`` ufunc backs :data:`popcount_u64`.
 HAVE_NATIVE_POPCOUNT = popcount_u64 is not popcount_u64_unpackbits
 
-
-def popcount_u64_multiword(values: np.ndarray, word_axis: int = 1,
-                           _popcount=None) -> np.ndarray:
-    """Total popcount across the word axis of a multi-word bitset layout.
-
-    The multi-word packed kernels in :mod:`repro.xbareval.connectivity`
-    store grids taller than 64 rows as ``(batch, words, cols)`` uint64
-    tensors; their fixpoint detector needs the *per-column* bit count,
-    i.e. the per-element popcount reduced over the word axis.  Counts are
-    accumulated in int64 — the per-element uint8 counts of both underlying
-    implementations would overflow past 4 words.
-
-    ``_popcount`` exists for the regression suite only: it pins the
-    per-element implementation (native ufunc vs the numpy-1.x unpackbits
-    fallback) so both code paths are exercised regardless of the
-    installed numpy.
-    """
-    counts = (_popcount or popcount_u64)(np.asarray(values, dtype=np.uint64))
-    return counts.sum(axis=word_axis, dtype=np.int64)

@@ -13,6 +13,7 @@ experiments have far fewer inputs.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -113,15 +114,18 @@ class TruthTable:
 
     @staticmethod
     def from_bits(n: int, bits: int) -> "TruthTable":
-        """Build from an integer whose bit ``m`` is ``f(m)``."""
+        """Build from an integer whose bit ``m`` is ``f(m)``.
+
+        Only the low ``2^n`` bits count (a negative ``bits`` reads as its
+        two's complement, as ``(bits >> m) & 1`` does).
+        """
         _check_n(n)
-        idx = np.arange(1 << n)
-        if n <= 6 and bits < (1 << 63):  # keep numpy's shift inside int64
-            arr = ((bits >> idx) & 1).astype(bool)
-        else:
-            arr = np.fromiter((((bits >> int(m)) & 1) for m in idx),
-                              dtype=bool, count=1 << n)
-        return TruthTable(n, arr)
+        size = 1 << n
+        low = operator.index(bits) & ((1 << size) - 1)
+        packed = np.frombuffer(low.to_bytes((size + 7) // 8, "little"),
+                               dtype=np.uint8)
+        return TruthTable(n, np.unpackbits(packed, count=size,
+                                           bitorder="little").view(bool))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -134,10 +138,8 @@ class TruthTable:
     @property
     def bits(self) -> int:
         """The table packed into a Python int (bit ``m`` = ``f(m)``)."""
-        result = 0
-        for m in np.flatnonzero(self._values):
-            result |= 1 << int(m)
-        return result
+        packed = np.packbits(self._values, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     # ------------------------------------------------------------------
     # Compact serialization (process boundaries, content-hash caching)

@@ -16,12 +16,11 @@ is both a test invariant and the off-set witness in the SAT encoding of
 optimal lattice synthesis.
 
 The scalar functions here are the **bit-exact references** for the batched
-kernels of :mod:`repro.xbareval.connectivity`
-(:func:`~repro.xbareval.top_bottom_connected_batch`,
-:func:`~repro.xbareval.left_right_blocked_8_batch`), which answer the same
-questions for whole ``(B, R, C)`` batches per call; hot paths should go
-through those, with these retained for single-grid checks and the
-property suite (``tests/test_xbareval.py``).
+flood :func:`repro.xbareval.top_bottom_connected_batch`, which answers the
+top-bottom question for whole ``(B, R, C)`` batches per call; hot paths
+should go through it.  These stay for single-grid checks and the property
+suite (``tests/test_xbareval.py``), which also asserts the duality: the
+batched flood equals ``not left_right_blocked_8`` grid for grid.
 """
 
 from __future__ import annotations

@@ -22,12 +22,10 @@ deterministic, so serial and pooled runs return bit-identical results.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import random
 import threading
 import time
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -67,8 +65,8 @@ class EngineStats:
     Accumulation and snapshotting are atomic under an internal lock:
     ``run`` calls record a whole batch in one :meth:`record_run`, and
     ``as_dict`` (the server's ``/api/stats`` payload, read from another
-    thread while batches from ``submit()`` futures land) never observes
-    a half-applied batch.  ``strategy_wins`` is kept key-sorted, so
+    thread while served batches land) never observes a half-applied
+    batch.  ``strategy_wins`` is kept key-sorted, so
     snapshot order is deterministic however runs interleave.
     """
 
@@ -234,15 +232,9 @@ class BatchEngine:
             "engine_races_total", "portfolio races executed")
         self._m_batch_seconds = registry.histogram(
             "engine_batch_seconds", "wall-clock of whole engine.run batches")
-        # Eagerly constructed (the worker thread itself only spawns on
-        # first submit), so concurrent first submissions cannot race a
-        # lazy check-then-set into two executors.
-        self._submit_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="batch-engine")
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
-        self._submit_executor.shutdown(wait=True)
         self._opened.close()
 
     def __enter__(self) -> "BatchEngine":
@@ -252,28 +244,15 @@ class BatchEngine:
         self.close()
 
     # -- the batch pipeline ----------------------------------------------
-    def submit(self, jobs: Sequence[SynthesisJob] | Iterable[SynthesisJob]
-               ) -> "Future[list[JobResult]]":
-        """Non-blocking submission: queue a batch, get a ``Future`` back.
-
-        Batches are serialised through a single dedicated worker thread
-        (they already shard internally over the process pool, so stacking
-        batch-level threads on top would only contend on the store
-        connection).  Callers — the async server's worker bridge first
-        among them — can await the future off their event loop while
-        further submissions queue behind it.
-
-        The caller's context (most importantly the ambient trace ID) is
-        copied onto the batch thread, so engine spans stay inside the
-        submitting request's trace.
-        """
-        context = contextvars.copy_context()
-        return self._submit_executor.submit(context.run, self.run,
-                                            list(jobs))
-
     def run(self, jobs: Sequence[SynthesisJob] | Iterable[SynthesisJob]
             ) -> list[JobResult]:
-        """Synthesize every job, reusing the cache and the pool."""
+        """Synthesize every job, reusing the cache and the pool.
+
+        Safe to call from several threads: whole batches are serialised
+        (they already shard internally over the process pool), and the
+        caller's thread keeps its ambient trace, so engine spans land in
+        the calling request's trace.
+        """
         with self._run_lock:
             return self._run(list(jobs))
 

@@ -22,12 +22,13 @@ recomputed by another worker is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterator
 
 from ..engine import (
     DEFAULT_STRATEGIES,
     BatchEngine,
+    FaultToleranceReport,
     FaultToleranceSpec,
     JobResult,
     JsonStore,
@@ -127,8 +128,13 @@ def job_key(job: SynthesisJob) -> str:
 
 
 def job_result_record(result: JobResult) -> dict:
-    """One synthesis answer as a JSON record (lattice in text form)."""
-    return {
+    """One synthesis answer as a JSON record (lattice in text form).
+
+    A job that asked for fault tolerance also gets its
+    :class:`~repro.engine.FaultToleranceReport` as a ``fault_tolerance``
+    object; other jobs' records carry no such key.
+    """
+    record = {
         "label": result.label,
         "n": result.n,
         "strategy": result.strategy,
@@ -138,6 +144,19 @@ def job_result_record(result: JobResult) -> dict:
         "cache_hit": result.cache_hit,
         "lattice": lattice_to_text(result.lattice),
     }
+    if result.fault_tolerance is not None:
+        record["fault_tolerance"] = asdict(result.fault_tolerance)
+    return record
+
+
+def _is_report(report: Any) -> bool:
+    """A ``fault_tolerance`` record: every report field, with its type."""
+    return (isinstance(report, dict)
+            and set(report) == {item.name
+                                for item in fields(FaultToleranceReport)}
+            and isinstance(report["mapped"], bool)
+            and all(type(value) is int
+                    for name, value in report.items() if name != "mapped"))
 
 
 def _varsweep_spec_from_params(params: dict[str, Any], point: bool = False):
@@ -205,12 +224,16 @@ class _Synthesis:
         return record
 
     def validate(self, job: SynthesisJob, payload: Any) -> bool:
-        """The payload's lattice must implement the job's function."""
+        """The payload's lattice must implement the job's function, and a
+        fault-tolerance job's payload must carry its report."""
         try:
             lattice = lattice_from_text(job.n, payload["lattice"])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError):
             return False
-        return (isinstance(payload.get("strategy"), str)
+        report = payload.get("fault_tolerance")
+        report_ok = (report is None if job.fault_tolerance is None
+                     else _is_report(report))
+        return (report_ok and isinstance(payload.get("strategy"), str)
                 and (payload.get("label"), payload.get("n"),
                      payload.get("rows"), payload.get("cols"),
                      payload.get("area"))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..engine.store import GridRow, JsonStore
 from ..obs import get_logger, log_event, metrics, tracing
@@ -115,20 +115,23 @@ def run_point(config: GridConfig, store: JsonStore, row: GridRow,
     return "done"
 
 
-def work_loop(config: GridConfig, grid_id: str, store: JsonStore,
-              worker: str, poll_seconds: float = DEFAULT_POLL_SECONDS,
-              max_points: int | None = None,
-              on_point: Callable[[GridRow, str], None] | None = None
-              ) -> dict[str, int]:
-    """One worker's claim loop; returns its status tally.
+#: The terminal statuses :func:`run_point` reports.
+_STATUSES = ("done", "stale", "pending", "failed")
+
+
+def _claim_loop(config: GridConfig, grid_id: str, store: JsonStore,
+                worker: str, poll_seconds: float
+                ) -> Iterator[tuple[GridRow, str]]:
+    """One worker's claim loop: each claimed row with its :func:`run_point`
+    status, then one "grid worker drained" event with the status tally.
 
     The loop ends when the grid holds no ``pending`` rows and no live
     leases remain to expire — i.e. every row is terminal.  While other
     workers hold leases it polls (sleeps ``poll_seconds`` between claim
     calls) so crashed peers' rows are picked up as their leases lapse.
     """
-    tally = {"done": 0, "stale": 0, "pending": 0, "failed": 0}
-    while max_points is None or sum(tally.values()) < max_points:
+    tally = dict.fromkeys(_STATUSES, 0)
+    while True:
         row = store.grid_claim(grid_id, worker, config.lease_seconds,
                                max_attempts=config.max_attempts)
         if row is None:
@@ -138,11 +141,20 @@ def work_loop(config: GridConfig, grid_id: str, store: JsonStore,
             time.sleep(poll_seconds)
             continue
         status = run_point(config, store, row, worker)
-        tally[status] = tally.get(status, 0) + 1
-        if on_point is not None:
-            on_point(row, status)
+        tally[status] += 1
+        yield row, status
     log_event(_LOG, "grid worker drained", grid_id=grid_id, worker=worker,
               **tally)
+
+
+def work_loop(config: GridConfig, grid_id: str, store: JsonStore,
+              worker: str, poll_seconds: float = DEFAULT_POLL_SECONDS
+              ) -> dict[str, int]:
+    """Drain the grid as one worker; returns its status tally."""
+    tally = dict.fromkeys(_STATUSES, 0)
+    for _, status in _claim_loop(config, grid_id, store, worker,
+                                 poll_seconds):
+        tally[status] += 1
     return tally
 
 
@@ -163,24 +175,13 @@ def iter_grid_points(config: GridConfig, store: JsonStore,
         if row.status in ("done", "failed") and row.point_key in keys:
             seen.add(row.point_key)
             yield row, "cached"
-
-    pending: list[tuple[GridRow, str]] = []
-
-    def capture(row: GridRow, status: str) -> None:
-        pending.append((row, status))
-
-    while True:
-        tally = work_loop(config, grid_id, store, worker,
-                          max_points=1, on_point=capture)
-        while pending:
-            row, status = pending.pop(0)
-            current = store.grid_get(grid_id, row.point_key)
-            if current is not None and row.point_key not in seen \
-                    and current.status in ("done", "failed"):
-                seen.add(row.point_key)
-                yield current, status
-        if not sum(tally.values()):
-            break
+    for row, status in _claim_loop(config, grid_id, store, worker,
+                                   DEFAULT_POLL_SECONDS):
+        current = store.grid_get(grid_id, row.point_key)
+        if current is not None and row.point_key not in seen \
+                and current.status in ("done", "failed"):
+            seen.add(row.point_key)
+            yield current, status
     # Rows another worker finished while we drained.
     for row in store.grid_rows_for(grid_id):
         if row.status in ("done", "failed") and row.point_key not in seen:

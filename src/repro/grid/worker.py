@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--poll", type=float, default=DEFAULT_POLL_SECONDS,
                         help="sleep between claim attempts while peers "
                              "hold leases")
-    parser.add_argument("--max-points", type=int, default=None,
-                        help="stop after this many claims (default: drain)")
     return parser
 
 
@@ -50,8 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     with JsonStore(args.store) as store:
         tally = work_loop(config, args.grid_id, store, args.worker_id,
-                          poll_seconds=args.poll,
-                          max_points=args.max_points)
+                          poll_seconds=args.poll)
     return 1 if tally.get("failed") else 0
 
 

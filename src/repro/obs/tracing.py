@@ -6,10 +6,9 @@ and parent-span IDs follow the flow of control — across ``await`` points
 (each asyncio task owns its context) and, where a thread hop breaks the
 chain, explicitly:
 
-* :meth:`repro.engine.engine.BatchEngine.submit` copies the caller's
-  context onto the engine's dedicated batch thread;
 * the server's worker bridge re-installs the job's trace ID
-  (:func:`set_current_trace`) on its executor thread;
+  (:func:`set_current_trace`) on its executor thread, which then runs
+  the job's engine batch or campaign itself;
 * the process-pool shards carry the trace ID as a plain field on their
   task payloads and report back measured durations, which the parent
   records as *synthetic* spans (:func:`record_span`).

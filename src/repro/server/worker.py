@@ -9,10 +9,10 @@ job runs in one of its threads, shards its real work over
 progress through a thread-safe ``emit`` callback the job queue provides
 (:mod:`repro.server.queue` forwards the records onto the event loop).
 
-Shared state is safe by construction: synthesis batches are serialised
-through :meth:`repro.engine.engine.BatchEngine.submit` (one dedicated
-engine thread), and the engine's cache rows, campaign points and grid
-rows all persist through one thread-safe
+Shared state is safe by construction: synthesis batches run on the job
+thread itself through :meth:`repro.engine.engine.BatchEngine.run`, which
+serialises whole batches under its lock, and the engine's cache rows,
+campaign points and grid rows all persist through one thread-safe
 :class:`~repro.engine.store.JsonStore`.
 """
 
@@ -95,11 +95,7 @@ class WorkerBridge:
                               points=submission.points_total):
                 try:
                     if submission.kind == "synthesis":
-                        # Non-blocking handoff to the engine's dedicated
-                        # batch thread; this worker thread just waits for
-                        # the wave.
-                        for result in self.engine.submit(
-                                submission.jobs).result():
+                        for result in self.engine.run(submission.jobs):
                             emit("point", job_result_record(result))
                     elif submission.kind == "grid":
                         # The served grid drains in-process against the

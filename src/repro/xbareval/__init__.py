@@ -6,8 +6,9 @@ top-bottom percolation connectivity.  This subsystem computes it for whole
 batches at once:
 
 * :mod:`~repro.xbareval.connectivity` — ``(B, R, C)`` boolean conduction
-  tensors flooded by iterative label propagation, replacing the per-grid
-  scalar union-find of :mod:`repro.crossbar.paths`;
+  tensors flooded top to bottom through one dispatch (the scipy label
+  pass, else the packed flood up to 64 rows, else the boolean flood),
+  replacing the per-grid scalar union-find of :mod:`repro.crossbar.paths`;
 * :mod:`~repro.xbareval.lattice_eval` — all ``2^n`` conduction grids of a
   lattice materialised via packed literal masks in one broadcast;
   :func:`lattice_truthtable` returns a
@@ -31,8 +32,6 @@ and the :mod:`repro.engine` portfolio verification.
 
 from .connectivity import (
     MAX_PACKED_ROWS,
-    left_right_blocked_8_batch,
-    percolation_duality_holds_batch,
     top_bottom_connected_batch,
 )
 from .delay import (
@@ -78,9 +77,7 @@ __all__ = [
     "lattice_critical_delay_batch",
     "lattice_site_codes",
     "lattice_truthtable",
-    "left_right_blocked_8_batch",
     "onset_critical_delay_batch",
-    "percolation_duality_holds_batch",
     "placement_valid_batch",
     "placement_valid_grid",
     "site_masks",

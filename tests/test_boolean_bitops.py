@@ -15,7 +15,6 @@ import numpy as np
 from repro.boolean.bitops import (
     HAVE_NATIVE_POPCOUNT,
     popcount_u64,
-    popcount_u64_multiword,
     popcount_u64_unpackbits,
 )
 
@@ -55,37 +54,6 @@ def test_selection_matches_numpy_version():
     assert HAVE_NATIVE_POPCOUNT == has_native
     if has_native:
         assert popcount_u64 is np.bitwise_count
-
-
-def test_multiword_popcount_on_both_paths():
-    """popcount_u64_multiword agrees with a per-word python popcount on
-    both per-element implementations (native ufunc and the numpy-1.x
-    unpackbits fallback), via the injection hook."""
-    gen = np.random.default_rng(3)
-    # (batch, words, cols) like the multi-word packed layout, 5 words so
-    # a uint8 accumulator (max 64 * 5 = 320) would have overflowed
-    tensor = gen.integers(0, 1 << 64, size=(4, 5, 6), dtype=np.uint64)
-    tensor[0, :, 0] = np.uint64(0xFFFFFFFFFFFFFFFF)  # force 320 > 255
-    want = np.array([[sum(bin(int(tensor[b, w, c])).count("1")
-                          for w in range(tensor.shape[1]))
-                      for c in range(tensor.shape[2])]
-                     for b in range(tensor.shape[0])], dtype=np.int64)
-    for impl in (popcount_u64, popcount_u64_unpackbits):
-        got = popcount_u64_multiword(tensor, _popcount=impl)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-    # default path (whatever numpy provides) agrees too
-    assert np.array_equal(popcount_u64_multiword(tensor), want)
-
-
-def test_multiword_popcount_word_axis_and_empty():
-    gen = np.random.default_rng(4)
-    flat = gen.integers(0, 1 << 64, size=(7, 3), dtype=np.uint64)
-    # word axis 1 on a (batch, words) layout -> per-batch totals
-    want = [sum(bin(int(w)).count("1") for w in row) for row in flat]
-    assert popcount_u64_multiword(flat).tolist() == want
-    assert popcount_u64_multiword(
-        np.zeros((2, 0, 5), dtype=np.uint64)).tolist() == [[0] * 5] * 2
 
 
 def test_packed_flood_kernel_runs_on_fallback(monkeypatch):

@@ -42,6 +42,21 @@ class TestConstruction:
         t = TruthTable.from_bits(3, 0b10110010)
         assert t.bits == 0b10110010
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_from_bits_is_the_per_bit_definition(self, n):
+        """Bit ``m`` of ``bits`` is ``f(m)`` for every n; only the low 2^n
+        bits count, and a negative ``bits`` reads as two's complement."""
+        size = 1 << n
+        gen = np.random.default_rng(n)
+        wide = int.from_bytes(gen.bytes(size // 8 + 9), "little")
+        for bits in (0, (1 << size) - 1, wide % (1 << size), -1, -wide,
+                     wide, np.int64(-5)):
+            t = TruthTable.from_bits(n, bits)
+            want = [bool((int(bits) >> m) & 1) for m in range(size)]
+            assert t.values.tolist() == want
+            assert t.bits == int(bits) & ((1 << size) - 1)
+            assert TruthTable.from_bits(n, t.bits) == t
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             TruthTable(2, [True, False])

@@ -2,7 +2,7 @@
 
 The flood and delay kernels promise *bit-identical* outputs whichever
 path the dispatch takes — the scipy label pass when scipy imports, the
-single- or multi-word packed floods otherwise.  This suite pins that
+packed flood up to 64 rows otherwise and the unpacked flood above that.  This suite pins that
 promise to ``tests/data/core_conformance_golden.json``: sha256 digests
 of the raw output bytes on deterministic, arithmetically synthesized
 workloads (no RNG, so the inputs are identical on every platform and
@@ -10,7 +10,7 @@ numpy version).
 
 Every case runs twice against the same digests: once as dispatched (the
 label pass where scipy is installed) and once with scipy hidden from the
-flood module, so the packed path is pinned even where scipy is present.
+flood module, so the numpy floods are pinned even where scipy is present.
 
 The ``cases`` records use a modular pattern that leaves most grids
 disconnected and blocked, so they pin the dispatch more than the flood.
@@ -36,14 +36,13 @@ import pytest
 from repro.xbareval import (
     best_path_delay_batch,
     connectivity,
-    left_right_blocked_8_batch,
     top_bottom_connected_batch,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "core_conformance_golden.json"
 
-#: (batch, rows, cols) regimes: scalar-sized, the 64-row single-word
-#: boundary, the first multi-word row count, and a genuinely tall grid.
+#: (batch, rows, cols) regimes: scalar-sized, both sides of the packed
+#: flood's 64-row limit, and a genuinely tall grid.
 CASES = ((16, 5, 4), (8, 63, 6), (8, 64, 6), (8, 65, 6), (4, 128, 9))
 
 
@@ -95,7 +94,6 @@ def _case_record(batch: int, rows: int, cols: int,
     return {
         "batch": batch, "rows": rows, "cols": cols,
         "top_bottom": _digest(top_bottom_connected_batch(grids)),
-        "left_right_blocked": _digest(left_right_blocked_8_batch(grids)),
         "delay": _digest(best_path_delay_batch(
             grids, _resistance(batch, rows, cols))),
     }
@@ -115,7 +113,7 @@ def test_ramp_cases_have_mixed_flood_outputs(batch, rows, cols):
 
 
 #: Every case of both sections as dispatched, then with scipy hidden
-#: (the packed floods).
+#: (the packed and unpacked floods).
 DISPATCHES = [
     pytest.param(*case, section, scipy,
                  id=("" if scipy else "no-scipy-")
@@ -136,7 +134,6 @@ def test_kernel_outputs_match_golden(batch, rows, cols, section, scipy,
     got = _case_record(batch, rows, cols, section)
     # one comparison per kernel so a mismatch names the guilty kernel
     assert got["top_bottom"] == want["top_bottom"]
-    assert got["left_right_blocked"] == want["left_right_blocked"]
     assert got["delay"] == want["delay"]
 
 
@@ -144,7 +141,7 @@ def _write_golden() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     payload = {
         "comment": "sha256 of raw kernel output bytes; shared by the "
-                   "scipy label pass and the packed floods to prove "
+                   "scipy label pass and the numpy floods to prove "
                    "bit-identity",
         "cases": [_case_record(*case) for case in CASES],
         "ramp_cases": [_case_record(*case, "ramp_cases") for case in CASES],

@@ -5,13 +5,15 @@ a ``nanoxbar <subcommand>`` reference must be a real subparser (including
 the nested ``nanoxbar grid <command>`` choices), every ``--flag`` that
 follows such a reference on the same line must be an option of that
 subparser, and every ``NANOXBAR_*`` environment variable mentioned must
-be one the source tree actually reads, and every backticked repo path
-must exist.  Renaming a command, a switch or a file without updating the
-docs fails the build, and so does a package under ``src/repro`` that
-``docs/architecture.md`` never names.
+be one the source tree actually reads, every backticked repo path
+must exist, and every backticked ``repro.…`` dotted name must import or
+resolve as an attribute.  Renaming a command, a switch, a file or a
+function without updating the docs fails the build, and so does a
+package under ``src/repro`` that ``docs/architecture.md`` never names.
 """
 
 import argparse
+import importlib
 import pathlib
 import re
 
@@ -40,6 +42,8 @@ _CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 #: slash or a file extension (``src/``, ``ROADMAP.md``, ``tests/x.py``).
 _REPO_PATH_RE = re.compile(
     r"\.?[\w-]+(?:[./][\w-]+)*(?:/|\.(?:py|md|json|toml|yml|txt))")
+#: A dotted Python name under the package (``repro.engine.store.JsonStore``).
+_PYTHON_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 
 
 def _subparser_choices(parser: argparse.ArgumentParser) -> dict:
@@ -128,6 +132,32 @@ def test_docs_name_only_real_repo_paths(path):
                       and not (REPO / span).exists()})
     assert not missing, (
         f"{path.name} names repo paths that do not exist: {missing}")
+
+
+def _resolves(name: str) -> bool:
+    """Import the longest module prefix of ``name``, then walk the rest
+    as attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_docs_name_only_real_python_names(path):
+    spans = _CODE_SPAN_RE.findall(_FENCE_RE.sub("", _read(path)))
+    names = {name for span in spans for name in _PYTHON_NAME_RE.findall(span)}
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, (
+        f"{path.name} names Python objects that do not exist: {missing}")
 
 
 @pytest.fixture(scope="module")

@@ -282,9 +282,9 @@ class TestBatchEngine:
         assert "hit_rate" in text and "throughput" in text
 
     def test_borrowed_store_is_shared_safely_across_threads(self):
-        """The server's layout: the engine's batch thread and other
-        threads write one store; no row is lost and the borrowed store
-        outlives the engine."""
+        """The server's layout: job threads running engine batches and
+        other threads write one store; no row is lost and the borrowed
+        store outlives the engine."""
         jobs = _jobs(max_vars=3)
         errors = []
 
@@ -298,7 +298,7 @@ class TestBatchEngine:
         def synthesize():
             try:
                 for _ in range(4):
-                    results = engine.submit(jobs).result(timeout=60)
+                    results = engine.run(jobs)
                     assert [r.lattice for r in results] == cold
             except Exception as error:  # reported below, not lost in a thread
                 errors.append(error)

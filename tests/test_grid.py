@@ -7,6 +7,7 @@ mid-sweep followed by ``grid resume``.
 """
 
 import json
+import logging
 import signal
 import sqlite3
 import subprocess
@@ -37,7 +38,8 @@ from repro.grid import (
     release_claims,
     work_loop,
 )
-from repro.obs import metrics
+from repro.grid.runner import run_point
+from repro.obs import get_logger, metrics
 
 
 def _bench_config(**overrides):
@@ -211,6 +213,44 @@ class TestFamilies:
         with pytest.raises(GridPointError, match="unknown strategies"):
             point_key("synthesis", {"bench": "xnor2",
                                     "strategies": "alchemy"})
+
+    def test_fault_tolerance_payload_carries_the_report(self):
+        """A fault-tolerance point's payload holds the engine's report; a
+        payload without it (stored before the report was recorded) is
+        not valid, so plan leaves the row pending and the drain
+        recomputes it."""
+        from dataclasses import asdict
+
+        from repro.engine import BatchEngine, FaultToleranceSpec, SynthesisJob
+        from repro.eval.benchsuite import by_name
+
+        spec = {"defect_density": 0.1, "redundancy": "tmr", "seed": 3}
+        params = {"bench": "xnor2", "strategies": ["dual"],
+                  "fault_tolerance": spec}
+        payload = families.compute("synthesis", params)
+        with BatchEngine() as engine:
+            (result,) = engine.run([SynthesisJob.from_function(
+                by_name("xnor2").function, "xnor2", ("dual",),
+                FaultToleranceSpec(**spec))])
+        assert payload["fault_tolerance"] == asdict(result.fault_tolerance)
+        assert families.validate_payload("synthesis", params, payload)
+        old = {key: value for key, value in payload.items()
+               if key != "fault_tolerance"}
+        for stored in (old, {**payload, "fault_tolerance": {"mapped": 1}}):
+            assert not families.validate_payload("synthesis", params, stored)
+        # A point without fault tolerance must not carry a report.
+        plain = {"bench": "xnor2", "strategies": ["dual"]}
+        assert "fault_tolerance" not in families.compute("synthesis", plain)
+        assert not families.validate_payload("synthesis", plain, payload)
+        config = config_from_dict({"name": "ft", "family": "synthesis",
+                                   "points": [params]})
+        with JsonStore() as store:
+            store.put(point_key("synthesis", params), old)
+            grid_id, _, _ = plan(config, store)
+            assert store.grid_counts(grid_id) == {"pending": 1}
+            work_loop(config, grid_id, store, "w0")
+            [row] = export_rows(store, grid_id)
+            assert row["result"] == payload
 
     def test_tampered_synthesis_payload_is_recomputed(self):
         """A stored payload whose lattice does not implement the point's
@@ -609,7 +649,8 @@ class TestRunner:
         config = _bench_config()
         with JsonStore() as store:
             grid_id, keys, _ = plan(config, store)
-            work_loop(config, grid_id, store, "w0", max_points=1)
+            row = store.grid_claim(grid_id, "w0", config.lease_seconds)
+            assert run_point(config, store, row, "w0") == "done"
             seen = list(iter_grid_points(config, store))
             assert [verdict for _, verdict in seen] == \
                 ["cached", "done", "done"]
@@ -862,6 +903,36 @@ class TestServerGrid:
         assert all(record["status"] == "done" and not record["cache_hit"]
                    for record in points)
         assert all(record["result"] is not None for record in points)
+
+    def test_served_grid_logs_drained_once(self):
+        """The served drain is one claim loop: one "drained" event for
+        the whole grid, not one per point."""
+        from repro.server.protocol import parse_submission
+        from repro.server.worker import WorkerBridge
+
+        messages = []
+
+        class _Capture(logging.Handler):
+            def emit(self, record):
+                messages.append(record.getMessage())
+
+        logger = get_logger("grid")
+        handler, level = _Capture(), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        bridge = WorkerBridge(cache_path=":memory:", processes=1)
+        try:
+            bridge.run_submission(
+                parse_submission({"kind": "grid", "config": {
+                    "name": "drained", "family": "bench",
+                    "points": [{"bench": "xnor2"}, {"bench": "xor3"},
+                               {"bench": "maj3"}]}}),
+                lambda kind, record: None)
+        finally:
+            bridge.close()
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert messages.count("grid worker drained") == 1
 
     def test_grid_submission_rejects_bad_configs(self):
         from repro.server.protocol import ProtocolError, parse_submission

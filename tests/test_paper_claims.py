@@ -31,7 +31,11 @@ from repro.boolean import (
     isop,
     minimize,
 )
-from repro.crossbar import compare_styles, top_bottom_connected
+from repro.crossbar import (
+    compare_styles,
+    left_right_blocked_8,
+    top_bottom_connected,
+)
 from repro.engine import BatchEngine, SynthesisJob
 from repro.eval.benchsuite import by_name, standard_suite, suite
 from repro.faultlab import (
@@ -73,7 +77,6 @@ from repro.xbareval import (
     connectivity,
     lattice_site_codes,
     lattice_truthtable,
-    percolation_duality_holds_batch,
     placement_valid_batch,
     top_bottom_connected_batch,
 )
@@ -459,7 +462,9 @@ def test_batched_placement_verdicts_equal_the_scalar_loop():
 
 def test_percolation_duality_and_scalar_floods_on_random_grids():
     gen = np.random.default_rng(3)
-    assert percolation_duality_holds_batch(gen.random((64, 8, 8)) < 0.5).all()
+    grids = gen.random((64, 8, 8)) < 0.5
+    assert top_bottom_connected_batch(grids).tolist() == [
+        not left_right_blocked_8(grid.tolist()) for grid in grids]
 
     rng = random.Random(1)
     grids = [[[rng.random() < 0.6 for _ in range(16)] for _ in range(16)]
@@ -469,12 +474,15 @@ def test_percolation_duality_and_scalar_floods_on_random_grids():
 
 
 @pytest.mark.parametrize("rows, cols, batch", [(128, 10, 24), (256, 8, 16)])
-def test_tall_grid_floods_equal_the_unpacked_reference(rows, cols, batch):
+def test_tall_grid_floods_equal_the_unpacked_reference(rows, cols, batch,
+                                                      monkeypatch):
     grids = np.random.default_rng(5).random((batch, rows, cols)) < 0.55
-    assert np.array_equal(connectivity._top_bottom_connected_numpy(grids),
-                          connectivity._top_bottom_connected_unpacked(grids))
-    assert np.array_equal(connectivity._left_right_blocked_8_numpy(grids),
-                          connectivity._left_right_blocked_8_unpacked(grids))
+    scalar = [top_bottom_connected(grid.tolist()) for grid in grids]
+    assert connectivity._top_bottom_connected_unpacked(grids).tolist() \
+        == scalar
+    assert top_bottom_connected_batch(grids).tolist() == scalar
+    monkeypatch.setattr(connectivity, "_ndimage", None)
+    assert top_bottom_connected_batch(grids).tolist() == scalar
 
 
 @pytest.mark.parametrize("processes", [1, 2])

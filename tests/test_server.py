@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import asdict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import BatchEngine, SynthesisJob, lattice_to_text
+from repro.engine import (
+    BatchEngine,
+    FaultToleranceSpec,
+    SynthesisJob,
+    lattice_to_text,
+)
 from repro.eval.benchsuite import by_name
 from repro.faultlab import CampaignSpec, iter_campaign, run_campaign
 from repro.server import (
@@ -283,6 +289,24 @@ class TestServedEqualsDirect:
                [r.strategy for r in direct]
         assert [p["area"] for p in served["points"]] == \
                [r.area for r in direct]
+
+    def test_fault_tolerance_report_is_served(self, client):
+        """A served fault-tolerance job returns the engine's report; a job
+        without one gets no ``fault_tolerance`` key."""
+        spec = {"defect_density": 0.1, "redundancy": "tmr", "seed": 3}
+        served = client.run({"kind": "synthesis", "jobs": [
+            {"bench": "xnor2", "fault_tolerance": spec},
+            {"bench": "xnor2"}]})
+        with BatchEngine() as engine:
+            (direct,) = engine.run([SynthesisJob.from_function(
+                by_name("xnor2").function, "xnor2",
+                fault_tolerance=FaultToleranceSpec(**spec))])
+        with_report, plain = served["points"]
+        assert with_report["fault_tolerance"] == \
+            asdict(direct.fault_tolerance)
+        assert with_report["fault_tolerance"]["mapped"] is True
+        assert with_report["fault_tolerance"]["tmr_area"] > direct.area
+        assert "fault_tolerance" not in plain
 
     def test_faultsim_bit_identical(self, client):
         served = client.run(FAULTSIM_PAYLOAD)

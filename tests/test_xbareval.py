@@ -4,10 +4,10 @@ Every kernel is asserted bit-exact against its scalar reference on
 hypothesis-generated inputs:
 
 * :func:`top_bottom_connected_batch` vs the union-find
-  :func:`repro.crossbar.paths.top_bottom_connected`;
-* :func:`left_right_blocked_8_batch` vs
-  :func:`repro.crossbar.paths.left_right_blocked_8`, plus the
-  top-bottom/left-right percolation-duality invariant;
+  :func:`repro.crossbar.paths.top_bottom_connected`, on every flood of its
+  dispatch (label pass, packed, unpacked) and on both sides of the 64-row
+  packed limit, plus the percolation duality: the batched flood equals
+  ``not`` :func:`repro.crossbar.paths.left_right_blocked_8` grid for grid;
 * :func:`lattice_truthtable` / :func:`evaluate_assignments` vs the scalar
   ``Lattice.to_truth_table_scalar`` / ``Lattice.evaluate`` loop,
   including the stuck-site overlay path;
@@ -43,8 +43,6 @@ from repro.xbareval import (
     implements_table,
     lattice_site_codes,
     lattice_truthtable,
-    left_right_blocked_8_batch,
-    percolation_duality_holds_batch,
     placement_valid_batch,
     placement_valid_grid,
     top_bottom_connected_batch,
@@ -114,14 +112,6 @@ def test_top_bottom_connected_batch_matches_scalar(grids):
     assert got.tolist() == want
 
 
-@settings(max_examples=120, deadline=None)
-@given(grid_batches())
-def test_left_right_blocked_8_batch_matches_scalar(grids):
-    got = left_right_blocked_8_batch(grids)
-    want = [left_right_blocked_8(g.tolist()) for g in grids]
-    assert got.tolist() == want
-
-
 @settings(max_examples=60, deadline=None)
 @given(grid_batches())
 def test_all_kernel_variants_agree(grids):
@@ -130,21 +120,18 @@ def test_all_kernel_variants_agree(grids):
     from repro.xbareval import connectivity as conn
 
     tb = [top_bottom_connected(g.tolist()) for g in grids]
-    lr = [left_right_blocked_8(g.tolist()) for g in grids]
     assert conn._top_bottom_connected_packed(grids).tolist() == tb
     assert conn._top_bottom_connected_unpacked(grids).tolist() == tb
-    assert conn._left_right_blocked_8_packed(grids).tolist() == lr
-    assert conn._left_right_blocked_8_unpacked(grids).tolist() == lr
     if conn._ndimage is not None:
         assert conn._top_bottom_connected_label(grids).tolist() == tb
-        assert conn._left_right_blocked_8_label(grids).tolist() == lr
 
 
 @settings(max_examples=120, deadline=None)
 @given(grid_batches())
 def test_percolation_duality_invariant(grids):
     """Top-bottom ON disconnection <=> an 8-connected OFF left-right path."""
-    assert percolation_duality_holds_batch(grids).all()
+    assert top_bottom_connected_batch(grids).tolist() == [
+        not left_right_blocked_8(g.tolist()) for g in grids]
 
 
 def test_degenerate_shapes():
@@ -152,8 +139,6 @@ def test_degenerate_shapes():
         np.zeros((3, 0, 4), dtype=bool)).tolist() == [False] * 3
     assert top_bottom_connected_batch(
         np.zeros((2, 4, 0), dtype=bool)).tolist() == [False] * 2
-    assert left_right_blocked_8_batch(
-        np.zeros((3, 0, 4), dtype=bool)).tolist() == [True] * 3
     with pytest.raises(ValueError):
         top_bottom_connected_batch(np.zeros((4, 4), dtype=bool))
 
@@ -179,10 +164,10 @@ def test_serpentine_worst_case():
 
 
 # ----------------------------------------------------------------------
-# Multi-word packed layout (rows > 64)
+# Tall grids: both sides of the 64-row packed limit
 # ----------------------------------------------------------------------
-#: The heights the multi-word property suite pins: both sides of the
-#: single-word boundary plus genuinely tall fabrics (2, 4 words).
+#: The heights the tall-grid suite pins: both sides of the packed flood's
+#: 64-row limit plus genuinely tall fabrics.
 TALL_ROW_REGIMES = (63, 64, 65, 128, 200)
 
 
@@ -197,103 +182,76 @@ def tall_grid_batches(draw):
     return rng.random((batch, rows, cols)) < density
 
 
-@settings(max_examples=40, deadline=None)
-@given(tall_grid_batches())
-def test_multiword_pack_unpack_round_trip(grids):
-    from repro.xbareval import connectivity as conn
-
-    rows = grids.shape[1]
-    packed = conn._pack_rows_multiword(grids)
-    assert packed.dtype == np.uint64
-    assert packed.shape == (grids.shape[0], -(-rows // 64), grids.shape[2])
-    assert np.array_equal(conn._unpack_rows_multiword(packed, rows), grids)
-    # the valid-row masks cover exactly the packable bits
-    full = conn._full_mask_multiword(rows)
-    assert np.array_equal(packed & full[None, :, None], packed)
-    ones = conn._pack_rows_multiword(np.ones_like(grids))
-    assert np.array_equal(ones, np.broadcast_to(full[None, :, None],
-                                                ones.shape))
-
-
 @settings(max_examples=30, deadline=None)
 @given(tall_grid_batches())
-def test_multiword_floods_match_unpacked_reference(grids):
-    """The tentpole equivalence: multi-word Kogge-Stone floods agree with
-    the boolean-tensor reference at every pinned tall-row regime."""
+def test_tall_grid_floods_match_scalar(grids):
+    """The dispatched flood equals the scalar union-find at every pinned
+    height, as dispatched and with scipy hidden (packed up to 64 rows,
+    unpacked above)."""
     from repro.xbareval import connectivity as conn
 
-    tb_ref = conn._top_bottom_connected_unpacked(grids)
-    lr_ref = conn._left_right_blocked_8_unpacked(grids)
-    assert np.array_equal(
-        conn._top_bottom_connected_packed_multiword(grids), tb_ref)
-    assert np.array_equal(
-        conn._left_right_blocked_8_packed_multiword(grids), lr_ref)
-    # the public dispatch agrees too, whichever kernel it picks
-    assert np.array_equal(top_bottom_connected_batch(grids), tb_ref)
-    assert np.array_equal(left_right_blocked_8_batch(grids), lr_ref)
-    assert percolation_duality_holds_batch(grids).all()
+    want = [top_bottom_connected(g.tolist()) for g in grids]
+    assert top_bottom_connected_batch(grids).tolist() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conn, "_ndimage", None)
+        assert top_bottom_connected_batch(grids).tolist() == want
 
 
-@settings(max_examples=25, deadline=None)
-@given(grid_batches())
-def test_multiword_kernels_degenerate_to_single_word(grids):
-    """rows <= 64 runs the multi-word layout with one word per column;
-    the verdicts must match the single-word fast path bit for bit."""
+def test_one_cell_wide_path_across_row_64(monkeypatch):
+    """A single one-cell-wide path crossing rows 63 -> 64, and its cut at
+    row 64, through the dispatch with scipy hidden."""
     from repro.xbareval import connectivity as conn
 
-    assert np.array_equal(
-        conn._top_bottom_connected_packed_multiword(grids),
-        conn._top_bottom_connected_packed(grids))
-    assert np.array_equal(
-        conn._left_right_blocked_8_packed_multiword(grids),
-        conn._left_right_blocked_8_packed(grids))
-
-
-def test_multiword_cross_word_carry_paths():
-    """A single one-cell-wide path crossing the 64-row word boundary —
-    the exact pattern a broken carry shift would sever."""
-    from repro.xbareval import connectivity as conn
-
+    monkeypatch.setattr(conn, "_ndimage", None)
     for rows in (65, 128, 200):
         grid = np.zeros((1, rows, 3), dtype=bool)
         grid[0, :, 1] = True
-        assert conn._top_bottom_connected_packed_multiword(grid)[0]
-        assert not conn._left_right_blocked_8_packed_multiword(grid)[0]
-        # cut exactly at the word boundary: bit 63 -> 64
+        assert top_bottom_connected_batch(grid)[0]
         cut = grid.copy()
         cut[0, 64, 1] = False
-        assert not conn._top_bottom_connected_packed_multiword(cut)[0]
-        assert conn._left_right_blocked_8_packed_multiword(cut)[0]
+        assert not top_bottom_connected_batch(cut)[0]
+        assert not top_bottom_connected(cut[0].tolist())
 
 
-def test_tall_grids_stay_packed_in_dispatch(monkeypatch):
-    """Without scipy the dispatch must pick the multi-word packed kernel
-    for tall grids, not the slow unpacked fallback."""
+def test_dispatch_without_scipy_floods_by_height(monkeypatch):
+    """Without scipy, grids of up to 64 rows take the packed flood and
+    taller ones the unpacked flood."""
     from repro.xbareval import connectivity as conn
 
     calls = []
-    real = conn._top_bottom_connected_packed_multiword
+    for name in ("_top_bottom_connected_packed",
+                 "_top_bottom_connected_unpacked"):
+        real = getattr(conn, name)
+        monkeypatch.setattr(
+            conn, name,
+            lambda grids, name=name, real=real:
+                calls.append(name) or real(grids))
     monkeypatch.setattr(conn, "_ndimage", None)
-    monkeypatch.setattr(conn, "_top_bottom_connected_packed_multiword",
-                        lambda grids: calls.append(1) or real(grids))
     rng = np.random.default_rng(5)
-    grids = rng.random((2, 100, 4)) < 0.6
-    got = top_bottom_connected_batch(grids)
-    assert calls, "tall grid took a non-packed path"
-    assert np.array_equal(got, conn._top_bottom_connected_unpacked(grids))
+    for rows, flood in ((64, "_top_bottom_connected_packed"),
+                        (65, "_top_bottom_connected_unpacked")):
+        calls.clear()
+        grids = rng.random((2, rows, 4)) < 0.6
+        got = top_bottom_connected_batch(grids)
+        assert calls == [flood]
+        assert got.tolist() == [top_bottom_connected(g.tolist())
+                                for g in grids]
 
 
 def test_scipy_label_failure_degrades_once(monkeypatch):
-    """A scipy ABI failure mid-call falls back to the numpy kernels for
+    """A scipy ABI failure mid-call falls back to the numpy floods for
     the rest of the process instead of raising mid-campaign."""
     from repro.xbareval import connectivity as conn
 
     if conn._ndimage is None:
         pytest.skip("scipy not installed")
 
+    calls = []
+
     class _BrokenNdimage:
         @staticmethod
         def label(*args, **kwargs):
+            calls.append(1)
             raise RuntimeError("simulated ABI break")
 
     monkeypatch.setattr(conn, "_ndimage", _BrokenNdimage)
@@ -304,8 +262,8 @@ def test_scipy_label_failure_degrades_once(monkeypatch):
     assert np.array_equal(top_bottom_connected_batch(grids), want)
     assert conn._label_healthy is False  # flag flipped, logged once
     # later batches skip the broken accelerator entirely
-    assert np.array_equal(left_right_blocked_8_batch(grids),
-                          conn._left_right_blocked_8_unpacked(grids))
+    assert np.array_equal(top_bottom_connected_batch(grids), want)
+    assert calls == [1]
 
 
 # ----------------------------------------------------------------------
