@@ -117,6 +117,29 @@ def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     return perms, scatter
 
 
+def input_automorphisms(table: TruthTable) -> tuple[NpnTransform, ...]:
+    """Aut(f): every input permutation and negation that fixes ``table``.
+
+    The transforms ``t`` without output negation for which
+    ``apply_transform(table, t) == table``, identity first.  One gather
+    per permutation tests all ``2^n`` negation masks at once.  Above
+    ``MAX_EXACT_NPN_VARS`` the ``n!`` sweep is not attempted and only the
+    identity (the trivial subgroup) is returned.
+    """
+    n = table.n
+    if n > MAX_EXACT_NPN_VARS:
+        return (NpnTransform(tuple(range(n)), 0, False),)
+    values = table.values
+    perms, scatter = _perm_tables(n)
+    masks = np.arange(1 << n, dtype=np.int64)[:, None]
+    group = []
+    for perm, row in zip(perms, scatter):
+        fixed = (values[row ^ masks] == values).all(axis=1)
+        group.extend(NpnTransform(perm, int(mask), False)
+                     for mask in np.flatnonzero(fixed))
+    return tuple(group)
+
+
 def npn_canonical(table: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """The lexicographically-minimal NPN representative and its witness.
 

@@ -29,6 +29,18 @@ MAX_DENSE_VARS = 24
 _WIRE_MAGIC = b"TT1\x00"
 
 
+def _packed(n: int, bits: int) -> bytes:
+    """The low ``2^n`` bits of ``bits``, eight to a byte little-endian."""
+    size = 1 << n
+    low = operator.index(bits) & ((1 << size) - 1)
+    return low.to_bytes((size + 7) // 8, "little")
+
+
+def _wire_bytes(n: int, payload: bytes) -> bytes:
+    """The :meth:`TruthTable.to_bytes` layout: header, then packed values."""
+    return struct.pack("<4sB", _WIRE_MAGIC, n) + payload
+
+
 def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError("variable count must be non-negative")
@@ -120,11 +132,8 @@ class TruthTable:
         two's complement, as ``(bits >> m) & 1`` does).
         """
         _check_n(n)
-        size = 1 << n
-        low = operator.index(bits) & ((1 << size) - 1)
-        packed = np.frombuffer(low.to_bytes((size + 7) // 8, "little"),
-                               dtype=np.uint8)
-        return TruthTable(n, np.unpackbits(packed, count=size,
+        packed = np.frombuffer(_packed(n, bits), dtype=np.uint8)
+        return TruthTable(n, np.unpackbits(packed, count=1 << n,
                                            bitorder="little").view(bool))
 
     # ------------------------------------------------------------------
@@ -153,8 +162,8 @@ class TruthTable:
         equal bytes, so the output is content-hashable; the engine cache
         keys NPN-canonical representatives by :meth:`content_hash`.
         """
-        payload = np.packbits(self._values, bitorder="little").tobytes()
-        return struct.pack("<4sB", _WIRE_MAGIC, self.n) + payload
+        return _wire_bytes(self.n, np.packbits(self._values,
+                                               bitorder="little").tobytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TruthTable":
@@ -181,6 +190,13 @@ class TruthTable:
     def content_hash(self) -> str:
         """SHA-256 hex digest of :meth:`to_bytes` (stable cache key)."""
         return hashlib.sha256(self.to_bytes()).hexdigest()
+
+    @staticmethod
+    def bits_content_hash(n: int, bits: int) -> str:
+        """:meth:`content_hash` of ``from_bits(n, bits)``, hashed straight
+        from the packed bits without building the dense table."""
+        _check_n(n)
+        return hashlib.sha256(_wire_bytes(n, _packed(n, bits))).hexdigest()
 
     def __call__(self, assignment: int) -> bool:
         return bool(self._values[assignment])

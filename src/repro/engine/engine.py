@@ -267,14 +267,15 @@ class BatchEngine:
         # is shared by a function and its complement-reachable classmates,
         # so the *polarity* of the witness (its output negation) is part of
         # the slot: each class stores up to two lattices, one per polarity.
+        # Each job's dense table is built once, here.
+        tables = [job.table for job in jobs]
         transforms: list[NpnTransform] = []
         probed: list[CachedResult | None] = []
         tasks: dict[str, tuple[str, int, int, tuple[str, ...]]] = {}
         task_keys: list[str] = []
         deduped = 0
         with tracing.span("engine.cache_probe", jobs=len(jobs)):
-            for job in jobs:
-                table = job.table
+            for job, table in zip(jobs, tables):
                 canon, transform = canonical_cache_key(table)
                 transforms.append(transform)
                 task_key = cache_key(job.n, canon, transform.output_negate,
@@ -312,8 +313,8 @@ class BatchEngine:
 
         # Phase 4: rewrite each canonical answer back to its job.
         with tracing.span("engine.rewrite", jobs=len(jobs)):
-            results, healed = self._rewrite_phase(jobs, transforms, probed,
-                                                  raced, task_keys)
+            results, healed = self._rewrite_phase(jobs, tables, transforms,
+                                                  probed, raced, task_keys)
 
         # Accounting: one atomic fold into the shared stats, mirrored to
         # the metrics registry (counters are independently atomic; scrape
@@ -367,6 +368,7 @@ class BatchEngine:
     def _rewrite_phase(
         self,
         jobs: list[SynthesisJob],
+        tables: list[TruthTable],
         transforms: list[NpnTransform],
         probed: list[CachedResult | None],
         raced: dict[str, CachedResult],
@@ -374,15 +376,14 @@ class BatchEngine:
     ) -> tuple[list[JobResult], dict[str, CachedResult]]:
         results: list[JobResult] = []
         healed: dict[str, CachedResult] = {}
-        for index, (job, transform, cached) in enumerate(
-                zip(jobs, transforms, probed)):
+        for index, (job, table, transform, cached) in enumerate(
+                zip(jobs, tables, transforms, probed)):
             job_start = time.perf_counter()
             hit = cached is not None
             if cached is None:
                 cached = raced.get(task_keys[index])
             if cached is None:  # pragma: no cover - phase 2 guarantees presence
                 raise RuntimeError(f"cache lost the result for {job.label}")
-            table = job.table
             lattice = transform_lattice_from_canonical(cached.lattice,
                                                        transform)
             if not implements_table(lattice, table):

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterator
 
+from ..boolean.truthtable import TruthTable
 from ..engine import (
     DEFAULT_STRATEGIES,
     BatchEngine,
@@ -123,7 +124,8 @@ def job_key(job: SynthesisJob) -> str:
     The function *content* (not how the client spelled it), the strategy
     portfolio and any fault-tolerance post-processing.
     """
-    return (f"{job.label}/{job.n}/{job.table.content_hash()}"
+    digest = TruthTable.bits_content_hash(job.n, job.bits)
+    return (f"{job.label}/{job.n}/{digest}"
             f"/{','.join(job.strategies)}/{job.fault_tolerance!r}")
 
 

@@ -5,7 +5,8 @@ This is the substrate behind the exact lattice-synthesis flow
 SAT solver, so the package carries its own.  The design follows MiniSat:
 
 * two-watched-literal unit propagation,
-* first-UIP conflict analysis with clause learning,
+* first-UIP conflict analysis with clause learning and recursive
+  learnt-clause minimisation (MiniSat's ``ccmin_mode`` 2),
 * VSIDS-style variable activities with exponential decay, ordered by a lazy
   ``heapq`` (stale entries are skipped when popped, never removed),
 * phase saving and Luby-sequence restarts.
@@ -42,6 +43,11 @@ fresh solvers against ``tests/data/sat_trajectory_golden.json``.  Only a
 change that means to move the search regenerates that file, with::
 
     PYTHONPATH=src python tests/test_sat_trajectory.py --write
+
+The last such change added the learnt-clause minimisation here and the
+symmetry clauses of :func:`repro.synthesis.lattice_optimal.encode_shape`;
+both moved the search on purpose, and every proved area and ``proved``
+flag stayed the same.
 
 Incremental use follows MiniSat: a satisfiable ``solve()`` keeps a copy of
 the model and returns at decision level 0, so clauses added afterwards are
@@ -299,7 +305,17 @@ class Solver:
             if reason is None:
                 raise SolverError("non-UIP literal without a reason")
             clause = reason
+        # Recursive minimisation (MiniSat's ccmin_mode 2): drop every
+        # literal that the others imply through reason clauses.
+        abstract_levels = 0
         for q in learnt:
+            abstract_levels |= 1 << (level[q if q > 0 else -q] & 31)
+        reasons = self.reason
+        to_clear = learnt[:]
+        learnt = [q for q in learnt
+                  if reasons[q if q > 0 else -q] is None
+                  or not self._redundant(q, abstract_levels, to_clear)]
+        for q in to_clear:
             seen[q if q > 0 else -q] = False
         learnt.insert(0, -p)
         if len(learnt) == 1:
@@ -312,6 +328,44 @@ class Solver:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back_level
+
+    def _redundant(self, lit: int, abstract_levels: int,
+                   to_clear: list[int]) -> bool:
+        """MiniSat's ``litRedundant``: is the learnt literal ``lit`` implied?
+
+        Walks the reason side of ``lit``'s implication graph.  It is
+        redundant when every path ends in a ``seen`` literal (one of the
+        clause, or one proved redundant earlier).  The walk gives up at a
+        decision, or at a level outside ``abstract_levels`` (the clause's
+        levels, hashed mod 32).  Reason clauses keep their implied literal
+        at index 0.  Literals marked on a successful walk stay in
+        ``to_clear``; a failed walk unmarks its own.
+        """
+        seen = self.seen
+        level = self.level
+        reasons = self.reason
+        stack = [lit]
+        top = len(to_clear)
+        while stack:
+            q = stack.pop()
+            clause = reasons[q if q > 0 else -q]
+            assert clause is not None
+            for k in range(1, len(clause)):
+                r = clause[k]
+                var = r if r > 0 else -r
+                if seen[var] or level[var] == 0:
+                    continue
+                if (reasons[var] is not None
+                        and (1 << (level[var] & 31)) & abstract_levels):
+                    seen[var] = True
+                    stack.append(r)
+                    to_clear.append(r)
+                    continue
+                for stale in to_clear[top:]:
+                    seen[stale if stale > 0 else -stale] = False
+                del to_clear[top:]
+                return False
+        return True
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:

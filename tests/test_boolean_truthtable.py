@@ -207,6 +207,17 @@ class TestSerialization:
         assert t1.content_hash() != t2.content_hash()
         assert t1.content_hash() == TruthTable.from_bits(1, 0b01).content_hash()
 
+    def test_bits_content_hash_is_the_tables(self):
+        import random as _random
+
+        rng = _random.Random(11)
+        for n in range(0, 13):
+            size = 1 << n
+            for bits in (0, (1 << size) - 1, rng.getrandbits(size),
+                         -rng.getrandbits(size), rng.getrandbits(size + 9)):
+                assert (TruthTable.bits_content_hash(n, bits)
+                        == TruthTable.from_bits(n, bits).content_hash())
+
     def test_bad_payloads_rejected(self):
         import pytest
 

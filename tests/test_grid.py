@@ -165,6 +165,40 @@ class TestGridConfig:
 
 
 class TestFamilies:
+    def test_job_key_hashes_the_packed_bits_like_the_table(self):
+        import random
+
+        from repro.boolean.truthtable import TruthTable
+        from repro.engine import SynthesisJob
+
+        rng = random.Random(12)
+        for n in range(1, 13):
+            size = 1 << n
+            for bits in (0, (1 << size) - 1, rng.getrandbits(size)):
+                job = SynthesisJob("f", n, bits)
+                table_hash = TruthTable.from_bits(n, bits).content_hash()
+                assert families.job_key(job) == (
+                    f"f/{n}/{table_hash}/{','.join(job.strategies)}/None")
+
+    def test_synthesis_addresses_are_unchanged(self):
+        from repro.server.protocol import parse_submission
+
+        # Recorded before job_key stopped building the dense table.
+        served = parse_submission({"kind": "synthesis", "jobs": [
+            {"bench": "xnor2"}, {"label": "f", "n": 2, "bits": 6},
+            {"label": "g", "n": 9, "bits": (1 << 512) - 1,
+             "strategies": ["dual", "optimal"]}]})
+        assert served.coalesce_key == (
+            "synthesis:3b7f77efc45bbba4a43c1362033d53af"
+            "82d190ae77a546dfe6091578f7d28657")
+        strategies = "dual,dreducible,pcircuit,optimal/None"
+        assert point_key("synthesis", {"bench": "xor3"}) == (
+            "grid/synthesis/v2/xor3/3/2327d686b6a3f83db11ef0b6d3651a83"
+            f"54d3d0a42039dcf3f44cdbf2d5c9aa49/{strategies}")
+        assert point_key("synthesis", {"label": "h", "n": 1, "bits": 1}) == (
+            "grid/synthesis/v2/h/1/d3292e2125d60b4c3c73c99544f79740"
+            f"9911a328817bb62dad567f02245561a6/{strategies}")
+
     def test_faultsim_key_is_the_campaign_point_key(self):
         params = {"n": 6, "density": 0.05, **_FAULTSIM_PARAMS}
         point = faultsim_campaign.point_from_params(params)

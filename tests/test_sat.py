@@ -228,6 +228,66 @@ class TestSolverAgainstBruteForce:
             assert brute_force_cnf(cnf) is None if cnf.num_vars <= 22 else True
 
 
+class TestLearntClauses:
+    """Minimised learnt clauses stay implied by the original formula."""
+
+    @staticmethod
+    def _models(cnf: Cnf) -> np.ndarray:
+        """Boolean ``(models, n + 1)`` table of every model; column 0 unused."""
+        bits = np.arange(1 << cnf.num_vars)[:, None]
+        values = np.zeros((len(bits), cnf.num_vars + 1), dtype=bool)
+        values[:, 1:] = (bits >> np.arange(cnf.num_vars)) & 1
+        satisfied = np.ones(len(values), dtype=bool)
+        for clause in cnf.clauses:
+            satisfied &= _clause_true(values, clause)
+        return values[satisfied]
+
+    def test_no_model_falsifies_a_learnt_clause(self):
+        outcomes = set()
+        learnt = dropped = 0
+        for seed in range(100):
+            rng = random.Random(7000 + seed)
+            num_vars = rng.randint(12, 14)
+            cnf = Cnf(num_vars)
+            for _ in range(int(num_vars * rng.uniform(3.8, 5.0))):
+                chosen = rng.sample(range(1, num_vars + 1), 3)
+                cnf.add_clause([v if rng.random() < 0.5 else -v
+                                for v in chosen])
+            models = self._models(cnf)
+            solver = Solver()
+            solver.add_cnf(cnf)
+            given = len(solver.clauses)
+            redundant = solver._redundant
+
+            def counted(*args, redundant=redundant):
+                nonlocal dropped
+                found = redundant(*args)
+                dropped += found
+                return found
+
+            solver._redundant = counted
+            # Solves under assumptions refute satisfiable formulas too, so
+            # the clauses they learn still have models to be checked on.
+            for round_index in range(8):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1),
+                                                   round_index % 4)]
+                result = solver.solve(assumptions)
+                outcomes.add((result, len(models) > 0))
+                if not solver.ok:
+                    break
+            for clause in solver.clauses:
+                assert _clause_true(models, clause).all(), (seed, clause)
+            learnt += len(solver.clauses) - given
+        assert outcomes == {(True, True), (False, True), (False, False)}
+        assert learnt > 200 and dropped > 20, (learnt, dropped)
+
+
+def _clause_true(values: np.ndarray, clause) -> np.ndarray:
+    lits = np.asarray(clause)
+    return (values[:, np.abs(lits)] == (lits > 0)).any(axis=1)
+
+
 def enumerate_models(cnf: Cnf, over_vars: int):
     """All assignments of vars 1..over_vars extendable to full models.
 

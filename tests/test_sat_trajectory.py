@@ -7,10 +7,10 @@ satisfiable shape decodes to, its ``proved`` flag and every cached or
 served payload built from it.  This suite pins the first ``solve()`` of
 fresh solvers to ``tests/data/sat_trajectory_golden.json``:
 
-* ``shapes``: the ``encode_shape`` CNF of every shape
-  ``synthesize_lattice_optimal`` tries on xnor2, maj3, gt2 and xor3 at the
-  ``optimal`` experiment's 100 000-conflict budget, shapes refuted inside
-  ``add_cnf`` included;
+* ``shapes``: the ``encode_shape`` CNF, symmetry clauses included, of
+  every shape ``synthesize_lattice_optimal`` tries on xnor2, maj3, gt2
+  and xor3 at the ``optimal`` experiment's 100 000-conflict budget,
+  shapes refuted inside ``add_cnf`` included;
 * ``budget``: one 200-variable random 3-CNF at clause ratio 4.26 under a
   5 000-conflict budget.  It runs out of budget (``None``) after passing
   the 1e100 activity rescale, whose stale heap entries then steer the
