@@ -3,11 +3,12 @@
 Paper anchors:
 
 * **Fig. 6 / Section IV-C** — clean-subarray recovery: the greedy
-  worst-line-elimination extractor of
-  :func:`repro.reliability.defect_unaware.greedy_clean_subarray`, run for
-  every trial of a :class:`~repro.faultlab.maps.DefectBatch` at once and
-  **bit-exact** against the scalar reference (both sides break ties toward
-  the lowest-numbered line);
+  worst-line-elimination extractor, run for every trial of a
+  :class:`~repro.faultlab.maps.DefectBatch` at once
+  (:func:`~repro.reliability.defect_unaware.greedy_clean_subarray_batch`,
+  which sits beside its scalar reference and is re-exported here) and
+  **bit-exact** against it (both sides break ties toward the
+  lowest-numbered line);
 * **Section IV (manufacturing yield)** — clean-``k`` feasibility over the
   ensemble, the quantity behind
   :func:`repro.reliability.yield_model.monte_carlo_yield`;
@@ -26,6 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..crossbar.lattice import Lattice
+from ..reliability.defect_unaware import (
+    greedy_clean_subarray_batch,  # noqa: F401 - re-exported by repro.faultlab
+    max_clean_square_exact,
+    recovered_k_batch,
+)
 from ..xbareval import placement_valid_batch as _placement_valid_batch
 from ..xbareval.placement import lattice_site_codes
 from .maps import DefectBatch
@@ -34,83 +40,6 @@ from .maps import DefectBatch
 # ----------------------------------------------------------------------
 # Clean-subarray extraction (Fig. 6)
 # ----------------------------------------------------------------------
-def greedy_clean_subarray_batch(defective: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Worst-line elimination + re-insertion for every trial at once.
-
-    Args:
-        defective: boolean ``(trials, rows, cols)`` defectiveness mask.
-
-    Returns:
-        ``(row_mask, col_mask)`` boolean selections of shape
-        ``(trials, rows)`` / ``(trials, cols)`` — per trial identical to
-        the scalar
-        :func:`~repro.reliability.defect_unaware.greedy_clean_subarray`
-        (same worst-line choices, same tie-breaks, same re-insertion).
-    """
-    if defective.ndim != 3:
-        raise ValueError("defectiveness mask must be 3-D (trials, rows, cols)")
-    defective = np.ascontiguousarray(defective, dtype=bool)
-    trials, rows, cols = defective.shape
-    row_alive = np.ones((trials, rows), dtype=bool)
-    col_alive = np.ones((trials, cols), dtype=bool)
-    # Live-defect counts per line, maintained incrementally: one elimination
-    # step costs O(active * (rows + cols)) instead of re-reducing the whole
-    # (trials, rows, cols) tensor.
-    row_counts = defective.sum(axis=2, dtype=np.int64)
-    col_counts = defective.sum(axis=1, dtype=np.int64)
-    n_rows = np.full(trials, rows, dtype=np.int64)
-    n_cols = np.full(trials, cols, dtype=np.int64)
-    remaining = row_counts.sum(axis=1)
-    active = np.nonzero(remaining > 0)[0]
-    while active.size:
-        rc = row_counts[active]
-        cc = col_counts[active]
-        # argmax picks the lowest index among equal maxima — the scalar
-        # tie-break contract.  Active trials always have a live defect, so
-        # the argmax line is alive.
-        worst_row = rc.argmax(axis=1)
-        worst_col = cc.argmax(axis=1)
-        max_row = np.take_along_axis(rc, worst_row[:, None], axis=1)[:, 0]
-        max_col = np.take_along_axis(cc, worst_col[:, None], axis=1)[:, 0]
-        balance_row = n_rows[active] - n_cols[active]
-        # Lexicographic (count, balance) comparison: remove the row unless
-        # the column strictly wins.
-        remove_row = (max_row > max_col) | (
-            (max_row == max_col) & (balance_row >= -balance_row))
-        rm_t = active[remove_row]
-        rm_r = worst_row[remove_row]
-        row_alive[rm_t, rm_r] = False
-        n_rows[rm_t] -= 1
-        remaining[rm_t] -= row_counts[rm_t, rm_r]
-        col_counts[rm_t] -= defective[rm_t, rm_r, :] & col_alive[rm_t]
-        row_counts[rm_t, rm_r] = 0
-        cm_t = active[~remove_row]
-        cm_c = worst_col[~remove_row]
-        col_alive[cm_t, cm_c] = False
-        n_cols[cm_t] -= 1
-        remaining[cm_t] -= col_counts[cm_t, cm_c]
-        row_counts[cm_t] -= defective[cm_t, :, cm_c] & row_alive[cm_t]
-        col_counts[cm_t, cm_c] = 0
-        active = active[remaining[active] > 0]
-    # Re-insertion: a removed line is re-added when it is clean w.r.t. the
-    # surviving perpendicular selection.  Row re-insertions cannot create
-    # row conflicts (the check only reads columns) so the whole pass is two
-    # masked reductions — columns are checked against the *updated* rows,
-    # matching the scalar order.
-    row_conflict = (defective & col_alive[:, None, :]).any(axis=2)
-    row_alive |= ~row_conflict
-    col_conflict = (defective & row_alive[:, :, None]).any(axis=1)
-    col_alive |= ~col_conflict
-    return row_alive, col_alive
-
-
-def recovered_k_batch(defective: np.ndarray) -> np.ndarray:
-    """Greedy recovered clean-square side ``k`` per trial, shape ``(trials,)``."""
-    row_alive, col_alive = greedy_clean_subarray_batch(defective)
-    return np.minimum(row_alive.sum(axis=1), col_alive.sum(axis=1))
-
-
 def recovered_k_exact_batch(batch: DefectBatch) -> np.ndarray:
     """Exact recovered ``k`` per trial via the scalar branch-and-bound.
 
@@ -118,8 +47,6 @@ def recovered_k_exact_batch(batch: DefectBatch) -> np.ndarray:
     campaigns can run the validation-grade ``"exact"`` strategy through
     the same batched interface, and so tests can bound the greedy kernel.
     """
-    from ..reliability.defect_unaware import max_clean_square_exact
-
     return np.array([
         max_clean_square_exact(defect_map).k
         for defect_map in batch.iter_defect_maps()

@@ -23,11 +23,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice
+from ..xbareval.connectivity import top_bottom_connected_batch
+from ..xbareval.lattice_eval import conduction_tensor
 from .defects import DefectMap
+from .faults import CHUNK_ELEMENTS
 
 
 # ----------------------------------------------------------------------
@@ -91,22 +97,17 @@ def spare_overhead_for_success(n: int, density: float, target: float,
 # ----------------------------------------------------------------------
 # TMR (transient faults)
 # ----------------------------------------------------------------------
-_VOTER_CACHE: Lattice | None = None
-
-
+@lru_cache(maxsize=1)
 def majority_voter_lattice() -> Lattice:
     """A folded lattice computing maj3 (2x3 after folding; maj3 is self-dual)."""
-    global _VOTER_CACHE
-    if _VOTER_CACHE is None:
-        from ..synthesis.lattice_dual import synthesize_lattice_dual
-        from ..synthesis.optimize import fold_lattice
+    from ..synthesis.lattice_dual import synthesize_lattice_dual
+    from ..synthesis.optimize import fold_lattice
 
-        table = TruthTable.from_callable(3, lambda m: bin(m).count("1") >= 2)
-        lattice = fold_lattice(synthesize_lattice_dual(table), table)
-        if not lattice.implements(table):  # pragma: no cover - flow guard
-            raise RuntimeError("majority voter lattice construction broken")
-        _VOTER_CACHE = lattice
-    return _VOTER_CACHE
+    table = TruthTable.from_callable(3, lambda m: bin(m).count("1") >= 2)
+    lattice = fold_lattice(synthesize_lattice_dual(table), table)
+    if not lattice.implements(table):  # pragma: no cover - flow guard
+        raise RuntimeError("majority voter lattice construction broken")
+    return lattice
 
 
 @dataclass(frozen=True)
@@ -161,29 +162,53 @@ class ReliabilityPoint:
 def tmr_reliability(replica: Lattice, table: TruthTable,
                     upset_rates: Sequence[float], trials: int,
                     rng: random.Random) -> list[ReliabilityPoint]:
-    """Simplex vs TMR output correctness across transient upset rates."""
+    """Simplex vs TMR output correctness across transient upset rates.
+
+    Each trial draws, in this order: the assignment (``rng.choice``), one
+    ``rng.random()`` per simplex site (also at rate 0), and, only when the
+    rate is above 0, one per site of each of the three replicas and then
+    of the voter, row-major within a lattice — the draws of scalar
+    ``replica.evaluate`` calls with a flipping ``site_override`` followed
+    by :meth:`TmrSystem.evaluate`.  A site is upset when its draw is below
+    the rate.  The draws are collected in that order and the trials are
+    evaluated in batches of at most
+    :data:`~repro.reliability.faults.CHUNK_ELEMENTS` sites: one flood for
+    the simplex and the three replicas, one for the voter on the votes.
+    """
     if table.n != replica.n:
         raise ValueError("truth table and lattice disagree on variables")
-    system = make_tmr(replica)
+    voter = make_tmr(replica).voter
     assignments = list(range(1 << replica.n))
+    area = replica.area
+    width = 4 * area + voter.area
+    step = max(1, CHUNK_ELEMENTS // width)
     points = []
     for rate in upset_rates:
+        drawn = width if rate > 0 else area
         simplex_ok = 0
         tmr_ok = 0
-        for _ in range(trials):
-            assignment = rng.choice(assignments)
-            golden = table.evaluate(assignment)
-
-            def flip(nominal: bool, rate: float = rate) -> bool:
-                if rng.random() < rate:
-                    return not nominal
-                return nominal
-
-            simplex = replica.evaluate(assignment, lambda r, c, v: flip(v))
-            if simplex == golden:
-                simplex_ok += 1
-            if system.evaluate(assignment, rng, rate) == golden:
-                tmr_ok += 1
+        for start in range(0, trials, step):
+            count = min(step, trials - start)
+            picked = np.empty(count, dtype=np.int64)
+            draws = np.empty((count, drawn))
+            for trial in range(count):
+                picked[trial] = rng.choice(assignments)
+                draws[trial] = [rng.random() for _ in range(drawn)]
+            upsets = np.zeros((count, width), dtype=bool)
+            upsets[:, :drawn] = draws < rate
+            golden = table.values[picked]
+            copies = (conduction_tensor(replica, picked)[:, None]
+                      ^ upsets[:, :4 * area].reshape(
+                          count, 4, replica.rows, replica.cols))
+            outputs = top_bottom_connected_batch(
+                copies.reshape(4 * count, replica.rows, replica.cols)
+            ).reshape(count, 4)
+            votes = outputs[:, 1:] @ np.array([1, 2, 4])
+            voted = top_bottom_connected_batch(
+                conduction_tensor(voter, votes)
+                ^ upsets[:, 4 * area:].reshape(count, voter.rows, voter.cols))
+            simplex_ok += int((outputs[:, 0] == golden).sum())
+            tmr_ok += int((voted == golden).sum())
         points.append(ReliabilityPoint(
             upset_rate=rate,
             simplex_correct=simplex_ok / trials,

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .defect_unaware import greedy_clean_subarray, max_clean_square_exact
+from .defect_unaware import _greedy_ks, max_clean_square_exact
 from .defects import random_defect_map
 
 
@@ -69,17 +69,16 @@ def monte_carlo_yield(n: int, k: int, density: float, trials: int,
     """P(an N x N crossbar contains a clean k x k subarray), estimated.
 
     ``exact=True`` uses the branch-and-bound extractor (small N only); the
-    default greedy extractor makes the estimate a *lower* bound.
+    default greedy extractor makes the estimate a *lower* bound.  Either
+    way each trial draws one ``random_defect_map``; the greedy trials are
+    extracted in batches.
     """
-    successes = 0
-    for _ in range(trials):
-        defect_map = random_defect_map(n, n, density, rng)
-        if exact:
-            found = max_clean_square_exact(defect_map).k
-        else:
-            found = greedy_clean_subarray(defect_map).k
-        if found >= k:
-            successes += 1
+    if exact:
+        found = [max_clean_square_exact(random_defect_map(n, n, density, rng)).k
+                 for _ in range(trials)]
+    else:
+        found = _greedy_ks(n, density, trials, rng)
+    successes = sum(1 for side in found if side >= k)
     return YieldEstimate(n, k, density, trials, successes, exact)
 
 

@@ -12,8 +12,9 @@ cheap semantic-preserving post-passes recover part of the gap:
 Both passes verify against the full truth table, so they are exact for the
 function sizes used in the experiments.  A candidate is checked from the
 current lattice's site masks with the row, column or site edited
-(:func:`repro.xbareval.evaluate_masks`), one flood per candidate; a
-:class:`Lattice` is built only from accepted edits.
+(:func:`repro.xbareval.evaluate_masks`), one flood per candidate (over the
+half of the assignments a site rewrite can change); a :class:`Lattice` is
+built only from accepted edits.
 """
 
 from __future__ import annotations
@@ -84,22 +85,44 @@ def simplify_sites(lattice: Lattice, target: TruthTable) -> Lattice:
 
     Tries ``1`` first (removes a switch), then ``0`` (documents that the
     site is dead).  Literal sites that survive both substitutions are kept.
+
+    Forcing a literal site to a constant only changes the outputs where
+    the literal differs from it, so a candidate floods just those
+    assignments, half of them.  One flood on entry records where the
+    input lattice already disagrees with the target; a candidate that
+    cannot change all of those outputs is rejected without a flood.
     """
     if target.n != lattice.n:
         raise ValueError("variable space mismatch")
+    n = lattice.n
     sites = [list(row) for row in lattice.sites]
     var, positive, is_literal, const = site_masks(lattice)
     is_literal, const = is_literal.copy(), const.copy()
+    masks = (var, positive, is_literal, const)
+    wanted = target.values
+    wrong = evaluate_masks(n, masks) != wanted
+    assignments = np.arange(1 << n)
+    # by_bit[v][b]: the assignments whose bit v is b.
+    by_bit = [(np.flatnonzero((assignments >> v) & 1 == 0),
+               np.flatnonzero((assignments >> v) & 1 == 1)) for v in range(n)]
     for r, row in enumerate(sites):
         for c, site in enumerate(row):
             if site is True or site is False:
                 continue
             is_literal[r, c] = False
             for replacement in (True, False):
+                # The literal already equals the replacement where its
+                # variable's bit is ``positive == replacement``; those
+                # outputs stay as they are.
+                kept = by_bit[site.var][site.positive == replacement]
+                changed = by_bit[site.var][site.positive != replacement]
+                if wrong[kept].any():
+                    continue
                 const[r, c] = replacement
-                if _computes(lattice.n, (var, positive, is_literal, const),
-                             target):
+                if np.array_equal(evaluate_masks(n, masks, changed),
+                                  wanted[changed]):
                     row[c] = replacement
+                    wrong[:] = False
                     break
             else:
                 is_literal[r, c], const[r, c] = True, False

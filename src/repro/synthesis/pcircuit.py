@@ -137,34 +137,30 @@ def _default_block_synthesizer(table: TruthTable) -> Lattice:
     return synthesize_lattice_dual(table)
 
 
-def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
-                        polarity: bool = True,
-                        block_synthesizer: BlockSynthesizer | None = None,
-                        verify: bool = True) -> PCircuitLattice:
-    """Build the P-circuit lattice for one (var, polarity) split.
+#: Block lattices of one call, by the block's (on, dc) pair; ``dc`` is
+#: ``None`` for a completely specified block, which is not minimized.
+_Blocks = dict[tuple[TruthTable, TruthTable | None], Lattice]
 
-    The blocks ``f^=``/``f^!=`` are minimized with ``I`` as don't-care
-    (the [7] flexibility).
 
-    Args:
-        function: the target.
-        var, polarity: the split.
-        block_synthesizer: lattice engine for the (n-1)-variable blocks
-            (defaults to the dual-based construction).
-        verify: exhaustively check the recomposed lattice.
-    """
-    table = function.on if isinstance(function, BooleanFunction) else function
-    synth = block_synthesizer or _default_block_synthesizer
-    dec = pcircuit_decompose(table, var, polarity)
-
-    def synthesize_block(on: TruthTable, dc: TruthTable) -> Lattice:
+def _block(blocks: _Blocks, synth: BlockSynthesizer, on: TruthTable,
+           dc: TruthTable | None) -> Lattice:
+    key = (on, dc)
+    if key not in blocks:
         # Resolve the flexibility once, by two-level minimization, then
         # synthesize the resolved (completely specified) function.
-        return synth(minimize(on, dc).to_truth_table())
+        resolved = on if dc is None else minimize(on, dc).to_truth_table()
+        blocks[key] = synth(resolved)
+    return blocks[key]
 
-    lat_eq = synthesize_block(dec.f_eq_on, dec.f_eq_dc)
-    lat_neq = synthesize_block(dec.f_neq_on, dec.f_neq_dc)
-    lat_int = synth(dec.intersection)
+
+def _synthesize_split(table: TruthTable, var: int, polarity: bool,
+                      synth: BlockSynthesizer, blocks: _Blocks,
+                      verify: bool) -> PCircuitLattice:
+    """One split's P-circuit lattice, its blocks taken from ``blocks``."""
+    dec = pcircuit_decompose(table, var, polarity)
+    lat_eq = _block(blocks, synth, dec.f_eq_on, dec.f_eq_dc)
+    lat_neq = _block(blocks, synth, dec.f_neq_on, dec.f_neq_dc)
+    lat_int = _block(blocks, synth, dec.intersection, None)
 
     n = table.n
     lit_eq = Literal(var, polarity)
@@ -186,18 +182,45 @@ def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
     )
 
 
+def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
+                        polarity: bool = True,
+                        block_synthesizer: BlockSynthesizer | None = None,
+                        verify: bool = True) -> PCircuitLattice:
+    """Build the P-circuit lattice for one (var, polarity) split.
+
+    The blocks ``f^=``/``f^!=`` are minimized with ``I`` as don't-care
+    (the [7] flexibility).
+
+    Args:
+        function: the target.
+        var, polarity: the split.
+        block_synthesizer: lattice engine for the (n-1)-variable blocks
+            (defaults to the dual-based construction).
+        verify: exhaustively check the recomposed lattice.
+    """
+    table = function.on if isinstance(function, BooleanFunction) else function
+    return _synthesize_split(table, var, polarity,
+                             block_synthesizer or _default_block_synthesizer,
+                             {}, verify)
+
+
 def best_pcircuit(function: BooleanFunction | TruthTable,
                   block_synthesizer: BlockSynthesizer | None = None
                   ) -> PCircuitLattice:
-    """Try every (var, polarity) split and keep the smallest lattice."""
+    """Try every (var, polarity) split and keep the smallest lattice.
+
+    Each distinct block is built once per call: the splits (v, p) and
+    (v, ~p) share their three blocks, swapped, and a symmetric function
+    shares blocks across variables.
+    """
     table = function.on if isinstance(function, BooleanFunction) else function
+    synth = block_synthesizer or _default_block_synthesizer
+    blocks: _Blocks = {}
     best: PCircuitLattice | None = None
     for var in range(table.n):
         for polarity in (True, False):
-            candidate = synthesize_pcircuit(
-                table, var, polarity,
-                block_synthesizer=block_synthesizer,
-            )
+            candidate = _synthesize_split(table, var, polarity, synth,
+                                          blocks, verify=True)
             if best is None or candidate.area < best.area:
                 best = candidate
     if best is None:

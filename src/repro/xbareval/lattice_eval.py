@@ -120,29 +120,36 @@ def evaluate_assignments(lattice: "Lattice", assignments: np.ndarray,
 
 
 def evaluate_masks(n: int, masks: SiteMasks,
+                   assignments: np.ndarray | None = None,
                    force_on: np.ndarray | None = None,
                    force_off: np.ndarray | None = None) -> np.ndarray:
-    """All ``2^n`` outputs of the lattice whose site masks are ``masks``.
+    """Outputs of the lattice whose site masks are ``masks``.
 
     The evaluation loop behind :func:`lattice_truthtable`: conduction
     grids for :data:`CHUNK_ASSIGNMENTS` assignments at a time, one flood
-    per chunk.  Callers that edit a lattice's :func:`site_masks` (delete
-    a row, fix a site) check the edit here without building a
-    :class:`~repro.crossbar.lattice.Lattice`.
+    per chunk.  ``assignments`` defaults to all ``2^n`` in order, as in
+    :func:`conduction_tensor`; entry ``b`` of the result belongs to
+    ``assignments[b]``.  Callers that edit a lattice's
+    :func:`site_masks` (delete a row, fix a site) check the edit here
+    without building a :class:`~repro.crossbar.lattice.Lattice`.
     """
-    if n > MAX_DENSE_VARS:
-        raise ValueError(
-            f"dense truth tables support at most {MAX_DENSE_VARS} variables, got {n}"
-        )
     from .connectivity import top_bottom_connected_batch
 
-    total = 1 << n
+    if assignments is None:
+        if n > MAX_DENSE_VARS:
+            raise ValueError(f"dense truth tables support at most "
+                             f"{MAX_DENSE_VARS} variables, got {n}")
+        total = 1 << n
+    else:
+        assignments = np.asarray(assignments, dtype=np.int64)
+        total = len(assignments)
     values = np.empty(total, dtype=bool)
     for start in range(0, total, CHUNK_ASSIGNMENTS):
         stop = min(start + CHUNK_ASSIGNMENTS, total)
-        values[start:stop] = top_bottom_connected_batch(_masks_tensor(
-            masks, np.arange(start, stop, dtype=np.int64),
-            force_on, force_off))
+        chunk = (np.arange(start, stop, dtype=np.int64) if assignments is None
+                 else assignments[start:stop])
+        values[start:stop] = top_bottom_connected_batch(
+            _masks_tensor(masks, chunk, force_on, force_off))
     return values
 
 
@@ -158,7 +165,7 @@ def lattice_truthtable(lattice: "Lattice",
     in ``tests/test_xbareval.py``).
     """
     return TruthTable(lattice.n, evaluate_masks(
-        lattice.n, site_masks(lattice), force_on, force_off))
+        lattice.n, site_masks(lattice), force_on=force_on, force_off=force_off))
 
 
 def implements_table(lattice: "Lattice", table: TruthTable) -> bool:

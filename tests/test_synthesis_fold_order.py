@@ -6,13 +6,15 @@ candidate is checked must not change which candidate wins.  The oracle
 below is the plain formulation: build every candidate ``Lattice`` and ask
 ``Lattice.implements``.  The production passes must return equal
 lattices on every case, through either flood dispatch (the scipy label
-pass where scipy is installed, the packed floods with it hidden).
+pass where scipy is installed, the packed floods with it hidden), also
+when the target is not the input lattice's function.
 """
 
 import random
 
 import pytest
 
+from repro.boolean import TruthTable
 from repro.boolean.cube import Literal
 from repro.crossbar.lattice import Lattice
 from repro.eval.benchsuite import suite
@@ -108,6 +110,36 @@ def oracle_cases(request):
     return expected
 
 
+def _wrong_target_cases():
+    """Each lattice of a few cases against two tables it does not compute:
+    its function with one assignment flipped, and a random table of the
+    same n."""
+    rng = random.Random(21)
+    cases = []
+    for name, lattice, table in _suite_cases()[::3] + _random_cases()[:150]:
+        flipped = list(table.values)
+        flipped[rng.randrange(len(flipped))] ^= True
+        cases.append((f"{name}-flipped", lattice,
+                      TruthTable(table.n, flipped)))
+        noise = [rng.random() < 0.5 for _ in range(len(flipped))]
+        if noise != list(table.values):
+            cases.append((f"{name}-random", lattice,
+                          TruthTable(table.n, noise)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def wrong_target_cases():
+    """As ``oracle_cases``, for targets the input lattice does not compute."""
+    expected = []
+    for name, lattice, target in _wrong_target_cases():
+        folded = _oracle_fold(lattice, target)
+        optimized = _oracle_fold(_oracle_simplify(folded, target), target)
+        expected.append((name, lattice, target, folded,
+                         _oracle_simplify(lattice, target), optimized))
+    return expected
+
+
 @pytest.fixture(params=["dispatched", "no-scipy"])
 def dispatch(request, monkeypatch):
     if request.param == "no-scipy":
@@ -129,3 +161,30 @@ def test_random_cases_cover_the_edge_shapes():
     assert any(site is True or site is False
                for lattice in lattices for row in lattice.sites
                for site in row)
+
+
+def test_fold_passes_match_the_oracle_on_a_wrong_target(wrong_target_cases,
+                                                        dispatch):
+    for name, lattice, target, folded, simplified, optimized in \
+            wrong_target_cases:
+        assert not lattice.implements(target), name
+        assert fold_lattice(lattice, target) == folded, name
+        assert simplify_sites(lattice, target) == simplified, name
+        if optimized.implements(target):
+            assert optimize_lattice(lattice, target).lattice == optimized, name
+        else:
+            with pytest.raises(RuntimeError):
+                optimize_lattice(lattice, target)
+
+
+def test_wrong_target_cases_reach_both_outcomes(wrong_target_cases):
+    # An accepted rewrite makes the lattice compute the target, so a wrong
+    # input is either repaired or returned as it is; both happen here.
+    repaired = kept = 0
+    for name, lattice, target, _, simplified, _ in wrong_target_cases:
+        if simplified == lattice:
+            kept += 1
+        else:
+            assert simplified.implements(target), name
+            repaired += 1
+    assert repaired and kept, (repaired, kept)

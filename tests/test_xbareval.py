@@ -40,7 +40,9 @@ from repro.xbareval import (
     defect_map_states,
     evaluate_assignments,
     evaluate_labellings,
+    evaluate_masks,
     implements_table,
+    lattice_eval,
     lattice_site_codes,
     lattice_truthtable,
     placement_valid_batch,
@@ -288,6 +290,22 @@ def test_evaluate_assignments_matches_scalar(lattice, seed):
     want = [lattice.evaluate(a) for a in assignments]
     assert got.tolist() == want
     assert lattice.evaluate_batch(np.array(assignments)).tolist() == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(lattices(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 1 << 14]))
+def test_evaluate_masks_on_chosen_assignments(lattice, seed, chunk):
+    """Entry b of a chosen-assignment evaluation is the lattice's output on
+    assignments[b], whatever the chunk size; by default all 2^n in order."""
+    rng = random.Random(seed)
+    assignments = [rng.randrange(1 << lattice.n) for _ in range(rng.randrange(9))]
+    masks = lattice_eval.site_masks(lattice)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice_eval, "CHUNK_ASSIGNMENTS", chunk)
+        chosen = evaluate_masks(lattice.n, masks, np.array(assignments))
+        every = evaluate_masks(lattice.n, masks)
+    assert chosen.tolist() == [lattice.evaluate(a) for a in assignments]
+    assert every.tolist() == lattice.to_truth_table_scalar().values.tolist()
 
 
 @settings(max_examples=50, deadline=None)
