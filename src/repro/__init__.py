@@ -4,8 +4,8 @@ Logic Synthesis and Fault Tolerance" (Altun, Ciriani, Tahoori, DATE 2017).
 Sub-packages:
 
 * :mod:`repro.boolean`     — Boolean substrate (cubes, covers, truth tables,
-  minimization, duals, PLA, BDDs, affine spaces)
-* :mod:`repro.sat`         — pure-Python CDCL SAT solver + encodings
+  minimization, duals, PLA parsing, NPN classes, affine spaces)
+* :mod:`repro.sat`         — pure-Python CDCL SAT solver + one-hot encodings
 * :mod:`repro.crossbar`    — diode / FET / four-terminal lattice array models
 * :mod:`repro.synthesis`   — the paper's synthesis flows (Fig. 3 / Fig. 5,
   P-circuits, D-reducible, SAT-optimal, folding)
@@ -19,8 +19,8 @@ Sub-packages:
 * :mod:`repro.varsim`      — batched variation-aware Monte-Carlo delay
   campaigns (Section IV variation tolerance, ``nanoxbar varsweep``)
 * :mod:`repro.xbareval`    — batched packed-bitset lattice evaluation core
-  (whole truth tables, placement sweeps and shortest-path delay relaxation
-  per kernel call; the scalar references remain as bit-exact checks)
+  (whole truth tables and shortest-path delay relaxation per kernel call;
+  the scalar references remain as bit-exact checks)
 * :mod:`repro.analysis`    — invariant lint engine (``nanoxbar lint``)
   and runtime lock sanitizer (``NANOXBAR_LOCKCHECK=1``) guarding the
   determinism / concurrency / layering contracts above

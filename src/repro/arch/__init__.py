@@ -6,13 +6,9 @@ arrays and a synchronous state machine combining them.
 """
 
 from .arithmetic import (
-    AdderReport,
     adder_reference,
-    adder_report,
     comparator_reference,
-    shared_adder_report,
     synthesize_adder,
-    synthesize_adder_shared,
     synthesize_comparator,
 )
 from .blocks import (
@@ -31,7 +27,6 @@ from .ssm import (
 )
 
 __all__ = [
-    "AdderReport",
     "CombinationalCircuit",
     "CrossbarMemory",
     "LogicBlock",
@@ -41,14 +36,11 @@ __all__ = [
     "SynchronousStateMachine",
     "address_decoder",
     "adder_reference",
-    "adder_report",
     "circuit_from_tables",
     "comparator_reference",
     "counter_spec",
     "sequence_detector_spec",
-    "shared_adder_report",
     "synthesize_adder",
-    "synthesize_adder_shared",
     "synthesize_block",
     "synthesize_comparator",
 ]

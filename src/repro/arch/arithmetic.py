@@ -8,8 +8,6 @@ and (for the adder) the carry-in is the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..boolean.truthtable import TruthTable
 from .blocks import CombinationalCircuit, circuit_from_tables
 
@@ -28,16 +26,6 @@ def _adder_bit_tables(width: int, with_carry_in: bool = False) -> list[TruthTabl
 
         tables.append(TruthTable.from_callable(n, value))
     return tables
-
-
-@dataclass(frozen=True)
-class AdderReport:
-    """Area of a crossbar ripple/flat adder (one experiment row)."""
-
-    width: int
-    style: str
-    total_area: int
-    per_output_areas: tuple[int, ...]
 
 
 def synthesize_adder(width: int, style: str = "lattice",
@@ -65,50 +53,6 @@ def adder_reference(width: int, with_carry_in: bool = False):
         return a + b + cin
 
     return reference
-
-
-def adder_report(width: int, style: str = "lattice") -> AdderReport:
-    circuit = synthesize_adder(width, style)
-    return AdderReport(
-        width=width,
-        style=style,
-        total_area=circuit.total_area,
-        per_output_areas=tuple(block.area for block in circuit.blocks),
-    )
-
-
-def synthesize_adder_shared(width: int, with_carry_in: bool = False):
-    """The adder on ONE shared diode plane (joint multi-output cover).
-
-    Returns a :class:`~repro.synthesis.multi_output.MultiOutputDiodePlane`
-    whose ``evaluate`` packs sum bits and carry exactly like
-    :func:`adder_reference`.
-    """
-    from ..synthesis.multi_output import MultiOutputDiodePlane
-
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    tables = _adder_bit_tables(width, with_carry_in)
-    plane = MultiOutputDiodePlane(tables)
-    if not plane.implements_all():
-        raise RuntimeError("shared adder plane failed verification")
-    return plane
-
-
-def shared_adder_report(width: int) -> dict:
-    """Shared-plane vs per-output diode adder areas."""
-    plane = synthesize_adder_shared(width)
-    independent = synthesize_adder(width, style="diode")
-    return {
-        "width": width,
-        "shared_shape": plane.shape,
-        "shared_area": plane.area,
-        "independent_area": independent.total_area,
-        "shared_rows": plane.num_rows,
-        "independent_rows": sum(
-            block.array.num_rows for block in independent.blocks
-        ),
-    }
 
 
 # ----------------------------------------------------------------------

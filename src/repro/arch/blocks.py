@@ -51,18 +51,19 @@ class LogicBlock:
 
 
 def synthesize_block(name: str, function: BooleanFunction,
-                     style: str = "lattice", fold: bool = True) -> LogicBlock:
+                     style: str = "lattice") -> LogicBlock:
     """Map one function onto an array in the requested style.
 
-    Constant functions get degenerate 1x1 lattices regardless of style
-    (two-terminal planes cannot express constants).
+    Lattices are the dual-based construction, folded.  Constant functions
+    get degenerate 1x1 lattices regardless of style (two-terminal planes
+    cannot express constants).
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     table = function.on
     if table.is_constant() or style == "lattice":
         lattice = synthesize_lattice_dual(table)
-        if fold and not table.is_constant():
+        if not table.is_constant():
             lattice = fold_lattice(lattice, table)
         return LogicBlock(name, function, "lattice", lattice)
     if style == "diode":

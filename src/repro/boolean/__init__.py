@@ -7,8 +7,9 @@ Public surface:
 * :class:`~repro.boolean.truthtable.TruthTable`
 * :class:`~repro.boolean.function.BooleanFunction`
 * minimization: :func:`~repro.boolean.minimize.minimize` and friends
-* duals: :func:`~repro.boolean.dual.dual_cover` etc.
-* PLA I/O, ROBDDs, GF(2)/affine-space tools for D-reducible functions
+  (the dual ``f^D`` is :meth:`~repro.boolean.truthtable.TruthTable.dual`)
+* expression and PLA parsing, GF(2)/affine-space tools for D-reducible
+  functions, NPN canonical forms
 """
 
 from .affine import (
@@ -24,20 +25,10 @@ from .affine import (
     parity_table,
     project_onto,
 )
-from .bdd import Bdd
 from .cover import Cover
 from .cube import Cube, Literal
-from .dual import (
-    check_duality_lemma,
-    dual_cover,
-    dual_table,
-    is_self_dual,
-    minimized_pair,
-    shared_literal,
-)
 from .expr import (
     ExpressionError,
-    expression_to_cover,
     expression_to_truth_table,
     expression_variables,
     parse_expression,
@@ -60,12 +51,11 @@ from .npn import (
     npn_equivalent,
     npn_semicanonical,
 )
-from .pla import Pla, PlaError, cover_to_pla, parse_pla, write_pla
+from .pla import Pla, PlaError, parse_pla
 from .truthtable import TruthTable
 
 __all__ = [
     "AffineSpace",
-    "Bdd",
     "BooleanFunction",
     "Cover",
     "Cube",
@@ -77,15 +67,10 @@ __all__ = [
     "TruthTable",
     "affine_hull",
     "apply_transform",
-    "check_duality_lemma",
     "count_npn_classes",
-    "cover_to_pla",
     "d_reduction",
-    "dual_cover",
-    "dual_table",
     "embed_projection",
     "exact_minimize",
-    "expression_to_cover",
     "expression_to_truth_table",
     "expression_variables",
     "gf2_kernel",
@@ -93,10 +78,8 @@ __all__ = [
     "gf2_row_reduce",
     "heuristic_minimize",
     "is_d_reducible",
-    "is_self_dual",
     "isop",
     "minimize",
-    "minimized_pair",
     "npn_canonical",
     "npn_classes",
     "npn_equivalent",
@@ -107,7 +90,5 @@ __all__ = [
     "parse_pla",
     "prime_implicants",
     "project_onto",
-    "shared_literal",
     "verify_cover",
-    "write_pla",
 ]

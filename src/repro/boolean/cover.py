@@ -143,9 +143,6 @@ class Cover:
         """Dense semantics of the cover."""
         return TruthTable.from_cubes(self.n, self._cubes)
 
-    def covers_minterm(self, minterm: int) -> bool:
-        return self.evaluate(minterm)
-
     def covers_cube(self, cube: Cube) -> bool:
         """True iff every minterm of ``cube`` is covered.
 
@@ -232,9 +229,6 @@ class Cover:
                 seen.add(cube)
                 kept.append(cube)
         return Cover(self.n, kept)
-
-    def with_cube(self, cube: Cube) -> "Cover":
-        return Cover(self.n, self._cubes + (cube,))
 
     def without_index(self, index: int) -> "Cover":
         return Cover(self.n, self._cubes[:index] + self._cubes[index + 1:])

@@ -232,13 +232,6 @@ class Cube:
                 result.append(Literal(var, False))
         return result
 
-    def distance(self, other: "Cube") -> int:
-        """Number of variables on which the cubes have opposite polarities."""
-        if self.n != other.n:
-            raise ValueError("cubes live in different spaces")
-        conflict = (self.pos & other.neg) | (self.neg & other.pos)
-        return bin(conflict).count("1")
-
     def merge(self, other: "Cube") -> "Cube | None":
         """Quine-McCluskey adjacency merge.
 
@@ -292,10 +285,6 @@ class Cube:
         if self.pos & bit:
             return None
         return Cube(self.n, self.pos, self.neg | bit)
-
-    def without_variable(self, var: int) -> "Cube":
-        """Alias of :meth:`remove_variable` (espresso EXPAND step)."""
-        return self.remove_variable(var)
 
     def complement_literals(self) -> "Cube":
         """Swap the polarity of every literal (used to build f(~x))."""

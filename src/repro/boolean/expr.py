@@ -4,7 +4,7 @@ The parser accepts the notation used throughout the DATE'17 paper and its
 references, e.g. ``x1 x2 x3 + x4 x5 x6`` (juxtaposition/space = AND,
 ``+`` = OR, postfix ``'`` = NOT) as well as programming-style operators
 (``&``, ``|``, ``^``, ``~``, ``!``).  Parsed expressions evaluate against
-integer assignments and convert to truth tables and covers.
+integer assignments and convert to truth tables.
 
 Grammar (precedence low to high)::
 
@@ -22,8 +22,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cover import Cover
-from .cube import Cube, Literal
 from .truthtable import TruthTable
 
 
@@ -294,55 +292,3 @@ def expression_to_truth_table(
         values.append(node.evaluate(env))
     return TruthTable(n, values), list(names)
 
-
-def expression_to_cover(
-    node: Node, names: Sequence[str] | None = None
-) -> tuple[Cover, list[str]]:
-    """Convert an AST directly to a cover when it is already in SOP shape.
-
-    Works for OR-of-AND-of-literal trees (the form used in the paper); falls
-    back to the canonical minterm cover otherwise.
-    """
-    if names is None:
-        names = expression_variables(node)
-    index = {name: i for i, name in enumerate(names)}
-
-    def as_literal(child: Node) -> Literal | None:
-        if isinstance(child, Var):
-            return Literal(index[child.name], True)
-        if isinstance(child, Not) and isinstance(child.child, Var):
-            return Literal(index[child.child.name], False)
-        return None
-
-    _SKIP = object()  # contradictory product: legal SOP, covers nothing
-
-    def as_cube(child: Node) -> Cube | None | object:
-        lit = as_literal(child)
-        if lit is not None:
-            return Cube.from_literals(len(names), [lit])
-        if isinstance(child, Const):
-            return Cube.universe(len(names)) if child.value else _SKIP
-        if isinstance(child, And):
-            literals = []
-            for grand in child.children:
-                lit = as_literal(grand)
-                if lit is None:
-                    return None
-                literals.append(lit)
-            try:
-                return Cube.from_literals(len(names), literals)
-            except ValueError:
-                return _SKIP
-        return None
-
-    terms = node.children if isinstance(node, Or) else (node,)
-    cubes = []
-    for term in terms:
-        cube = as_cube(term)
-        if cube is None:
-            table, _ = expression_to_truth_table(node, names)
-            return Cover.from_truth_table(table), list(names)
-        if cube is _SKIP:
-            continue
-        cubes.append(cube)
-    return Cover(len(names), cubes), list(names)

@@ -1,9 +1,9 @@
 """The :class:`BooleanFunction` facade.
 
 This is the main user-facing entry point of the Boolean substrate: a named,
-possibly incompletely specified function with conversions to/from
-expressions, truth tables, covers and PLA text, plus the derived artefacts
-the crossbar synthesis flows need (minimized SOP, minimized dual SOP).
+possibly incompletely specified function built from expressions, truth
+tables, covers or PLA text, plus the derived artefacts the crossbar
+synthesis flows need (minimized SOP, minimized dual SOP).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .cover import Cover
 from .expr import expression_to_truth_table, parse_expression
 from .minimize import minimize, verify_cover
-from .pla import Pla, cover_to_pla, parse_pla, write_pla
+from .pla import parse_pla
 from .truthtable import TruthTable
 
 
@@ -77,14 +77,6 @@ class BooleanFunction:
         return BooleanFunction(TruthTable.from_callable(n, fn), label=label)
 
     @staticmethod
-    def from_cover(cover: Cover, dc: Cover | None = None,
-                   names: Sequence[str] | None = None,
-                   label: str = "") -> "BooleanFunction":
-        on_table = cover.to_truth_table()
-        dc_table = dc.to_truth_table() if dc is not None else None
-        return BooleanFunction(on_table, dc_table, names=names, label=label)
-
-    @staticmethod
     def from_pla_text(text: str, output: int = 0, label: str = "") -> "BooleanFunction":
         pla = parse_pla(text)
         on, dc = pla.output_tables(output)
@@ -144,11 +136,6 @@ class BooleanFunction:
         """A minimized SOP cover of the dual (rows of the Fig. 5 lattice)."""
         return minimize(self.dual_table)
 
-    def minimized(self, method: str = "auto") -> Cover:
-        """Minimize with an explicit engine choice (uncached)."""
-        return minimize(self.on, self.dc if not self.is_completely_specified else None,
-                        method=method)
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -169,25 +156,12 @@ class BooleanFunction:
             names,
         )
 
-    def rename(self, names: Sequence[str]) -> "BooleanFunction":
-        return BooleanFunction(self.on, self.dc, names, self.label)
-
-    def with_label(self, label: str) -> "BooleanFunction":
-        return BooleanFunction(self.on, self.dc, self.names, label)
-
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
     def to_expression(self) -> str:
         """Render the minimized cover symbolically."""
         return self.minimized_cover.to_expression(self.names)
-
-    def to_pla(self) -> Pla:
-        dc_cover = minimize(self.dc) if not self.is_completely_specified else None
-        return cover_to_pla(self.minimized_cover, dc_cover, self.names)
-
-    def to_pla_text(self) -> str:
-        return write_pla(self.to_pla())
 
     # ------------------------------------------------------------------
     # Paper-facing metrics

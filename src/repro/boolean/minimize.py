@@ -411,33 +411,25 @@ EXACT_MINTERM_LIMIT = 512
 EXACT_VARIABLE_LIMIT = 12
 
 
-def minimize(on: TruthTable, dc: TruthTable | None = None,
-             method: str = "auto") -> Cover:
+def minimize(on: TruthTable, dc: TruthTable | None = None) -> Cover:
     """Minimize an (incompletely specified) function into an SOP cover.
+
+    Exact covering when the instance is small enough (at most
+    :data:`EXACT_VARIABLE_LIMIT` variables and
+    :data:`EXACT_MINTERM_LIMIT` on/dc minterms), the heuristic otherwise.
 
     Args:
         on: on-set truth table.
         dc: optional don't-care set.
-        method: ``"exact"``, ``"heuristic"``, ``"isop"`` or ``"auto"``
-            (exact when the instance is small enough).
 
     Returns:
         A cover whose truth table lies between ``on - dc`` and ``on + dc``.
     """
-    if method == "auto":
-        universe = on if dc is None else (on | dc)
-        small = (
-            on.n <= EXACT_VARIABLE_LIMIT
-            and universe.count_ones() <= EXACT_MINTERM_LIMIT
-        )
-        method = "exact" if small else "heuristic"
-    if method == "exact":
+    universe = on if dc is None else (on | dc)
+    if (on.n <= EXACT_VARIABLE_LIMIT
+            and universe.count_ones() <= EXACT_MINTERM_LIMIT):
         return exact_minimize(on, dc)
-    if method == "heuristic":
-        return heuristic_minimize(on, dc)
-    if method == "isop":
-        return isop(on, dc)
-    raise ValueError(f"unknown minimization method {method!r}")
+    return heuristic_minimize(on, dc)
 
 
 def verify_cover(cover: Cover, on: TruthTable, dc: TruthTable | None = None) -> bool:

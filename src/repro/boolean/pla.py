@@ -1,7 +1,7 @@
-"""Berkeley/espresso PLA format reader and writer.
+"""Berkeley/espresso PLA format reader.
 
 The benchmark tables in the lattice-synthesis literature ([2], [5], [6],
-[9]) are espresso ``.pla`` files.  This module parses and emits the common
+[9]) are espresso ``.pla`` files.  This module parses the common
 subset of the format: ``.i``, ``.o``, ``.p``, ``.ilb``, ``.ob``, ``.type``
 (``f``, ``fd``, ``fr``), cube lines and ``.e``.
 
@@ -13,7 +13,6 @@ crossbar output plane is synthesised independently).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .cover import Cover
 from .cube import Cube
@@ -67,12 +66,6 @@ class Pla:
         """Dense ``(on, dc)`` truth tables for one output column."""
         on, dc = self.output_cover(output)
         return on.to_truth_table(), dc.to_truth_table()
-
-    def single_output(self) -> tuple[TruthTable, TruthTable]:
-        """Convenience accessor for 1-output PLAs."""
-        if self.num_outputs != 1:
-            raise PlaError(f"expected a single-output PLA, got {self.num_outputs}")
-        return self.output_tables(0)
 
 
 def parse_pla(text: str) -> Pla:
@@ -132,31 +125,3 @@ def parse_pla(text: str) -> Pla:
         logic_type=logic_type,
     )
 
-
-def write_pla(pla: Pla) -> str:
-    """Serialise a :class:`Pla` back to espresso text."""
-    lines = [f".i {pla.num_inputs}", f".o {pla.num_outputs}"]
-    if pla.input_names:
-        lines.append(".ilb " + " ".join(pla.input_names))
-    if pla.output_names:
-        lines.append(".ob " + " ".join(pla.output_names))
-    if pla.logic_type != "fd":
-        lines.append(f".type {pla.logic_type}")
-    lines.append(f".p {len(pla.rows)}")
-    lines.extend(f"{a} {b}" for a, b in pla.rows)
-    lines.append(".e")
-    return "\n".join(lines) + "\n"
-
-
-def cover_to_pla(cover: Cover, dc: Cover | None = None,
-                 input_names: Iterable[str] | None = None) -> Pla:
-    """Wrap a single-output cover (plus optional dc cover) as a PLA."""
-    rows = [(str(cube), "1") for cube in cover]
-    if dc is not None:
-        rows.extend((str(cube), "-") for cube in dc)
-    return Pla(
-        num_inputs=cover.n,
-        num_outputs=1,
-        input_names=list(input_names) if input_names is not None else [],
-        rows=rows,
-    )

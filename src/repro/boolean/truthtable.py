@@ -24,8 +24,7 @@ from .cube import Cube
 #: Largest variable count for which dense tables are allowed.
 MAX_DENSE_VARS = 24
 
-#: Wire-format magic/version for :meth:`TruthTable.to_bytes` (mirrors
-#: ``repro.reliability.defects.DefectMap``'s ``b"DM1\0"``).
+#: Wire-format magic/version for :meth:`TruthTable.to_bytes`.
 _WIRE_MAGIC = b"TT1\x00"
 
 

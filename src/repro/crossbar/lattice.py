@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..boolean.cover import Cover
 from ..boolean.cube import Cube, Literal
 from ..boolean.truthtable import TruthTable
-from ..xbareval.lattice_eval import evaluate_assignments, lattice_truthtable
+from ..xbareval.lattice_eval import lattice_truthtable
 from .paths import enumerate_top_bottom_paths, top_bottom_connected
 
 Site = Literal | bool
@@ -129,14 +127,6 @@ class Lattice:
                  site_override: Callable[[int, int, bool], bool] | None = None) -> bool:
         """Operational semantics: top-bottom percolation through ON sites."""
         return top_bottom_connected(self.conduction_grid(assignment, site_override))
-
-    def evaluate_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """Operational semantics for a whole batch of assignments at once.
-
-        Vectorized through :mod:`repro.xbareval`; entry ``b`` equals
-        ``evaluate(assignments[b])``.
-        """
-        return evaluate_assignments(self, assignments)
 
     def to_truth_table(self) -> TruthTable:
         """Dense semantics via the batched evaluation core.

@@ -63,10 +63,6 @@ MAX_NPN_VARS = 6
 # ----------------------------------------------------------------------
 # Canonical keys and witness transforms
 # ----------------------------------------------------------------------
-def identity_transform(n: int) -> NpnTransform:
-    return NpnTransform(tuple(range(n)), 0, False)
-
-
 def canonical_cache_key(table: TruthTable,
                         max_npn_vars: int = MAX_NPN_VARS
                         ) -> tuple[str, NpnTransform]:

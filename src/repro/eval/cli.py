@@ -58,7 +58,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from ..boolean import BooleanFunction
+    from ..boolean import BooleanFunction, ExpressionError
     from ..synthesis import (
         optimize_lattice,
         synthesize_diode,
@@ -67,7 +67,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         synthesize_lattice_optimal,
     )
 
-    f = BooleanFunction.from_expression(args.expression)
+    try:
+        f = BooleanFunction.from_expression(args.expression)
+    except ExpressionError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"f = {f.to_expression()}   (n = {f.n})")
     style = args.style
     if style in ("diode", "all"):

@@ -13,10 +13,9 @@ API -> paper map:
 * :mod:`repro.faultlab.maps` — batched defect-map ensembles and their
   Bernoulli / clustered generators (Section IV defect regimes; the local
   density variation motivating hybrid BISM and Fig. 6's per-chip flow);
-* :mod:`repro.faultlab.kernels` — vectorized clean-subarray extraction
-  (Fig. 6 / Section IV-C), clean-``k`` feasibility (manufacturing yield),
-  and defect-aware placement checks (Section IV-B self-mapping), each
-  validated against its scalar :mod:`repro.reliability` reference;
+* :mod:`repro.faultlab.kernels` — batched clean-subarray extraction
+  (Fig. 6 / Section IV-C): the greedy kernel, validated against its
+  scalar :mod:`repro.reliability` reference, and the exact search;
 * :mod:`repro.faultlab.campaign` — ``CampaignSpec`` grids, the sharded
   runner and persisted ``PointEstimate`` histograms (Fig. 6b recovery
   curves and the Section IV yield story, at ensemble scale);
@@ -36,11 +35,6 @@ Quickstart::
 The same sweep is available from the shell as ``nanoxbar faultsim``.
 """
 
-from ..xbareval.placement import (
-    SITE_CONST0,
-    SITE_CONST1,
-    SITE_LITERAL,
-)
 from .campaign import (
     MAX_EXACT_N,
     MODELS,
@@ -53,14 +47,9 @@ from .campaign import (
     run_campaign,
 )
 from .kernels import (
-    clean_feasibility_batch,
     greedy_clean_subarray_batch,
-    map_lattice_random_batch,
-    placement_valid_batch,
     recovered_k_batch,
     recovered_k_exact_batch,
-    sample_line_subsets,
-    target_site_codes,
 )
 from .maps import (
     OK,
@@ -69,7 +58,6 @@ from .maps import (
     DefectBatch,
     bernoulli_defect_batch,
     clustered_defect_batch,
-    spawn_streams,
 )
 from .report import analytic_crosschecks, render_campaign, wilson_interval
 
@@ -82,26 +70,17 @@ __all__ = [
     "MODELS",
     "OK",
     "PointEstimate",
-    "SITE_CONST0",
-    "SITE_CONST1",
-    "SITE_LITERAL",
     "STRATEGIES",
     "STUCK_CLOSED",
     "STUCK_OPEN",
     "analytic_crosschecks",
     "bernoulli_defect_batch",
-    "clean_feasibility_batch",
     "clustered_defect_batch",
     "greedy_clean_subarray_batch",
     "iter_campaign",
-    "map_lattice_random_batch",
-    "placement_valid_batch",
     "recovered_k_batch",
     "recovered_k_exact_batch",
     "render_campaign",
     "run_campaign",
-    "sample_line_subsets",
-    "spawn_streams",
-    "target_site_codes",
     "wilson_interval",
 ]

@@ -13,12 +13,10 @@ be answered for thousands of sampled chips per NumPy kernel call:
   :func:`~repro.reliability.defects.random_defect_map`;
 * :func:`clustered_defect_batch` — Poisson cluster centres with Gaussian
   spread (local density variation), the batched analogue of
-  :func:`~repro.reliability.defects.clustered_defect_map`;
-* :func:`spawn_streams` — ``SeedSequence``-spawned independent per-worker
-  ``numpy.random.Generator`` streams.
+  :func:`~repro.reliability.defects.clustered_defect_map`.
 
-State codes match :data:`repro.reliability.defects.STATE_TO_CODE`:
-``0`` OK, ``1`` stuck-open, ``2`` stuck-closed.
+State codes are :data:`repro.reliability.defects.STATE_TO_CODE`, with
+``0`` for OK: ``1`` stuck-open, ``2`` stuck-closed.
 """
 
 from __future__ import annotations
@@ -80,15 +78,6 @@ class DefectBatch:
             return np.zeros(self.trials)
         return self.defective().mean(axis=(1, 2))
 
-    def packed_bits(self) -> np.ndarray:
-        """Bit-packed defectiveness mask, ``(trials, ceil(rows*cols/8))``.
-
-        The compact form used when a whole ensemble crosses a process
-        boundary and only cleanliness (not the open/closed split) matters.
-        """
-        flat = self.defective().reshape(self.trials, -1)
-        return np.packbits(flat, axis=1)
-
     # -- conversions to/from the scalar reference model -------------------
     def to_defect_map(self, trial: int) -> DefectMap:
         """Materialise one trial as a scalar (dict-based) ``DefectMap``."""
@@ -116,21 +105,6 @@ class DefectBatch:
             for (r, c), state in defect_map.defects.items():
                 states[t, r, c] = STATE_TO_CODE[state]
         return DefectBatch(states)
-
-
-# ----------------------------------------------------------------------
-# Seeding
-# ----------------------------------------------------------------------
-def spawn_streams(entropy: int | Sequence[int],
-                  count: int) -> list[np.random.Generator]:
-    """``count`` independent generators from one ``SeedSequence`` root.
-
-    The campaign runner hands each worker batch its own spawned stream, so
-    results are independent of how batches are interleaved across the pool
-    (serial and pooled runs see identical streams).
-    """
-    root = np.random.SeedSequence(entropy)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 def _validate(trials: int, rows: int, cols: int, density: float,

@@ -334,16 +334,6 @@ class MetricsRecorder:
                                 timeout=timeout)
         return self.history(since=since)
 
-    def describe(self) -> dict:
-        """Recorder configuration for history/stream payload headers."""
-        return {
-            "interval": self.interval,
-            "capacity": self._frames.maxlen,
-            "coarse_stride": self.coarse_stride,
-            "coarse_capacity": self._coarse.maxlen,
-            "quantile_window": self.quantile_window,
-        }
-
 
 def _aggregate_frames(frames: list[dict]) -> dict:
     """Fold consecutive fine frames into one coarse frame.

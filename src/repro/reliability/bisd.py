@@ -72,12 +72,6 @@ def diagnosis_configurations(rows: int, cols: int) -> list[TestConfiguration]:
     return configs
 
 
-def configuration_fails(fabric: CrossbarFabric, config: TestConfiguration,
-                        fault: Fault) -> bool:
-    """Pass/fail outcome of one configuration under a fault."""
-    return bool(detection_matrix(fabric, [config], [fault])[0, 0])
-
-
 def signature(fabric: CrossbarFabric, configs: list[TestConfiguration],
               fault: Fault) -> tuple[bool, ...]:
     """The pass/fail vector (True = fail) across the diagnosis suite."""

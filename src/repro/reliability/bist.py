@@ -133,18 +133,6 @@ def verify_full_coverage(rows: int, cols: int) -> bool:
 # ----------------------------------------------------------------------
 # Application-dependent BIST (used by BISM)
 # ----------------------------------------------------------------------
-def application_test_vectors(program: tuple[tuple[bool, ...], ...]) -> list[tuple[bool, ...]]:
-    """Vectors that fully exercise one application configuration.
-
-    For the wired-AND row read-out it suffices to apply the all-ones vector
-    (catches stuck-opens on programmed crosspoints) and, per column, the
-    walking-zero vector (catches stuck-closeds on unprogrammed crosspoints
-    of rows whose programmed columns are all 1).
-    """
-    cols = len(program[0])
-    return _base_vectors(cols)
-
-
 def application_bist_passes(fabric: CrossbarFabric,
                             program: tuple[tuple[bool, ...], ...],
                             defect_map,

@@ -16,15 +16,9 @@ crossbar in Fig. 6's flow).
 
 from __future__ import annotations
 
-import hashlib
 import random
-import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
-
-#: Wire-format magic/version for :meth:`DefectMap.to_bytes`.
-_WIRE_MAGIC = b"DM1\x00"
 
 
 class CrosspointState(Enum):
@@ -35,8 +29,9 @@ class CrosspointState(Enum):
     STUCK_CLOSED = "stuck_closed"
 
 
-#: Sparse numeric state codes, shared with :mod:`repro.faultlab.maps`
-#: (``0`` is reserved for OK and never serialised).
+#: Numeric codes of the defect states, the crosspoint values of the dense
+#: state grids (:mod:`repro.faultlab.maps`,
+#: :func:`repro.reliability.lattice_mapping.defect_map_states`); ``0`` is OK.
 STATE_TO_CODE = {CrosspointState.STUCK_OPEN: 1, CrosspointState.STUCK_CLOSED: 2}
 CODE_TO_STATE = {code: state for state, code in STATE_TO_CODE.items()}
 
@@ -90,16 +85,6 @@ class DefectMap:
             counts[r] += 1
         return counts
 
-    def col_defect_counts(self) -> list[int]:
-        counts = [0] * self.cols
-        for _, c in self.defects:
-            counts[c] += 1
-        return counts
-
-    def iter_defects(self) -> Iterator[tuple[int, int, CrosspointState]]:
-        for (r, c), state in sorted(self.defects.items()):
-            yield r, c, state
-
     def submap(self, row_ids: list[int], col_ids: list[int]) -> "DefectMap":
         """Defect map of the sub-crossbar selected by the given lines."""
         row_pos = {r: i for i, r in enumerate(row_ids)}
@@ -118,55 +103,6 @@ class DefectMap:
         return not any(
             r in row_set and c in col_set for (r, c) in self.defects
         )
-
-    # ------------------------------------------------------------------
-    # Compact serialization (process boundaries, content-hash caching)
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Compact, deterministic wire format.
-
-        Layout: ``b"DM1\\0"`` magic, ``<III`` rows/cols/defect-count header,
-        then one ``<IB`` record per defect — the flat crosspoint index
-        ``r * cols + c`` plus the sparse state code — sorted by index so
-        equal maps always serialise to equal bytes (content-hashable).
-        """
-        header = struct.pack("<4sIII", _WIRE_MAGIC, self.rows, self.cols,
-                             len(self.defects))
-        records = b"".join(
-            struct.pack("<IB", r * self.cols + c, STATE_TO_CODE[state])
-            for (r, c), state in sorted(self.defects.items())
-        )
-        return header + records
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DefectMap":
-        """Inverse of :meth:`to_bytes` (validates magic and payload size)."""
-        head_size = struct.calcsize("<4sIII")
-        if len(data) < head_size:
-            raise ValueError("defect-map payload shorter than its header")
-        magic, rows, cols, count = struct.unpack_from("<4sIII", data)
-        if magic != _WIRE_MAGIC:
-            raise ValueError(f"bad defect-map magic {magic!r}")
-        record = struct.calcsize("<IB")
-        if len(data) != head_size + count * record:
-            raise ValueError("defect-map payload size mismatch")
-        defects: dict[tuple[int, int], CrosspointState] = {}
-        for i in range(count):
-            index, code = struct.unpack_from("<IB", data,
-                                             head_size + i * record)
-            if code not in CODE_TO_STATE:
-                raise ValueError(f"unknown crosspoint state code {code}")
-            if cols == 0 or index >= rows * cols:
-                raise ValueError(f"defect index {index} outside {rows}x{cols}")
-            position = (index // cols, index % cols)
-            if position in defects:
-                raise ValueError(f"duplicate defect record for {position}")
-            defects[position] = CODE_TO_STATE[code]
-        return cls(rows, cols, defects)
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of :meth:`to_bytes` (stable cache key)."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def render(self) -> str:
         """ASCII map: ``.`` OK, ``o`` stuck-open, ``x`` stuck-closed."""
@@ -250,36 +186,3 @@ def clustered_defect_map(rows: int, cols: int, density: float,
             defects[(r, c)] = state
             placed += 1
     return DefectMap(rows, cols, defects)
-
-
-@dataclass(frozen=True)
-class NanoChip:
-    """A chip: many crossbars with per-crossbar defect densities.
-
-    Models the *global and local defect density variations* the hybrid BISM
-    of Section IV-B targets: each crossbar's density is sampled around the
-    chip mean.
-    """
-
-    crossbars: tuple[DefectMap, ...]
-
-    @property
-    def num_crossbars(self) -> int:
-        return len(self.crossbars)
-
-    def mean_density(self) -> float:
-        return sum(m.density for m in self.crossbars) / len(self.crossbars)
-
-
-def sample_chip(num_crossbars: int, rows: int, cols: int,
-                mean_density: float, density_spread: float,
-                rng: random.Random, clustered: bool = False) -> NanoChip:
-    """Sample a chip whose crossbar densities vary around the mean."""
-    maps = []
-    for _ in range(num_crossbars):
-        local = min(1.0, max(0.0, rng.gauss(mean_density, density_spread)))
-        if clustered:
-            maps.append(clustered_defect_map(rows, cols, local, rng))
-        else:
-            maps.append(random_defect_map(rows, cols, local, rng))
-    return NanoChip(tuple(maps))

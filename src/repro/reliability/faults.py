@@ -213,17 +213,6 @@ class TestConfiguration:
         return len(self.vectors)
 
 
-def fault_equivalence_note(fault: Fault, fabric: CrossbarFabric) -> str | None:
-    """Explain structurally undetectable faults (equivalence classes).
-
-    A row bridge on a 1-column fabric, for example, can be behaviourally
-    equivalent to the fault-free fabric under every configuration.
-    """
-    if isinstance(fault, BridgeFault) and fault.line == "row" and fabric.cols == 1:
-        return "row bridge with a single input column is behaviourally dormant"
-    return None
-
-
 # ----------------------------------------------------------------------
 # The batched fault simulator
 # ----------------------------------------------------------------------

@@ -21,10 +21,9 @@ stuck-open or OK).
 
 The mapper searches row/column permutations of the fabric (placement of
 the target grid plus selection of spare lines), blind-BISM style, counting
-trials.  :func:`exploit_defects` additionally *re-synthesises* the target:
-because padding rows/columns of the algebra are all-1/all-0, a defective
-fabric whose defects line up with padding costs nothing — the mapper tries
-target variants with padding inserted at defect positions.
+trials.  Because padding rows/columns of the algebra are all-1/all-0, a
+defective fabric whose defects line up with padding costs nothing; a
+successful placement reports how many defects it put to such use.
 """
 
 from __future__ import annotations
@@ -36,15 +35,8 @@ import numpy as np
 
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice, Site
-from ..xbareval import (
-    defect_map_states,
-    lattice_site_codes,
-    lattice_truthtable,
-    placement_valid_grid,
-)
-from ..xbareval.placement import STUCK_CLOSED as _STUCK_CLOSED_CODE
-from ..xbareval.placement import STUCK_OPEN as _STUCK_OPEN_CODE
-from .defects import CrosspointState, DefectMap
+from ..xbareval import lattice_truthtable
+from .defects import STATE_TO_CODE, CrosspointState, DefectMap
 
 
 def site_compatible(state: CrosspointState, site: Site) -> bool:
@@ -58,7 +50,7 @@ def site_compatible(state: CrosspointState, site: Site) -> bool:
 
 def placement_valid(target: Lattice, defect_map: DefectMap,
                     row_map: tuple[int, ...], col_map: tuple[int, ...]) -> bool:
-    """Check one placement against the operating model (scalar reference).
+    """Check one placement against the operating model.
 
     Unused fabric *rows* are disconnected by the line-addressing scheme
     (the same assumption BISM makes), but within the selected rows every
@@ -68,10 +60,6 @@ def placement_valid(target: Lattice, defect_map: DefectMap,
     * every fabric site on a selected row but an unused column is not
       stuck-closed (a permanently conducting stray site could bridge two
       used columns laterally and create new paths).
-
-    The mapping searches below route the same predicate through the
-    batched kernels of :mod:`repro.xbareval.placement`; this scalar form
-    is the bit-exact reference they are property-tested against.
     """
     used_cols = set(col_map)
     for i, fabric_row in enumerate(row_map):
@@ -124,14 +112,8 @@ def map_lattice_random(target: Lattice, defect_map: DefectMap,
     Row order matters for lattices (paths cross rows in order), so row maps
     preserve relative order of the drawn physical rows; columns likewise.
 
-    One-fabric-at-a-time search: each trial draws and checks a single
-    placement with the scalar :func:`placement_valid` — at this batch
-    size the early-exiting scalar predicate beats any kernel launch, and
-    keeping the draw-check-stop loop preserves the historical ``rng``
-    stream exactly.  The *ensemble-scale* counterpart, which maps
-    thousands of fabrics per batched
-    :func:`repro.xbareval.placement_valid_batch` call, is
-    :func:`repro.faultlab.kernels.map_lattice_random_batch`.
+    Each trial draws and checks a single placement with
+    :func:`placement_valid` and stops at the first valid one.
     """
     if target.rows > defect_map.rows or target.cols > defect_map.cols:
         raise ValueError("target lattice larger than the fabric")
@@ -145,54 +127,13 @@ def map_lattice_random(target: Lattice, defect_map: DefectMap,
     return LatticeMappingResult(False, None, None, max_trials)
 
 
-def map_lattice_exhaustive(target: Lattice, defect_map: DefectMap,
-                           max_placements: int = 200_000
-                           ) -> LatticeMappingResult:
-    """Exhaustive order-preserving placement search (small fabrics).
-
-    Enumerates increasing row/column selections; complete, so a failure is
-    a proof that no order-preserving placement exists.  All candidate
-    placements (up to ``max_placements``, in the same lexicographic order
-    as the historical scalar loop) are checked in chunked calls to
-    :func:`repro.xbareval.placement_valid_grid`; the first valid one wins,
-    so results — including the ``trials`` accounting — are unchanged.
-    """
-    from itertools import combinations, islice
-
-    if target.rows > defect_map.rows or target.cols > defect_map.cols:
-        raise ValueError("target lattice larger than the fabric")
-    states = defect_map_states(defect_map)
-    codes = lattice_site_codes(target)
-    # Lazy placement stream: nothing beyond the current chunk is ever
-    # materialised, so max_placements bounds work and memory even on
-    # fabrics with astronomically many selections.
-    placements = (
-        (row, col)
-        for row in combinations(range(defect_map.rows), target.rows)
-        for col in combinations(range(defect_map.cols), target.cols)
-    )
-    trials = 0
-    # Escalating chunks: an early success costs one small kernel call,
-    # a full enumeration amortises into large batches.
-    chunk_size = 64
-    while trials < max_placements:
-        chunk = list(islice(placements,
-                            min(chunk_size, max_placements - trials)))
-        chunk_size = min(chunk_size * 8, 8192)
-        if not chunk:
-            return LatticeMappingResult(False, None, None, trials)
-        row_maps = np.array([row for row, _ in chunk], dtype=np.int64)
-        col_maps = np.array([col for _, col in chunk], dtype=np.int64)
-        valid = placement_valid_grid(states, codes, row_maps, col_maps)
-        hits = np.flatnonzero(valid)
-        if hits.size:
-            first = int(hits[0])
-            row_map, col_map = chunk[first]
-            return LatticeMappingResult(
-                True, row_map, col_map, trials + first + 1,
-                _exploited_defects(defect_map, row_map, col_map))
-        trials += len(chunk)
-    return LatticeMappingResult(False, None, None, max_placements)
+def defect_map_states(defect_map: DefectMap) -> np.ndarray:
+    """Dense uint8 ``(rows, cols)`` grid of :data:`~.defects.STATE_TO_CODE`
+    codes (``0`` for OK crosspoints)."""
+    states = np.zeros((defect_map.rows, defect_map.cols), dtype=np.uint8)
+    for (r, c), state in defect_map.defects.items():
+        states[r, c] = STATE_TO_CODE[state]
+    return states
 
 
 def verify_mapped_lattice(target: Lattice, table: TruthTable,
@@ -224,8 +165,8 @@ def verify_mapped_lattice(target: Lattice, table: TruthTable,
     states = defect_map_states(defect_map)[list(result.row_map), :]
     operated = lattice_truthtable(
         fabric_lattice,
-        force_on=states == _STUCK_CLOSED_CODE,
-        force_off=states == _STUCK_OPEN_CODE,
+        force_on=states == STATE_TO_CODE[CrosspointState.STUCK_CLOSED],
+        force_off=states == STATE_TO_CODE[CrosspointState.STUCK_OPEN],
     )
     return operated == table
 

@@ -1,18 +1,7 @@
-"""Pure-Python SAT substrate (CNF, CDCL solver, encodings, DIMACS I/O)."""
+"""Pure-Python SAT substrate (CNF, CDCL solver, cardinality encodings)."""
 
 from .cnf import Cnf
-from .dimacs import parse_dimacs, write_dimacs
-from .encodings import (
-    at_least_one,
-    at_most_k_sequential,
-    at_most_one_pairwise,
-    at_most_one_sequential,
-    exactly_one,
-    implies_all,
-    tseitin_and,
-    tseitin_or,
-    tseitin_xor,
-)
+from .encodings import at_least_one, at_most_one_pairwise, exactly_one
 from .solver import Solver, SolverError, brute_force_cnf, luby, solve_cnf
 
 __all__ = [
@@ -20,17 +9,9 @@ __all__ = [
     "Solver",
     "SolverError",
     "at_least_one",
-    "at_most_k_sequential",
     "at_most_one_pairwise",
-    "at_most_one_sequential",
     "brute_force_cnf",
     "exactly_one",
-    "implies_all",
     "luby",
-    "parse_dimacs",
     "solve_cnf",
-    "tseitin_and",
-    "tseitin_or",
-    "tseitin_xor",
-    "write_dimacs",
 ]

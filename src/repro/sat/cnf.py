@@ -2,8 +2,7 @@
 
 Literals use the DIMACS convention: variables are positive integers and a
 negative integer denotes negation.  :class:`Cnf` owns the variable counter
-so encoders can allocate fresh auxiliary variables (Tseitin, cardinality
-networks) without collisions.
+so encoders can allocate fresh variables without collisions.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ class Cnf:
         self.num_vars += 1
         return self.num_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh variables."""
-        return [self.new_var() for _ in range(count)]
-
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause; deduplicates literals, keeps tautologies out."""
         seen: set[int] = set()
@@ -50,11 +45,6 @@ class Cnf:
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
             self.add_clause(clause)
-
-    def extend_from(self, other: "Cnf") -> None:
-        """Append another formula's clauses (variable spaces must align)."""
-        self.num_vars = max(self.num_vars, other.num_vars)
-        self.clauses.extend(other.clauses)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

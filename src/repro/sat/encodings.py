@@ -1,8 +1,5 @@
-"""Reusable CNF encodings: cardinality constraints and Tseitin gates.
-
-Used by the exact lattice synthesiser (one-hot site labels) and by the
-diagnosis-configuration optimiser.
-"""
+"""Reusable CNF encodings: the cardinality constraints of the exact
+lattice synthesiser's one-hot site labels."""
 
 from __future__ import annotations
 
@@ -25,88 +22,7 @@ def at_most_one_pairwise(cnf: Cnf, literals: Sequence[int]) -> None:
             cnf.add_clause([-a, -b])
 
 
-def at_most_one_sequential(cnf: Cnf, literals: Sequence[int]) -> None:
-    """AMO via the sequential (ladder) encoding: O(k) clauses and variables.
-
-    Introduces auxiliary 'prefix contains a true literal' variables.
-    """
-    k = len(literals)
-    if k <= 4:
-        at_most_one_pairwise(cnf, literals)
-        return
-    prefix = cnf.new_vars(k - 1)
-    cnf.add_clause([-literals[0], prefix[0]])
-    for i in range(1, k - 1):
-        cnf.add_clause([-literals[i], prefix[i]])
-        cnf.add_clause([-prefix[i - 1], prefix[i]])
-        cnf.add_clause([-literals[i], -prefix[i - 1]])
-    cnf.add_clause([-literals[k - 1], -prefix[k - 2]])
-
-
-def exactly_one(cnf: Cnf, literals: Sequence[int], pairwise: bool = True) -> None:
-    """EO = ALO + AMO."""
+def exactly_one(cnf: Cnf, literals: Sequence[int]) -> None:
+    """EO = ALO + pairwise AMO."""
     at_least_one(cnf, literals)
-    if pairwise:
-        at_most_one_pairwise(cnf, literals)
-    else:
-        at_most_one_sequential(cnf, literals)
-
-
-def at_most_k_sequential(cnf: Cnf, literals: Sequence[int], k: int) -> None:
-    """Sequential counter encoding of ``sum(literals) <= k``."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    n = len(literals)
-    if k >= n:
-        return
-    if k == 0:
-        for lit in literals:
-            cnf.add_clause([-lit])
-        return
-    # registers[i][j]: after the first i+1 literals, at least j+1 are true.
-    registers = [[cnf.new_var() for _ in range(k)] for _ in range(n)]
-    cnf.add_clause([-literals[0], registers[0][0]])
-    for j in range(1, k):
-        cnf.add_clause([-registers[0][j]])
-    for i in range(1, n):
-        cnf.add_clause([-literals[i], registers[i][0]])
-        cnf.add_clause([-registers[i - 1][0], registers[i][0]])
-        for j in range(1, k):
-            cnf.add_clause([-literals[i], -registers[i - 1][j - 1], registers[i][j]])
-            cnf.add_clause([-registers[i - 1][j], registers[i][j]])
-        cnf.add_clause([-literals[i], -registers[i - 1][k - 1]])
-    # (final overflow clauses are included in the loop's last iteration)
-
-
-def tseitin_and(cnf: Cnf, inputs: Sequence[int]) -> int:
-    """Fresh variable equivalent to the conjunction of the inputs."""
-    out = cnf.new_var()
-    for lit in inputs:
-        cnf.add_clause([-out, lit])
-    cnf.add_clause([out] + [-lit for lit in inputs])
-    return out
-
-
-def tseitin_or(cnf: Cnf, inputs: Sequence[int]) -> int:
-    """Fresh variable equivalent to the disjunction of the inputs."""
-    out = cnf.new_var()
-    for lit in inputs:
-        cnf.add_clause([out, -lit])
-    cnf.add_clause([-out] + list(inputs))
-    return out
-
-
-def tseitin_xor(cnf: Cnf, a: int, b: int) -> int:
-    """Fresh variable equivalent to ``a XOR b``."""
-    out = cnf.new_var()
-    cnf.add_clause([-out, a, b])
-    cnf.add_clause([-out, -a, -b])
-    cnf.add_clause([out, -a, b])
-    cnf.add_clause([out, a, -b])
-    return out
-
-
-def implies_all(cnf: Cnf, antecedent: int, consequents: Sequence[int]) -> None:
-    """antecedent -> every consequent."""
-    for lit in consequents:
-        cnf.add_clause([-antecedent, lit])
+    at_most_one_pairwise(cnf, literals)

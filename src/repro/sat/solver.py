@@ -160,7 +160,25 @@ class Solver:
                 seen.add(lit)
                 clause.append(lit)
         self._register_var(top)
-        # Level-0 simplification.
+        return self._add_simplified(clause)
+
+    def add_cnf(self, cnf: Cnf) -> bool:
+        """Add every clause of ``cnf``; False once the formula is UNSAT.
+
+        :meth:`Cnf.add_clause` has already dropped duplicate literals and
+        tautologies, and ``cnf.num_vars`` bounds every variable, so each
+        clause goes straight to the level-0 simplification.
+        """
+        self._register_var(cnf.num_vars)
+        for clause in cnf:
+            if not (self.ok and self._add_simplified(clause)):
+                return False
+        return True
+
+    def _add_simplified(self, clause: Sequence[int]) -> bool:
+        """Level-0 simplification of a clause whose variables are
+        registered and whose literals are distinct and not complementary;
+        then store and watch it, or enqueue it as a unit."""
         vals = self.vals
         simplified: list[int] = []
         for lit in clause:
@@ -181,14 +199,6 @@ class Solver:
         self.clauses.append(simplified)
         self.watches[simplified[0]].append(simplified)
         self.watches[simplified[1]].append(simplified)
-        return True
-
-    def add_cnf(self, cnf: Cnf) -> bool:
-        """Add every clause of ``cnf``; False once the formula is UNSAT."""
-        self._register_var(cnf.num_vars)
-        for clause in cnf:
-            if not self.add_clause(clause):
-                return False
         return True
 
     # ------------------------------------------------------------------

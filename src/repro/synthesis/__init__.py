@@ -46,11 +46,6 @@ from .lattice_optimal import (
     encode_shape,
     synthesize_lattice_optimal,
 )
-from .multi_output import (
-    MultiOutputDiodePlane,
-    SharedPlaneReport,
-    shared_plane_report,
-)
 from .optimize import (
     OptimizationReport,
     fold_lattice,
@@ -79,9 +74,7 @@ __all__ = [
     "DReducibleLattice",
     "DualSynthesisReport",
     "ExpressivenessRow",
-    "MultiOutputDiodePlane",
     "OptimalSynthesisResult",
-    "SharedPlaneReport",
     "OptimizationReport",
     "PCircuitDecomposition",
     "PCircuitLattice",
@@ -115,7 +108,6 @@ __all__ = [
     "recompose_table",
     "remove_col",
     "remove_row",
-    "shared_plane_report",
     "simplify_sites",
     "synthesize_diode",
     "synthesize_dreducible",

@@ -11,7 +11,6 @@ shrinks dramatically and the total beats direct synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..boolean.affine import AffineSpace, d_reduction, embed_projection, parity_table
 from ..boolean.function import BooleanFunction
@@ -21,33 +20,24 @@ from .compose import constant_lattice, lattice_and, lattice_and_many
 from .lattice_dual import synthesize_lattice_dual
 from .optimize import fold_lattice
 
-LatticeSynthesizer = Callable[[TruthTable], Lattice]
 
-
-def synthesize_characteristic(space: AffineSpace,
-                              synthesizer: LatticeSynthesizer | None = None,
-                              fold: bool = True) -> Lattice:
+def synthesize_characteristic(space: AffineSpace) -> Lattice:
     """Lattice for ``chi_A`` built constraint-by-constraint ([6]).
 
     ``chi_A`` is the conjunction of independent parity constraints; each
     constraint usually touches few variables, so synthesising one small
-    parity lattice per constraint and AND-composing them is far cheaper
-    than synthesising the monolithic product function.
+    parity lattice per constraint (dual-based, then folded) and
+    AND-composing them is far cheaper than synthesising the monolithic
+    product function.  The composition is folded once more.
     """
-    synth = synthesizer or synthesize_lattice_dual
     if not space.constraints:
         return constant_lattice(space.n, True)
     factors = []
     for mask, rhs in space.constraints:
         table = parity_table(space.n, mask, rhs)
-        lattice = synth(table)
-        if fold:
-            lattice = fold_lattice(lattice, table)
-        factors.append(lattice)
-    chi = lattice_and_many(factors)
-    if fold:
-        chi = fold_lattice(chi, space.characteristic_table())
-    return chi
+        factors.append(fold_lattice(synthesize_lattice_dual(table), table))
+    return fold_lattice(lattice_and_many(factors),
+                        space.characteristic_table())
 
 
 @dataclass(frozen=True)
@@ -70,18 +60,15 @@ class DReducibleLattice:
 
 
 def synthesize_dreducible(function: BooleanFunction | TruthTable,
-                          synthesizer: LatticeSynthesizer | None = None,
-                          verify: bool = True,
-                          fold_blocks: bool = True) -> DReducibleLattice | None:
+                          verify: bool = True) -> DReducibleLattice | None:
     """Synthesize ``f`` as ``chi_A AND f_A`` when ``f`` is D-reducible.
 
-    ``chi_A`` is built constraint-wise (:func:`synthesize_characteristic`)
-    and both factors are folded before composition when ``fold_blocks``.
-    Returns ``None`` when the function is constant-0 or its affine hull is
-    the full space (no reduction available).
+    ``chi_A`` is built constraint-wise (:func:`synthesize_characteristic`),
+    ``f_A`` by the dual-based construction, and both factors are folded
+    before composition.  Returns ``None`` when the function is constant-0
+    or its affine hull is the full space (no reduction available).
     """
     table = function.on if isinstance(function, BooleanFunction) else function
-    synth = synthesizer or synthesize_lattice_dual
     decomposition = d_reduction(table)
     if decomposition is None:
         return None
@@ -90,10 +77,9 @@ def synthesize_dreducible(function: BooleanFunction | TruthTable,
     # expressed in the full n-variable space, so the AND composition needs
     # no re-indexing.
     embedded = embed_projection(projected, space)
-    chi_lattice = synthesize_characteristic(space, synthesizer, fold_blocks)
-    projection_lattice = synth(embedded)
-    if fold_blocks:
-        projection_lattice = fold_lattice(projection_lattice, embedded)
+    chi_lattice = synthesize_characteristic(space)
+    projection_lattice = fold_lattice(synthesize_lattice_dual(embedded),
+                                      embedded)
     lattice = lattice_and(chi_lattice, projection_lattice)
     if verify and not lattice.implements(table):
         raise RuntimeError("D-reducible recomposition failed verification")

@@ -67,14 +67,12 @@ def lattice_from_covers(cover: Cover, dual_cover: Cover) -> Lattice:
 
 
 def synthesize_lattice_dual(function: BooleanFunction | TruthTable,
-                            method: str = "auto",
                             verify: bool = True) -> Lattice:
     """Synthesize a lattice for a function via the dual-based construction.
 
     Args:
         function: target (don't-cares, if any, are resolved to 0 — lattice
             synthesis with flexibility is delegated to the P-circuit flow).
-        method: minimization engine for both covers.
         verify: exhaustively check the lattice implements the function
             (cheap for the n ranges used here).
 
@@ -82,8 +80,8 @@ def synthesize_lattice_dual(function: BooleanFunction | TruthTable,
         A :class:`~repro.crossbar.lattice.Lattice` computing the function.
     """
     table = function.on if isinstance(function, BooleanFunction) else function
-    cover = minimize(table, method=method)
-    dual_cover = minimize(table.dual(), method=method)
+    cover = minimize(table)
+    dual_cover = minimize(table.dual())
     lattice = lattice_from_covers(cover, dual_cover)
     # Candidate check through the batched evaluation core (one flood call
     # over all 2^n assignments).
@@ -108,11 +106,10 @@ class DualSynthesisReport:
         return self.lattice.area
 
 
-def dual_synthesis_report(function: BooleanFunction,
-                          method: str = "auto") -> DualSynthesisReport:
+def dual_synthesis_report(function: BooleanFunction) -> DualSynthesisReport:
     """Run the flow and capture the size-formula quantities alongside."""
-    cover = minimize(function.on, method=method)
-    dual_cover = minimize(function.on.dual(), method=method)
+    cover = minimize(function.on)
+    dual_cover = minimize(function.on.dual())
     lattice = lattice_from_covers(cover, dual_cover)
     if not implements_table(lattice, function.on):
         raise SynthesisError("dual-based lattice failed verification")

@@ -144,13 +144,12 @@ class OptimizationReport:
         return self.original_area - self.folded_area
 
 
-def optimize_lattice(lattice: Lattice, target: TruthTable,
-                     simplify: bool = True) -> OptimizationReport:
-    """Run folding (and optionally site simplification) with verification."""
+def optimize_lattice(lattice: Lattice,
+                     target: TruthTable) -> OptimizationReport:
+    """Fold, simplify sites and fold again, with verification."""
     folded = fold_lattice(lattice, target)
-    if simplify:
-        folded = simplify_sites(folded, target)
-        folded = fold_lattice(folded, target)
+    folded = simplify_sites(folded, target)
+    folded = fold_lattice(folded, target)
     if not folded.implements(target):
         raise RuntimeError("optimization broke the lattice (internal bug)")
     return OptimizationReport(

@@ -22,7 +22,6 @@ never depends on the block minimizer's choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..boolean.cube import Literal
 from ..boolean.function import BooleanFunction
@@ -36,9 +35,6 @@ from .compose import (
     literal_lattice,
 )
 from .lattice_dual import synthesize_lattice_dual
-
-#: A lattice synthesiser for the (n-1)-variable blocks.
-BlockSynthesizer = Callable[[TruthTable], Lattice]
 
 
 @dataclass(frozen=True)
@@ -133,34 +129,30 @@ class PCircuitLattice:
         return {k: v.area for k, v in self.block_lattices.items()}
 
 
-def _default_block_synthesizer(table: TruthTable) -> Lattice:
-    return synthesize_lattice_dual(table)
-
-
 #: Block lattices of one call, by the block's (on, dc) pair; ``dc`` is
 #: ``None`` for a completely specified block, which is not minimized.
 _Blocks = dict[tuple[TruthTable, TruthTable | None], Lattice]
 
 
-def _block(blocks: _Blocks, synth: BlockSynthesizer, on: TruthTable,
+def _block(blocks: _Blocks, on: TruthTable,
            dc: TruthTable | None) -> Lattice:
     key = (on, dc)
     if key not in blocks:
         # Resolve the flexibility once, by two-level minimization, then
-        # synthesize the resolved (completely specified) function.
+        # synthesize the resolved (completely specified) function with
+        # the dual-based construction.
         resolved = on if dc is None else minimize(on, dc).to_truth_table()
-        blocks[key] = synth(resolved)
+        blocks[key] = synthesize_lattice_dual(resolved)
     return blocks[key]
 
 
 def _synthesize_split(table: TruthTable, var: int, polarity: bool,
-                      synth: BlockSynthesizer, blocks: _Blocks,
-                      verify: bool) -> PCircuitLattice:
+                      blocks: _Blocks, verify: bool) -> PCircuitLattice:
     """One split's P-circuit lattice, its blocks taken from ``blocks``."""
     dec = pcircuit_decompose(table, var, polarity)
-    lat_eq = _block(blocks, synth, dec.f_eq_on, dec.f_eq_dc)
-    lat_neq = _block(blocks, synth, dec.f_neq_on, dec.f_neq_dc)
-    lat_int = _block(blocks, synth, dec.intersection, None)
+    lat_eq = _block(blocks, dec.f_eq_on, dec.f_eq_dc)
+    lat_neq = _block(blocks, dec.f_neq_on, dec.f_neq_dc)
+    lat_int = _block(blocks, dec.intersection, None)
 
     n = table.n
     lit_eq = Literal(var, polarity)
@@ -184,29 +176,23 @@ def _synthesize_split(table: TruthTable, var: int, polarity: bool,
 
 def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
                         polarity: bool = True,
-                        block_synthesizer: BlockSynthesizer | None = None,
                         verify: bool = True) -> PCircuitLattice:
     """Build the P-circuit lattice for one (var, polarity) split.
 
     The blocks ``f^=``/``f^!=`` are minimized with ``I`` as don't-care
-    (the [7] flexibility).
+    (the [7] flexibility); every block's lattice is the dual-based
+    construction.
 
     Args:
         function: the target.
         var, polarity: the split.
-        block_synthesizer: lattice engine for the (n-1)-variable blocks
-            (defaults to the dual-based construction).
         verify: exhaustively check the recomposed lattice.
     """
     table = function.on if isinstance(function, BooleanFunction) else function
-    return _synthesize_split(table, var, polarity,
-                             block_synthesizer or _default_block_synthesizer,
-                             {}, verify)
+    return _synthesize_split(table, var, polarity, {}, verify)
 
 
-def best_pcircuit(function: BooleanFunction | TruthTable,
-                  block_synthesizer: BlockSynthesizer | None = None
-                  ) -> PCircuitLattice:
+def best_pcircuit(function: BooleanFunction | TruthTable) -> PCircuitLattice:
     """Try every (var, polarity) split and keep the smallest lattice.
 
     Each distinct block is built once per call: the splits (v, p) and
@@ -214,13 +200,12 @@ def best_pcircuit(function: BooleanFunction | TruthTable,
     shares blocks across variables.
     """
     table = function.on if isinstance(function, BooleanFunction) else function
-    synth = block_synthesizer or _default_block_synthesizer
     blocks: _Blocks = {}
     best: PCircuitLattice | None = None
     for var in range(table.n):
         for polarity in (True, False):
-            candidate = _synthesize_split(table, var, polarity, synth,
-                                          blocks, verify=True)
+            candidate = _synthesize_split(table, var, polarity, blocks,
+                                          verify=True)
             if best is None or candidate.area < best.area:
                 best = candidate
     if best is None:

@@ -25,29 +25,27 @@ class TwoTerminalError(RuntimeError):
     """Raised when a flow invariant breaks (verification failure)."""
 
 
-def synthesize_diode(function: BooleanFunction | TruthTable,
-                     method: str = "auto", verify: bool = True) -> DiodeCrossbar:
+def synthesize_diode(function: BooleanFunction | TruthTable) -> DiodeCrossbar:
     """Minimize and map onto a diode-resistor crossbar."""
     table = function.on if isinstance(function, BooleanFunction) else function
-    cover = minimize(table, method=method)
+    cover = minimize(table)
     if cover.num_products == 0:
         raise TwoTerminalError("constant-0 function needs no diode array")
     array = DiodeCrossbar(cover)
-    if verify and not array.implements(table):
+    if not array.implements(table):
         raise TwoTerminalError("diode array failed verification")
     return array
 
 
-def synthesize_fet(function: BooleanFunction | TruthTable,
-                   method: str = "auto", verify: bool = True) -> FetCrossbar:
+def synthesize_fet(function: BooleanFunction | TruthTable) -> FetCrossbar:
     """Minimize ``f`` and ``f^D`` and map onto a complementary FET crossbar."""
     table = function.on if isinstance(function, BooleanFunction) else function
-    cover = minimize(table, method=method)
-    dual_cover = minimize(table.dual(), method=method)
+    cover = minimize(table)
+    dual_cover = minimize(table.dual())
     if cover.num_products == 0 or dual_cover.num_products == 0:
         raise TwoTerminalError("constant functions need no FET array")
     array = FetCrossbar(cover, dual_cover)
-    if verify and not array.implements(table):
+    if not array.implements(table):
         raise TwoTerminalError("FET array failed verification")
     return array
 
@@ -75,12 +73,11 @@ class TwoTerminalReport:
         return self.fet_shape[0] * self.fet_shape[1]
 
 
-def two_terminal_report(function: BooleanFunction,
-                        method: str = "auto") -> TwoTerminalReport:
+def two_terminal_report(function: BooleanFunction) -> TwoTerminalReport:
     """Synthesize both two-terminal styles and collect the Fig. 3 row."""
     table = function.on
-    cover = minimize(table, method=method)
-    dual_cover = minimize(table.dual(), method=method)
+    cover = minimize(table)
+    dual_cover = minimize(table.dual())
     if cover.num_products == 0 or dual_cover.num_products == 0:
         raise TwoTerminalError("constant functions have no Fig. 3 row")
     diode = DiodeCrossbar(cover)

@@ -105,20 +105,6 @@ def _masks_tensor(masks: SiteMasks, assignments: np.ndarray,
     return grids
 
 
-def evaluate_assignments(lattice: "Lattice", assignments: np.ndarray,
-                         force_on: np.ndarray | None = None,
-                         force_off: np.ndarray | None = None) -> np.ndarray:
-    """Lattice outputs for a batch of assignments, shape ``(B,)``.
-
-    Entry ``b`` equals the scalar ``lattice.evaluate(assignments[b])``
-    (with the optional stuck-site overlays applied).
-    """
-    from .connectivity import top_bottom_connected_batch
-
-    grids = conduction_tensor(lattice, assignments, force_on, force_off)
-    return top_bottom_connected_batch(grids)
-
-
 def evaluate_masks(n: int, masks: SiteMasks,
                    assignments: np.ndarray | None = None,
                    force_on: np.ndarray | None = None,

@@ -8,7 +8,6 @@ from repro.arch import (
     SynchronousStateMachine,
     address_decoder,
     adder_reference,
-    adder_report,
     comparator_reference,
     counter_spec,
     sequence_detector_spec,
@@ -59,12 +58,6 @@ class TestAdder:
         for style in ("lattice", "diode"):
             adder = synthesize_adder(1, style=style)
             assert adder.verify_against(adder_reference(1))
-
-    def test_adder_report(self):
-        report = adder_report(2)
-        assert report.width == 2
-        assert report.total_area == sum(report.per_output_areas)
-        assert len(report.per_output_areas) == 3  # 2 sums + carry
 
     def test_width_validation(self):
         with pytest.raises(ValueError):

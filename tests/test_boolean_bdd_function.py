@@ -1,108 +1,8 @@
-"""Tests for the ROBDD engine and the BooleanFunction facade."""
+"""Tests for the BooleanFunction facade."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.boolean import Bdd, BooleanFunction, Cover, TruthTable, verify_cover
-
-
-def tables(n=4):
-    return st.integers(min_value=0, max_value=(1 << (1 << n)) - 1).map(
-        lambda bits: TruthTable.from_bits(n, bits)
-    )
-
-
-class TestBdd:
-    def test_terminals(self):
-        b = Bdd(3)
-        assert b.constant(False) == Bdd.FALSE
-        assert b.evaluate(Bdd.TRUE, 0b101)
-
-    def test_var_node(self):
-        b = Bdd(3)
-        x1 = b.var_node(1)
-        assert b.evaluate(x1, 0b010)
-        assert not b.evaluate(x1, 0b101)
-        assert b.evaluate(b.var_node(1, positive=False), 0b101)
-
-    def test_reduction_rules_dedupe(self):
-        b = Bdd(2)
-        a1 = b.node(0, Bdd.FALSE, Bdd.TRUE)
-        a2 = b.node(0, Bdd.FALSE, Bdd.TRUE)
-        assert a1 == a2
-        assert b.node(1, a1, a1) == a1
-
-    @given(tables())
-    @settings(max_examples=50)
-    def test_truth_table_roundtrip(self, t):
-        b = Bdd(4)
-        node = b.from_truth_table(t)
-        assert b.to_truth_table(node) == t
-
-    @given(tables(), tables())
-    @settings(max_examples=40)
-    def test_apply_ops_match_table_ops(self, t1, t2):
-        b = Bdd(4)
-        n1, n2 = b.from_truth_table(t1), b.from_truth_table(t2)
-        assert b.to_truth_table(b.conj(n1, n2)) == (t1 & t2)
-        assert b.to_truth_table(b.disj(n1, n2)) == (t1 | t2)
-        assert b.to_truth_table(b.xor(n1, n2)) == (t1 ^ t2)
-        assert b.to_truth_table(b.negate(n1)) == ~t1
-
-    @given(tables())
-    @settings(max_examples=50)
-    def test_sat_count(self, t):
-        b = Bdd(4)
-        assert b.sat_count(b.from_truth_table(t)) == t.count_ones()
-
-    @given(tables())
-    @settings(max_examples=50)
-    def test_any_sat(self, t):
-        b = Bdd(4)
-        node = b.from_truth_table(t)
-        model = b.any_sat(node)
-        if t.is_contradiction():
-            assert model is None
-        else:
-            assert t.evaluate(model)
-
-    @given(tables(), st.integers(min_value=0, max_value=3), st.booleans())
-    @settings(max_examples=40)
-    def test_restrict(self, t, var, value):
-        b = Bdd(4)
-        node = b.from_truth_table(t)
-        restricted = b.restrict(node, var, value)
-        assert b.to_truth_table(restricted) == t.restrict(var, value)
-
-    @given(tables())
-    @settings(max_examples=40)
-    def test_prime_paths_form_disjoint_cover(self, t):
-        b = Bdd(4)
-        node = b.from_truth_table(t)
-        cubes = list(b.iter_prime_paths(node))
-        cover = Cover(4, cubes)
-        assert cover.to_truth_table() == t
-        for i, a in enumerate(cubes):
-            for c in cubes[i + 1:]:
-                assert not a.intersects(c)
-
-    def test_from_cover_matches(self):
-        cover = Cover.from_strings(["1-0", "01-"])
-        b = Bdd(3)
-        assert b.to_truth_table(b.from_cover(cover)) == cover.to_truth_table()
-
-    def test_support(self):
-        b = Bdd(4)
-        node = b.from_truth_table(TruthTable.variable(4, 2))
-        assert b.support(node) == [2]
-
-    def test_ite(self):
-        b = Bdd(3)
-        c, t_, e = b.var_node(0), b.var_node(1), b.var_node(2)
-        ite = b.ite(c, t_, e)
-        for m in range(8):
-            expected = bool(m & 2) if (m & 1) else bool(m & 4)
-            assert b.evaluate(ite, m) == expected
+from repro.boolean import BooleanFunction, TruthTable, verify_cover
 
 
 class TestBooleanFunction:
@@ -145,11 +45,6 @@ class TestBooleanFunction:
     def test_callable_interface(self):
         f = BooleanFunction.from_expression("x1 x2")
         assert f(0b11) and not f(0b01)
-
-    def test_pla_roundtrip(self):
-        f = BooleanFunction.from_minterms(3, [1, 4, 6])
-        g = BooleanFunction.from_pla_text(f.to_pla_text())
-        assert g.on == f.on
 
     def test_name_length_validation(self):
         with pytest.raises(ValueError):

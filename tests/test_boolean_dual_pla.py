@@ -1,23 +1,17 @@
-"""Tests for dual-function helpers and PLA I/O."""
+"""Tests for dual functions, the duality lemma and PLA parsing."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean import (
     BooleanFunction,
-    Cover,
     TruthTable,
-    check_duality_lemma,
-    cover_to_pla,
-    dual_cover,
-    is_self_dual,
-    minimized_pair,
+    minimize,
     parse_pla,
-    shared_literal,
     verify_cover,
-    write_pla,
 )
 from repro.boolean.pla import PlaError
+from repro.synthesis import SynthesisError, pick_shared_literal
 
 
 def tables(n=4):
@@ -30,29 +24,30 @@ class TestDual:
     @given(tables())
     @settings(max_examples=40)
     def test_dual_cover_implements_dual(self, t):
-        cover = dual_cover(Cover.from_truth_table(t) if t.count_ones() else Cover.empty(4))
+        cover = minimize(t.dual())
         assert cover.to_truth_table() == t.dual()
 
     @given(tables())
     @settings(max_examples=40, deadline=None)
     def test_duality_lemma_holds_for_minimized_pair(self, t):
-        f_cover, d_cover = minimized_pair(t)
-        assert check_duality_lemma(f_cover, d_cover)
+        f_cover, d_cover = minimize(t), minimize(t.dual())
         for p in f_cover:
             for q in d_cover:
-                lit = shared_literal(p, q)
+                lit = pick_shared_literal(p, q)
                 assert lit in p.literal_set() and lit in q.literal_set()
 
     def test_shared_literal_raises_for_disjoint(self):
         from repro.boolean import Cube
 
-        with pytest.raises(ValueError):
-            shared_literal(Cube.from_string("1-"), Cube.from_string("-1").complement_literals())
+        with pytest.raises(SynthesisError):
+            pick_shared_literal(Cube.from_string("1-"),
+                                Cube.from_string("-1").complement_literals())
 
     def test_self_dual_detection(self):
         maj = TruthTable.from_callable(3, lambda m: bin(m).count("1") >= 2)
-        assert is_self_dual(maj)
-        assert not is_self_dual(TruthTable.variable(3, 0) & TruthTable.variable(3, 1))
+        assert maj.is_self_dual()
+        assert not (TruthTable.variable(3, 0)
+                    & TruthTable.variable(3, 1)).is_self_dual()
 
 
 class TestPla:
@@ -69,23 +64,13 @@ class TestPla:
 .e
 """
 
-    def test_parse_roundtrip(self):
+    def test_output_cover_on_and_dc(self):
         pla = parse_pla(self.SAMPLE)
         assert pla.num_inputs == 3 and pla.num_outputs == 2
         assert pla.input_names == ["a", "b", "c"]
-        again = parse_pla(write_pla(pla))
-        assert again.rows == pla.rows
-
-    def test_output_cover_on_and_dc(self):
-        pla = parse_pla(self.SAMPLE)
         on, dc = pla.output_cover(1)
         assert len(on) == 1  # row 011 has g=1
         assert len(dc) == 1  # row --1 has g=-
-
-    def test_single_output_requires_one(self):
-        pla = parse_pla(self.SAMPLE)
-        with pytest.raises(PlaError):
-            pla.single_output()
 
     def test_compact_row_format(self):
         pla = parse_pla(".i 2\n.o 1\n111\n.e\n")
@@ -99,12 +84,6 @@ class TestPla:
     def test_bad_row_length_raises(self):
         with pytest.raises(PlaError):
             parse_pla(".i 3\n.o 1\n1- 1\n.e\n")
-
-    def test_cover_to_pla_roundtrip(self):
-        cover = Cover.from_strings(["1-0", "011"])
-        pla = cover_to_pla(cover)
-        on, dc = parse_pla(write_pla(pla)).output_cover(0)
-        assert on.to_truth_table() == cover.to_truth_table()
 
     def test_boolean_function_from_pla(self):
         text = ".i 2\n.o 1\n.p 2\n11 1\n00 1\n.e\n"

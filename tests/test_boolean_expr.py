@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.boolean import (
     ExpressionError,
-    expression_to_cover,
     expression_to_truth_table,
     expression_variables,
     parse_expression,
@@ -71,27 +70,6 @@ class TestParsing:
 
 
 class TestCoverConversion:
-    def test_sop_expression_to_cover_direct(self):
-        cover, names = expression_to_cover(parse_expression("x1 x2' + x3"))
-        assert len(cover) == 2
-        assert cover.num_literal_occurrences == 3
-
-    def test_cover_matches_table_semantics(self):
-        node = parse_expression("x1 x2 + x2' x3 + x1 x3")
-        cover, names = expression_to_cover(node)
-        table, _ = expression_to_truth_table(node, names)
-        assert cover.to_truth_table() == table
-
-    def test_non_sop_falls_back_to_minterms(self):
-        node = parse_expression("x1 ^ x2")
-        cover, names = expression_to_cover(node)
-        table, _ = expression_to_truth_table(node, names)
-        assert cover.to_truth_table() == table
-
-    def test_contradictory_product_skipped(self):
-        cover, _ = expression_to_cover(parse_expression("x1 x1' + x2"))
-        assert len(cover) == 1
-
     @given(st.integers(min_value=0, max_value=255))
     def test_roundtrip_via_expression_text(self, bits):
         from repro.boolean import Cover, TruthTable

@@ -1,6 +1,5 @@
 """Tests for two-level minimization: QM primes, exact covering, espresso loop."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean import (
@@ -180,13 +179,9 @@ class TestMinimizeDispatch:
 
     def test_methods_agree_semantically(self):
         t = TruthTable.from_minterms(4, [0, 2, 5, 7, 8, 10, 13, 15])
-        for method in ("exact", "heuristic", "isop"):
-            cover = minimize(t, method=method)
+        for engine in (exact_minimize, heuristic_minimize, isop):
+            cover = engine(t)
             assert cover.to_truth_table() == t
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            minimize(TruthTable.constant(2, True), method="magic")
 
     def test_verify_cover_rejects_bad_cover(self):
         t = TruthTable.from_minterms(2, [1, 2])

@@ -97,57 +97,20 @@ class TestExperiments:
         assert {"fig1", "fig3", "fig4", "fig5", "pcircuit", "dreducible",
                 "optimal", "bist", "bisd", "bism", "fig6", "recovery",
                 "variation", "yield", "arch"} <= ids
+        assert len(ids) >= 16
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             get_experiment("nope")
-
-    def test_fig4_experiment_rows(self, fast_experiment):
-        result = fast_experiment("fig4")
-        assert all(row["implements"] for row in result.rows)
-        by_method = {row["method"]: row for row in result.rows}
-        assert by_method["paper Fig. 4 (hand)"]["area"] == 6
-        assert by_method["Fig. 5 formula [2]"]["area"] >= 6
 
     def test_fig1_experiment(self, fast_experiment):
         result = fast_experiment("fig1")
         assert len(result.rows) == 3
         assert all(row["implements_xnor2"] for row in result.rows)
 
-    def test_bist_experiment_full_coverage(self, fast_experiment):
-        result = fast_experiment("bist")
-        assert all(row["coverage"] == 1.0 for row in result.rows)
-        assert all(row["configs"] < row["naive_configs"] for row in result.rows)
-
-    def test_bisd_experiment_logarithmic(self, fast_experiment):
-        result = fast_experiment("bisd")
-        for row in result.rows:
-            assert row["accuracy"] == 1.0
-            assert row["configs"] == row["log2(resources)"] + 2
-
     def test_render_contains_notes(self, fast_experiment):
         result = fast_experiment("fig1")
         assert "notes:" in result.render()
-
-    def test_metrics_experiment_styles(self, fast_experiment):
-        result = fast_experiment("metrics")
-        styles = {row["style"] for row in result.rows}
-        assert styles == {"diode", "fet", "lattice"}
-
-    def test_expressiveness_experiment(self, fast_experiment):
-        result = fast_experiment("expressiveness")
-        full = next(row for row in result.rows if row["shape"] == (2, 2))
-        assert full["coverage"] == 1.0
-
-    def test_latticemap_experiment(self, fast_experiment):
-        result = fast_experiment("latticemap")
-        assert result.rows[0]["success_rate"] == 1.0
-
-    def test_tmr_experiment(self, fast_experiment):
-        result = fast_experiment("tmr")
-        numeric = [row for row in result.rows
-                   if isinstance(row["upset_rate"], float)]
-        assert numeric[0]["simplex_correct"] == 1.0
 
 
 class TestCli:
@@ -180,6 +143,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "optimal lattice 1 x 2" in out
         assert "proved: True" in out
+
+    @pytest.mark.parametrize("expression", ["", "x1 +", "(x1"])
+    def test_synth_malformed_expression_is_a_usage_error(self, capsys,
+                                                         expression):
+        assert cli_main(["synth", expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestCliErrorPaths:

@@ -5,17 +5,11 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import BooleanFunction
 from repro.faultlab import (
     DefectBatch,
-    clean_feasibility_batch,
     greedy_clean_subarray_batch,
-    map_lattice_random_batch,
-    placement_valid_batch,
     recovered_k_batch,
     recovered_k_exact_batch,
-    sample_line_subsets,
-    target_site_codes,
 )
 from repro.reliability import (
     greedy_clean_subarray,
@@ -23,11 +17,6 @@ from repro.reliability import (
     perfect_map,
     random_defect_map,
 )
-from repro.reliability.lattice_mapping import (
-    map_lattice_random,
-    placement_valid,
-)
-from repro.synthesis import synthesize_lattice_dual
 
 
 def _random_maps(seed, count, max_side=10):
@@ -96,82 +85,3 @@ def test_perfect_batch_recovers_everything():
     row_mask, col_mask = greedy_clean_subarray_batch(batch.defective())
     assert row_mask.all() and col_mask.all()
     assert (recovered_k_batch(batch.defective()) == 4).all()
-    assert clean_feasibility_batch(batch.defective(), 4).all()
-    assert not clean_feasibility_batch(batch.defective(), 5).any()
-
-
-# ----------------------------------------------------------------------
-# Mapping checks
-# ----------------------------------------------------------------------
-def _target_lattice():
-    f = BooleanFunction.from_expression("x1 x2 + x1' x3")
-    return synthesize_lattice_dual(f.on)
-
-
-def test_target_site_codes_shape_and_values():
-    lattice = _target_lattice()
-    codes = target_site_codes(lattice)
-    assert codes.shape == (lattice.rows, lattice.cols)
-    assert set(np.unique(codes)) <= {0, 1, 2}
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    density=st.floats(min_value=0.0, max_value=0.4),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_property_placement_valid_matches_scalar(density, seed):
-    """One random placement per fabric: vectorized verdicts == scalar."""
-    lattice = _target_lattice()
-    codes = target_site_codes(lattice)
-    rng = random.Random(seed)
-    maps = [random_defect_map(7, 7, density, rng) for _ in range(6)]
-    batch = DefectBatch.from_defect_maps(maps)
-    gen = np.random.default_rng(seed)
-    row_maps = sample_line_subsets(gen, 6, 7, lattice.rows)
-    col_maps = sample_line_subsets(gen, 6, 7, lattice.cols)
-    verdicts = placement_valid_batch(batch.states, codes, row_maps, col_maps)
-    for trial, defect_map in enumerate(maps):
-        expected = placement_valid(
-            lattice, defect_map,
-            tuple(int(r) for r in row_maps[trial]),
-            tuple(int(c) for c in col_maps[trial]))
-        assert bool(verdicts[trial]) == expected
-
-
-def test_sample_line_subsets_are_sorted_uniform_subsets():
-    gen = np.random.default_rng(0)
-    picks = sample_line_subsets(gen, 200, 8, 3)
-    assert picks.shape == (200, 3)
-    assert (np.diff(picks, axis=1) > 0).all()  # sorted, no repeats
-    assert picks.min() >= 0 and picks.max() < 8
-    # every line gets picked somewhere (uniformity smoke check)
-    assert set(np.unique(picks)) == set(range(8))
-
-
-def test_map_random_batch_agrees_with_scalar_statistics():
-    lattice = _target_lattice()
-    codes = target_site_codes(lattice)
-    rng = random.Random(2)
-    maps = [random_defect_map(8, 8, 0.15, rng) for _ in range(60)]
-    batch = DefectBatch.from_defect_maps(maps)
-    success, attempts = map_lattice_random_batch(
-        batch.states, codes, np.random.default_rng(4), max_trials=80)
-    scalar_successes = sum(
-        map_lattice_random(lattice, m, random.Random(300 + i),
-                           max_trials=80).success
-        for i, m in enumerate(maps))
-    assert attempts.min() >= 1 and attempts.max() <= 80
-    assert (attempts[~success] == 80).all()
-    # Two independent samplers of the same success probability.
-    assert abs(int(success.sum()) - scalar_successes) <= 12
-
-
-def test_map_random_batch_perfect_fabric_first_try():
-    lattice = _target_lattice()
-    codes = target_site_codes(lattice)
-    batch = DefectBatch.from_defect_maps([perfect_map(6, 6)] * 4)
-    success, attempts = map_lattice_random_batch(
-        batch.states, codes, np.random.default_rng(0), max_trials=10)
-    assert success.all()
-    assert (attempts == 1).all()

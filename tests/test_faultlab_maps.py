@@ -13,7 +13,6 @@ from repro.faultlab import (
     DefectBatch,
     bernoulli_defect_batch,
     clustered_defect_batch,
-    spawn_streams,
 )
 from repro.reliability import (
     CrosspointState,
@@ -57,27 +56,6 @@ class TestDefectBatch:
         batch = DefectBatch.from_defect_maps(maps)
         assert np.allclose(batch.densities(),
                            [m.density for m in maps])
-
-    def test_packed_bits_round_trip(self):
-        rng = random.Random(9)
-        batch = DefectBatch.from_defect_maps(
-            [random_defect_map(5, 7, 0.3, rng) for _ in range(3)])
-        packed = batch.packed_bits()
-        unpacked = np.unpackbits(packed, axis=1)[:, :5 * 7] \
-            .reshape(3, 5, 7).astype(bool)
-        assert (unpacked == batch.defective()).all()
-
-
-class TestSpawnStreams:
-    def test_deterministic_and_independent(self):
-        a = spawn_streams(42, 3)
-        b = spawn_streams(42, 3)
-        draws_a = [g.random(4).tolist() for g in a]
-        draws_b = [g.random(4).tolist() for g in b]
-        assert draws_a == draws_b
-        # distinct children produce distinct streams
-        assert draws_a[0] != draws_a[1] != draws_a[2]
-        assert spawn_streams(43, 1)[0].random(4).tolist() != draws_a[0]
 
 
 class TestBernoulliBatch:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.boolean import BooleanFunction, TruthTable
 from repro.crossbar import Lattice
-from repro.eval import all_experiments, by_name
+from repro.eval import by_name
 from repro.reliability import (
     CrossbarFabric,
     STRATEGIES,
@@ -130,10 +130,6 @@ class TestLatticePipelines:
 class TestExperimentRegistrySmoke:
     CHEAP: ClassVar[list[str]] = ["fig1", "fig3", "fig4", "optimal", "bist", "bisd", "bism",
              "fig6", "recovery", "variation", "yield", "arch", "tmr"]
-
-    def test_registry_lists_every_paper_artefact(self):
-        ids = {e.experiment_id for e in all_experiments()}
-        assert len(ids) >= 16
 
     @pytest.mark.parametrize("experiment_id", CHEAP)
     def test_fast_run_produces_rows(self, experiment_id, fast_experiment):

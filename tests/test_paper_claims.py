@@ -8,7 +8,7 @@ rows.  The three headline claims:
 * BISD needs ceil(log2 RC) + 2 configurations and diagnoses every fault;
 * four-terminal lattices beat two-terminal arrays on most of Fig. 5.
 
-The kernel checks pin each batched path (floods, placement, the engine's
+The kernel checks pin each batched path (floods, the engine's
 store, both campaign families) to its scalar or unpacked reference on a
 fixed workload.  Nothing here asserts a wall-clock ratio.
 """
@@ -23,11 +23,11 @@ import pytest
 
 from repro.arch import SynchronousStateMachine, counter_spec
 from repro.boolean import (
-    Bdd,
     NpnTransform,
     TruthTable,
     apply_transform,
     exact_minimize,
+    heuristic_minimize,
     isop,
     minimize,
 )
@@ -45,7 +45,6 @@ from repro.faultlab import (
     recovered_k_batch,
     run_campaign,
 )
-from repro.faultlab.kernels import map_lattice_random_batch, sample_line_subsets
 from repro.reliability import (
     as_program,
     blind_bism,
@@ -61,7 +60,6 @@ from repro.reliability import (
     run_bist,
     tmr_reliability,
 )
-from repro.reliability.lattice_mapping import placement_valid
 from repro.reliability.variation import variation_sweep
 from repro.sat import Cnf, solve_cnf
 from repro.synthesis import (
@@ -75,9 +73,7 @@ from repro.synthesis import (
 from repro.varsim import VariationCampaignSpec, run_variation_campaign
 from repro.xbareval import (
     connectivity,
-    lattice_site_codes,
     lattice_truthtable,
-    placement_valid_batch,
     top_bottom_connected_batch,
 )
 
@@ -105,7 +101,9 @@ def test_fig3_size_formulas_match_the_built_arrays(fast_experiment):
 
 
 def test_fig4_hand_lattice_is_the_bottom_rung(fast_experiment):
-    by_method = {row["method"]: row for row in fast_experiment("fig4").rows}
+    rows = fast_experiment("fig4").rows
+    assert all(row["implements"] for row in rows)
+    by_method = {row["method"]: row for row in rows}
     hand = by_method["paper Fig. 4 (hand)"]
     assert hand["area"] == 6 and hand["implements"]
     formula_area = by_method["Fig. 5 formula [2]"]["area"]
@@ -207,9 +205,11 @@ def test_exact_covers_give_the_smallest_lattices():
     for bench in [b for b in SMALL if 3 <= b.n <= 5][:8]:
         table = bench.function.on
         areas = {}
-        for method in ("exact", "heuristic", "isop"):
-            lattice = lattice_from_covers(minimize(table, method=method),
-                                          minimize(table.dual(), method=method))
+        for method, engine in (("exact", exact_minimize),
+                               ("heuristic", heuristic_minimize),
+                               ("isop", isop)):
+            lattice = lattice_from_covers(engine(table),
+                                          engine(table.dual()))
             assert lattice.implements(table), (bench.name, method)
             areas[method] = lattice.area
         assert areas["exact"] <= areas["heuristic"], bench.name
@@ -322,25 +322,6 @@ def test_lattice_mapping_success_degrades_with_density(fast_experiment):
                for fabric in fabrics) >= 5
 
 
-def test_batched_lattice_mapping_matches_the_scalar_rate():
-    lattice = _folded("xnor2")
-    trials = 400
-    rng = random.Random(2)
-    local = random.Random(3)
-    scalar = sum(map_lattice_random(lattice, random_defect_map(8, 8, 0.1, rng),
-                                    local, max_trials=100).success
-                 for _ in range(trials))
-    gen = np.random.default_rng(2)
-    batch = bernoulli_defect_batch(trials, 8, 8, 0.1, gen)
-    success, _ = map_lattice_random_batch(batch.states,
-                                          lattice_site_codes(lattice), gen,
-                                          max_trials=100)
-    batched = int(success.sum())
-    # same distribution, independent streams
-    assert abs(scalar - batched) <= trials * 0.15
-    assert batched > trials * 0.5
-
-
 def test_variation_awareness_helps_more_as_sigma_grows(fast_experiment):
     rows = fast_experiment("variation").rows
     for row in rows:
@@ -442,22 +423,6 @@ def test_batched_truth_tables_equal_the_scalar_loop():
     assert lattices, "benchmark suite lost its 6-variable functions"
     assert ([lattice_truthtable(lattice) for lattice in lattices]
             == [lattice.to_truth_table_scalar() for lattice in lattices])
-
-
-def test_batched_placement_verdicts_equal_the_scalar_loop():
-    target = _folded("fig4")
-    trials = 200
-    gen = np.random.default_rng(7)
-    batch = bernoulli_defect_batch(trials, 16, 16, 0.06, gen)
-    row_maps = sample_line_subsets(gen, trials, 16, target.rows)
-    col_maps = sample_line_subsets(gen, trials, 16, target.cols)
-    scalar = [placement_valid(target, batch.to_defect_map(trial),
-                              tuple(int(r) for r in row_maps[trial]),
-                              tuple(int(c) for c in col_maps[trial]))
-              for trial in range(trials)]
-    batched = placement_valid_batch(batch.states, lattice_site_codes(target),
-                                    row_maps, col_maps)
-    assert batched.tolist() == scalar
 
 
 def test_percolation_duality_and_scalar_floods_on_random_grids():
@@ -635,9 +600,3 @@ def test_random_3sat_models_satisfy_their_clauses():
         if model is not None:
             assert all(any(model[abs(lit)] == (lit > 0) for lit in clause)
                        for clause in cnf.clauses)
-
-
-def test_bdd_sat_count_matches_the_truth_table():
-    table = TruthTable.from_callable(10, lambda m: bin(m).count("1") % 3 == 0)
-    manager = Bdd(10)
-    assert manager.sat_count(manager.from_truth_table(table)) == table.count_ones()

@@ -17,7 +17,6 @@ from repro.reliability import (
     clustered_defect_map,
     perfect_map,
     random_defect_map,
-    sample_chip,
 )
 
 
@@ -74,58 +73,6 @@ class TestDefectMap:
     def test_density_bounds_validated(self):
         with pytest.raises(ValueError):
             random_defect_map(4, 4, 1.5, random.Random(0))
-
-    def test_sample_chip(self):
-        rng = random.Random(5)
-        chip = sample_chip(8, 10, 10, 0.1, 0.05, rng)
-        assert chip.num_crossbars == 8
-        assert 0.0 <= chip.mean_density() <= 1.0
-
-
-class TestDefectMapSerialization:
-    @given(
-        rows=st.integers(min_value=1, max_value=12),
-        cols=st.integers(min_value=1, max_value=12),
-        density=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(),
-    )
-    @settings(max_examples=50)
-    def test_property_round_trip(self, rows, cols, density, seed):
-        m = random_defect_map(rows, cols, density, random.Random(seed))
-        rebuilt = DefectMap.from_bytes(m.to_bytes())
-        assert rebuilt == m
-        assert rebuilt.content_hash() == m.content_hash()
-
-    def test_bytes_are_deterministic_and_compact(self):
-        m = random_defect_map(10, 10, 0.2, random.Random(1))
-        assert m.to_bytes() == m.to_bytes()
-        # header (16 bytes) + 5 bytes per sparse defect
-        assert len(m.to_bytes()) == 16 + 5 * m.num_defects
-
-    def test_content_hash_distinguishes_maps(self):
-        empty = perfect_map(4, 4)
-        one = DefectMap(4, 4, {(1, 2): CrosspointState.STUCK_OPEN})
-        other = DefectMap(4, 4, {(1, 2): CrosspointState.STUCK_CLOSED})
-        assert len({empty.content_hash(), one.content_hash(),
-                    other.content_hash()}) == 3
-
-    def test_from_bytes_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            DefectMap.from_bytes(b"")
-        with pytest.raises(ValueError):
-            DefectMap.from_bytes(b"XX1\x00" + b"\x00" * 12)
-        good = perfect_map(3, 3).to_bytes()
-        with pytest.raises(ValueError):
-            DefectMap.from_bytes(good + b"\x00\x00\x00\x00\x01")
-
-    def test_from_bytes_rejects_duplicate_records(self):
-        one = DefectMap(3, 3, {(0, 1): CrosspointState.STUCK_OPEN})
-        payload = bytearray(one.to_bytes())
-        # claim two records, append a second record for the same index
-        payload[12:16] = (2).to_bytes(4, "little")
-        payload += payload[16:21]
-        with pytest.raises(ValueError, match="duplicate"):
-            DefectMap.from_bytes(bytes(payload))
 
 
 class TestFabric:

@@ -9,7 +9,6 @@ from repro.crossbar import Lattice
 from repro.reliability import (
     CrosspointState,
     DefectMap,
-    map_lattice_exhaustive,
     map_lattice_random,
     mapping_success_sweep,
     perfect_map,
@@ -18,6 +17,7 @@ from repro.reliability import (
     site_compatible,
     verify_mapped_lattice,
 )
+from repro.reliability.lattice_mapping import defect_map_states
 from repro.synthesis import fold_lattice, synthesize_lattice_dual
 
 
@@ -74,10 +74,11 @@ class TestPlacement:
 
     def test_exploiting_stuck_closed_as_padding_one(self):
         # Target with a constant-1 padding site (an AND separator) can be
-        # placed right on top of a stuck-closed fabric site.
+        # placed right on top of a stuck-closed fabric site (the only
+        # placement of a 3x1 target on a 3x1 fabric).
         target = Lattice(2, [[Literal(0)], [True], [Literal(1)]])
         fabric = DefectMap(3, 1, {(1, 0): CrosspointState.STUCK_CLOSED})
-        result = map_lattice_exhaustive(target, fabric)
+        result = map_lattice_random(target, fabric, random.Random(0))
         assert result.success
         assert result.exploited_defects == 1
         table = target.to_truth_table()
@@ -87,16 +88,15 @@ class TestPlacement:
         # OR-separator columns (constant 0) land on stuck-open sites.
         target = Lattice(2, [[Literal(0), False, Literal(1)]])
         fabric = DefectMap(1, 3, {(0, 1): CrosspointState.STUCK_OPEN})
-        result = map_lattice_exhaustive(target, fabric)
+        result = map_lattice_random(target, fabric, random.Random(0))
         assert result.success and result.exploited_defects == 1
         assert verify_mapped_lattice(target, target.to_truth_table(),
                                      fabric, result)
 
-    def test_exhaustive_proves_infeasibility(self):
-        target = Lattice(1, [[Literal(0)]])
-        fabric = DefectMap(1, 1, {(0, 0): CrosspointState.STUCK_OPEN})
-        result = map_lattice_exhaustive(target, fabric)
-        assert not result.success
+    def test_defect_map_states_codes_every_crosspoint(self):
+        fabric = DefectMap(2, 3, {(0, 1): CrosspointState.STUCK_CLOSED,
+                                  (1, 2): CrosspointState.STUCK_OPEN})
+        assert defect_map_states(fabric).tolist() == [[0, 2, 0], [0, 0, 1]]
 
     def test_random_mapped_lattices_verify(self):
         lattice, table = xnor_lattice()

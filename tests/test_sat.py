@@ -1,26 +1,18 @@
-"""Tests for the SAT substrate: CNF, encodings, DIMACS and the CDCL solver."""
+"""Tests for the SAT substrate: CNF, encodings and the CDCL solver."""
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sat import (
     Cnf,
     Solver,
-    at_most_k_sequential,
     at_most_one_pairwise,
-    at_most_one_sequential,
     brute_force_cnf,
     exactly_one,
     luby,
-    parse_dimacs,
     solve_cnf,
-    tseitin_and,
-    tseitin_or,
-    tseitin_xor,
-    write_dimacs,
 )
 
 
@@ -328,14 +320,6 @@ class TestEncodings:
         assert models == {m for m in models if sum(m) <= 1}
         assert len(models) == k + 1
 
-    @pytest.mark.parametrize("k", [5, 6, 8])
-    def test_amo_sequential_matches_pairwise(self, k):
-        cnf = Cnf(k)
-        at_most_one_sequential(cnf, list(range(1, k + 1)))
-        models = enumerate_models(cnf, k)
-        assert len(models) == k + 1
-        assert all(sum(m) <= 1 for m in models)
-
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_exactly_one(self, k):
         cnf = Cnf(k)
@@ -343,62 +327,3 @@ class TestEncodings:
         models = enumerate_models(cnf, k)
         assert len(models) == k
         assert all(sum(m) == 1 for m in models)
-
-    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 3), (5, 0), (3, 3)])
-    def test_at_most_k(self, n, k):
-        cnf = Cnf(n)
-        at_most_k_sequential(cnf, list(range(1, n + 1)), k)
-        models = enumerate_models(cnf, n)
-        expected = sum(
-            1 for bits in range(1 << n) if bin(bits).count("1") <= k
-        )
-        assert len(models) == expected
-        assert all(sum(m) <= k for m in models)
-
-    def test_tseitin_and_or_xor(self):
-        cnf = Cnf(3)
-        a = tseitin_and(cnf, [1, 2])
-        o = tseitin_or(cnf, [2, 3])
-        x = tseitin_xor(cnf, 1, 3)
-        for bits in range(8):
-            model_in = {v: bool((bits >> (v - 1)) & 1) for v in (1, 2, 3)}
-            cnf2 = Cnf(cnf.num_vars)
-            cnf2.add_clauses(cnf.clauses)
-            for v, val in model_in.items():
-                cnf2.add_clause([v if val else -v])
-            model = solve_cnf(cnf2)
-            assert model is not None
-            assert model[a] == (model_in[1] and model_in[2])
-            assert model[o] == (model_in[2] or model_in[3])
-            assert model[x] == (model_in[1] != model_in[3])
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = Cnf()
-        cnf.add_clause([1, -2, 3])
-        cnf.add_clause([-3])
-        text = write_dimacs(cnf)
-        again = parse_dimacs(text)
-        assert again.num_vars == cnf.num_vars
-        assert list(again) == list(cnf)
-
-    def test_parse_with_comments(self):
-        text = "c hello\np cnf 3 2\n1 -2 0\n2 3 0\n"
-        cnf = parse_dimacs(text)
-        assert len(cnf) == 2 and cnf.num_vars == 3
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("1 2 0\n")
-        with pytest.raises(ValueError):
-            parse_dimacs("p wrong 1 1\n")
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10),
-           st.integers())
-    @settings(max_examples=30)
-    def test_roundtrip_random(self, num_vars, num_clauses, seed):
-        rng = random.Random(seed)
-        cnf = random_cnf(rng, num_vars, num_clauses)
-        again = parse_dimacs(write_dimacs(cnf))
-        assert list(again) == list(cnf)

@@ -8,11 +8,9 @@ hypothesis-generated inputs:
   dispatch (label pass, packed, unpacked) and on both sides of the 64-row
   packed limit, plus the percolation duality: the batched flood equals
   ``not`` :func:`repro.crossbar.paths.left_right_blocked_8` grid for grid;
-* :func:`lattice_truthtable` / :func:`evaluate_assignments` vs the scalar
+* :func:`lattice_truthtable` / :func:`evaluate_masks` vs the scalar
   ``Lattice.to_truth_table_scalar`` / ``Lattice.evaluate`` loop,
   including the stuck-site overlay path;
-* the placement-validity kernels vs
-  :func:`repro.reliability.lattice_mapping.placement_valid`;
 * :func:`evaluate_labellings` vs building each lattice and evaluating it.
 """
 
@@ -30,23 +28,13 @@ from repro.crossbar.paths import (
     left_right_blocked_8,
     top_bottom_connected,
 )
-from repro.reliability.defects import (
-    CODE_TO_STATE,
-    DefectMap,
-)
-from repro.reliability.lattice_mapping import placement_valid
 from repro.xbareval import (
     conduction_tensor,
-    defect_map_states,
-    evaluate_assignments,
     evaluate_labellings,
     evaluate_masks,
     implements_table,
     lattice_eval,
-    lattice_site_codes,
     lattice_truthtable,
-    placement_valid_batch,
-    placement_valid_grid,
     top_bottom_connected_batch,
 )
 
@@ -77,30 +65,6 @@ def lattices(draw, max_vars: int = 4, max_side: int = 4):
     sites = draw(st.lists(st.lists(site, min_size=cols, max_size=cols),
                           min_size=rows, max_size=rows))
     return Lattice(n, sites)
-
-
-@st.composite
-def fabrics(draw, max_side: int = 6):
-    rows = draw(st.integers(1, max_side))
-    cols = draw(st.integers(1, max_side))
-    states = draw(st.lists(st.integers(0, 2), min_size=rows * cols,
-                           max_size=rows * cols))
-    return np.array(states, dtype=np.uint8).reshape(rows, cols)
-
-
-def _defect_map_from_states(states: np.ndarray) -> DefectMap:
-    rows, cols = states.shape
-    defects = {
-        (int(r), int(c)): CODE_TO_STATE[int(states[r, c])]
-        for r, c in zip(*np.nonzero(states))
-    }
-    return DefectMap(rows, cols, defects)
-
-
-def _target_from_codes(codes: np.ndarray) -> Lattice:
-    # code 0 -> constant-0, 1 -> constant-1, 2 -> a literal site
-    lut = {0: False, 1: True, 2: Literal(0, True)}
-    return Lattice(1, [[lut[int(x)] for x in row] for row in codes])
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +250,9 @@ def test_lattice_truthtable_matches_scalar(lattice):
 def test_evaluate_assignments_matches_scalar(lattice, seed):
     rng = random.Random(seed)
     assignments = [rng.randrange(1 << lattice.n) for _ in range(8)]
-    got = evaluate_assignments(lattice, np.array(assignments))
-    want = [lattice.evaluate(a) for a in assignments]
-    assert got.tolist() == want
-    assert lattice.evaluate_batch(np.array(assignments)).tolist() == want
+    got = evaluate_masks(lattice.n, lattice_eval.site_masks(lattice),
+                         np.array(assignments))
+    assert got.tolist() == [lattice.evaluate(a) for a in assignments]
 
 
 @settings(max_examples=50, deadline=None)
@@ -340,50 +303,6 @@ def test_conduction_tensor_matches_scalar_grid(lattice, seed):
     tensor = conduction_tensor(lattice, np.array(assignments))
     for b, assignment in enumerate(assignments):
         assert tensor[b].tolist() == lattice.conduction_grid(assignment)
-
-
-# ----------------------------------------------------------------------
-# Placement validity vs the scalar predicate
-# ----------------------------------------------------------------------
-@settings(max_examples=80, deadline=None)
-@given(fabrics(), st.data())
-def test_placement_valid_kernels_match_scalar(states, data):
-    rows, cols = states.shape
-    t_rows = data.draw(st.integers(1, rows))
-    t_cols = data.draw(st.integers(1, cols))
-    codes_list = data.draw(st.lists(st.integers(0, 2),
-                                    min_size=t_rows * t_cols,
-                                    max_size=t_rows * t_cols))
-    codes = np.array(codes_list, dtype=np.int8).reshape(t_rows, t_cols)
-    target = _target_from_codes(codes)
-    assert (lattice_site_codes(target) == codes).all()
-
-    defect_map = _defect_map_from_states(states)
-    assert (defect_map_states(defect_map) == states).all()
-
-    placements = []
-    for _ in range(4):
-        row_map = tuple(sorted(data.draw(
-            st.sets(st.integers(0, rows - 1), min_size=t_rows,
-                    max_size=t_rows))))
-        col_map = tuple(sorted(data.draw(
-            st.sets(st.integers(0, cols - 1), min_size=t_cols,
-                    max_size=t_cols))))
-        placements.append((row_map, col_map))
-
-    row_maps = np.array([p[0] for p in placements], dtype=np.int64)
-    col_maps = np.array([p[1] for p in placements], dtype=np.int64)
-    want = [placement_valid(target, defect_map, row_map, col_map)
-            for row_map, col_map in placements]
-
-    got_grid = placement_valid_grid(states, codes, row_maps, col_maps)
-    assert got_grid.tolist() == want
-
-    batch_states = np.broadcast_to(
-        states, (len(placements),) + states.shape).copy()
-    got_batch = placement_valid_batch(batch_states, codes, row_maps,
-                                      col_maps)
-    assert got_batch.tolist() == want
 
 
 # ----------------------------------------------------------------------
