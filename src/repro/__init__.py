@@ -67,7 +67,6 @@ from .synthesis import (
     synthesize_fet,
     synthesize_lattice_dual,
     synthesize_lattice_optimal,
-    synthesize_pcircuit,
 )
 
 __version__ = "1.0.0"
@@ -116,6 +115,5 @@ __all__ = [
     "synthesize_fet",
     "synthesize_lattice_dual",
     "synthesize_lattice_optimal",
-    "synthesize_pcircuit",
     "xbareval",
 ]

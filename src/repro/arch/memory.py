@@ -118,8 +118,3 @@ class RegisterBank:
         self.state = self._next
         self._next = None
         return self.state
-
-    def reset(self, value: int = 0) -> None:
-        self._check(value)
-        self.state = value
-        self._next = None

@@ -74,9 +74,6 @@ class SynchronousStateMachine:
         """Crossbar sites of both combinational cores."""
         return self.next_logic.total_area + self.output_logic.total_area
 
-    def reset(self) -> None:
-        self.register.reset(self.spec.reset_state)
-
     def _pack(self, inputs: int) -> int:
         if not 0 <= inputs < (1 << self.spec.input_bits):
             raise ValueError(f"inputs {inputs} exceed {self.spec.input_bits} bits")

@@ -18,9 +18,7 @@ from .affine import (
     d_reduction,
     embed_projection,
     gf2_kernel,
-    gf2_rank,
     gf2_row_reduce,
-    is_d_reducible,
     onset_affine_hull,
     parity_table,
     project_onto,
@@ -45,10 +43,7 @@ from .minimize import (
 from .npn import (
     NpnTransform,
     apply_transform,
-    count_npn_classes,
     npn_canonical,
-    npn_classes,
-    npn_equivalent,
     npn_semicanonical,
 )
 from .pla import Pla, PlaError, parse_pla
@@ -67,22 +62,17 @@ __all__ = [
     "TruthTable",
     "affine_hull",
     "apply_transform",
-    "count_npn_classes",
     "d_reduction",
     "embed_projection",
     "exact_minimize",
     "expression_to_truth_table",
     "expression_variables",
     "gf2_kernel",
-    "gf2_rank",
     "gf2_row_reduce",
     "heuristic_minimize",
-    "is_d_reducible",
     "isop",
     "minimize",
     "npn_canonical",
-    "npn_classes",
-    "npn_equivalent",
     "npn_semicanonical",
     "onset_affine_hull",
     "parity_table",

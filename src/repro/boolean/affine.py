@@ -57,11 +57,6 @@ def gf2_row_reduce(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     return reduced, pivots
 
 
-def gf2_rank(rows: Sequence[int], n: int) -> int:
-    """Rank of a set of GF(2) row vectors."""
-    return len(gf2_row_reduce(rows, n)[0])
-
-
 def gf2_kernel(rows: Sequence[int], n: int) -> list[int]:
     """Basis of the kernel ``{c : row . c = 0 for every row}``.
 
@@ -107,10 +102,6 @@ class AffineSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def num_points(self) -> int:
-        return 1 << self.dim
 
     def contains(self, point: int) -> bool:
         """Membership test via the parity constraints."""
@@ -206,14 +197,6 @@ def onset_affine_hull(table: TruthTable) -> AffineSpace | None:
     if not minterms:
         return None
     return affine_hull(minterms, table.n)
-
-
-def is_d_reducible(table: TruthTable) -> bool:
-    """True when the on-set spans a strict affine subspace (dim < n)."""
-    hull = onset_affine_hull(table)
-    if hull is None:
-        return False
-    return hull.dim < table.n
 
 
 def project_onto(table: TruthTable, space: AffineSpace) -> TruthTable:

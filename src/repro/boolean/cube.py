@@ -142,20 +142,10 @@ class Cube:
             mask >>= 1
             var += 1
 
-    def literal_set(self) -> frozenset[Literal]:
-        """The literals as a frozen set (used by the duality lemma check)."""
-        return frozenset(self.literals())
-
-    def polarity(self, var: int) -> str:
-        """Return ``"1"``, ``"0"`` or ``"-"`` for a variable position."""
-        if (self.pos >> var) & 1:
-            return "1"
-        if (self.neg >> var) & 1:
-            return "0"
-        return "-"
-
     def __str__(self) -> str:
-        return "".join(self.polarity(i) for i in range(self.n))
+        return "".join("1" if (self.pos >> i) & 1 else
+                       "0" if (self.neg >> i) & 1 else "-"
+                       for i in range(self.n))
 
     def to_expression(self, names: Sequence[str] | None = None) -> str:
         """Render as a conjunction such as ``x1 & x3'`` (``1`` if empty)."""
@@ -165,14 +155,6 @@ class Cube:
     # ------------------------------------------------------------------
     # Semantics
     # ------------------------------------------------------------------
-    def evaluate(self, assignment: int) -> bool:
-        """True iff the product evaluates to 1 under the integer assignment."""
-        if self.pos & ~assignment:
-            return False
-        if self.neg & assignment:
-            return False
-        return True
-
     def minterms(self) -> Iterator[int]:
         """Enumerate all minterms covered by the cube (2^free of them)."""
         free = [i for i in range(self.n) if not (self.care_mask >> i) & 1]
@@ -183,10 +165,6 @@ class Cube:
                 if (combo >> j) & 1:
                     m |= 1 << var
             yield m
-
-    def size(self) -> int:
-        """Number of minterms covered: 2^(n - num_literals)."""
-        return 1 << (self.n - self.num_literals)
 
     # ------------------------------------------------------------------
     # Relations and operations
@@ -200,18 +178,6 @@ class Cube:
         if self.n != other.n:
             raise ValueError("cubes live in different spaces")
         return (self.pos & ~other.pos) == 0 and (self.neg & ~other.neg) == 0
-
-    def intersects(self, other: "Cube") -> bool:
-        """True iff the two cubes share at least one minterm."""
-        if self.n != other.n:
-            raise ValueError("cubes live in different spaces")
-        return (self.pos & other.neg) == 0 and (self.neg & other.pos) == 0
-
-    def intersection(self, other: "Cube") -> "Cube | None":
-        """The product of the two cubes, or ``None`` when they conflict."""
-        if not self.intersects(other):
-            return None
-        return Cube(self.n, self.pos | other.pos, self.neg | other.neg)
 
     def shared_literals(self, other: "Cube") -> list[Literal]:
         """Literals appearing (same polarity) in both cubes.
@@ -248,28 +214,6 @@ class Cube:
             return None
         return Cube(self.n, self.pos & ~conflict, self.neg & ~conflict)
 
-    def consensus(self, other: "Cube") -> "Cube | None":
-        """Consensus term on the unique conflicting variable, if any."""
-        if self.n != other.n:
-            raise ValueError("cubes live in different spaces")
-        conflict = (self.pos & other.neg) | (self.neg & other.pos)
-        if bin(conflict).count("1") != 1:
-            return None
-        pos = (self.pos | other.pos) & ~conflict
-        neg = (self.neg | other.neg) & ~conflict
-        if pos & neg:
-            return None
-        return Cube(self.n, pos, neg)
-
-    def cofactor(self, var: int, value: bool) -> "Cube | None":
-        """Restrict ``x_var = value``; ``None`` when the cube vanishes."""
-        bit = 1 << var
-        if value and (self.neg & bit):
-            return None
-        if not value and (self.pos & bit):
-            return None
-        return Cube(self.n, self.pos & ~bit, self.neg & ~bit)
-
     def remove_variable(self, var: int) -> "Cube":
         """Drop any literal on ``var`` (existential quantification)."""
         bit = 1 << var
@@ -286,27 +230,9 @@ class Cube:
             return None
         return Cube(self.n, self.pos, self.neg | bit)
 
-    def complement_literals(self) -> "Cube":
-        """Swap the polarity of every literal (used to build f(~x))."""
-        return Cube(self.n, self.neg, self.pos)
-
-    def project_out(self, var: int) -> "Cube":
-        """Re-index the cube into an (n-1)-variable space, dropping ``var``.
-
-        The cube must not constrain ``var``; higher variable indices shift
-        down by one.  Used by P-circuit cofactor blocks, which live in the
-        (n-1)-dimensional sub-space.
-        """
-        bit = 1 << var
-        if self.care_mask & bit:
-            raise ValueError(f"cube still constrains variable {var}")
-        low = bit - 1
-        pos = (self.pos & low) | ((self.pos >> 1) & ~low)
-        neg = (self.neg & low) | ((self.neg >> 1) & ~low)
-        return Cube(self.n - 1, pos, neg)
-
     def lift(self, var: int) -> "Cube":
-        """Inverse of :meth:`project_out`: insert an unconstrained variable."""
+        """Insert an unconstrained variable at ``var``; higher indices
+        shift up by one."""
         low = (1 << var) - 1
         pos = (self.pos & low) | ((self.pos & ~low) << 1)
         neg = (self.neg & low) | ((self.neg & ~low) << 1)

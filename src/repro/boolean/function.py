@@ -9,7 +9,7 @@ synthesis flows need (minimized SOP, minimized dual SOP).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cover import Cover
 from .expr import expression_to_truth_table, parse_expression
@@ -72,11 +72,6 @@ class BooleanFunction:
         return BooleanFunction(on, dc, label=label)
 
     @staticmethod
-    def from_callable(n: int, fn: Callable[[int], bool],
-                      label: str = "") -> "BooleanFunction":
-        return BooleanFunction(TruthTable.from_callable(n, fn), label=label)
-
-    @staticmethod
     def from_pla_text(text: str, output: int = 0, label: str = "") -> "BooleanFunction":
         pla = parse_pla(text)
         on, dc = pla.output_tables(output)
@@ -135,26 +130,6 @@ class BooleanFunction:
     def minimized_dual_cover(self) -> Cover:
         """A minimized SOP cover of the dual (rows of the Fig. 5 lattice)."""
         return minimize(self.dual_table)
-
-    # ------------------------------------------------------------------
-    # Transformations
-    # ------------------------------------------------------------------
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(~(self.on | self.dc), self.dc, self.names,
-                               label=f"~({self.label})" if self.label else "")
-
-    def dual(self) -> "BooleanFunction":
-        return BooleanFunction(self.dual_table, names=self.names,
-                               label=f"dual({self.label})" if self.label else "")
-
-    def cofactor(self, var: int, value: bool) -> "BooleanFunction":
-        names = self.names[:var] + self.names[var + 1:]
-        dc = self.dc.cofactor(var, value)
-        return BooleanFunction(
-            self.on.cofactor(var, value),
-            dc if dc.count_ones() else None,
-            names,
-        )
 
     # ------------------------------------------------------------------
     # Output

@@ -312,30 +312,3 @@ def _semicanonical_polarity(table: TruthTable, values: np.ndarray,
     perm = tuple(sorted(range(n), key=lambda v: keys[v]))
     transform = NpnTransform(perm, neg_mask, out_neg)
     return apply_transform(table, transform), transform
-
-
-def npn_equivalent(a: TruthTable, b: TruthTable) -> bool:
-    """True when the two functions are in the same NPN class."""
-    if a.n != b.n:
-        return False
-    return npn_canonical(a)[0] == npn_canonical(b)[0]
-
-
-def npn_classes(tables: list[TruthTable]) -> dict[TruthTable, list[TruthTable]]:
-    """Group functions by NPN class (keyed by the canonical form)."""
-    classes: dict[TruthTable, list[TruthTable]] = {}
-    for table in tables:
-        canonical, _ = npn_canonical(table)
-        classes.setdefault(canonical, []).append(table)
-    return classes
-
-
-def count_npn_classes(n: int) -> int:
-    """Number of NPN classes of all n-variable functions (n <= 3 feasible)."""
-    if n > 3:
-        raise ValueError("full-space class counting is exponential; use n <= 3")
-    seen: set[bytes] = set()
-    for bits in range(1 << (1 << n)):
-        canonical, _ = npn_canonical(TruthTable.from_bits(n, bits))
-        seen.add(canonical.values.tobytes())
-    return len(seen)

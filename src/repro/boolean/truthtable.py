@@ -224,14 +224,6 @@ class TruthTable:
     def is_contradiction(self) -> bool:
         return not self._values.any()
 
-    def depends_on(self, var: int) -> bool:
-        """True when the function actually depends on ``x_var``."""
-        return self.cofactor(var, False) != self.cofactor(var, True)
-
-    def support(self) -> list[int]:
-        """Indices of the variables the function depends on."""
-        return [v for v in range(self.n) if self.depends_on(v)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruthTable):
             return NotImplemented
@@ -292,10 +284,6 @@ class TruthTable:
         idx = np.arange(1 << self.n) ^ ((1 << self.n) - 1)
         return TruthTable(self.n, ~self._values[idx])
 
-    def is_self_dual(self) -> bool:
-        """True when ``f = f^D``."""
-        return self == self.dual()
-
     def cofactor(self, var: int, value: bool) -> "TruthTable":
         """Shannon cofactor as a function of the remaining n-1 variables."""
         if not 0 <= var < self.n:
@@ -306,19 +294,6 @@ class TruthTable:
         full = high | low | ((1 << var) if value else 0)
         return TruthTable(self.n - 1, self._values[full])
 
-    def restrict(self, var: int, value: bool) -> "TruthTable":
-        """Cofactor that stays in the n-variable space (x_var ignored)."""
-        idx = np.arange(1 << self.n)
-        forced = (idx & ~(1 << var)) | ((1 << var) if value else 0)
-        return TruthTable(self.n, self._values[forced])
-
-    def compose_variable(self, var: int, table: "TruthTable") -> "TruthTable":
-        """Substitute ``x_var := g(x)`` where ``g`` is over the same space."""
-        self._coerce(table)
-        idx = np.arange(1 << self.n)
-        forced = (idx & ~(1 << var)) | (table._values.astype(np.int64) << var)
-        return TruthTable(self.n, self._values[forced])
-
     def permute(self, perm: Sequence[int]) -> "TruthTable":
         """Reorder variables: new variable ``i`` is old variable ``perm[i]``."""
         if sorted(perm) != list(range(self.n)):
@@ -328,18 +303,3 @@ class TruthTable:
         for new_var, old_var in enumerate(perm):
             old |= ((idx >> new_var) & 1) << old_var
         return TruthTable(self.n, self._values[old])
-
-    def extend(self, extra: int) -> "TruthTable":
-        """Add ``extra`` fresh (ignored) variables above the current ones."""
-        if extra < 0:
-            raise ValueError("extra must be >= 0")
-        _check_n(self.n + extra)
-        return TruthTable(self.n + extra, np.tile(self._values, 1 << extra))
-
-    def shannon(self, var: int) -> tuple["TruthTable", "TruthTable"]:
-        """Return (negative cofactor, positive cofactor) for ``x_var``."""
-        return self.cofactor(var, False), self.cofactor(var, True)
-
-    def minterm_cubes(self) -> list[Cube]:
-        """The canonical (minterm) cover of the on-set."""
-        return [Cube.from_minterm(self.n, m) for m in self.minterms()]

@@ -20,7 +20,7 @@ for every benchmark in the paper's experiments); the model computes the
 actual row set, which :func:`fet_size_formula` callers can compare against.
 
 The complementary invariant — exactly one plane conducts for every input —
-is exposed as :meth:`FetCrossbar.is_complementary` and property-tested.
+is read off :meth:`FetCrossbar.drive_state` and property-tested.
 """
 
 from __future__ import annotations
@@ -144,12 +144,6 @@ class FetCrossbar:
         if down:
             return "0"
         return "float"
-
-    def is_complementary(self) -> bool:
-        """Exactly one plane conducts for every assignment (fault-free)."""
-        return all(
-            self.drive_state(m) in ("0", "1") for m in range(1 << self.n)
-        )
 
     def to_truth_table(self) -> TruthTable:
         return TruthTable.from_callable(self.n, self.evaluate)

@@ -209,10 +209,6 @@ class Lattice:
 
         return Lattice(n, [[parse_site(tok) for tok in row.split()] for row in rows])
 
-    def transpose(self) -> "Lattice":
-        """Swap rows and columns (computes the lattice of the dual wiring)."""
-        return Lattice(self.n, list(zip(*self.sites)))
-
     def with_site(self, r: int, c: int, site: Site) -> "Lattice":
         rows = [list(row) for row in self.sites]
         rows[r][c] = site
@@ -223,7 +219,3 @@ class Lattice:
             [fn(r, c, site) for c, site in enumerate(row)]
             for r, row in enumerate(self.sites)
         ])
-
-    def literals_used(self) -> set[Literal]:
-        return {site for row in self.sites for site in row
-                if isinstance(site, Literal)}

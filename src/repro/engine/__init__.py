@@ -47,7 +47,6 @@ from .jobs import (
 )
 from .pool import batch_sizes, chunk_size, default_processes, map_sharded
 from .portfolio import (
-    PortfolioConfig,
     PortfolioResult,
     known_strategies,
     run_portfolio,
@@ -65,7 +64,6 @@ __all__ = [
     "GridRow",
     "JobResult",
     "JsonStore",
-    "PortfolioConfig",
     "PortfolioResult",
     "StrategyOutcome",
     "SynthesisJob",

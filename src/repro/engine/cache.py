@@ -203,10 +203,6 @@ class CachedResult:
     outcomes: tuple[StrategyOutcome, ...]
     table: TruthTable | None = None
 
-    @property
-    def area(self) -> int:
-        return self.lattice.area
-
 
 def cache_key(n: int, canon: str, polarity: bool, config: str) -> str:
     """The store key of one cache slot.

@@ -4,7 +4,7 @@ The pipeline for ``run(jobs)``:
 
 1. **Canonicalise** every job's function and probe the persistent cache
    (:mod:`repro.engine.cache` rows of a :class:`~repro.engine.store.JsonStore`)
-   under the portfolio-config fingerprint.
+   under the portfolio gates' fingerprint.
 2. **Dedupe** the misses by canonical key — one portfolio race per NPN
    class per batch, however many jobs land in it.
 3. **Shard** the unique races across the worker pool
@@ -27,7 +27,6 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Sequence
 
 from ..boolean.npn import NpnTransform
@@ -52,7 +51,7 @@ from .jobs import (
     SynthesisJob,
 )
 from .pool import default_processes, map_sharded
-from .portfolio import PortfolioConfig, run_portfolio
+from .portfolio import fingerprint, run_portfolio
 from .store import JsonStore
 
 _LOG = get_logger("engine")
@@ -102,11 +101,6 @@ class EngineStats:
     def hit_rate(self) -> float:
         return self.cache_hits / self.jobs if self.jobs else 0.0
 
-    @property
-    def throughput(self) -> float:
-        """Functions per second over the accounted runs."""
-        return self.jobs / self.elapsed if self.elapsed > 0 else 0.0
-
     def as_dict(self) -> dict:
         """JSON-serialisable snapshot (the server's ``/api/stats`` payload)."""
         with self._lock:
@@ -139,16 +133,15 @@ class EngineStats:
         )
 
 
-def _race_task(task: tuple[str, int, int, tuple[str, ...]],
-               config: PortfolioConfig) -> tuple[str, CachedResult]:
+def _race_task(task: tuple[str, int, int, tuple[str, ...]]
+               ) -> tuple[str, CachedResult]:
     """Worker body: run one portfolio race on a canonical-polarity function.
 
-    Module-level (and driven through ``functools.partial``) so it pickles
-    across the process pool.
+    Module-level so it pickles across the process pool.
     """
     canon, n, bits, strategies = task
     table = TruthTable.from_bits(n, bits)
-    outcome = run_portfolio(table, strategies, config)
+    outcome = run_portfolio(table, strategies)
     return canon, CachedResult(
         strategy=outcome.strategy,
         lattice=outcome.lattice,
@@ -206,17 +199,14 @@ class BatchEngine:
             leaves open.
         processes: worker count for the sharded pool; ``1`` runs serially
             and ``None`` picks :func:`~repro.engine.pool.default_processes`.
-        config: deterministic portfolio knobs (shared by every job).
     """
 
     def __init__(self, cache_path: str | JsonStore = ":memory:",
-                 processes: int | None = 1,
-                 config: PortfolioConfig | None = None):
+                 processes: int | None = 1):
         self._opened = contextlib.ExitStack()
         self.store = (self._opened.enter_context(JsonStore(cache_path))
                       if isinstance(cache_path, str) else cache_path)
         self.processes = default_processes() if processes is None else processes
-        self.config = config or PortfolioConfig()
         self.stats = EngineStats()
         self._run_lock = threading.RLock()
         registry = metrics.registry()
@@ -279,7 +269,7 @@ class BatchEngine:
                 canon, transform = canonical_cache_key(table)
                 transforms.append(transform)
                 task_key = cache_key(job.n, canon, transform.output_negate,
-                                     self.config.fingerprint(job.strategies))
+                                     fingerprint(job.strategies))
                 cached = result_from_json(job.n, self.store.get(task_key))
                 if cached is not None and cached.table is not None:
                     # Semi-canonical keys hash the full representative, so
@@ -301,9 +291,8 @@ class BatchEngine:
 
         # Phase 2+3: race the unique misses across the pool, then persist
         # the whole wave in one transaction.
-        worker = partial(_race_task, config=self.config)
         with tracing.span("engine.race", tasks=len(tasks)):
-            raced = dict(map_sharded(worker, list(tasks.values()),
+            raced = dict(map_sharded(_race_task, list(tasks.values()),
                                      self.processes))
         for result in raced.values():
             self._observe_race(result)
@@ -398,8 +387,7 @@ class BatchEngine:
                     g_table = canonical_polarity_table(table, transform)
                     _, cached = _race_task(
                         (task_keys[index], job.n, g_table.bits,
-                         job.strategies),
-                        self.config)
+                         job.strategies))
                     self.store.put(task_keys[index], result_to_json(cached))
                     healed[task_keys[index]] = cached
                     self._observe_race(cached)

@@ -46,6 +46,11 @@ class FaultToleranceSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.defect_density < 1.0:
             raise ValueError("defect_density must be in [0, 1)")
+        for name in ("fabric_rows", "fabric_cols", "mapping_trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.redundancy not in ("none", "tmr"):
             raise ValueError(f"unknown redundancy {self.redundancy!r}")
 
@@ -122,10 +127,6 @@ class StrategyOutcome:
     shape: tuple[int, int] = (0, 0)
     elapsed: float = 0.0
     detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice
@@ -33,28 +33,29 @@ from ..xbareval import implements_table
 from .jobs import DEFAULT_STRATEGIES, StrategyOutcome
 
 
-@dataclass(frozen=True)
-class PortfolioConfig:
-    """Deterministic knobs for the strategy race.
+#: Deterministic effort gates of the race.  They keep the expensive flows
+#: inside the regime the underlying papers report results in: exact SAT
+#: synthesis explodes past a handful of variables or once the heuristic
+#: upper bound is already large, and the P-circuit sweep costs ``2n`` block
+#: synthesis rounds.  Every gate is part of :func:`fingerprint`, so raising
+#: one never reuses a cache row raced under the old value.
+OPTIMAL_CONFLICT_BUDGET = 20_000
+OPTIMAL_MAX_VARS = 4
+OPTIMAL_MAX_UPPER_AREA = 16
+PCIRCUIT_MAX_VARS = 6
+DREDUCIBLE_MAX_VARS = 8
 
-    The gates keep the expensive flows inside the regime the underlying
-    papers report results in: exact SAT synthesis explodes past a handful
-    of variables or once the heuristic upper bound is already large, and
-    the P-circuit sweep costs ``2n`` block synthesis rounds.
-    """
 
-    optimal_conflict_budget: int = 20_000
-    optimal_max_vars: int = 4
-    optimal_max_upper_area: int = 16
-    pcircuit_max_vars: int = 6
-    dreducible_max_vars: int = 8
-
-    def fingerprint(self, strategies: tuple[str, ...] = DEFAULT_STRATEGIES
-                    ) -> str:
-        """Stable text identifying (config, strategy set) for cache keys."""
-        payload = asdict(self)
-        payload["strategies"] = list(strategies)
-        return json.dumps(payload, sort_keys=True)
+def fingerprint(strategies: tuple[str, ...] = DEFAULT_STRATEGIES) -> str:
+    """Stable text identifying (gates, strategy set) for cache keys."""
+    return json.dumps({
+        "dreducible_max_vars": DREDUCIBLE_MAX_VARS,
+        "optimal_conflict_budget": OPTIMAL_CONFLICT_BUDGET,
+        "optimal_max_upper_area": OPTIMAL_MAX_UPPER_AREA,
+        "optimal_max_vars": OPTIMAL_MAX_VARS,
+        "pcircuit_max_vars": PCIRCUIT_MAX_VARS,
+        "strategies": list(strategies),
+    }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,13 @@ class PortfolioResult:
     strategy: str
     outcomes: tuple[StrategyOutcome, ...]
 
-    @property
-    def area(self) -> int:
-        return self.lattice.area
 
-
-def _run_dual(table: TruthTable, config: PortfolioConfig,
-              best: Lattice | None) -> Lattice | None:
+def _run_dual(table: TruthTable, best: Lattice | None) -> Lattice | None:
     return fold_lattice(synthesize_lattice_dual(table), table)
 
 
-def _run_dreducible(table: TruthTable, config: PortfolioConfig,
-                    best: Lattice | None) -> Lattice | None:
-    if table.n > config.dreducible_max_vars:
+def _run_dreducible(table: TruthTable, best: Lattice | None) -> Lattice | None:
+    if table.n > DREDUCIBLE_MAX_VARS:
         raise _Skip(f"n={table.n} > dreducible_max_vars")
     result = synthesize_dreducible(table)
     if result is None:
@@ -85,25 +80,23 @@ def _run_dreducible(table: TruthTable, config: PortfolioConfig,
     return result.lattice
 
 
-def _run_pcircuit(table: TruthTable, config: PortfolioConfig,
-                  best: Lattice | None) -> Lattice | None:
+def _run_pcircuit(table: TruthTable, best: Lattice | None) -> Lattice | None:
     if table.n < 2:
         raise _Skip("needs a variable to split on and one to keep")
-    if table.n > config.pcircuit_max_vars:
+    if table.n > PCIRCUIT_MAX_VARS:
         raise _Skip(f"n={table.n} > pcircuit_max_vars")
     lattice = best_pcircuit(table).lattice
     return fold_lattice(lattice, table)
 
 
-def _run_optimal(table: TruthTable, config: PortfolioConfig,
-                 best: Lattice | None) -> Lattice | None:
-    if table.n > config.optimal_max_vars:
+def _run_optimal(table: TruthTable, best: Lattice | None) -> Lattice | None:
+    if table.n > OPTIMAL_MAX_VARS:
         raise _Skip(f"n={table.n} > optimal_max_vars")
-    if best is not None and best.area > config.optimal_max_upper_area:
+    if best is not None and best.area > OPTIMAL_MAX_UPPER_AREA:
         raise _Skip(f"upper bound {best.area} > optimal_max_upper_area")
     result = synthesize_lattice_optimal(
         table,
-        conflict_budget=config.optimal_conflict_budget,
+        conflict_budget=OPTIMAL_CONFLICT_BUDGET,
         upper_bound=best,
     )
     return result.lattice
@@ -126,8 +119,8 @@ def known_strategies() -> tuple[str, ...]:
 
 
 def run_portfolio(table: TruthTable,
-                  strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
-                  config: PortfolioConfig | None = None) -> PortfolioResult:
+                  strategies: tuple[str, ...] = DEFAULT_STRATEGIES
+                  ) -> PortfolioResult:
     """Race the named strategies on ``table`` and keep the smallest lattice.
 
     Strategies run in the given order; a strictly smaller area displaces
@@ -136,7 +129,6 @@ def run_portfolio(table: TruthTable,
     one strategy must succeed (``dual`` is total, so any portfolio
     containing it cannot come up empty).
     """
-    config = config or PortfolioConfig()
     unknown = [s for s in strategies if s not in _STRATEGY_RUNNERS]
     if unknown:
         raise ValueError(f"unknown strategies {unknown}; "
@@ -155,7 +147,7 @@ def run_portfolio(table: TruthTable,
         runner = _STRATEGY_RUNNERS[name]
         start = time.perf_counter()
         try:
-            lattice = runner(table, config, best)
+            lattice = runner(table, best)
         except _Skip as gate:
             outcomes.append(StrategyOutcome(
                 name, "skipped", elapsed=time.perf_counter() - start,

@@ -250,9 +250,6 @@ class JsonStore:
                 (prefix, prefix)).fetchone()
         return int(count)
 
-    def clear(self) -> None:
-        self._execute_with_retry("DELETE FROM json_store", commit=True)
-
     def close(self) -> None:
         with self._lock:
             self._conn.close()

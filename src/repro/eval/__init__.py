@@ -7,7 +7,7 @@ from .experiments import (
     all_experiments,
     get_experiment,
 )
-from .tables import format_markdown, format_table
+from .tables import format_table
 
 __all__ = [
     "Benchmark",
@@ -15,7 +15,6 @@ __all__ = [
     "ExperimentResult",
     "all_experiments",
     "by_name",
-    "format_markdown",
     "format_table",
     "get_experiment",
     "standard_suite",

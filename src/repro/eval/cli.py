@@ -74,14 +74,22 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         return 2
     print(f"f = {f.to_expression()}   (n = {f.n})")
     style = args.style
+    # Constant 0 has no diode array and neither constant has a FET array
+    # (an empty pull-up or pull-down plane); the lattice is 1 x 1.
     if style in ("diode", "all"):
-        diode = synthesize_diode(f.on)
-        print(f"\ndiode array {diode.num_rows} x {diode.num_cols}:")
-        print(diode.render(f.names))
+        if f.on.is_contradiction():
+            print("\ndiode array: none (constant function)")
+        else:
+            diode = synthesize_diode(f.on)
+            print(f"\ndiode array {diode.num_rows} x {diode.num_cols}:")
+            print(diode.render(f.names))
     if style in ("fet", "all"):
-        fet = synthesize_fet(f.on)
-        print(f"\nFET array {fet.num_rows} x {fet.num_cols}:")
-        print(fet.render(f.names))
+        if f.on.is_constant():
+            print("\nFET array: none (constant function)")
+        else:
+            fet = synthesize_fet(f.on)
+            print(f"\nFET array {fet.num_rows} x {fet.num_cols}:")
+            print(fet.render(f.names))
     if style in ("lattice", "all"):
         lattice = synthesize_lattice_dual(f.on)
         folded = optimize_lattice(lattice, f.on).lattice

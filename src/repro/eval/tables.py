@@ -43,21 +43,3 @@ def format_table(rows: Sequence[Mapping[str, Any]],
     for row in cells:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_markdown(rows: Sequence[Mapping[str, Any]],
-                    columns: Sequence[str] | None = None,
-                    precision: int = 3) -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    lines = ["| " + " | ".join(columns) + " |",
-             "|" + "|".join("---" for _ in columns) + "|"]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(_format_value(row.get(c, ""), precision)
-                              for c in columns) + " |"
-        )
-    return "\n".join(lines)

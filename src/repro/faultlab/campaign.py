@@ -207,12 +207,6 @@ class PointEstimate:
 class CampaignResult(CampaignRun):
     """Everything one ``run_campaign`` call produced."""
 
-    def estimate(self, point: CampaignPoint) -> PointEstimate:
-        for est in self.estimates:
-            if est.point == point:
-                return est
-        raise KeyError(f"no estimate for {point}")
-
     def rows(self) -> list[dict]:
         """Yield-curve rows, one per (point, k) pair, with Wilson CIs."""
         from .report import wilson_interval
@@ -359,11 +353,6 @@ def spec_from_params(params: dict, point: bool = False) -> CampaignSpec:
     """
     return build_spec(CampaignSpec, params, point=point,
                       given={"k_values": (0,)} if point else None)
-
-
-def point_from_params(params: dict) -> CampaignPoint:
-    """Build one validated :class:`CampaignPoint` from a flat grid point."""
-    return spec_from_params(params, point=True).points()[0]
 
 
 def compute_point(point: CampaignPoint, processes: int = 1) -> PointEstimate:

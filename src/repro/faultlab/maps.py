@@ -72,12 +72,6 @@ class DefectBatch:
         """Boolean ``(trials, rows, cols)`` mask of non-OK crosspoints."""
         return self.states != OK
 
-    def densities(self) -> np.ndarray:
-        """Observed defect density per trial, shape ``(trials,)``."""
-        if self.rows * self.cols == 0:
-            return np.zeros(self.trials)
-        return self.defective().mean(axis=(1, 2))
-
     # -- conversions to/from the scalar reference model -------------------
     def to_defect_map(self, trial: int) -> DefectMap:
         """Materialise one trial as a scalar (dict-based) ``DefectMap``."""

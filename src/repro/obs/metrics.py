@@ -370,12 +370,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_count{suffix} {total}")
         return "\n".join(lines) + "\n" if lines else ""
 
-    def reset(self) -> None:
-        """Drop every instrument (tests only)."""
-        with self._lock:
-            self._meta.clear()
-            self._instruments.clear()
-
 
 #: The process-global registry every subsystem reports into.
 _REGISTRY = MetricsRegistry()

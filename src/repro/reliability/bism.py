@@ -34,9 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bist import application_bist_passes
 from .defects import DefectMap
-from .faults import CrossbarFabric
 
 Program = tuple[tuple[bool, ...], ...]
 
@@ -115,26 +113,8 @@ def _random_mapping(app_rows: int, app_cols: int, rows: int, cols: int,
     )
 
 
-def _check(program: Program, mapping: Mapping, defect_map: DefectMap,
-           use_fabric_bist: bool) -> bool:
-    """BIST pass/fail for the candidate mapping (one session).
-
-    ``use_fabric_bist=True`` routes through the behavioural fault simulator
-    (slower, end-to-end); otherwise validity is checked directly on the
-    defect map — the two agree, which the tests verify.
-    """
-    if not use_fabric_bist:
-        return mapping_is_valid(program, mapping, defect_map)
-    fabric = CrossbarFabric(defect_map.rows, defect_map.cols)
-    full = mapped_program(program, mapping, defect_map.rows, defect_map.cols)
-    return application_bist_passes(fabric, full, defect_map,
-                                   observed_rows=mapping.row_map,
-                                   driven_cols=mapping.col_map)
-
-
 def blind_bism(program: Program, defect_map: DefectMap, rng: random.Random,
-               max_retries: int = 200,
-               use_fabric_bist: bool = False) -> BismResult:
+               max_retries: int = 200) -> BismResult:
     """Random configuration + BIST retry loop."""
     app_rows, app_cols = len(program), len(program[0])
     if app_rows > defect_map.rows or app_cols > defect_map.cols:
@@ -144,14 +124,13 @@ def blind_bism(program: Program, defect_map: DefectMap, rng: random.Random,
         mapping = _random_mapping(app_rows, app_cols,
                                   defect_map.rows, defect_map.cols, rng)
         bist += 1
-        if _check(program, mapping, defect_map, use_fabric_bist):
+        if mapping_is_valid(program, mapping, defect_map):
             return BismResult(True, mapping, attempt, bist, 0, "blind")
     return BismResult(False, None, max_retries, bist, 0, "blind")
 
 
 def greedy_bism(program: Program, defect_map: DefectMap, rng: random.Random,
-                max_retries: int = 200,
-                use_fabric_bist: bool = False) -> BismResult:
+                max_retries: int = 200) -> BismResult:
     """Diagnose after each failure and re-place only the defective lines."""
     app_rows, app_cols = len(program), len(program[0])
     if app_rows > defect_map.rows or app_cols > defect_map.cols:
@@ -161,7 +140,7 @@ def greedy_bism(program: Program, defect_map: DefectMap, rng: random.Random,
     bist = bisd = 0
     for attempt in range(1, max_retries + 1):
         bist += 1
-        if _check(program, mapping, defect_map, use_fabric_bist):
+        if mapping_is_valid(program, mapping, defect_map):
             return BismResult(True, mapping, attempt, bist, bisd, "greedy")
         bisd += 1
         bad = defective_junctions(program, mapping, defect_map)
@@ -193,18 +172,14 @@ def greedy_bism(program: Program, defect_map: DefectMap, rng: random.Random,
 
 
 def hybrid_bism(program: Program, defect_map: DefectMap, rng: random.Random,
-                blind_budget: int = 5, max_retries: int = 200,
-                use_fabric_bist: bool = False) -> BismResult:
+                blind_budget: int = 5, max_retries: int = 200) -> BismResult:
     """Blind first; switch to greedy after ``blind_budget`` failures."""
-    blind = blind_bism(program, defect_map, rng,
-                       max_retries=blind_budget,
-                       use_fabric_bist=use_fabric_bist)
+    blind = blind_bism(program, defect_map, rng, max_retries=blind_budget)
     if blind.success:
         return BismResult(True, blind.mapping, blind.configurations_tried,
                           blind.bist_sessions, 0, "hybrid")
     greedy = greedy_bism(program, defect_map, rng,
-                         max_retries=max_retries - blind_budget,
-                         use_fabric_bist=use_fabric_bist)
+                         max_retries=max_retries - blind_budget)
     return BismResult(
         greedy.success,
         greedy.mapping,

@@ -20,8 +20,8 @@ The five patterns and what they catch (wired-AND read-out):
 
 Vectors per configuration: the all-ones vector, the all-zeros vector and a
 walking-zero / walking-one sweep — ``O(C)`` total.  Coverage is *verified*,
-not assumed: :func:`verify_full_coverage` fault-simulates the entire
-single-fault universe.
+not assumed: :func:`run_bist` fault-simulates the entire single-fault
+universe and reports every escape.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ def run_bist(rows: int, cols: int,
         num_detected=len(universe) - len(escapes),
         escapes=tuple(escapes),
     )
-
-
-def verify_full_coverage(rows: int, cols: int) -> bool:
-    """True when the suite detects the entire single-fault universe."""
-    return not run_bist(rows, cols).escapes
 
 
 # ----------------------------------------------------------------------

@@ -39,10 +39,6 @@ class CleanSubarray:
         """Side of the largest square inside the selection."""
         return min(len(self.rows), len(self.cols))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
 
 def is_clean(defect_map: DefectMap, rows: Sequence[int], cols: Sequence[int]) -> bool:
     """Every selected crosspoint is defect-free (universal usability)."""

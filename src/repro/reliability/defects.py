@@ -79,23 +79,6 @@ class DefectMap:
     def defective_cols(self) -> set[int]:
         return {c for _, c in self.defects}
 
-    def row_defect_counts(self) -> list[int]:
-        counts = [0] * self.rows
-        for r, _ in self.defects:
-            counts[r] += 1
-        return counts
-
-    def submap(self, row_ids: list[int], col_ids: list[int]) -> "DefectMap":
-        """Defect map of the sub-crossbar selected by the given lines."""
-        row_pos = {r: i for i, r in enumerate(row_ids)}
-        col_pos = {c: j for j, c in enumerate(col_ids)}
-        defects = {
-            (row_pos[r], col_pos[c]): state
-            for (r, c), state in self.defects.items()
-            if r in row_pos and c in col_pos
-        }
-        return DefectMap(len(row_ids), len(col_ids), defects)
-
     def is_clean(self, row_ids: list[int], col_ids: list[int]) -> bool:
         """True when the selected sub-crossbar has no defect at all."""
         col_set = set(col_ids)

@@ -75,25 +75,6 @@ def repair_with_spares(defect_map: DefectMap, logical_rows: int,
                         rows_replaced, cols_replaced)
 
 
-def spare_overhead_for_success(n: int, density: float, target: float,
-                               rng: random.Random, trials: int = 200,
-                               max_spares: int | None = None) -> int | None:
-    """Smallest spare count s so repair of an n x n logical array inside an
-    (n+s) x (n+s) physical array succeeds with probability >= target."""
-    from .defects import random_defect_map
-
-    limit = max_spares if max_spares is not None else 3 * n
-    for s in range(limit + 1):
-        successes = 0
-        for _ in range(trials):
-            defect_map = random_defect_map(n + s, n + s, density, rng)
-            if repair_with_spares(defect_map, n, n).success:
-                successes += 1
-        if successes / trials >= target:
-            return s
-    return None
-
-
 # ----------------------------------------------------------------------
 # TMR (transient faults)
 # ----------------------------------------------------------------------

@@ -41,13 +41,6 @@ def expected_clean_squares(n: int, k: int, density: float) -> float:
     return math.comb(n, k) ** 2 * clean_placement_probability(k, k, density)
 
 
-def poisson_yield(area: float, defect_density_per_area: float) -> float:
-    """Classical Poisson yield model ``Y = exp(-A * D)``."""
-    if area < 0 or defect_density_per_area < 0:
-        raise ValueError("area and density must be non-negative")
-    return math.exp(-area * defect_density_per_area)
-
-
 @dataclass(frozen=True)
 class YieldEstimate:
     """Monte-Carlo yield for one (N, k, density) point."""

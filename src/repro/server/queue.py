@@ -279,16 +279,6 @@ class JobQueue:
                 del self._by_key[key]
             excess -= 1
 
-    async def drain(self) -> None:
-        """Wait for every dispatched computation (shutdown path).
-
-        Loops until quiescent: a handler that was mid-submit when the
-        drain started may add tasks behind the first snapshot.
-        """
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks),
-                                 return_exceptions=True)
-
     def snapshot(self) -> dict:
         """The queue half of the ``/api/stats`` payload."""
         active = sum(1 for job in self._jobs.values()

@@ -18,7 +18,6 @@ from .compose import (
     literal_lattice,
     pad_cols,
     pad_rows,
-    product_lattice,
 )
 from .dreducible import (
     DReducibleLattice,
@@ -60,7 +59,6 @@ from .pcircuit import (
     best_pcircuit,
     pcircuit_decompose,
     recompose_table,
-    synthesize_pcircuit,
 )
 from .two_terminal import (
     TwoTerminalError,
@@ -104,7 +102,6 @@ __all__ = [
     "pad_rows",
     "pcircuit_decompose",
     "pick_shared_literal",
-    "product_lattice",
     "recompose_table",
     "remove_col",
     "remove_row",
@@ -114,6 +111,5 @@ __all__ = [
     "synthesize_fet",
     "synthesize_lattice_dual",
     "synthesize_lattice_optimal",
-    "synthesize_pcircuit",
     "two_terminal_report",
 ]

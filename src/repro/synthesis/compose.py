@@ -17,7 +17,7 @@ for P-circuit recomposition (Section III-B.1).
 
 from __future__ import annotations
 
-from ..boolean.cube import Cube, Literal
+from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice, Site
 
 
@@ -29,14 +29,6 @@ def constant_lattice(n: int, value: bool) -> Lattice:
 def literal_lattice(n: int, literal: Literal) -> Lattice:
     """A 1x1 lattice computing a single literal."""
     return Lattice(n, [[literal]])
-
-
-def product_lattice(n: int, cube: Cube) -> Lattice:
-    """A one-column lattice computing a product (series connection)."""
-    literals = list(cube.literals())
-    if not literals:
-        return constant_lattice(n, True)
-    return Lattice(n, [[lit] for lit in literals])
 
 
 def pad_rows(lattice: Lattice, target_rows: int) -> Lattice:

@@ -50,17 +50,13 @@ class DReducibleLattice:
     lattice: Lattice
 
     @property
-    def area(self) -> int:
-        return self.lattice.area
-
-    @property
     def dimension_drop(self) -> int:
         """How many dimensions the affine restriction removed."""
         return self.space.n - self.space.dim
 
 
-def synthesize_dreducible(function: BooleanFunction | TruthTable,
-                          verify: bool = True) -> DReducibleLattice | None:
+def synthesize_dreducible(function: BooleanFunction | TruthTable
+                          ) -> DReducibleLattice | None:
     """Synthesize ``f`` as ``chi_A AND f_A`` when ``f`` is D-reducible.
 
     ``chi_A`` is built constraint-wise (:func:`synthesize_characteristic`),
@@ -81,7 +77,7 @@ def synthesize_dreducible(function: BooleanFunction | TruthTable,
     projection_lattice = fold_lattice(synthesize_lattice_dual(embedded),
                                       embedded)
     lattice = lattice_and(chi_lattice, projection_lattice)
-    if verify and not lattice.implements(table):
+    if not lattice.implements(table):
         raise RuntimeError("D-reducible recomposition failed verification")
     return DReducibleLattice(
         space=space,

@@ -66,15 +66,12 @@ def lattice_from_covers(cover: Cover, dual_cover: Cover) -> Lattice:
                        for q in dual_cover])
 
 
-def synthesize_lattice_dual(function: BooleanFunction | TruthTable,
-                            verify: bool = True) -> Lattice:
+def synthesize_lattice_dual(function: BooleanFunction | TruthTable) -> Lattice:
     """Synthesize a lattice for a function via the dual-based construction.
 
     Args:
         function: target (don't-cares, if any, are resolved to 0 — lattice
             synthesis with flexibility is delegated to the P-circuit flow).
-        verify: exhaustively check the lattice implements the function
-            (cheap for the n ranges used here).
 
     Returns:
         A :class:`~repro.crossbar.lattice.Lattice` computing the function.
@@ -85,7 +82,7 @@ def synthesize_lattice_dual(function: BooleanFunction | TruthTable,
     lattice = lattice_from_covers(cover, dual_cover)
     # Candidate check through the batched evaluation core (one flood call
     # over all 2^n assignments).
-    if verify and not implements_table(lattice, table):
+    if not implements_table(lattice, table):
         raise SynthesisError("dual-based lattice failed verification")
     return lattice
 
@@ -100,10 +97,6 @@ class DualSynthesisReport:
     dual_products: int
     formula_shape: tuple[int, int]
     lattice: Lattice
-
-    @property
-    def area(self) -> int:
-        return self.lattice.area
 
 
 def dual_synthesis_report(function: BooleanFunction) -> DualSynthesisReport:

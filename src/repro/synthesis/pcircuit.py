@@ -54,13 +54,6 @@ class PCircuitDecomposition:
     f_neq_dc: TruthTable
     intersection: TruthTable
 
-    def blocks(self) -> dict[str, TruthTable]:
-        return {
-            "f_eq": self.f_eq_on,
-            "f_neq": self.f_neq_on,
-            "f_I": self.intersection,
-        }
-
 
 def pcircuit_decompose(table: TruthTable, var: int,
                        polarity: bool = True) -> PCircuitDecomposition:
@@ -147,7 +140,7 @@ def _block(blocks: _Blocks, on: TruthTable,
 
 
 def _synthesize_split(table: TruthTable, var: int, polarity: bool,
-                      blocks: _Blocks, verify: bool) -> PCircuitLattice:
+                      blocks: _Blocks) -> PCircuitLattice:
     """One split's P-circuit lattice, its blocks taken from ``blocks``."""
     dec = pcircuit_decompose(table, var, polarity)
     lat_eq = _block(blocks, dec.f_eq_on, dec.f_eq_dc)
@@ -165,31 +158,13 @@ def _synthesize_split(table: TruthTable, var: int, polarity: bool,
     if not dec.intersection.is_contradiction():
         parts.append(lift_lattice(lat_int, var))
     lattice = lattice_or_many(parts)
-    if verify and not lattice.implements(table):
+    if not lattice.implements(table):
         raise RuntimeError("P-circuit recomposition failed verification")
     return PCircuitLattice(
         decomposition=dec,
         block_lattices={"f_eq": lat_eq, "f_neq": lat_neq, "f_I": lat_int},
         lattice=lattice,
     )
-
-
-def synthesize_pcircuit(function: BooleanFunction | TruthTable, var: int,
-                        polarity: bool = True,
-                        verify: bool = True) -> PCircuitLattice:
-    """Build the P-circuit lattice for one (var, polarity) split.
-
-    The blocks ``f^=``/``f^!=`` are minimized with ``I`` as don't-care
-    (the [7] flexibility); every block's lattice is the dual-based
-    construction.
-
-    Args:
-        function: the target.
-        var, polarity: the split.
-        verify: exhaustively check the recomposed lattice.
-    """
-    table = function.on if isinstance(function, BooleanFunction) else function
-    return _synthesize_split(table, var, polarity, {}, verify)
 
 
 def best_pcircuit(function: BooleanFunction | TruthTable) -> PCircuitLattice:
@@ -204,8 +179,7 @@ def best_pcircuit(function: BooleanFunction | TruthTable) -> PCircuitLattice:
     best: PCircuitLattice | None = None
     for var in range(table.n):
         for polarity in (True, False):
-            candidate = _synthesize_split(table, var, polarity, blocks,
-                                          verify=True)
+            candidate = _synthesize_split(table, var, polarity, blocks)
             if best is None or candidate.area < best.area:
                 best = candidate
     if best is None:

@@ -207,12 +207,6 @@ class VariationPointEstimate:
 class VariationCampaignResult(CampaignRun):
     """Everything one ``run_variation_campaign`` call produced."""
 
-    def estimate(self, sigma: float) -> VariationPointEstimate:
-        for est in self.estimates:
-            if est.point.sigma == sigma:
-                return est
-        raise KeyError(f"no estimate for sigma {sigma}")
-
     def rows(self) -> list[dict]:
         """Delay-distribution rows, one per sigma (the E-VAR table shape)."""
         return [{

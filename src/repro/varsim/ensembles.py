@@ -48,14 +48,6 @@ class VariationBatch:
     def trials(self) -> int:
         return int(self.resistance.shape[0])
 
-    @property
-    def rows(self) -> int:
-        return int(self.resistance.shape[1])
-
-    @property
-    def cols(self) -> int:
-        return int(self.resistance.shape[2])
-
     def to_variation_map(self, trial: int) -> VariationMap:
         """Materialise one trial as a scalar :class:`VariationMap`."""
         return VariationMap(self.resistance[trial])

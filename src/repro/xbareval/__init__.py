@@ -34,7 +34,6 @@ from .connectivity import (
 from .delay import (
     CHUNK_GRIDS,
     best_path_delay_batch,
-    lattice_critical_delay_batch,
     onset_critical_delay_batch,
 )
 from .lattice_eval import (
@@ -56,7 +55,6 @@ __all__ = [
     "evaluate_labellings",
     "evaluate_masks",
     "implements_table",
-    "lattice_critical_delay_batch",
     "lattice_truthtable",
     "onset_critical_delay_batch",
     "site_masks",

@@ -30,11 +30,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice_eval import conduction_tensor, lattice_truthtable
+from .lattice_eval import conduction_tensor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..crossbar.lattice import Lattice
-    from ..boolean.truthtable import TruthTable
 
 #: Grids relaxed per kernel call when expanding (trials x on-set) products
 #: (bounds the dense ``(chunk, R, C)`` distance tensor).
@@ -140,23 +139,3 @@ def onset_critical_delay_batch(lattice: "Lattice", minterms: np.ndarray,
             raise ValueError("lattice does not conduct on its own on-set")
         worst[start:stop] = delays.max(axis=1)
     return worst
-
-
-def lattice_critical_delay_batch(lattice: "Lattice", resistance: np.ndarray,
-                                 table: "TruthTable | None" = None
-                                 ) -> np.ndarray:
-    """Critical delay of one lattice under an ensemble of resistance maps.
-
-    The batched analogue of
-    :func:`repro.reliability.variation.lattice_critical_delay`: the
-    on-set conduction grids are materialised once and every
-    ``(trial, minterm)`` pair is relaxed in one Bellman-Ford batch.
-
-    Raises:
-        ValueError: for a constant-0 lattice (empty on-set), matching the
-            scalar reference.
-    """
-    if table is None:
-        table = lattice_truthtable(lattice)
-    minterms = np.fromiter(table.minterms(), dtype=np.int64)
-    return onset_critical_delay_batch(lattice, minterms, resistance)

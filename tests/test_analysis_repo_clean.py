@@ -37,3 +37,26 @@ def test_every_suppression_carries_a_reason():
     for finding in report.findings:
         if finding.suppressed:
             assert finding.reason, f"reasonless suppression: {finding.render()}"
+
+
+def test_every_all_entry_resolves_and_star_imports():
+    """A deleted definition must not leave a stale ``__all__`` entry: every
+    listed name exists and ``from <module> import *`` succeeds."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    names = ["repro"] + [info.name for info in
+                         pkgutil.walk_packages(repro.__path__, "repro.")]
+    exported = 0
+    for name in names:
+        module = importlib.import_module(name)
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            continue
+        missing = [entry for entry in listed if not hasattr(module, entry)]
+        assert not missing, f"{name}.__all__ lists missing names {missing}"
+        exec(f"from {name} import *", {})
+        exported += len(listed)
+    assert len(names) > 100 and exported > 300

@@ -148,12 +148,6 @@ class TestSsm:
         ssm.run([1] * 5)
         assert ssm.state == 1  # 5 mod 4
 
-    def test_reset(self):
-        ssm = SynchronousStateMachine(counter_spec(2))
-        ssm.run([1, 1])
-        ssm.reset()
-        assert ssm.state == 0
-
     def test_input_validation(self):
         ssm = SynchronousStateMachine(counter_spec(2))
         with pytest.raises(ValueError):

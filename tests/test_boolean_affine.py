@@ -9,9 +9,7 @@ from repro.boolean import (
     d_reduction,
     embed_projection,
     gf2_kernel,
-    gf2_rank,
     gf2_row_reduce,
-    is_d_reducible,
     onset_affine_hull,
     parity_table,
     project_onto,
@@ -22,7 +20,7 @@ class TestGf2:
     def test_row_reduce_rank(self):
         rows = [0b011, 0b101, 0b110]  # third = sum of first two
         reduced, pivots = gf2_row_reduce(rows, 3)
-        assert len(reduced) == 2 == gf2_rank(rows, 3)
+        assert len(reduced) == 2
         assert pivots == sorted(pivots)
 
     def test_row_reduce_rref_property(self):
@@ -44,7 +42,7 @@ class TestGf2:
 
     @given(st.lists(st.integers(min_value=0, max_value=31), max_size=6))
     def test_rank_nullity(self, rows):
-        rank = gf2_rank(rows, 5)
+        rank = len(gf2_row_reduce(rows, 5)[0])
         kernel = gf2_kernel(rows, 5)
         assert rank + len(kernel) == 5
 
@@ -75,7 +73,7 @@ class TestAffineHull:
         for p in points:
             assert space.contains(p)
         pts = space.points()
-        assert len(pts) == space.num_points
+        assert len(pts) == 1 << space.dim
         # affine closure: a ^ b ^ c stays inside
         sample = pts[: min(len(pts), 4)]
         for a in sample:
@@ -97,7 +95,7 @@ class TestAffineHull:
             assert space.contains(p)
         # distinct parameter values give distinct points
         completed = {space.complete_point(t) for t in range(1 << space.dim)}
-        assert len(completed) == space.num_points
+        assert len(completed) == 1 << space.dim
 
 
 class TestDReduction:
@@ -106,15 +104,14 @@ class TestDReduction:
         t = TruthTable.from_callable(3, lambda m: bin(m).count("1") % 2 == 0)
         space = onset_affine_hull(t)
         assert space.dim == 2
-        assert is_d_reducible(t)
+        assert d_reduction(t) is not None
 
     def test_full_space_not_reducible(self):
         t = TruthTable.constant(3, True)
-        assert not is_d_reducible(t)
         assert d_reduction(t) is None
 
     def test_constant_zero_not_reducible(self):
-        assert not is_d_reducible(TruthTable.constant(3, False))
+        assert d_reduction(TruthTable.constant(3, False)) is None
 
     def test_known_decomposition(self):
         # f = x1' x2 x3 + x1 x2' x3: on-set {0b110, 0b101} -- both have

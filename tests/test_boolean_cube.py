@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.boolean import Cube, Literal
+from repro.boolean import Cube, Literal, TruthTable
 
 
 class TestLiteral:
@@ -40,9 +40,7 @@ class TestCubeConstruction:
     def test_from_string_parses_positional(self):
         cube = Cube.from_string("1-0")
         assert cube.n == 3
-        assert cube.polarity(0) == "1"
-        assert cube.polarity(1) == "-"
-        assert cube.polarity(2) == "0"
+        assert str(cube) == "1-0"
 
     def test_from_string_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -59,12 +57,12 @@ class TestCubeConstruction:
     def test_from_minterm_has_all_literals(self):
         cube = Cube.from_minterm(3, 0b101)
         assert cube.num_literals == 3
-        assert cube.evaluate(0b101)
-        assert not cube.evaluate(0b100)
+        assert 0b101 in set(cube.minterms())
+        assert 0b100 not in set(cube.minterms())
 
     def test_universe_covers_everything(self):
         cube = Cube.universe(3)
-        assert all(cube.evaluate(m) for m in range(8))
+        assert sorted(cube.minterms()) == list(range(8))
 
     def test_overlapping_masks_rejected(self):
         with pytest.raises(ValueError):
@@ -78,17 +76,14 @@ class TestCubeConstruction:
 class TestCubeSemantics:
     def test_evaluate_matches_literal_conjunction(self):
         cube = Cube.from_string("10-")
+        table = TruthTable.from_cubes(3, [cube])
         for m in range(8):
             expected = (m & 1) and not (m & 2)
-            assert cube.evaluate(m) == bool(expected)
+            assert table.evaluate(m) == bool(expected)
 
     def test_minterms_enumeration(self):
         cube = Cube.from_string("1--")
         assert sorted(cube.minterms()) == [0b001, 0b011, 0b101, 0b111]
-
-    def test_size_matches_minterm_count(self):
-        cube = Cube.from_string("1-0-")
-        assert cube.size() == len(list(cube.minterms())) == 4
 
     def test_contains_reflexive_and_monotone(self):
         big = Cube.from_string("1--")
@@ -96,19 +91,6 @@ class TestCubeSemantics:
         assert big.contains(small)
         assert not small.contains(big)
         assert big.contains(big)
-
-    def test_intersection_agrees_with_minterm_sets(self):
-        a = Cube.from_string("1--")
-        b = Cube.from_string("-0-")
-        meet = a.intersection(b)
-        assert meet is not None
-        assert set(meet.minterms()) == set(a.minterms()) & set(b.minterms())
-
-    def test_disjoint_cubes_have_no_intersection(self):
-        a = Cube.from_string("1--")
-        b = Cube.from_string("0--")
-        assert a.intersection(b) is None
-        assert not a.intersects(b)
 
 
 class TestCubeOperations:
@@ -129,38 +111,16 @@ class TestCubeOperations:
         b = Cube.from_string("100")
         assert a.merge(b) is None
 
-    def test_cofactor_drops_literal(self):
-        cube = Cube.from_string("10-")
-        assert str(cube.cofactor(0, True)) == "-0-"
-        assert cube.cofactor(0, False) is None
-
     def test_shared_literals_same_polarity_only(self):
         a = Cube.from_string("11-")
         b = Cube.from_string("1-0")
         shared = a.shared_literals(b)
         assert shared == [Literal(0, True)]
 
-    def test_consensus_on_single_conflict(self):
-        a = Cube.from_string("11-")
-        b = Cube.from_string("0-1")
-        consensus = a.consensus(b)
-        assert consensus is not None
-        assert str(consensus) == "-11"
-
-    def test_project_out_and_lift_are_inverse(self):
-        cube = Cube.from_string("1-0-")
-        projected = cube.project_out(1)
-        assert projected.n == 3
-        assert str(projected) == "10-"
-        assert projected.lift(1) == cube
-
-    def test_project_out_constrained_variable_raises(self):
-        with pytest.raises(ValueError):
-            Cube.from_string("1-0").project_out(0)
-
-    def test_complement_literals_swaps_polarity(self):
-        cube = Cube.from_string("10-")
-        assert str(cube.complement_literals()) == "01-"
+    def test_lift_inserts_a_free_variable(self):
+        lifted = Cube.from_string("10-").lift(1)
+        assert lifted.n == 4
+        assert lifted == Cube.from_string("1-0-")
 
 
 @st.composite
@@ -171,36 +131,11 @@ def cubes(draw, n=4):
 
 class TestCubeProperties:
     @given(cubes(), cubes())
-    def test_intersection_semantics(self, a, b):
-        meet = a.intersection(b)
-        expected = set(a.minterms()) & set(b.minterms())
-        if meet is None:
-            assert expected == set()
-        else:
-            assert set(meet.minterms()) == expected
-
-    @given(cubes(), cubes())
     def test_containment_semantics(self, a, b):
         assert a.contains(b) == (set(b.minterms()) <= set(a.minterms()))
-
-    @given(cubes())
-    def test_minterm_count_matches_size(self, cube):
-        assert cube.size() == len(list(cube.minterms()))
 
     @given(cubes(), cubes())
     def test_merge_preserves_union(self, a, b):
         merged = a.merge(b)
         if merged is not None:
             assert set(merged.minterms()) == set(a.minterms()) | set(b.minterms())
-
-    @given(cubes(), st.integers(min_value=0, max_value=3), st.booleans())
-    def test_cofactor_semantics(self, cube, var, value):
-        cof = cube.cofactor(var, value)
-        expected = {
-            m for m in cube.minterms() if bool((m >> var) & 1) == value
-        }
-        if cof is None:
-            assert expected == set()
-        else:
-            assert {m for m in cof.minterms()
-                    if bool((m >> var) & 1) == value} == expected

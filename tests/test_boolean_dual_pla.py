@@ -34,20 +34,20 @@ class TestDual:
         for p in f_cover:
             for q in d_cover:
                 lit = pick_shared_literal(p, q)
-                assert lit in p.literal_set() and lit in q.literal_set()
+                assert lit in set(p.literals()) and lit in set(q.literals())
 
     def test_shared_literal_raises_for_disjoint(self):
         from repro.boolean import Cube
 
         with pytest.raises(SynthesisError):
             pick_shared_literal(Cube.from_string("1-"),
-                                Cube.from_string("-1").complement_literals())
+                                Cube.from_string("-0"))
 
     def test_self_dual_detection(self):
         maj = TruthTable.from_callable(3, lambda m: bin(m).count("1") >= 2)
-        assert maj.is_self_dual()
-        assert not (TruthTable.variable(3, 0)
-                    & TruthTable.variable(3, 1)).is_self_dual()
+        assert maj.dual() == maj
+        conj = TruthTable.variable(3, 0) & TruthTable.variable(3, 1)
+        assert conj.dual() != conj
 
 
 class TestPla:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.boolean import Cube, TruthTable
+from repro.boolean import Cover, Cube, TruthTable
 
 
 def random_tables(n=4):
@@ -101,11 +101,11 @@ class TestDual:
 
     def test_parity_is_self_dual_for_odd_vars(self):
         t = TruthTable.from_callable(3, lambda m: bin(m).count("1") % 2 == 1)
-        assert t.is_self_dual()
+        assert t.dual() == t
 
     def test_majority_is_self_dual(self):
         t = TruthTable.from_callable(3, lambda m: bin(m).count("1") >= 2)
-        assert t.is_self_dual()
+        assert t.dual() == t
 
     @given(random_tables())
     def test_dual_is_involution(self, t):
@@ -122,23 +122,12 @@ class TestDual:
 class TestStructure:
     def test_cofactor_shannon_expansion(self):
         t = TruthTable.from_callable(3, lambda m: (m & 1) and not (m & 4))
-        f0, f1 = t.shannon(0)
+        f0, f1 = t.cofactor(0, False), t.cofactor(0, True)
         # f = ~x0 f0 + x0 f1 reconstructed pointwise
         for m in range(8):
             sub = ((m >> 1) & 0b11)
             expected = f1.evaluate(sub) if (m & 1) else f0.evaluate(sub)
             assert t.evaluate(m) == expected
-
-    def test_restrict_keeps_dimension(self):
-        t = TruthTable.variable(3, 0)
-        r = t.restrict(0, True)
-        assert r.n == 3 and r.is_tautology()
-
-    def test_depends_on_and_support(self):
-        t = TruthTable.from_callable(3, lambda m: bool(m & 1))
-        assert t.support() == [0]
-        assert t.depends_on(0)
-        assert not t.depends_on(2)
 
     def test_permute_swaps_roles(self):
         t = TruthTable.from_callable(2, lambda m: bool(m & 1))  # f = x0
@@ -148,19 +137,6 @@ class TestStructure:
     def test_permute_validation(self):
         with pytest.raises(ValueError):
             TruthTable.constant(2, True).permute([0, 0])
-
-    def test_extend_ignores_new_variables(self):
-        t = TruthTable.variable(2, 1)
-        big = t.extend(2)
-        assert big.n == 4
-        for m in range(16):
-            assert big.evaluate(m) == bool((m >> 1) & 1)
-
-    def test_compose_variable_substitution(self):
-        t = TruthTable.variable(2, 0)  # f = x0
-        g = TruthTable.variable(2, 1)  # g = x1
-        composed = t.compose_variable(0, g)
-        assert composed == g
 
     @given(random_tables(), st.integers(min_value=0, max_value=3), st.booleans())
     def test_cofactor_pointwise(self, t, var, value):
@@ -173,7 +149,7 @@ class TestStructure:
 
     @given(random_tables())
     def test_minterm_cubes_reconstruct(self, t):
-        again = TruthTable.from_cubes(t.n, t.minterm_cubes())
+        again = Cover.from_truth_table(t).to_truth_table()
         assert again == t
 
     @given(random_tables())

@@ -19,6 +19,11 @@ def tables(n=4):
     )
 
 
+def complementary(xbar):
+    """Exactly one plane conducts for every fault-free assignment."""
+    return all(xbar.drive_state(m) in ("0", "1") for m in range(1 << xbar.n))
+
+
 class TestDiodeCrossbar:
     def test_paper_example_size(self):
         # f = x1 x2 + x1' x2' -> 2 x 5 diode array (Section III-A)
@@ -90,7 +95,7 @@ class TestFetCrossbar:
     def test_complementary_invariant(self):
         f = BooleanFunction.from_expression("x1 x2 + x3")
         xbar = FetCrossbar(f.minimized_cover, f.minimized_dual_cover)
-        assert xbar.is_complementary()
+        assert complementary(xbar)
 
     def test_fault_can_short_the_output(self):
         f = BooleanFunction.from_expression("x1")
@@ -115,7 +120,7 @@ class TestFetCrossbar:
             return
         xbar = FetCrossbar(f_cover, d_cover)
         assert xbar.implements(t)
-        assert xbar.is_complementary()
+        assert complementary(xbar)
 
 
 class TestLattice:
@@ -173,10 +178,6 @@ class TestLattice:
         assert lattice.evaluate(0, stuck_on)
         assert not lattice.evaluate(0)
 
-    def test_transpose_shape(self):
-        lattice = Lattice.from_strings(6, ["x1 x4", "x2 x5", "x3 x6"])
-        assert lattice.transpose().shape == (2, 3)
-
     def test_with_site_and_map_sites(self):
         lattice = Lattice.from_strings(2, ["x1", "x2"])
         patched = lattice.with_site(0, 0, True)
@@ -189,7 +190,3 @@ class TestLattice:
     def test_render(self):
         text = Lattice.from_strings(2, ["x1 x2", "x1' 1"]).render()
         assert "TOP" in text and "BOTTOM" in text and "x1'" in text
-
-    def test_literals_used(self):
-        lattice = Lattice.from_strings(2, ["x1 1", "x2 0"])
-        assert lattice.literals_used() == {Literal(0, True), Literal(1, True)}

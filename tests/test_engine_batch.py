@@ -12,12 +12,12 @@ from repro.engine import (
     BatchEngine,
     FaultToleranceSpec,
     JsonStore,
-    PortfolioConfig,
     SynthesisJob,
     canonical_cache_key,
     chunk_size,
     known_strategies,
     map_sharded,
+    portfolio,
     run_portfolio,
 )
 from repro.engine.cache import CACHE_NAMESPACE, cache_key
@@ -37,7 +37,7 @@ def _cache_key(job):
     """The store key of the NPN cache row answering ``job``."""
     canon, transform = canonical_cache_key(job.table)
     return cache_key(job.n, canon, transform.output_negate,
-                     PortfolioConfig().fingerprint(job.strategies))
+                     portfolio.fingerprint(job.strategies))
 
 
 def _jobs(max_vars=4, strategies=FAST, fault_tolerance=None):
@@ -65,8 +65,8 @@ class TestPortfolio:
     def test_winner_is_minimum_area(self):
         table = TruthTable.from_bits(3, 0b10010110)  # xor3
         result = run_portfolio(table, ("dual", "optimal"))
-        areas = [o.area for o in result.outcomes if o.ok]
-        assert result.area == min(areas)
+        areas = [o.area for o in result.outcomes if o.status == "ok"]
+        assert result.lattice.area == min(areas)
         assert result.lattice.implements(table)
 
     def test_tie_goes_to_earlier_strategy(self):
@@ -88,8 +88,8 @@ class TestPortfolio:
 
     def test_effort_gates_are_deterministic_skips(self):
         table = TruthTable.from_bits(5, 0x96696996)
-        config = PortfolioConfig(optimal_max_vars=4)
-        result = run_portfolio(table, ("dual", "optimal"), config)
+        assert portfolio.OPTIMAL_MAX_VARS == 4
+        result = run_portfolio(table, ("dual", "optimal"))
         by_name = {o.strategy: o for o in result.outcomes}
         assert by_name["optimal"].status == "skipped"
         assert "optimal_max_vars" in by_name["optimal"].detail
@@ -172,13 +172,14 @@ class TestBatchEngine:
         for job, result in zip(jobs, results):
             assert result.lattice.implements(job.table)
 
-    def test_config_changes_do_not_reuse_stale_entries(self, tmp_path):
+    def test_config_changes_do_not_reuse_stale_entries(self, tmp_path,
+                                                       monkeypatch):
         path = str(tmp_path / "cache.sqlite")
         jobs = _jobs(max_vars=3)
         with BatchEngine(cache_path=path) as engine:
             engine.run(jobs)
-        other = PortfolioConfig(optimal_conflict_budget=1)
-        with BatchEngine(cache_path=path, config=other) as engine:
+        monkeypatch.setattr(portfolio, "OPTIMAL_CONFLICT_BUDGET", 1)
+        with BatchEngine(cache_path=path) as engine:
             engine.run(jobs)
             assert engine.stats.cache_hits == 0
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.boolean.npn import apply_transform, npn_canonical
 from repro.boolean.truthtable import TruthTable
+from repro.engine import portfolio
 from repro.engine.cache import (
     CachedResult,
     cache_key,
@@ -21,7 +22,6 @@ from repro.engine.cache import (
     transform_lattice_to_canonical,
 )
 from repro.engine.jobs import StrategyOutcome
-from repro.engine.portfolio import PortfolioConfig
 from repro.engine.store import JsonStore
 from repro.synthesis.compose import constant_lattice
 from repro.synthesis.lattice_dual import synthesize_lattice_dual
@@ -234,14 +234,6 @@ class TestResultCache:
             assert got is not None
             assert got.lattice.implements(table)
 
-    def test_clear(self):
-        table = TruthTable.from_bits(2, 0b0110)
-        canon, _ = canonical_cache_key(table)
-        with JsonStore() as cache:
-            self._put(cache, 2, canon, False, "cfg", self._entry(table))
-            cache.clear()
-            assert len(cache) == 0
-
 
 def test_cache_key_width_is_stable():
     """Keys are fixed-width content hashes so ranges of n never collide
@@ -254,16 +246,17 @@ def test_cache_key_width_is_stable():
     assert canon1 != canon4
 
 
-def test_portfolio_fingerprint_text_is_pinned():
-    """The config fingerprint is part of every cache key: any change to
+def test_portfolio_fingerprint_text_is_pinned(monkeypatch):
+    """The gates' fingerprint is part of every cache key: any change to
     its text makes every existing on-disk cache miss."""
-    assert PortfolioConfig().fingerprint() == (
+    assert portfolio.fingerprint() == (
         '{"dreducible_max_vars": 8, "optimal_conflict_budget": 20000, '
         '"optimal_max_upper_area": 16, "optimal_max_vars": 4, '
         '"pcircuit_max_vars": 6, '
         '"strategies": ["dual", "dreducible", "pcircuit", "optimal"]}')
-    assert PortfolioConfig(dreducible_max_vars=3).fingerprint() \
-        != PortfolioConfig().fingerprint()
+    pinned = portfolio.fingerprint()
+    monkeypatch.setattr(portfolio, "DREDUCIBLE_MAX_VARS", 3)
+    assert portfolio.fingerprint() != pinned
 
 
 def test_npn_canonical_matches_module_for_small_n():

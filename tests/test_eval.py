@@ -7,7 +7,6 @@ import pytest
 from repro.eval import (
     all_experiments,
     by_name,
-    format_markdown,
     format_table,
     get_experiment,
     standard_suite,
@@ -55,10 +54,11 @@ class TestBenchsuite:
         assert not fig4.evaluate(0b000001)
 
     def test_dreducible_benchmarks_are_reducible(self):
-        from repro.boolean import is_d_reducible
+        from repro.boolean import d_reduction
 
         for benchmark in suite(tags=["d-reducible"]):
-            assert is_d_reducible(benchmark.function.on), benchmark.name
+            assert d_reduction(benchmark.function.on) is not None, \
+                benchmark.name
 
     def test_pla_benchmark_loads(self):
         pla5 = by_name("pla5")
@@ -84,11 +84,6 @@ class TestTables:
     def test_format_table_title_and_missing_cols(self):
         text = format_table([{"a": 1}], ["a", "b"], title="T")
         assert text.startswith("T")
-
-    def test_format_markdown(self):
-        text = format_markdown(self.ROWS, ["name", "ok"])
-        assert text.splitlines()[0] == "| name | ok |"
-        assert "| a | yes |" in text
 
 
 class TestExperiments:
@@ -143,6 +138,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "optimal lattice 1 x 2" in out
         assert "proved: True" in out
+
+    @pytest.mark.parametrize("style", ["all", "diode", "fet"])
+    @pytest.mark.parametrize("expression", ["0", "x1 x1'", "1", "x1 + x1'"])
+    def test_synth_constant_expression(self, capsys, expression, style):
+        assert cli_main(["synth", expression, "--style", style]) == 0
+        out = capsys.readouterr().out
+        constant_one = expression in ("1", "x1 + x1'")
+        if style in ("all", "diode"):
+            assert ("diode array 1 x 1" if constant_one else
+                    "diode array: none (constant function)") in out
+        if style in ("all", "fet"):
+            assert "FET array: none (constant function)" in out
+        if style == "all":
+            assert "lattice 1 x 1 (folded: 1 x 1)" in out
 
     @pytest.mark.parametrize("expression", ["", "x1 +", "(x1"])
     def test_synth_malformed_expression_is_a_usage_error(self, capsys,

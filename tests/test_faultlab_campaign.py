@@ -185,8 +185,6 @@ class TestJsonStore:
             store.put("a", [1, 2, 3])
             assert store.get("a") == [1, 2, 3]
             assert len(store) == 1
-            store.clear()
-            assert len(store) == 0
 
     def test_unparseable_payload_reads_as_miss(self, tmp_path):
         path = str(tmp_path / "s.sqlite")

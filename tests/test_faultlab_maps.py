@@ -54,7 +54,7 @@ class TestDefectBatch:
         rng = random.Random(5)
         maps = [random_defect_map(6, 6, 0.2, rng) for _ in range(8)]
         batch = DefectBatch.from_defect_maps(maps)
-        assert np.allclose(batch.densities(),
+        assert np.allclose(batch.defective().mean(axis=(1, 2)),
                            [m.density for m in maps])
 
 
@@ -86,7 +86,7 @@ class TestBernoulliBatch:
         rng = random.Random(7)
         scalar = [random_defect_map(n, n, density, rng, sof)
                   for _ in range(trials)]
-        vec_density = float(batch.densities().mean())
+        vec_density = float(batch.defective().mean())
         ref_density = sum(m.density for m in scalar) / trials
         assert abs(vec_density - ref_density) < 0.01
         vec_defects = batch.defective().sum()
@@ -112,7 +112,7 @@ class TestClusteredBatch:
         batch = clustered_defect_batch(trials, n, n, density, gen)
         scalar = [clustered_defect_map(n, n, density, random.Random(i))
                   for i in range(trials)]
-        vec_density = float(batch.densities().mean())
+        vec_density = float(batch.defective().mean())
         ref_density = sum(m.density for m in scalar) / trials
         # Both lose the same mass to out-of-bounds / duplicate attempts.
         assert abs(vec_density - ref_density) < 0.02
@@ -146,7 +146,7 @@ class TestClusteredBatch:
         ref = np.mean([clustered_defect_map(n, n, density,
                                             random.Random(i)).density
                        for i in range(trials)])
-        assert abs(float(vec.densities().mean()) - ref) < 0.15 * ref + 1e-4
+        assert abs(float(vec.defective().mean()) - ref) < 0.15 * ref + 1e-4
 
 
 @settings(max_examples=30, deadline=None)

@@ -201,7 +201,8 @@ class TestFamilies:
 
     def test_faultsim_key_is_the_campaign_point_key(self):
         params = {"n": 6, "density": 0.05, **_FAULTSIM_PARAMS}
-        point = faultsim_campaign.point_from_params(params)
+        spec = faultsim_campaign.spec_from_params(params, point=True)
+        point = spec.points()[0]
         assert point_key("faultsim", params) == point.key()
 
     def test_missing_required_params_raise(self):
@@ -247,6 +248,17 @@ class TestFamilies:
         with pytest.raises(GridPointError, match="unknown strategies"):
             point_key("synthesis", {"bench": "xnor2",
                                     "strategies": "alchemy"})
+
+    @pytest.mark.parametrize("field,value", [
+        ("mapping_trials", 0), ("mapping_trials", -1), ("mapping_trials", 2.5),
+        ("fabric_rows", 0), ("fabric_rows", 8.5), ("fabric_cols", -3),
+        ("fabric_cols", True)])
+    def test_fault_tolerance_sizes_must_be_positive_integers(self, field,
+                                                             value):
+        spec = {"defect_density": 0.1, field: value}
+        with pytest.raises(GridPointError, match=field):
+            point_key("synthesis", {"bench": "xnor2",
+                                    "fault_tolerance": spec})
 
     def test_fault_tolerance_payload_carries_the_report(self):
         """A fault-tolerance point's payload holds the engine's report; a

@@ -24,11 +24,11 @@ from repro.reliability import (
     repair_with_spares,
 )
 from repro.synthesis import (
+    best_pcircuit,
     fold_lattice,
     synthesize_diode,
     synthesize_lattice_dual,
     synthesize_lattice_optimal,
-    synthesize_pcircuit,
 )
 
 
@@ -101,7 +101,7 @@ class TestLatticePipelines:
 
     def test_pcircuit_result_folds_and_still_implements(self):
         f = by_name("thr4_2").function
-        pc = synthesize_pcircuit(f.on, 1)
+        pc = best_pcircuit(f.on)
         folded = fold_lattice(pc.lattice, f.on)
         assert folded.implements(f.on)
         assert folded.area <= pc.lattice.area
@@ -110,7 +110,7 @@ class TestLatticePipelines:
         from repro.eval import suite
 
         for bench in suite(exclude=["large"], max_vars=5):
-            lattice = synthesize_lattice_dual(bench.function.on, verify=False)
+            lattice = synthesize_lattice_dual(bench.function.on)
             assert lattice.implements(bench.function.on), bench.name
 
     def test_lattice_render_roundtrip_through_from_strings(self):

@@ -33,8 +33,7 @@ def server():
     # through 1s production frames.
     handle = serve_in_thread(processes=1, job_workers=2, obs_tick=0.05)
     yield handle
-    handle.server.request_stop()
-    handle.thread.join(timeout=30)
+    handle.stop()
 
 
 @pytest.fixture()
@@ -349,5 +348,4 @@ class TestHealthWatchdogs:
             # Burst over: quiet ticks must clear the alert.
             wait_status("ok")
         finally:
-            handle.server.request_stop()
-            handle.thread.join(timeout=30)
+            handle.stop()

@@ -111,7 +111,7 @@ def test_fig4_hand_lattice_is_the_bottom_rung(fast_experiment):
     assert formula_area >= folded_area >= 6
 
     table = by_name("fig4").function.on
-    assert synthesize_lattice_dual(table, verify=False).implements(table)
+    assert synthesize_lattice_dual(table).implements(table)
 
 
 def test_fig5_lattices_beat_two_terminal_arrays_on_most(fast_experiment):

@@ -30,7 +30,6 @@ from repro.reliability import (
     max_clean_square_exact,
     monte_carlo_yield,
     perfect_map,
-    poisson_yield,
     random_defect_map,
     recovery_sweep,
     variation_aware_selection,
@@ -90,9 +89,15 @@ class TestBismStrategies:
             assert result.switched_to_greedy
 
     def test_fabric_bist_agrees_with_direct_validity(self):
-        # The behavioural BIST (fault simulator) and the defect-map check
-        # must agree on pass/fail for the same mapping.
-        from repro.reliability.bism import Mapping, _check
+        # Application-dependent BIST on the behavioural fault simulator
+        # and the defect-map check BISM runs must agree on pass/fail for
+        # the same mapping.
+        from repro.reliability import (
+            CrossbarFabric,
+            application_bist_passes,
+            mapped_program,
+        )
+        from repro.reliability.bism import Mapping
 
         rng = random.Random(11)
         for seed in range(30):
@@ -102,8 +107,11 @@ class TestBismStrategies:
                 tuple(rng_local.sample(range(6), 2)),
                 tuple(rng_local.sample(range(6), 3)),
             )
-            direct = _check(PROGRAM, mapping, defect_map, use_fabric_bist=False)
-            behavioural = _check(PROGRAM, mapping, defect_map, use_fabric_bist=True)
+            direct = mapping_is_valid(PROGRAM, mapping, defect_map)
+            behavioural = application_bist_passes(
+                CrossbarFabric(6, 6), mapped_program(PROGRAM, mapping, 6, 6),
+                defect_map, observed_rows=mapping.row_map,
+                driven_cols=mapping.col_map)
             assert direct == behavioural
 
     def test_defective_junctions_identifies_offenders(self):
@@ -170,7 +178,7 @@ class TestDefectUnaware:
 
     def test_perfect_map_recovers_everything(self):
         clean = greedy_clean_subarray(perfect_map(6, 6))
-        assert clean.shape == (6, 6) and clean.k == 6
+        assert (len(clean.rows), len(clean.cols)) == (6, 6) and clean.k == 6
 
     def test_flow_comparison_storage_and_sessions(self):
         rng = random.Random(4)
@@ -278,10 +286,6 @@ class TestYield:
     def test_expected_clean_squares_monotone(self):
         assert expected_clean_squares(8, 3, 0.1) > expected_clean_squares(8, 5, 0.1)
         assert expected_clean_squares(8, 9, 0.1) == 0.0
-
-    def test_poisson_yield(self):
-        assert poisson_yield(0.0, 5.0) == 1.0
-        assert poisson_yield(2.0, 0.5) == pytest.approx(np.exp(-1.0))
 
     def test_monte_carlo_yield_extremes(self):
         rng = random.Random(10)

@@ -19,7 +19,6 @@ from repro.reliability import (
     diagnosis_configurations,
     run_bisd,
     run_bist,
-    verify_full_coverage,
 )
 from repro.reliability.bisd import Diagnosis, signature
 
@@ -56,9 +55,6 @@ class TestBist:
         configs = bist_configurations(3, 3)
         assert coverage(fabric, configs) == 1.0
         assert coverage(fabric, []) < 1.0
-
-    def test_verify_full_coverage_wrapper(self):
-        assert verify_full_coverage(3, 4)
 
     def test_application_bist_detects_relevant_defects(self):
         fabric = CrossbarFabric(2, 2)

@@ -33,18 +33,12 @@ class TestDefectMap:
         assert m.is_stuck_closed(1, 0)
         assert m.state(0, 0) is CrosspointState.OK
         assert m.defective_rows() == {0, 1}
-        assert m.row_defect_counts() == [1, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DefectMap(2, 2, {(5, 0): CrosspointState.STUCK_OPEN})
         with pytest.raises(ValueError):
             DefectMap(2, 2, {(0, 0): CrosspointState.OK})
-
-    def test_submap_reindexes(self):
-        m = DefectMap(3, 3, {(1, 2): CrosspointState.STUCK_OPEN})
-        sub = m.submap([1], [2])
-        assert sub.rows == 1 and sub.is_stuck_open(0, 0)
 
     def test_is_clean(self):
         m = DefectMap(3, 3, {(1, 1): CrosspointState.STUCK_OPEN})

@@ -12,7 +12,6 @@ from repro.reliability import (
     make_tmr,
     perfect_map,
     repair_with_spares,
-    spare_overhead_for_success,
     tmr_reliability,
 )
 from repro.synthesis import fold_lattice, synthesize_lattice_dual
@@ -60,21 +59,6 @@ class TestSpareRepair:
     def test_oversized_request_raises(self):
         with pytest.raises(ValueError):
             repair_with_spares(perfect_map(2, 2), 3, 2)
-
-    def test_spare_overhead_zero_density(self):
-        rng = random.Random(0)
-        assert spare_overhead_for_success(4, 0.0, 0.99, rng, trials=10) == 0
-
-    def test_spare_overhead_low_density_small(self):
-        rng = random.Random(1)
-        spares = spare_overhead_for_success(4, 0.005, 0.8, rng, trials=60,
-                                            max_spares=8)
-        assert spares is not None and spares <= 4
-
-    def test_spare_overhead_gives_up(self):
-        rng = random.Random(2)
-        assert spare_overhead_for_success(6, 0.3, 0.99, rng, trials=20,
-                                          max_spares=3) is None
 
 
 class TestTmr:

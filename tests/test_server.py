@@ -52,8 +52,7 @@ VARSWEEP_PAYLOAD = {
 def server():
     handle = serve_in_thread(processes=1, job_workers=2)
     yield handle
-    handle.server.request_stop()
-    handle.thread.join(timeout=30)
+    handle.stop()
 
 
 @pytest.fixture()
@@ -232,6 +231,15 @@ class TestHttpEndpoints:
             client.submit({"kind": "synthesis",
                            "jobs": [{"bench": "missing-bench"}]})
         assert excinfo.value.status == 400
+
+    def test_bad_fault_tolerance_400(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.submit({"kind": "synthesis", "jobs": [{
+                "bench": "xnor2",
+                "fault_tolerance": {"defect_density": 0.1,
+                                    "mapping_trials": -1}}]})
+        assert excinfo.value.status == 400
+        assert "mapping_trials" in str(excinfo.value)
 
     def test_unknown_route_404(self, client):
         with pytest.raises(ServerError) as excinfo:
@@ -428,14 +436,14 @@ class TestQueueLifecycle:
             submission = parse_submission(FAULTSIM_PAYLOAD)
             failed_job, coalesced = queue.submit(submission)
             assert not coalesced
-            await queue.drain()
+            await asyncio.gather(*queue.tasks(), return_exceptions=True)
             assert failed_job.state == "failed"
             # The failure evicted the coalesce key: an identical
             # submission recomputes instead of replaying the failure.
             retry_job, coalesced = queue.submit(submission)
             assert not coalesced
             assert retry_job.job_id != failed_job.job_id
-            await queue.drain()
+            await asyncio.gather(*queue.tasks(), return_exceptions=True)
             assert retry_job.state == "done"
             # The failed record stays queryable by id meanwhile.
             assert queue.get(failed_job.job_id) is failed_job
@@ -459,7 +467,7 @@ class TestQueueLifecycle:
             for seed in range(5):
                 queue.submit(parse_submission(
                     {**FAULTSIM_PAYLOAD, "seed": seed}))
-                await queue.drain()
+                await asyncio.gather(*queue.tasks(), return_exceptions=True)
             return queue
 
         queue = asyncio.run(scenario())

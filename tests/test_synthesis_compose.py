@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import Cube, Literal, TruthTable
+from repro.boolean import Literal, TruthTable
 from repro.crossbar import Lattice
 from repro.synthesis import (
     constant_lattice,
@@ -15,7 +15,6 @@ from repro.synthesis import (
     literal_lattice,
     pad_cols,
     pad_rows,
-    product_lattice,
 )
 
 N = 3
@@ -48,17 +47,6 @@ class TestPrimitives:
     def test_literal_lattice(self):
         lat = literal_lattice(3, Literal(1, False))
         assert lat.to_truth_table() == ~TruthTable.variable(3, 1)
-
-    def test_product_lattice(self):
-        cube = Cube.from_string("1-0")
-        lat = product_lattice(3, cube)
-        assert lat.shape == (2, 1)
-        assert lat.to_truth_table() == TruthTable.from_cubes(3, [cube])
-
-    def test_product_lattice_empty_cube(self):
-        lat = product_lattice(3, Cube.universe(3))
-        assert lat.to_truth_table().is_tautology()
-
 
 class TestPadding:
     @given(small_lattices(), st.integers(min_value=0, max_value=3))

@@ -24,7 +24,6 @@ from repro.synthesis import (
     synthesize_fet,
     synthesize_lattice_dual,
     synthesize_lattice_optimal,
-    synthesize_pcircuit,
     two_terminal_report,
 )
 
@@ -113,7 +112,7 @@ class TestDualLattice:
     @given(tables())
     @settings(max_examples=60, deadline=None)
     def test_lattice_implements_function(self, t):
-        lattice = synthesize_lattice_dual(t, verify=False)
+        lattice = synthesize_lattice_dual(t)
         assert lattice.implements(t)
 
     @given(nonconstant_tables())
@@ -174,10 +173,11 @@ class TestPCircuit:
         )
         assert rebuilt == t
 
-    @given(tables(4), st.integers(min_value=0, max_value=3), st.booleans())
+    @given(tables(4))
     @settings(max_examples=25, deadline=None)
-    def test_pcircuit_lattice_implements(self, t, var, polarity):
-        result = synthesize_pcircuit(t, var, polarity, verify=False)
+    def test_pcircuit_lattice_implements(self, t):
+        # best_pcircuit builds and verifies every (var, polarity) split
+        result = best_pcircuit(t)
         assert result.lattice.implements(t)
 
     @given(tables(3))
@@ -207,7 +207,7 @@ class TestDReducible:
     @settings(max_examples=40, deadline=None)
     def test_reducible_lattices_implement(self, minterms):
         t = TruthTable.from_minterms(4, minterms)
-        result = synthesize_dreducible(t, verify=False)
+        result = synthesize_dreducible(t)
         if result is None:
             return
         assert result.lattice.implements(t)

@@ -24,7 +24,6 @@ from repro.reliability.variation import (
 )
 from repro.xbareval import (
     best_path_delay_batch,
-    lattice_critical_delay_batch,
     onset_critical_delay_batch,
 )
 
@@ -141,11 +140,12 @@ def test_lattice_critical_delay_batch_matches_scalar(lattice, seed):
     gen = np.random.default_rng(seed)
     ensemble = gen.lognormal(0.0, 0.4,
                              size=(4, lattice.rows, lattice.cols))
+    onset = np.fromiter(table.minterms(), dtype=np.int64)
     if table.count_ones() == 0:
         with pytest.raises(ValueError):
-            lattice_critical_delay_batch(lattice, ensemble, table)
+            onset_critical_delay_batch(lattice, onset, ensemble)
         return
-    got = lattice_critical_delay_batch(lattice, ensemble, table)
+    got = onset_critical_delay_batch(lattice, onset, ensemble)
     for t in range(ensemble.shape[0]):
         want = lattice_critical_delay(lattice, VariationMap(ensemble[t]),
                                       table)
@@ -160,9 +160,10 @@ def test_critical_delay_chunked_expansion_matches_unchunked(monkeypatch):
                           [Literal(1, False), Literal(0, False)]])
     gen = np.random.default_rng(3)
     ensemble = gen.lognormal(0.0, 0.5, size=(13, 2, 2))
-    full = lattice_critical_delay_batch(lattice, ensemble)
+    onset = np.fromiter(lattice.to_truth_table().minterms(), dtype=np.int64)
+    full = onset_critical_delay_batch(lattice, onset, ensemble)
     monkeypatch.setattr(delay_module, "CHUNK_GRIDS", 4)
-    chunked = delay_module.lattice_critical_delay_batch(lattice, ensemble)
+    chunked = delay_module.onset_critical_delay_batch(lattice, onset, ensemble)
     assert np.array_equal(full, chunked)
 
 
@@ -172,8 +173,6 @@ def test_constant_zero_lattice_raises_everywhere():
     variation = VariationMap(np.ones((1, 1)))
     with pytest.raises(ValueError, match="constant-0"):
         lattice_critical_delay(lattice, variation)
-    with pytest.raises(ValueError, match="constant-0"):
-        lattice_critical_delay_batch(lattice, np.ones((2, 1, 1)))
     with pytest.raises(ValueError, match="constant-0"):
         onset_critical_delay_batch(lattice, np.array([], dtype=np.int64),
                                    np.ones((2, 1, 1)))
