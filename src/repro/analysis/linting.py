@@ -393,11 +393,10 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     return iter(seen)
 
 
-def lint_paths(paths: Iterable[str],
-               rules: Iterable[Rule] | None = None) -> LintReport:
-    """Lint every python file under ``paths``."""
+def lint_paths(paths: Iterable[str]) -> LintReport:
+    """Lint every python file under ``paths`` with every rule."""
     report = LintReport()
-    rule_list = list(rules) if rules is not None else all_rules()
+    rule_list = all_rules()
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()

@@ -14,7 +14,6 @@ from .arithmetic import (
 from .blocks import (
     CombinationalCircuit,
     LogicBlock,
-    STYLES,
     circuit_from_tables,
     synthesize_block,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CrossbarMemory",
     "LogicBlock",
     "RegisterBank",
-    "STYLES",
     "SsmSpec",
     "SynchronousStateMachine",
     "address_decoder",

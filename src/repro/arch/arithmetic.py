@@ -1,9 +1,9 @@
 """Arithmetic elements from crossbar blocks (paper sub-objective 3).
 
-Ripple-carry adders and magnitude comparators whose per-output functions
-are synthesised onto crossbar arrays.  Input packing convention: operand
-``a`` occupies bits ``0..width-1``, operand ``b`` bits ``width..2*width-1``,
-and (for the adder) the carry-in is the last bit.
+Adders and magnitude comparators whose per-output functions are
+synthesised onto switching lattices.  Input packing convention: operand
+``a`` occupies bits ``0..width-1`` and operand ``b`` bits
+``width..2*width-1``.
 """
 
 from __future__ import annotations
@@ -12,24 +12,20 @@ from ..boolean.truthtable import TruthTable
 from .blocks import CombinationalCircuit, circuit_from_tables
 
 
-def _adder_bit_tables(width: int, with_carry_in: bool = False) -> list[TruthTable]:
+def _adder_bit_tables(width: int) -> list[TruthTable]:
     """Truth tables for the sum bits and the carry-out of an adder."""
-    n = 2 * width + (1 if with_carry_in else 0)
+    n = 2 * width
+    reference = adder_reference(width)
     tables = []
     for out_bit in range(width + 1):
         def value(m: int, out_bit=out_bit) -> bool:
-            a = m & ((1 << width) - 1)
-            b = (m >> width) & ((1 << width) - 1)
-            cin = (m >> (2 * width)) & 1 if with_carry_in else 0
-            total = a + b + cin
-            return bool((total >> out_bit) & 1)
+            return bool((reference(m) >> out_bit) & 1)
 
         tables.append(TruthTable.from_callable(n, value))
     return tables
 
 
-def synthesize_adder(width: int, style: str = "lattice",
-                     with_carry_in: bool = False) -> CombinationalCircuit:
+def synthesize_adder(width: int) -> CombinationalCircuit:
     """A ``width``-bit adder: width sum bits plus the carry-out.
 
     Outputs are synthesised flat (each output bit as one two-level block),
@@ -37,20 +33,18 @@ def synthesize_adder(width: int, style: str = "lattice",
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    tables = _adder_bit_tables(width, with_carry_in)
+    tables = _adder_bit_tables(width)
     labels = [f"sum{i}" for i in range(width)] + ["carry"]
-    circuit = circuit_from_tables(f"adder{width}", tables, style, labels)
-    return circuit
+    return circuit_from_tables(f"adder{width}", tables, labels)
 
 
-def adder_reference(width: int, with_carry_in: bool = False):
+def adder_reference(width: int):
     """Reference model matching the adder circuit's packing."""
 
     def reference(m: int) -> int:
         a = m & ((1 << width) - 1)
         b = (m >> width) & ((1 << width) - 1)
-        cin = (m >> (2 * width)) & 1 if with_carry_in else 0
-        return a + b + cin
+        return a + b
 
     return reference
 
@@ -71,14 +65,12 @@ def _comparator_tables(width: int) -> list[TruthTable]:
     return [lt, eq, gt]
 
 
-def synthesize_comparator(width: int, style: str = "lattice") -> CombinationalCircuit:
+def synthesize_comparator(width: int) -> CombinationalCircuit:
     """A ``width``-bit magnitude comparator with lt/eq/gt outputs."""
     if width < 1:
         raise ValueError("width must be >= 1")
     tables = _comparator_tables(width)
-    return circuit_from_tables(
-        f"cmp{width}", tables, style, ["lt", "eq", "gt"]
-    )
+    return circuit_from_tables(f"cmp{width}", tables, ["lt", "eq", "gt"])
 
 
 def comparator_reference(width: int):

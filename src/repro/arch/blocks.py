@@ -3,9 +3,11 @@
 The paper's sub-objectives 3-4 build *arithmetic and memory elements* and
 finally a synchronous state machine out of crossbar arrays.  A
 :class:`LogicBlock` is the unit of that construction: a Boolean function
-plus a concrete array implementation (four-terminal lattice, diode plane or
-FET plane) with area/verification metadata.  A :class:`CombinationalCircuit`
-bundles one block per output bit.
+plus the four-terminal lattice that realises it, with area/verification
+metadata.  A :class:`CombinationalCircuit` bundles one block per output
+bit.  (Diode and FET planes are compared with lattices by
+:func:`repro.crossbar.metrics.compare_styles`; the architecture is built
+from lattices only.)
 """
 
 from __future__ import annotations
@@ -15,30 +17,21 @@ from typing import Sequence
 
 from ..boolean.function import BooleanFunction
 from ..boolean.truthtable import TruthTable
-from ..crossbar.diode import DiodeCrossbar
-from ..crossbar.fet import FetCrossbar
 from ..crossbar.lattice import Lattice
 from ..synthesis.lattice_dual import synthesize_lattice_dual
 from ..synthesis.optimize import fold_lattice
-from ..synthesis.two_terminal import synthesize_diode, synthesize_fet
-
-#: Supported implementation styles.
-STYLES = ("lattice", "diode", "fet")
 
 
 @dataclass(frozen=True)
 class LogicBlock:
-    """One output bit realised on one crossbar array."""
+    """One output bit realised on one switching lattice."""
 
     name: str
     function: BooleanFunction
-    style: str
-    array: Lattice | DiodeCrossbar | FetCrossbar
+    array: Lattice
 
     @property
     def shape(self) -> tuple[int, int]:
-        if isinstance(self.array, Lattice):
-            return self.array.shape
         return self.array.shape
 
     @property
@@ -50,25 +43,16 @@ class LogicBlock:
         return self.array.evaluate(assignment)
 
 
-def synthesize_block(name: str, function: BooleanFunction,
-                     style: str = "lattice") -> LogicBlock:
-    """Map one function onto an array in the requested style.
+def synthesize_block(name: str, function: BooleanFunction) -> LogicBlock:
+    """Map one function onto a lattice: the dual-based construction, folded.
 
-    Lattices are the dual-based construction, folded.  Constant functions
-    get degenerate 1x1 lattices regardless of style (two-terminal planes
-    cannot express constants).
+    Constant functions get degenerate 1x1 lattices.
     """
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     table = function.on
-    if table.is_constant() or style == "lattice":
-        lattice = synthesize_lattice_dual(table)
-        if not table.is_constant():
-            lattice = fold_lattice(lattice, table)
-        return LogicBlock(name, function, "lattice", lattice)
-    if style == "diode":
-        return LogicBlock(name, function, style, synthesize_diode(table))
-    return LogicBlock(name, function, style, synthesize_fet(table))
+    lattice = synthesize_lattice_dual(table)
+    if not table.is_constant():
+        lattice = fold_lattice(lattice, table)
+    return LogicBlock(name, function, lattice)
 
 
 @dataclass(frozen=True)
@@ -106,12 +90,10 @@ class CombinationalCircuit:
 
 
 def circuit_from_tables(name: str, tables: Sequence[TruthTable],
-                        style: str = "lattice",
-                        labels: Sequence[str] | None = None) -> CombinationalCircuit:
-    """Build a circuit from per-output truth tables."""
+                        labels: Sequence[str]) -> CombinationalCircuit:
+    """Build a circuit from per-output truth tables, one label per output."""
     blocks = []
-    for i, table in enumerate(tables):
-        label = labels[i] if labels is not None else f"{name}[{i}]"
+    for table, label in zip(tables, labels, strict=True):
         function = BooleanFunction.from_truth_table(table, label=label)
-        blocks.append(synthesize_block(label, function, style))
+        blocks.append(synthesize_block(label, function))
     return CombinationalCircuit(name, tuple(blocks))

@@ -25,7 +25,8 @@ class SsmSpec:
     """Behavioural specification of a Moore/Mealy machine.
 
     ``next_state(state, inputs)`` and ``output(state, inputs)`` define the
-    semantics; bit widths bound the encodings.
+    semantics; bit widths bound the encodings.  The machine resets to
+    state 0.
     """
 
     state_bits: int
@@ -33,14 +34,13 @@ class SsmSpec:
     output_bits: int
     next_state: Callable[[int, int], int]
     output: Callable[[int, int], int]
-    reset_state: int = 0
     name: str = "ssm"
 
 
 class SynchronousStateMachine:
     """Crossbar-synthesised SSM: combinational core + state register."""
 
-    def __init__(self, spec: SsmSpec, style: str = "lattice"):
+    def __init__(self, spec: SsmSpec):
         self.spec = spec
         n = spec.state_bits + spec.input_bits
 
@@ -55,14 +55,14 @@ class SynchronousStateMachine:
         next_tables = [packed(spec.next_state, b) for b in range(spec.state_bits)]
         out_tables = [packed(spec.output, b) for b in range(spec.output_bits)]
         self.next_logic = circuit_from_tables(
-            f"{spec.name}.next", next_tables, style,
+            f"{spec.name}.next", next_tables,
             [f"ns{b}" for b in range(spec.state_bits)],
         )
         self.output_logic = circuit_from_tables(
-            f"{spec.name}.out", out_tables, style,
+            f"{spec.name}.out", out_tables,
             [f"out{b}" for b in range(spec.output_bits)],
         ) if spec.output_bits else CombinationalCircuit(f"{spec.name}.out", ())
-        self.register = RegisterBank(spec.state_bits, spec.reset_state)
+        self.register = RegisterBank(spec.state_bits)
 
     # ------------------------------------------------------------------
     @property

@@ -356,8 +356,11 @@ def _reduce_cover(cover: Cover, lower: TruthTable, dc_sem: TruthTable) -> Cover:
     return Cover(n, cubes)
 
 
-def heuristic_minimize(on: TruthTable, dc: TruthTable | None = None,
-                       max_iterations: int = 8) -> Cover:
+#: EXPAND / IRREDUNDANT / REDUCE rounds of :func:`heuristic_minimize`.
+HEURISTIC_ITERATIONS = 8
+
+
+def heuristic_minimize(on: TruthTable, dc: TruthTable | None = None) -> Cover:
     """Espresso-style iterative improvement seeded with the ISOP cover."""
     n = on.n
     if on.is_contradiction():
@@ -370,7 +373,7 @@ def heuristic_minimize(on: TruthTable, dc: TruthTable | None = None,
     cover = isop(on, dc)
     best = cover
     best_cost = (cover.num_products, cover.num_literal_occurrences)
-    for _ in range(max_iterations):
+    for _ in range(HEURISTIC_ITERATIONS):
         # EXPAND
         expanded = [_expand_cube(cube, allowed) for cube in cover]
         cover = Cover(n, expanded).drop_contained()

@@ -14,8 +14,6 @@ from .geometry import DisjointSet, in_bounds, neighbors4, neighbors8
 from .lattice import Lattice, Site
 from .metrics import (
     ArrayMetrics,
-    DEFAULT_TECH,
-    TechnologyParameters,
     compare_styles,
     diode_metrics,
     fet_metrics,
@@ -32,13 +30,11 @@ from .paths import (
 
 __all__ = [
     "ArrayMetrics",
-    "DEFAULT_TECH",
     "DiodeCrossbar",
     "DisjointSet",
     "FetCrossbar",
     "Lattice",
     "Site",
-    "TechnologyParameters",
     "compare_styles",
     "count_top_bottom_paths",
     "diode_metrics",

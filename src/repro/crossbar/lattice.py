@@ -152,7 +152,7 @@ class Lattice:
             raise ValueError("variable space mismatch")
         return self.to_truth_table() == table
 
-    def path_cover(self, max_paths: int | None = None) -> Cover:
+    def path_cover(self) -> Cover:
         """Symbolic semantics: one cube per self-avoiding top-bottom path.
 
         The OR of the returned cubes equals the lattice function; cubes with
@@ -160,7 +160,7 @@ class Lattice:
         result is not minimized.
         """
         cubes = []
-        for path in enumerate_top_bottom_paths(self.rows, self.cols, max_paths):
+        for path in enumerate_top_bottom_paths(self.rows, self.cols):
             literals: list[Literal] = []
             ok = True
             for r, c in path:

@@ -16,7 +16,8 @@ models — the level of abstraction the paper's work packages operate at:
   of programmed/used switches.
 
 All quantities are in normalised technology units (R_on = C_unit = 1); the
-point is *comparing styles on equal footing*, not absolute numbers.
+point is *comparing styles on equal footing*, not absolute numbers.  The
+four first-order technology constants below are that normalisation.
 """
 
 from __future__ import annotations
@@ -31,17 +32,10 @@ from .fet import FetCrossbar
 from .lattice import Lattice
 
 
-@dataclass(frozen=True)
-class TechnologyParameters:
-    """Normalised first-order technology constants."""
-
-    wire_delay_per_line: float = 0.1   # RC per crossed nanowire segment
-    switch_delay: float = 1.0          # series switch traversal
-    static_power_per_row: float = 1.0  # diode pull-resistor current
-    dynamic_power_per_switch: float = 0.1
-
-
-DEFAULT_TECH = TechnologyParameters()
+WIRE_DELAY_PER_LINE = 0.1   # RC per crossed nanowire segment
+SWITCH_DELAY = 1.0          # series switch traversal
+STATIC_POWER_PER_ROW = 1.0  # diode pull-resistor current
+DYNAMIC_POWER_PER_SWITCH = 0.1
 
 
 @dataclass(frozen=True)
@@ -54,38 +48,35 @@ class ArrayMetrics:
     power: float
 
 
-def diode_metrics(array: DiodeCrossbar,
-                  tech: TechnologyParameters = DEFAULT_TECH) -> ArrayMetrics:
+def diode_metrics(array: DiodeCrossbar) -> ArrayMetrics:
     """Diode-resistor plane: worst series product + wired-OR column."""
     worst_chain = max(
         sum(row) for row in array.connections
     )
-    wire = tech.wire_delay_per_line * (array.num_rows + array.num_cols)
-    delay = tech.switch_delay * (worst_chain + 1) + wire  # +1: OR junction
-    power = (tech.static_power_per_row * array.num_rows
-             + tech.dynamic_power_per_switch * array.num_crosspoints_programmed)
+    wire = WIRE_DELAY_PER_LINE * (array.num_rows + array.num_cols)
+    delay = SWITCH_DELAY * (worst_chain + 1) + wire  # +1: OR junction
+    power = (STATIC_POWER_PER_ROW * array.num_rows
+             + DYNAMIC_POWER_PER_SWITCH * array.num_crosspoints_programmed)
     return ArrayMetrics("diode", array.area, delay, power)
 
 
-def fet_metrics(array: FetCrossbar,
-                tech: TechnologyParameters = DEFAULT_TECH) -> ArrayMetrics:
+def fet_metrics(array: FetCrossbar) -> ArrayMetrics:
     """Complementary FET plane: worst series transistor stack, no static power."""
     worst_stack = max(
         max(len(rows) for rows in array.pullup),
         max(len(rows) for rows in array.pulldown),
     )
-    wire = tech.wire_delay_per_line * (array.num_rows + array.num_cols)
-    delay = tech.switch_delay * worst_stack + wire
+    wire = WIRE_DELAY_PER_LINE * (array.num_rows + array.num_cols)
+    delay = SWITCH_DELAY * worst_stack + wire
     transistor_count = sum(len(rows) for rows in array.pullup) + sum(
         len(rows) for rows in array.pulldown
     )
-    power = tech.dynamic_power_per_switch * transistor_count
+    power = DYNAMIC_POWER_PER_SWITCH * transistor_count
     return ArrayMetrics("fet", array.area, delay, power)
 
 
 def lattice_metrics(lattice: Lattice,
-                    table: TruthTable | None = None,
-                    tech: TechnologyParameters = DEFAULT_TECH) -> ArrayMetrics:
+                    table: TruthTable | None = None) -> ArrayMetrics:
     """Four-terminal lattice: exact worst-case best-path series length.
 
     For every on-set input the signal takes the shortest conducting
@@ -104,14 +95,13 @@ def lattice_metrics(lattice: Lattice,
         if length is None:
             raise ValueError("lattice does not conduct on its own on-set")
         worst = max(worst, length)
-    wire = tech.wire_delay_per_line * (lattice.rows + lattice.cols)
-    delay = tech.switch_delay * worst + wire
-    power = tech.dynamic_power_per_switch * lattice.area
+    wire = WIRE_DELAY_PER_LINE * (lattice.rows + lattice.cols)
+    delay = SWITCH_DELAY * worst + wire
+    power = DYNAMIC_POWER_PER_SWITCH * lattice.area
     return ArrayMetrics("lattice", lattice.area, delay, power)
 
 
-def compare_styles(table: TruthTable,
-                   tech: TechnologyParameters = DEFAULT_TECH) -> list[ArrayMetrics]:
+def compare_styles(table: TruthTable) -> list[ArrayMetrics]:
     """Area/delay/power of all three styles for one function."""
     from ..synthesis.lattice_dual import synthesize_lattice_dual
     from ..synthesis.optimize import fold_lattice
@@ -121,7 +111,7 @@ def compare_styles(table: TruthTable,
     fet = synthesize_fet(table)
     lattice = fold_lattice(synthesize_lattice_dual(table), table)
     return [
-        diode_metrics(diode, tech),
-        fet_metrics(fet, tech),
-        lattice_metrics(lattice, table, tech),
+        diode_metrics(diode),
+        fet_metrics(fet),
+        lattice_metrics(lattice, table),
     ]

@@ -88,12 +88,11 @@ def left_right_blocked_8(grid: Grid) -> bool:
     return ds.connected(left, right)
 
 
-def enumerate_top_bottom_paths(rows: int, cols: int,
-                               max_paths: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_top_bottom_paths(rows: int, cols: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All self-avoiding 4-adjacent walks from the top row to the bottom row.
 
     Paths may wander upward; the count grows quickly, so callers should keep
-    grids small (the exact-synthesis regime of [9]) or pass ``max_paths``.
+    grids small (the exact-synthesis regime of [9]).
 
     Yields tuples of (row, col) sites, starting in row 0, ending in the last
     row, with no repeated site.  Only *minimal* paths are yielded: a path
@@ -103,7 +102,6 @@ def enumerate_top_bottom_paths(rows: int, cols: int,
     """
     if rows <= 0 or cols <= 0:
         return
-    emitted = 0
     for start_col in range(cols):
         stack: list[tuple[tuple[int, int], ...]] = [((0, start_col),)]
         while stack:
@@ -111,9 +109,6 @@ def enumerate_top_bottom_paths(rows: int, cols: int,
             r, c = path[-1]
             if r == rows - 1:
                 yield path
-                emitted += 1
-                if max_paths is not None and emitted >= max_paths:
-                    return
                 continue
             visited = set(path)
             for nr, nc in neighbors4(rows, cols, r, c):
@@ -132,13 +127,11 @@ def count_top_bottom_paths(rows: int, cols: int) -> int:
     return sum(1 for _ in enumerate_top_bottom_paths(rows, cols))
 
 
-def enumerate_left_right_paths_8(rows: int, cols: int,
-                                 max_paths: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_left_right_paths_8(rows: int, cols: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All self-avoiding 8-adjacent walks from the left column to the right
     column (the blocking-path witnesses of the duality)."""
     if rows <= 0 or cols <= 0:
         return
-    emitted = 0
     for start_row in range(rows):
         stack: list[tuple[tuple[int, int], ...]] = [((start_row, 0),)]
         while stack:
@@ -146,9 +139,6 @@ def enumerate_left_right_paths_8(rows: int, cols: int,
             r, c = path[-1]
             if c == cols - 1:
                 yield path
-                emitted += 1
-                if max_paths is not None and emitted >= max_paths:
-                    return
                 continue
             visited = set(path)
             for nr, nc in neighbors8(rows, cols, r, c):

@@ -63,28 +63,25 @@ MAX_NPN_VARS = 6
 # ----------------------------------------------------------------------
 # Canonical keys and witness transforms
 # ----------------------------------------------------------------------
-def canonical_cache_key(table: TruthTable,
-                        max_npn_vars: int = MAX_NPN_VARS
-                        ) -> tuple[str, NpnTransform]:
+def canonical_cache_key(table: TruthTable) -> tuple[str, NpnTransform]:
     """The cache key text for ``table`` plus the witness transform.
 
-    For ``n <= max_npn_vars`` the key is the content hash of the exact
+    For ``n <= MAX_NPN_VARS`` the key is the content hash of the exact
     NPN canonical representative; beyond that the semi-canonical
     representative's hash keys the class — still a real witness
     transform, so hits rewrite across class members, but a tie in the
     invariant statistics may split a class across keys (never merge two
     distinct functions under one: the key hashes the full table).
     """
-    return _canonical_from_bits(table.n, table.bits, max_npn_vars)
+    return _canonical_from_bits(table.n, table.bits)
 
 
 @lru_cache(maxsize=1 << 14)
-def _canonical_from_bits(n: int, bits: int, max_npn_vars: int
-                         ) -> tuple[str, NpnTransform]:
+def _canonical_from_bits(n: int, bits: int) -> tuple[str, NpnTransform]:
     # Canonicalisation is the warm-path bottleneck, so memoise per packed
     # table.
     table = TruthTable.from_bits(n, bits)
-    if n <= max_npn_vars:
+    if n <= MAX_NPN_VARS:
         canonical, transform = npn_canonical(table)
     else:
         canonical, transform = npn_semicanonical(table)

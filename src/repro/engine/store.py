@@ -558,16 +558,10 @@ class JsonStore:
                 (grid_id, point_key)).fetchone()
         return self._grid_row(row) if row is not None else None
 
-    def grid_rows_for(self, grid_id: str,
-                      status: str | None = None) -> list[GridRow]:
-        """Every row of a grid (insertion-ordered), optionally filtered."""
-        sql = (f"SELECT {self._GRID_COLUMNS} FROM grid_rows "
-               "WHERE grid_id = ?")
-        args: tuple = (grid_id,)
-        if status is not None:
-            sql += " AND status = ?"
-            args = (grid_id, status)
-        sql += " ORDER BY rowid"
+    def grid_rows_for(self, grid_id: str) -> list[GridRow]:
+        """Every row of a grid, insertion-ordered."""
         with self._lock:
-            rows = self._conn.execute(sql, args).fetchall()
+            rows = self._conn.execute(
+                f"SELECT {self._GRID_COLUMNS} FROM grid_rows "
+                "WHERE grid_id = ? ORDER BY rowid", (grid_id,)).fetchall()
         return [self._grid_row(row) for row in rows]

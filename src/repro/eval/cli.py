@@ -199,6 +199,56 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_campaign_flags(parser: argparse.ArgumentParser,
+                        kinds: tuple[str, ...]) -> None:
+    """Declare the request flags of the campaign families ``kinds``.
+
+    ``nanoxbar faultsim``/``varsweep`` and ``nanoxbar submit`` all declare
+    them here, so every front end sends the same request.  Flags are named
+    after the spec fields they set; one left out takes the spec's default
+    (see :func:`_campaign_params`).
+    """
+    if "faultsim" in kinds:
+        parser.add_argument("--n", dest="n_values", type=int, nargs="+",
+                            default=[16], help="crossbar sizes N to sweep")
+        parser.add_argument("--k", dest="k_values", type=int, nargs="+",
+                            help="clean-square thresholds (default: N/2, "
+                                 "3N/4, N of the largest size)")
+        parser.add_argument("--densities", type=float, nargs="+",
+                            default=[0.01, 0.05, 0.1],
+                            help="defect densities to sweep")
+        parser.add_argument("--models", nargs="+",
+                            choices=["bernoulli", "clustered"],
+                            help="defect models to sweep")
+        parser.add_argument("--strategies", nargs="+",
+                            choices=["greedy", "exact"],
+                            help="clean-subarray extraction strategies")
+        parser.add_argument("--stuck-open-fraction", type=float,
+                            help="share of defects that are stuck-open")
+    if "varsweep" in kinds:
+        parser.add_argument("--bench", default="xnor2",
+                            help="benchmark function to synthesize "
+                                 "(dual-construction lattice; see `bench`)")
+        parser.add_argument("--sigmas", type=float, nargs="+",
+                            default=[0.1, 0.3, 0.6],
+                            help="lognormal variation strengths to sweep")
+        parser.add_argument("--crossbar-rows", type=int,
+                            help="physical crossbar rows the lattice is "
+                                 "placed on (default: the lattice's, at "
+                                 "least 16)")
+        parser.add_argument("--crossbar-cols", type=int,
+                            help="physical crossbar columns (default: the "
+                                 "lattice's, at least 16)")
+        parser.add_argument("--nominal", type=float,
+                            help="nominal crosspoint resistance")
+    parser.add_argument("--trials", type=int,
+                        help="Monte-Carlo trials per grid point")
+    parser.add_argument("--seed", type=int,
+                        help="campaign seed (bit-reproducible)")
+    parser.add_argument("--batch-size", type=int,
+                        help="trials per sharded worker batch")
+
+
 def _campaign_params(args: argparse.Namespace, kind: str) -> dict:
     """The request the given campaign flags make (the family fills in)."""
     from ..grid.families import CAMPAIGNS
@@ -648,56 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
         "faultsim",
         help="run a Monte-Carlo fault-tolerance campaign (yield / clean-k "
              "recovery sweeps) through the faultlab engine")
-    # Campaign flags are named after the spec fields they set; one left
-    # out takes the spec's default (see _campaign_params).
-    faultsim.add_argument("--n", dest="n_values", type=int, nargs="+",
-                          default=[16], help="crossbar sizes N to sweep")
-    faultsim.add_argument("--k", dest="k_values", type=int, nargs="+",
-                          help="clean-square thresholds (default: N/2, "
-                               "3N/4, N of the largest size)")
-    faultsim.add_argument("--densities", type=float, nargs="+",
-                          default=[0.01, 0.05, 0.1],
-                          help="defect densities to sweep")
-    faultsim.add_argument("--models", nargs="+",
-                          choices=["bernoulli", "clustered"],
-                          help="defect models to sweep")
-    faultsim.add_argument("--strategies", nargs="+",
-                          choices=["greedy", "exact"],
-                          help="clean-subarray extraction strategies")
-    faultsim.add_argument("--trials", type=int,
-                          help="Monte-Carlo trials per grid point")
-    faultsim.add_argument("--seed", type=int,
-                          help="campaign seed (bit-reproducible)")
-    faultsim.add_argument("--stuck-open-fraction", type=float,
-                          help="share of defects that are stuck-open")
-    faultsim.add_argument("--batch-size", type=int,
-                          help="trials per sharded worker batch")
+    _add_campaign_flags(faultsim, ("faultsim",))
 
     varsweep = sub.add_parser(
         "varsweep",
         help="run a variation-aware vs oblivious Monte-Carlo delay "
              "campaign through the varsim engine")
-    varsweep.add_argument("--bench", default="xnor2",
-                          help="benchmark function to synthesize "
-                               "(dual-construction lattice; see `bench`)")
-    varsweep.add_argument("--sigmas", type=float, nargs="+",
-                          default=[0.1, 0.3, 0.6],
-                          help="lognormal variation strengths to sweep")
-    varsweep.add_argument("--crossbar-rows", type=int,
-                          help="physical crossbar rows the lattice is "
-                               "placed on (default: the lattice's, at "
-                               "least 16)")
-    varsweep.add_argument("--crossbar-cols", type=int,
-                          help="physical crossbar columns (default: the "
-                               "lattice's, at least 16)")
-    varsweep.add_argument("--trials", type=int,
-                          help="Monte-Carlo trials per sigma")
-    varsweep.add_argument("--seed", type=int,
-                          help="campaign seed (bit-reproducible)")
-    varsweep.add_argument("--nominal", type=float,
-                          help="nominal crosspoint resistance")
-    varsweep.add_argument("--batch-size", type=int,
-                          help="trials per sharded worker batch")
+    _add_campaign_flags(varsweep, ("varsweep",))
     for campaign in (faultsim, varsweep):
         campaign.add_argument("--processes", type=int, default=1,
                               help="worker processes (0 = auto)")
@@ -787,28 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--benches", nargs="+", default=["xnor2"],
                         help="[synthesis] benchmark functions to "
                              "synthesize")
-    submit.add_argument("--bench", default="xnor2",
-                        help="[varsweep] benchmark function to sweep")
-    submit.add_argument("--n", dest="n_values", type=int, nargs="+",
-                        default=[8], help="[faultsim] crossbar sizes N")
-    submit.add_argument("--k", dest="k_values", type=int, nargs="+",
-                        help="[faultsim] clean-square thresholds")
-    submit.add_argument("--densities", type=float, nargs="+",
-                        default=[0.05],
-                        help="[faultsim] defect densities")
-    submit.add_argument("--sigmas", type=float, nargs="+",
-                        default=[0.2, 0.5],
-                        help="[varsweep] variation strengths")
-    submit.add_argument("--crossbar-rows", type=int,
-                        help="[varsweep] physical crossbar rows")
-    submit.add_argument("--crossbar-cols", type=int,
-                        help="[varsweep] physical crossbar columns")
-    submit.add_argument("--trials", type=int,
-                        help="[campaigns] Monte-Carlo trials per point")
-    submit.add_argument("--seed", type=int,
-                        help="[campaigns] campaign seed")
-    submit.add_argument("--batch-size", type=int,
-                        help="[campaigns] trials per sharded batch")
+    _add_campaign_flags(submit, ("faultsim", "varsweep"))
     submit.set_defaults(fn=_cmd_submit)
 
     lint = sub.add_parser(

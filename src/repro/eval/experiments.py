@@ -395,8 +395,7 @@ def experiment_bism(fast: bool = True) -> ExperimentResult:
         [False, True, False, True],
         [True, True, False, False],
     ])
-    points = bism_density_sweep(program, 12, 12, densities, trials, rng,
-                                max_retries=150)
+    points = bism_density_sweep(program, 12, 12, densities, trials, rng)
     rows = [{
         "density": p.density,
         "strategy": p.strategy,
@@ -427,8 +426,7 @@ def experiment_fig6(fast: bool = True) -> ExperimentResult:
     for density in densities:
         for _ in range(trials):
             defect_map = random_defect_map(n, n, density, rng)
-            comparison = defect_unaware_flow(defect_map, 3, 3, rng,
-                                             applications=5)
+            comparison = defect_unaware_flow(defect_map, 3, 3, rng)
             per_density[density].append(comparison)
     aggregated = []
     for density in densities:
@@ -537,8 +535,7 @@ def experiment_latticemap(fast: bool = True) -> ExperimentResult:
     densities = [0.0, 0.05, 0.15, 0.3] if fast else [
         0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4]
     trials = 20 if fast else 80
-    rows = mapping_success_sweep(lattice, f.n, densities, trials, rng,
-                                 fabric_size=8)
+    rows = mapping_success_sweep(lattice, f.n, densities, trials, rng)
     return ExperimentResult(
         "latticemap", "Defect-aware lattice placement on defective fabrics",
         rows,

@@ -1,19 +1,22 @@
 """Plain-text table rendering for experiment output.
 
 Benchmarks print paper-style tables; these helpers keep the formatting in
-one place (aligned columns, optional float precision, markdown export).
+one place (aligned columns, floats to ``PRECISION`` decimals).
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+#: Decimal places of every float cell.
+PRECISION = 3
 
-def _format_value(value: Any, precision: int) -> str:
+
+def _format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{precision}f}"
+        return f"{value:.{PRECISION}f}"
     if isinstance(value, tuple):
         return "x".join(str(v) for v in value)
     return str(value)
@@ -21,14 +24,13 @@ def _format_value(value: Any, precision: int) -> str:
 
 def format_table(rows: Sequence[Mapping[str, Any]],
                  columns: Sequence[str] | None = None,
-                 title: str | None = None,
-                 precision: int = 3) -> str:
+                 title: str | None = None) -> str:
     """Render a list of dict rows as an aligned text table."""
     if not rows:
         return (title + "\n" if title else "") + "(no rows)"
     if columns is None:
         columns = list(rows[0].keys())
-    cells = [[_format_value(row.get(col, ""), precision) for col in columns]
+    cells = [[_format_value(row.get(col, "")) for col in columns]
              for row in rows]
     widths = [
         max(len(col), *(len(row[i]) for row in cells))

@@ -317,13 +317,14 @@ def payload_for(estimate: PointEstimate) -> dict:
     }
 
 
-def estimate_from_payload(point: CampaignPoint, payload,
-                          cache_hit: bool = True) -> PointEstimate | None:
-    """Rehydrate a persisted payload, or ``None`` if it fails validation."""
+def estimate_from_payload(point: CampaignPoint, payload
+                          ) -> PointEstimate | None:
+    """Rehydrate a persisted payload (a cache hit), or ``None`` if it fails
+    validation."""
     if not _valid_payload(payload, point):
         return None
     return PointEstimate(point, tuple(payload["k_histogram"]),
-                         cache_hit=cache_hit)
+                         cache_hit=True)
 
 
 def estimate_record(estimate: PointEstimate) -> dict:

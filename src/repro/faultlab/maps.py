@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..reliability.defects import (
+    CLUSTER_RADIUS,
     CODE_TO_STATE,
     STATE_TO_CODE,
     CrosspointState,
@@ -141,7 +142,6 @@ def bernoulli_defect_batch(trials: int, rows: int, cols: int, density: float,
 
 def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
                            gen: np.random.Generator,
-                           cluster_radius: float = 1.5,
                            stuck_open_fraction: float = 0.8) -> DefectBatch:
     """Clustered defects, batched: Poisson centres with Gaussian spread.
 
@@ -158,7 +158,7 @@ def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
     states = np.zeros((trials, rows, cols), dtype=np.uint8)
     target = density * rows * cols
     budget = round(target)
-    defects_per_cluster = max(2.0, cluster_radius * 2)
+    defects_per_cluster = max(2.0, CLUSTER_RADIUS * 2)
     num_clusters = max(1, round(target / defects_per_cluster)) if target > 0 else 0
     if trials == 0 or budget <= 0 or num_clusters == 0:
         return DefectBatch(states)
@@ -179,9 +179,9 @@ def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
     centre_c = gen.uniform(0, cols - 1, size=(trials, num_clusters))
     attempt_shape = (trials, num_clusters, max_size)
     r = np.rint(centre_r[..., None]
-                + gen.normal(0.0, cluster_radius, size=attempt_shape))
+                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
     c = np.rint(centre_c[..., None]
-                + gen.normal(0.0, cluster_radius, size=attempt_shape))
+                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
     opens = gen.random(attempt_shape) < stuck_open_fraction
 
     # Flatten to (trials, attempts) in cluster-major attempt order — the

@@ -29,13 +29,15 @@ from ..reliability.yield_model import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .campaign import CampaignResult
 
-#: z for the default 95% interval.
+#: z of the 95% interval every campaign row reports.
 _Z95 = 1.959963984540054
 
+#: Absolute tolerance of the analytic cross-checks.
+CROSSCHECK_SLACK = 0.02
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion.
 
     Unlike the normal approximation it stays inside ``[0, 1]`` and behaves
     at the extremes (0 or ``trials`` successes) — exactly the regimes
@@ -46,10 +48,10 @@ def wilson_interval(successes: int, trials: int,
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     centre = p + z2 / (2.0 * trials)
-    spread = z * math.sqrt(p * (1.0 - p) / trials
+    spread = _Z95 * math.sqrt(p * (1.0 - p) / trials
                            + z2 / (4.0 * trials * trials))
     low = max(0.0, (centre - spread) / denom)
     high = min(1.0, (centre + spread) / denom)
@@ -62,8 +64,7 @@ def wilson_interval(successes: int, trials: int,
     return (low, high)
 
 
-def analytic_crosschecks(result: "CampaignResult",
-                         slack: float = 0.02) -> list[dict]:
+def analytic_crosschecks(result: "CampaignResult") -> list[dict]:
     """Check every Bernoulli-model yield row against the analytic models.
 
     Two checks per row (both trivially pass for non-Bernoulli models,
@@ -71,9 +72,9 @@ def analytic_crosschecks(result: "CampaignResult",
 
     * ``within_markov``: the Wilson lower bound must not exceed the
       first-moment bound ``min(1, E[#clean k x k])`` (Markov:
-      ``P(exists) <= E[count]``) by more than ``slack``;
+      ``P(exists) <= E[count]``) by more than ``CROSSCHECK_SLACK``;
     * ``matches_exact`` (only for ``k == N``): the Wilson interval,
-      widened by ``slack``, must contain ``(1-p)^(N^2)``.
+      widened by ``CROSSCHECK_SLACK``, must contain ``(1-p)^(N^2)``.
     """
     checks = []
     for row in result.rows():
@@ -81,14 +82,14 @@ def analytic_crosschecks(result: "CampaignResult",
         markov = min(1.0, expected_clean_squares(
             row["N"], row["k"], row["density"]))
         within_markov = (not applicable
-                         or row["wilson_low"] <= markov + slack)
+                         or row["wilson_low"] <= markov + CROSSCHECK_SLACK)
         exact = None
         matches_exact = True
         if applicable and row["k"] == row["N"]:
             exact = clean_placement_probability(row["N"], row["N"],
                                                 row["density"])
-            matches_exact = (row["wilson_low"] - slack <= exact
-                             <= row["wilson_high"] + slack)
+            matches_exact = (row["wilson_low"] - CROSSCHECK_SLACK <= exact
+                             <= row["wilson_high"] + CROSSCHECK_SLACK)
         checks.append({
             "model": row["model"],
             "N": row["N"],

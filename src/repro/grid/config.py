@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -86,14 +87,18 @@ class GridConfig:
             raise GridConfigError(
                 "a grid config needs a '[grid]' axes table or a 'points' "
                 "list")
-        if self.workers < 1:
-            raise GridConfigError("workers must be positive")
-        if self.lease_seconds <= 0:
-            raise GridConfigError("lease_seconds must be positive")
-        if self.max_attempts < 1:
-            raise GridConfigError("max_attempts must be positive")
-        if self.processes < 1:
-            raise GridConfigError("processes must be positive")
+        for key in ("workers", "max_attempts", "processes"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise GridConfigError(
+                    f"{key} must be an integer >= 1, got {value!r}")
+        # A NaN deadline is stored as NULL, which no lease sweep matches.
+        lease = self.lease_seconds
+        if isinstance(lease, bool) or not isinstance(lease, (int, float)) \
+                or not math.isfinite(lease) or lease <= 0:
+            raise GridConfigError(
+                f"lease_seconds must be a finite number > 0, got {lease!r}")
 
     def expand(self) -> list[dict[str, Any]]:
         """The ordered per-point parameter dicts this config describes.
@@ -150,14 +155,8 @@ def config_from_dict(data: dict[str, Any]) -> GridConfig:
         points = tuple(_as_pairs(point, "each entry of 'points'")
                        for point in raw_points)
 
-    policy: dict[str, Any] = {}
-    for key, default in _POLICY_DEFAULTS.items():
-        value = data.get(key, default)
-        try:
-            policy[key] = type(default)(value)
-        except (TypeError, ValueError) as error:
-            raise GridConfigError(f"bad {key!r}: {error}") from error
-
+    policy = {key: data.get(key, default)
+              for key, default in _POLICY_DEFAULTS.items()}
     store = data.get("store")
     return GridConfig(
         name=str(data.get("name", "")),

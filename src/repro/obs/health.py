@@ -19,21 +19,21 @@ matches):
     sits at or above ``threshold`` — the backpressure trigger shape:
     depth 3 → 5 → 9 fires, a flat saturated queue does not.
 ``quantile_ceiling``
-    The rolling quantile (``quantile`` ∈ {0.5, 0.99}, computed by the
-    recorder over its quantile window) exceeded ``threshold``.
+    The rolling p99 (computed by the recorder over its quantile window)
+    exceeded ``threshold``.
 ``rate_threshold``
     The counter's windowed rate — summed deltas over the last ``window``
     frames divided by their elapsed time — exceeded ``threshold``/s.
 
 Hysteresis: a rule fires after ``for_frames`` consecutive breaching
-evaluations and clears after ``clear_after`` consecutive quiet ones, so
+evaluations and clears after ``CLEAR_AFTER`` consecutive quiet ones, so
 one noisy tick neither raises nor silences an alert.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .logging import get_logger, log_event
 from .metrics import registry
@@ -41,6 +41,9 @@ from .metrics import registry
 _LOG = get_logger("health")
 
 _KINDS = ("gauge_growth", "quantile_ceiling", "rate_threshold")
+
+#: Consecutive quiet evaluations that clear a firing rule.
+CLEAR_AFTER = 2
 
 
 @dataclass
@@ -52,10 +55,8 @@ class WatchdogRule:
     series: str
     threshold: float = 0.0
     window: int = 5
-    quantile: float = 0.99
     label_filter: dict[str, str] | None = None
     for_frames: int = 1
-    clear_after: int = 2
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -63,11 +64,8 @@ class WatchdogRule:
                              f"(expected one of {_KINDS})")
         if self.window < 1:
             raise ValueError("window must be at least 1 frame")
-        if self.quantile not in (0.5, 0.99):
-            raise ValueError("quantile must be 0.5 or 0.99 (the rolling "
-                             "quantiles frames carry)")
-        if self.for_frames < 1 or self.clear_after < 1:
-            raise ValueError("for_frames/clear_after must be >= 1")
+        if self.for_frames < 1:
+            raise ValueError("for_frames must be >= 1")
 
 
 class _RuleState:
@@ -118,11 +116,10 @@ def _check(rule: WatchdogRule, frames: list[dict]) -> tuple[bool, float, str]:
                    f"over {rule.window} ticks")
         return breached, values[-1], message
     if rule.kind == "quantile_ceiling":
-        label = "p50" if rule.quantile == 0.5 else "p99"
         worst = 0.0
         for _key, entry in _matching_items(frames[-1]["histograms"], rule):
-            worst = max(worst, entry.get(label, 0.0))
-        message = (f"{rule.series} rolling {label} {worst:.4g}s "
+            worst = max(worst, entry.get("p99", 0.0))
+        message = (f"{rule.series} rolling p99 {worst:.4g}s "
                    f"(ceiling {rule.threshold:g}s)")
         return worst > rule.threshold, worst, message
     # rate_threshold
@@ -174,7 +171,7 @@ class HealthMonitor:
             else:
                 state.breaches = 0
                 state.quiet += 1
-                if state.firing and state.quiet >= rule.clear_after:
+                if state.firing and state.quiet >= CLEAR_AFTER:
                     state.firing = False
                     state.since = None
                     log_event(_LOG, "watchdog recovered", rule=rule.name,
@@ -204,33 +201,38 @@ class HealthMonitor:
         }
 
 
-def default_server_rules(queue_depth_floor: float = 8.0,
-                         p99_ceiling_seconds: float = 30.0,
-                         failure_rate_per_s: float = 0.5
-                         ) -> tuple[WatchdogRule, ...]:
+#: Queue depth, in jobs, at or past which sustained growth fires.
+QUEUE_DEPTH_FLOOR = 8.0
+#: Rolling HTTP p99 ceiling, in seconds.
+P99_CEILING_SECONDS = 30.0
+#: Failed jobs (or failed grid points) per second that fire an alert.
+FAILURE_RATE_PER_S = 0.5
+
+
+def default_server_rules() -> tuple[WatchdogRule, ...]:
     """The batch server's stock watchdogs.
 
-    * sustained queue-depth growth at or past ``queue_depth_floor`` jobs
+    * sustained queue-depth growth at or past ``QUEUE_DEPTH_FLOOR`` jobs
       (the backpressure trigger for the shard-fabric roadmap item);
-    * rolling HTTP p99 past ``p99_ceiling_seconds``;
-    * failed jobs arriving faster than ``failure_rate_per_s``;
+    * rolling HTTP p99 past ``P99_CEILING_SECONDS``;
+    * failed jobs arriving faster than ``FAILURE_RATE_PER_S``;
     * experiment-grid points landing in ``failed`` faster than
-      ``failure_rate_per_s`` (crashing workers or a broken family
+      ``FAILURE_RATE_PER_S`` (crashing workers or a broken family
       adapter — see :mod:`repro.grid`).
     """
     return (
         WatchdogRule("queue-depth-growth", "gauge_growth",
-                     "server_queue_depth", threshold=queue_depth_floor,
+                     "server_queue_depth", threshold=QUEUE_DEPTH_FLOOR,
                      window=5),
         WatchdogRule("http-p99-latency", "quantile_ceiling",
                      "server_http_request_seconds",
-                     threshold=p99_ceiling_seconds, for_frames=2),
+                     threshold=P99_CEILING_SECONDS, for_frames=2),
         WatchdogRule("job-failure-rate", "rate_threshold",
                      "server_jobs_total",
                      label_filter={"state": "failed"},
-                     threshold=failure_rate_per_s, window=10),
+                     threshold=FAILURE_RATE_PER_S, window=10),
         WatchdogRule("grid-failure-rate", "rate_threshold",
                      "nanoxbar_grid_points_total",
                      label_filter={"status": "failed"},
-                     threshold=failure_rate_per_s, window=10),
+                     threshold=FAILURE_RATE_PER_S, window=10),
     )

@@ -21,9 +21,9 @@ Output faces:
   hot kernels" assertion).
 
 Frames are labelled ``pkg/module.py:function``; stacks from *idle*
-leaves (lock waits, selector polls, socket accepts) are dropped unless
-``include_idle=True`` so a mostly-sleeping server does not drown the
-signal — the skip count is reported, never hidden.
+leaves (lock waits, selector polls, socket accepts) are dropped so a
+mostly-sleeping server does not drown the signal — the skip count is
+reported, never hidden.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ from typing import Callable, Iterable
 #: Default sampling period (seconds): fine enough for multi-second runs,
 #: coarse enough that the sampler itself stays invisible.
 DEFAULT_INTERVAL = 0.005
+
+#: Deepest stack recorded per sample.
+MAX_DEPTH = 64
+
+#: Functions listed in the ``/api/profile`` JSON's ``top`` table.
+TOP_N = 15
 
 #: ``(file basename, function)`` leaves that mean "parked, not working".
 IDLE_LEAVES = frozenset({
@@ -146,7 +152,7 @@ class SampleReport:
                   if any(predicate(f, fn) for f, fn in stack))
         return hot / self.total
 
-    def as_dict(self, top_n: int = 15) -> dict:
+    def as_dict(self) -> dict:
         """JSON face for ``GET /api/profile?format=json``."""
         return {
             "total_samples": self.total,
@@ -155,7 +161,7 @@ class SampleReport:
             "interval_seconds": self.interval,
             "top": [{"function": label, "self": self_count,
                      "total": total_count}
-                    for label, self_count, total_count in self.top(top_n)],
+                    for label, self_count, total_count in self.top(TOP_N)],
             "collapsed": self.collapsed().rstrip("\n").split("\n")
             if self.total else [],
         }
@@ -168,8 +174,6 @@ class StackSampler:
         interval: seconds between samples.
         thread_ids: restrict sampling to these thread idents (``None``
             samples every thread except the sampler's own).
-        include_idle: keep samples whose leaf is a known blocking wait.
-        max_depth: deepest stack recorded per sample.
 
     Use as a context manager around the code under test, or
     ``start()``/``stop()`` across a window, or :func:`sample_for` for a
@@ -177,15 +181,12 @@ class StackSampler:
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 thread_ids: Iterable[int] | None = None,
-                 include_idle: bool = False, max_depth: int = 64):
+                 thread_ids: Iterable[int] | None = None):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.interval = interval
         self.thread_ids = frozenset(thread_ids) if thread_ids is not None \
             else None
-        self.include_idle = include_idle
-        self.max_depth = max_depth
         self._samples: Counter = Counter()
         self._total = 0
         self._skipped = 0
@@ -238,29 +239,26 @@ class StackSampler:
                 continue
             if self.thread_ids is not None and ident not in self.thread_ids:
                 continue
-            stack = _stack_of(frame, self.max_depth)
+            stack = _stack_of(frame, MAX_DEPTH)
             if not stack:
                 continue
-            if not self.include_idle:
-                leaf_file, leaf_fn = stack[-1]
-                if (os.path.basename(leaf_file), leaf_fn) in IDLE_LEAVES:
-                    self._skipped += 1
-                    continue
+            leaf_file, leaf_fn = stack[-1]
+            if (os.path.basename(leaf_file), leaf_fn) in IDLE_LEAVES:
+                self._skipped += 1
+                continue
             self._samples[stack] += 1
             self._total += 1
 
 
-def sample_for(seconds: float, interval: float = DEFAULT_INTERVAL,
-               thread_ids: Iterable[int] | None = None,
-               include_idle: bool = False) -> SampleReport:
-    """Block for ``seconds`` while sampling; return the report.
+def sample_for(seconds: float,
+               interval: float = DEFAULT_INTERVAL) -> SampleReport:
+    """Block for ``seconds`` while sampling every thread; return the report.
 
     The ``GET /api/profile?seconds=N`` body — run it off the event loop
     (the server uses an executor thread, whose own stack is excluded by
     the sampler-thread rule plus the idle filter).
     """
-    sampler = StackSampler(interval=interval, thread_ids=thread_ids,
-                           include_idle=include_idle)
+    sampler = StackSampler(interval=interval)
     sampler.start()
     try:
         time.sleep(max(0.0, seconds))

@@ -10,7 +10,7 @@ into *frames*:
 * counters   → cumulative value, per-tick delta, windowed **rate**;
 * gauges     → last value;
 * histograms → bucket **deltas** plus rolling p50/p99 computed from the
-  deltas of the trailing :attr:`~MetricsRecorder.quantile_window` frames
+  deltas of the trailing :data:`QUANTILE_WINDOW` frames
   (so the quantiles track *recent* latency, not the process lifetime);
 * per-process resource gauges — CPU time via ``resource.getrusage``
   and current RSS via ``/proc/self/statm`` (peak RSS as the fallback) —
@@ -18,8 +18,8 @@ into *frames*:
   / ``process_resident_memory_bytes`` so plain scrapes see them.
 
 Frames land in a bounded multi-resolution ring: a *fine* ring at tick
-resolution (default 600 frames ≈ 10 min at 1 s) and a *coarse* ring of
-aggregated frames (default one per 30 ticks, 480 retained ≈ 4 h).  Each
+resolution (600 frames ≈ 10 min at the default 1 s tick) and a *coarse*
+ring of aggregated frames (one per 30 ticks, 480 retained ≈ 4 h).  Each
 frame carries a monotonically increasing ``cursor``; readers page with
 :meth:`MetricsRecorder.history` (``since=<cursor>``) and therefore never
 miss or double-count a frame while they keep up with the ring capacity —
@@ -36,7 +36,6 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Callable
 
 from . import _state
 from .metrics import MetricsRegistry, quantile_from_counts, registry
@@ -45,14 +44,14 @@ from .metrics import MetricsRegistry, quantile_from_counts, registry
 DEFAULT_TICK_SECONDS = 1.0
 
 #: Fine-ring frames retained (at tick resolution).
-DEFAULT_CAPACITY = 600
+CAPACITY = 600
 
 #: Fine frames aggregated into one coarse frame / coarse frames retained.
-DEFAULT_COARSE_STRIDE = 30
-DEFAULT_COARSE_CAPACITY = 480
+COARSE_STRIDE = 30
+COARSE_CAPACITY = 480
 
 #: Trailing fine frames feeding each frame's rolling p50/p99.
-DEFAULT_QUANTILE_WINDOW = 30
+QUANTILE_WINDOW = 30
 
 
 def tick_interval() -> float:
@@ -107,15 +106,14 @@ class MetricsRecorder:
 
     Args:
         interval: tick period in seconds (default ``NANOXBAR_OBS_TICK``).
-        capacity: fine-ring length (frames).
-        coarse_stride: fine frames folded into one coarse frame
-            (``0`` disables the coarse ring).
-        coarse_capacity: coarse-ring length.
-        quantile_window: trailing fine frames feeding rolling p50/p99.
         registry_: the metrics registry to scrape (default the
             process-global one).
         health: a :class:`~repro.obs.health.HealthMonitor` evaluated
             after every tick (optional).
+
+    The rings hold ``CAPACITY`` fine frames and ``COARSE_CAPACITY`` coarse
+    frames of ``COARSE_STRIDE`` fine frames each; each frame's rolling
+    p50/p99 cover the trailing ``QUANTILE_WINDOW`` fine frames.
 
     The baseline scrape happens at construction, so the first frame's
     deltas cover only what happened while recording — attaching to a
@@ -125,24 +123,16 @@ class MetricsRecorder:
     """
 
     def __init__(self, interval: float | None = None,
-                 capacity: int = DEFAULT_CAPACITY,
-                 coarse_stride: int = DEFAULT_COARSE_STRIDE,
-                 coarse_capacity: int = DEFAULT_COARSE_CAPACITY,
-                 quantile_window: int = DEFAULT_QUANTILE_WINDOW,
                  registry_: MetricsRegistry | None = None,
                  health=None):
         self.interval = tick_interval() if interval is None \
             else float(interval)
         if self.interval <= 0:
             raise ValueError("tick interval must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.quantile_window = max(1, int(quantile_window))
-        self.coarse_stride = max(0, int(coarse_stride))
         self.health = health
         self._registry = registry_ if registry_ is not None else registry()
-        self._frames: deque[dict] = deque(maxlen=capacity)
-        self._coarse: deque[dict] = deque(maxlen=max(1, coarse_capacity))
+        self._frames: deque[dict] = deque(maxlen=CAPACITY)
+        self._coarse: deque[dict] = deque(maxlen=COARSE_CAPACITY)
         self._cond = threading.Condition()
         self._cursor = 0
         self._prev_counters: dict[str, float] = {}
@@ -235,8 +225,8 @@ class MetricsRecorder:
             frame["cursor"] = self._cursor
             self._attach_rolling_quantiles(frame)
             self._frames.append(frame)
-            if self.coarse_stride and self._cursor % self.coarse_stride == 0:
-                recent = list(self._frames)[-self.coarse_stride:]
+            if self._cursor % COARSE_STRIDE == 0:
+                recent = list(self._frames)[-COARSE_STRIDE:]
                 self._coarse.append(_aggregate_frames(recent))
             self._cond.notify_all()
         if self.health is not None:
@@ -267,12 +257,12 @@ class MetricsRecorder:
         """p50/p99 over the trailing quantile window's bucket deltas.
 
         Runs under the ring lock, with ``frame`` not yet appended — the
-        window is the last ``quantile_window - 1`` ring frames plus this
+        window is the last ``QUANTILE_WINDOW - 1`` ring frames plus this
         one.  Quantiles are 0.0 while the window holds no observations
         (an idle series reads as quiet, not as its lifetime latency).
         """
-        trailing = list(self._frames)[-(self.quantile_window - 1):] \
-            if self.quantile_window > 1 else []
+        trailing = list(self._frames)[-(QUANTILE_WINDOW - 1):] \
+            if QUANTILE_WINDOW > 1 else []
         for key, entry in frame["histograms"].items():
             window = list(entry["delta_buckets"])
             for old in trailing:
@@ -315,7 +305,7 @@ class MetricsRecorder:
 
         ``limit`` keeps only the newest N of the selection.  Cursors are
         dense on the fine ring, so a reader that polls ``since=<last
-        cursor seen>`` faster than ``capacity * interval`` observes every
+        cursor seen>`` faster than ``CAPACITY * interval`` observes every
         frame exactly once.
         """
         if resolution not in ("fine", "coarse"):
@@ -401,11 +391,10 @@ _LOCAL: MetricsRecorder | None = None
 _LOCAL_LOCK = threading.Lock()
 
 
-def local_recorder(factory: Callable[[], MetricsRecorder] | None = None
-                   ) -> MetricsRecorder:
+def local_recorder() -> MetricsRecorder:
     """The process-local recorder, created on first use."""
     global _LOCAL
     with _LOCAL_LOCK:
         if _LOCAL is None:
-            _LOCAL = factory() if factory is not None else MetricsRecorder()
+            _LOCAL = MetricsRecorder()
         return _LOCAL

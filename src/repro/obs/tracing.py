@@ -138,27 +138,29 @@ def span(name: str, **fields) -> Iterator[SpanHandle]:
 
 
 def record_span(name: str, duration: float, trace_id: str | None = None,
-                parent_id: str | None = None, start: float | None = None,
                 **fields) -> None:
-    """Record an externally-timed span (pool shards, queue waits).
+    """Record an externally-timed span (pool shards, queue waits) that
+    ended now.
 
-    ``trace_id``/``parent_id`` default to the ambient context — the
-    normal case for durations measured elsewhere (a worker process, a
-    queue timestamp) but attributed here.
+    ``trace_id`` defaults to the ambient context, and the parent is the
+    ambient span when it belongs to the same trace — the normal case for
+    durations measured elsewhere (a worker process, a queue timestamp)
+    but attributed here.
     """
     if not _state.enabled():
         return
     context = _current.get()
     if trace_id is None:
         trace_id = context[0] if context else new_trace_id()
-    if parent_id is None and context is not None and context[0] == trace_id:
+    parent_id = None
+    if context is not None and context[0] == trace_id:
         parent_id = context[1]
     _finish({
         "name": name,
         "trace_id": trace_id,
         "span_id": new_span_id(),
         "parent_id": parent_id,
-        "start": time.time() - duration if start is None else start,
+        "start": time.time() - duration,
         "duration": duration,
         "fields": fields,
     })

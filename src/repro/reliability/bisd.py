@@ -176,18 +176,13 @@ class FaultDictionary:
         return self.groups.get(observed, ())
 
 
-def build_fault_dictionary(rows: int, cols: int,
-                           include_bridges: bool = True,
-                           extra_configurations: list[TestConfiguration] | None = None
-                           ) -> FaultDictionary:
+def build_fault_dictionary(rows: int, cols: int) -> FaultDictionary:
     """Simulate the full fault universe against diagnosis + BIST configs."""
     fabric = CrossbarFabric(rows, cols)
     configs = diagnosis_configurations(rows, cols)
     configs += [c for c in bist_configurations(rows, cols)
                 if c.name not in {"all-on", "all-off"}]
-    if extra_configurations:
-        configs += list(extra_configurations)
-    universe = all_single_faults(rows, cols, include_bridges=include_bridges)
+    universe = all_single_faults(rows, cols)
     matrix = detection_matrix(fabric, configs, universe)
     groups: dict[tuple[bool, ...], list[Fault]] = {}
     for fault, observed in zip(universe, matrix.tolist()):

@@ -197,6 +197,9 @@ STRATEGIES = {
     "hybrid": hybrid_bism,
 }
 
+#: Configurations each strategy may try per chip in the density sweep.
+SWEEP_MAX_RETRIES = 150
+
 
 @dataclass
 class SweepPoint:
@@ -212,27 +215,28 @@ class SweepPoint:
 
 def bism_density_sweep(program: Program, crossbar_rows: int, crossbar_cols: int,
                        densities: Sequence[float], trials: int,
-                       rng: random.Random,
-                       strategies: Sequence[str] = ("blind", "greedy", "hybrid"),
-                       max_retries: int = 200,
-                       bisd_cost: float | None = None) -> list[SweepPoint]:
-    """The Section IV-B comparison: sessions/success vs defect density."""
+                       rng: random.Random) -> list[SweepPoint]:
+    """The Section IV-B comparison: sessions/success vs defect density.
+
+    Every strategy gets ``SWEEP_MAX_RETRIES`` configurations per chip, and a
+    BISD session is weighted by the configurations it applies on the
+    crossbar: one per codeword bit plus the two type probes.
+    """
     from .defects import random_defect_map
     from .bisd import _codeword_bits
 
-    if bisd_cost is None:
-        bisd_cost = _codeword_bits(crossbar_rows, crossbar_cols) + 2
+    bisd_cost = _codeword_bits(crossbar_rows, crossbar_cols) + 2
     points = []
     for density in densities:
-        per_strategy: dict[str, list[BismResult]] = {s: [] for s in strategies}
+        per_strategy: dict[str, list[BismResult]] = {s: [] for s in STRATEGIES}
         for _ in range(trials):
             defect_map = random_defect_map(crossbar_rows, crossbar_cols,
                                            density, rng)
-            for name in strategies:
-                result = STRATEGIES[name](program, defect_map, rng,
-                                          max_retries=max_retries)
+            for name, strategy in STRATEGIES.items():
+                result = strategy(program, defect_map, rng,
+                                  max_retries=SWEEP_MAX_RETRIES)
                 per_strategy[name].append(result)
-        for name in strategies:
+        for name in STRATEGIES:
             results = per_strategy[name]
             points.append(SweepPoint(
                 strategy=name,

@@ -107,12 +107,11 @@ class BistReport:
         return self.rows * self.cols
 
 
-def run_bist(rows: int, cols: int,
-             include_bridges: bool = True) -> BistReport:
+def run_bist(rows: int, cols: int) -> BistReport:
     """Build the suite and exhaustively fault-simulate it."""
     fabric = CrossbarFabric(rows, cols)
     configurations = bist_configurations(rows, cols)
-    universe = all_single_faults(rows, cols, include_bridges=include_bridges)
+    universe = all_single_faults(rows, cols)
     escapes = undetected_faults(fabric, configurations, universe)
     return BistReport(
         rows=rows,

@@ -196,12 +196,15 @@ def _greedy_ks(n: int, density: float, trials: int,
 # ----------------------------------------------------------------------
 # Exact branch-and-bound (validation for small crossbars)
 # ----------------------------------------------------------------------
-def max_clean_square_exact(defect_map: DefectMap,
-                           node_budget: int = 2_000_000) -> CleanSubarray:
+#: Search nodes :func:`max_clean_square_exact` visits before it stops.
+EXACT_NODE_BUDGET = 2_000_000
+
+
+def max_clean_square_exact(defect_map: DefectMap) -> CleanSubarray:
     """Maximum clean square via DFS over row subsets with column masks.
 
     Exponential in the worst case; intended for ``N`` up to ~14 (the
-    validation regime).  ``node_budget`` caps the search defensively.
+    validation regime).  ``EXACT_NODE_BUDGET`` caps the search defensively.
     """
     n_rows, n_cols = defect_map.rows, defect_map.cols
     full_cols = (1 << n_cols) - 1
@@ -221,7 +224,7 @@ def max_clean_square_exact(defect_map: DefectMap,
     def dfs(idx: int, chosen: list[int], col_mask: int) -> None:
         nonlocal best_k, best_rows, best_mask, nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > EXACT_NODE_BUDGET:
             return
         width = bin(col_mask).count("1")
         k_here = min(len(chosen), width)
@@ -267,16 +270,21 @@ class FlowComparison:
     unaware_sessions_per_app: float
 
 
+#: Random applications the defect-aware flow maps per crossbar (Fig. 6).
+FLOW_APPLICATIONS = 5
+#: Blind self-mapping configurations per application before giving up.
+FLOW_MAX_RETRIES = 500
+
+
 def defect_unaware_flow(defect_map: DefectMap,
                         app_rows: int, app_cols: int,
-                        rng: random.Random,
-                        applications: int = 10,
-                        max_retries: int = 500) -> FlowComparison:
+                        rng: random.Random) -> FlowComparison:
     """Compare the two Fig. 6 flows on one crossbar.
 
     The defect-aware flow runs blind self-mapping (random placement + BIST)
-    per application on the raw crossbar; the defect-unaware flow extracts a
-    clean subarray once, then places applications directly when they fit.
+    for each of ``FLOW_APPLICATIONS`` applications on the raw crossbar; the
+    defect-unaware flow extracts a clean subarray once, then places
+    applications directly when they fit.
     """
     from .bism import as_program, blind_bism
 
@@ -284,13 +292,15 @@ def defect_unaware_flow(defect_map: DefectMap,
     # Per-application defect-aware cost: average over random "applications"
     # that request app_rows x app_cols with a random program pattern.
     sessions = []
-    for _ in range(applications):
+    for _ in range(FLOW_APPLICATIONS):
         program = as_program([
             [rng.random() < 0.5 for _ in range(app_cols)]
             for _ in range(app_rows)
         ])
-        result = blind_bism(program, defect_map, rng, max_retries=max_retries)
-        sessions.append(result.bist_sessions if result.success else max_retries)
+        result = blind_bism(program, defect_map, rng,
+                            max_retries=FLOW_MAX_RETRIES)
+        sessions.append(result.bist_sessions if result.success
+                        else FLOW_MAX_RETRIES)
     aware_sessions = sum(sessions) / len(sessions)
     fits = clean.k >= max(app_rows, app_cols) or (
         len(clean.rows) >= app_rows and len(clean.cols) >= app_cols
@@ -303,7 +313,7 @@ def defect_unaware_flow(defect_map: DefectMap,
         unaware_map_words=(defect_map.rows - len(clean.rows))
         + (defect_map.cols - len(clean.cols)) + 2,
         aware_sessions_per_app=aware_sessions,
-        unaware_sessions_per_app=0.0 if fits else float(max_retries),
+        unaware_sessions_per_app=0.0 if fits else float(FLOW_MAX_RETRIES),
     )
 
 

@@ -35,6 +35,10 @@ class CrosspointState(Enum):
 STATE_TO_CODE = {CrosspointState.STUCK_OPEN: 1, CrosspointState.STUCK_CLOSED: 2}
 CODE_TO_STATE = {code: state for state, code in STATE_TO_CODE.items()}
 
+#: Standard deviation, in crosspoints, of a defect's offset from its
+#: cluster centre in the clustered model.
+CLUSTER_RADIUS = 1.5
+
 
 @dataclass(frozen=True)
 class DefectMap:
@@ -136,7 +140,6 @@ def random_defect_map(rows: int, cols: int, density: float,
 
 def clustered_defect_map(rows: int, cols: int, density: float,
                          rng: random.Random,
-                         cluster_radius: float = 1.5,
                          stuck_open_fraction: float = 0.8) -> DefectMap:
     """Clustered defects: Poisson cluster centres with Gaussian spread.
 
@@ -146,7 +149,7 @@ def clustered_defect_map(rows: int, cols: int, density: float,
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
     target = density * rows * cols
-    defects_per_cluster = max(2.0, cluster_radius * 2)
+    defects_per_cluster = max(2.0, CLUSTER_RADIUS * 2)
     num_clusters = max(1, round(target / defects_per_cluster)) if target > 0 else 0
     defects: dict[tuple[int, int], CrosspointState] = {}
     placed = 0
@@ -159,8 +162,8 @@ def clustered_defect_map(rows: int, cols: int, density: float,
         for _ in range(max(1, round(rng.expovariate(1.0 / defects_per_cluster)))):
             if placed >= budget:
                 break
-            r = int(round(rng.gauss(centre_r, cluster_radius)))
-            c = int(round(rng.gauss(centre_c, cluster_radius)))
+            r = int(round(rng.gauss(centre_r, CLUSTER_RADIUS)))
+            c = int(round(rng.gauss(centre_c, CLUSTER_RADIUS)))
             if not (0 <= r < rows and 0 <= c < cols) or (r, c) in defects:
                 continue
             state = (CrosspointState.STUCK_OPEN

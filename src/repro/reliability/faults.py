@@ -67,9 +67,9 @@ class BridgeFault(Fault):
     index: int
 
 
-def all_single_faults(rows: int, cols: int,
-                      include_bridges: bool = True) -> list[Fault]:
-    """Enumerate the complete single-fault universe of a fabric."""
+def all_single_faults(rows: int, cols: int) -> list[Fault]:
+    """Enumerate the complete single-fault universe of a fabric, bridges
+    between adjacent lines included."""
     faults: list[Fault] = []
     for r in range(rows):
         for c in range(cols):
@@ -81,11 +81,10 @@ def all_single_faults(rows: int, cols: int,
     for c in range(cols):
         faults.append(LineStuckAt("col", c, False))
         faults.append(LineStuckAt("col", c, True))
-    if include_bridges:
-        for c in range(cols - 1):
-            faults.append(BridgeFault("col", c))
-        for r in range(rows - 1):
-            faults.append(BridgeFault("row", r))
+    for c in range(cols - 1):
+        faults.append(BridgeFault("col", c))
+    for r in range(rows - 1):
+        faults.append(BridgeFault("row", r))
     return faults
 
 
@@ -323,13 +322,8 @@ def undetected_faults(fabric: CrossbarFabric,
 
 
 def coverage(fabric: CrossbarFabric,
-             configurations: Sequence[TestConfiguration],
-             faults: Sequence[Fault] | None = None) -> float:
+             configurations: Sequence[TestConfiguration]) -> float:
     """Fault coverage of a configuration suite over the fault universe."""
-    universe = list(faults) if faults is not None else all_single_faults(
-        fabric.rows, fabric.cols
-    )
-    if not universe:
-        return 1.0
+    universe = all_single_faults(fabric.rows, fabric.cols)
     escapes = undetected_faults(fabric, configurations, universe)
     return 1.0 - len(escapes) / len(universe)

@@ -171,9 +171,12 @@ def verify_mapped_lattice(target: Lattice, table: TruthTable,
     return operated == table
 
 
+#: Side of the square fabric the mapping sweep places lattices on.
+SWEEP_FABRIC_SIZE = 8
+
+
 def mapping_success_sweep(target: Lattice, n: int, densities: list[float],
-                          trials: int, rng: random.Random,
-                          fabric_size: int = 8) -> list[dict]:
+                          trials: int, rng: random.Random) -> list[dict]:
     """Success rate and exploited-defect counts across densities."""
     rows = []
     for density in densities:
@@ -183,8 +186,8 @@ def mapping_success_sweep(target: Lattice, n: int, densities: list[float],
         exploited_total = 0
         attempts = []
         for _ in range(trials):
-            defect_map = random_defect_map(fabric_size, fabric_size,
-                                           density, rng)
+            defect_map = random_defect_map(SWEEP_FABRIC_SIZE,
+                                           SWEEP_FABRIC_SIZE, density, rng)
             result = map_lattice_random(target, defect_map, rng,
                                         max_trials=200)
             if result.success:

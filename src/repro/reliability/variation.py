@@ -64,9 +64,10 @@ def lognormal_variation(rows: int, cols: int, sigma: float,
     """Sample a lognormal variation map: ``R = nominal * exp(N(0, sigma))``.
 
     The whole map is one vectorized ``numpy.random.Generator`` normal draw.
-    A :class:`random.Random` is still accepted for backward compatibility:
-    it seeds a dedicated ``Generator`` from its own stream, so repeated
-    calls with the same scalar RNG remain deterministic and distinct.
+    A :class:`random.Random` seeds a dedicated ``Generator`` from its own
+    stream, so repeated calls with the same scalar RNG stay deterministic
+    and distinct: that is the path :func:`variation_sweep`, and with it
+    the paper's ``variation`` experiment, takes on every call.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")

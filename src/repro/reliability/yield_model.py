@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .defect_unaware import _greedy_ks, max_clean_square_exact
-from .defects import random_defect_map
+from .defect_unaware import _greedy_ks
 
 
 def clean_placement_probability(rows: int, cols: int, density: float) -> float:
@@ -50,7 +49,6 @@ class YieldEstimate:
     density: float
     trials: int
     successes: int
-    used_exact: bool
 
     @property
     def yield_rate(self) -> float:
@@ -58,21 +56,16 @@ class YieldEstimate:
 
 
 def monte_carlo_yield(n: int, k: int, density: float, trials: int,
-                      rng: random.Random, exact: bool = False) -> YieldEstimate:
+                      rng: random.Random) -> YieldEstimate:
     """P(an N x N crossbar contains a clean k x k subarray), estimated.
 
-    ``exact=True`` uses the branch-and-bound extractor (small N only); the
-    default greedy extractor makes the estimate a *lower* bound.  Either
-    way each trial draws one ``random_defect_map``; the greedy trials are
-    extracted in batches.
+    Each trial draws one ``random_defect_map``; the greedy extractor, run
+    on the trials in batches, makes the estimate a *lower* bound (faultlab's
+    ``"exact"`` strategy gives the branch-and-bound value for small N).
     """
-    if exact:
-        found = [max_clean_square_exact(random_defect_map(n, n, density, rng)).k
-                 for _ in range(trials)]
-    else:
-        found = _greedy_ks(n, density, trials, rng)
+    found = _greedy_ks(n, density, trials, rng)
     successes = sum(1 for side in found if side >= k)
-    return YieldEstimate(n, k, density, trials, successes, exact)
+    return YieldEstimate(n, k, density, trials, successes)
 
 
 def yield_sweep(n: int, k_values: Sequence[int], densities: Sequence[float],

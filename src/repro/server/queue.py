@@ -75,7 +75,7 @@ class ServedJob:
     """One computation and everything observed about it so far."""
 
     def __init__(self, job_id: str, submission: Submission,
-                 on_failed=None, trace_id: str | None = None):
+                 on_failed=None):
         self.job_id = job_id
         self.submission = submission
         self.state = QUEUED
@@ -85,7 +85,7 @@ class ServedJob:
         self.finished: float | None = None
         self.subscribers = 1
         #: One trace per computation; coalesced submissions share it.
-        self.trace_id = trace_id or tracing.new_trace_id()
+        self.trace_id = tracing.new_trace_id()
         self._created_mono = time.perf_counter()
         self._cond = asyncio.Condition()
         self._on_failed = on_failed

@@ -27,14 +27,19 @@ from ..xbareval import evaluate_labellings
 #: ``(chunk * 2^n, rows, cols)`` conduction tensor).
 _CHUNK_LABELLINGS = 4096
 
+#: Most labellings one enumeration may evaluate (guards the blow-up).
+ENUMERATION_LIMIT = 2_000_000
 
-def _labels(n: int, include_constants: bool = True) -> list[Site]:
+#: Largest area :func:`minimal_area_map` enumerates shapes up to.
+MINIMAL_AREA_MAX = 4
+
+
+def _labels(n: int) -> list[Site]:
     labels: list[Site] = []
     for var in range(n):
         labels.append(Literal(var, True))
         labels.append(Literal(var, False))
-    if include_constants:
-        labels.extend([True, False])
+    labels.extend([True, False])
     return labels
 
 
@@ -50,26 +55,24 @@ def _label_value_table(labels: list[Site], n: int) -> np.ndarray:
     return values
 
 
-def enumerate_lattice_functions(rows: int, cols: int, n: int,
-                                include_constants: bool = True,
-                                limit: int | None = 2_000_000
-                                ) -> set[TruthTable]:
+def enumerate_lattice_functions(rows: int, cols: int,
+                                n: int) -> set[TruthTable]:
     """All functions computable by some rows x cols lattice over n vars.
 
-    Exhaustive over ``(2n+2)^(rows*cols)`` labellings; ``limit`` guards the
-    combinatorial blow-up.  Labellings are evaluated in chunks through the
-    batched flood of :func:`repro.xbareval.evaluate_labellings` — one
+    Exhaustive over ``(2n+2)^(rows*cols)`` labellings;
+    ``ENUMERATION_LIMIT`` guards the combinatorial blow-up.  Labellings are
+    evaluated in chunks through the batched flood of
+    :func:`repro.xbareval.evaluate_labellings` — one
     conduction tensor per chunk instead of one union-find call per
     (labelling, assignment) pair.
     """
-    labels = _labels(n, include_constants)
+    labels = _labels(n)
     sites = rows * cols
     num_labels = len(labels)
     total = num_labels ** sites
-    if limit is not None and total > limit:
-        raise ValueError(
-            f"{total} labellings exceed the enumeration limit {limit}"
-        )
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"{total} labellings exceed the enumeration "
+                         f"limit {ENUMERATION_LIMIT}")
     label_values = _label_value_table(labels, n)
     seen: set[bytes] = set()
     for start in range(0, total, _CHUNK_LABELLINGS):
@@ -127,16 +130,18 @@ def expressiveness(rows: int, cols: int, n: int) -> ExpressivenessRow:
     )
 
 
-def minimal_area_map(n: int, max_area: int = 4) -> dict[TruthTable, int]:
-    """Smallest lattice area realising each reachable function.
+def minimal_area_map(n: int) -> dict[TruthTable, int]:
+    """Smallest lattice area, up to ``MINIMAL_AREA_MAX``, realising each
+    reachable function.
 
     Enumerates shapes by increasing area; functions first reached at area k
     provably need k sites (every smaller shape was fully enumerated).
     """
     result: dict[TruthTable, int] = {}
+    top = MINIMAL_AREA_MAX
     shapes = sorted(
-        ((r, c) for r in range(1, max_area + 1) for c in range(1, max_area + 1)
-         if r * c <= max_area),
+        ((r, c) for r in range(1, top + 1) for c in range(1, top + 1)
+         if r * c <= top),
         key=lambda shape: shape[0] * shape[1],
     )
     for r, c in shapes:

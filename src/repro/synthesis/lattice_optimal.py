@@ -230,7 +230,6 @@ class OptimalSynthesisResult:
 
 def synthesize_lattice_optimal(table: TruthTable,
                                conflict_budget: int | None = 200_000,
-                               max_paths_per_shape: int = MAX_PATHS_PER_SHAPE,
                                upper_bound: Lattice | None = None
                                ) -> OptimalSynthesisResult:
     """Find a minimum-area lattice for ``table``.
@@ -238,8 +237,8 @@ def synthesize_lattice_optimal(table: TruthTable,
     Args:
         table: the target function (completely specified).
         conflict_budget: per-shape CDCL conflict cap; exceeding it skips the
-            shape and forfeits the optimality proof.
-        max_paths_per_shape: skip shapes whose path enumeration explodes.
+            shape and forfeits the optimality proof.  Shapes with more than
+            ``MAX_PATHS_PER_SHAPE`` top-bottom paths are skipped the same way.
         upper_bound: a known-correct lattice to cap the search (defaults to
             the folded dual-based construction).
 
@@ -261,8 +260,8 @@ def synthesize_lattice_optimal(table: TruthTable,
     conflicts = 0
     for rows, cols in candidate_shapes(best.area):
         paths = _paths_for_shape(rows, cols)
-        if not paths or len(paths) > max_paths_per_shape:
-            if len(paths) > max_paths_per_shape:
+        if not paths or len(paths) > MAX_PATHS_PER_SHAPE:
+            if len(paths) > MAX_PATHS_PER_SHAPE:
                 skipped.append((rows, cols))
                 proved = False
             continue

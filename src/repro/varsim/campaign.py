@@ -310,15 +310,15 @@ def payload_for(estimate: VariationPointEstimate) -> dict:
     }
 
 
-def estimate_from_payload(point: VariationCampaignPoint, payload,
-                          cache_hit: bool = True
+def estimate_from_payload(point: VariationCampaignPoint, payload
                           ) -> VariationPointEstimate | None:
-    """Rehydrate a persisted payload, or ``None`` if it fails validation."""
+    """Rehydrate a persisted payload (a cache hit), or ``None`` if it fails
+    validation."""
     if not _valid_payload(payload, point):
         return None
     return VariationPointEstimate(point, tuple(payload["aware"]),
                                   tuple(payload["oblivious"]),
-                                  cache_hit=cache_hit)
+                                  cache_hit=True)
 
 
 def estimate_record(estimate: VariationPointEstimate) -> dict:

@@ -17,19 +17,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .campaign import VariationCampaignResult
 
 
-def awareness_crosschecks(result: "VariationCampaignResult",
-                          slack: float = 0.05) -> list[dict]:
+#: Relative tolerance of the aware-not-worse check.
+AWARENESS_SLACK = 0.05
+
+
+def awareness_crosschecks(result: "VariationCampaignResult") -> list[dict]:
     """Per-sigma qualitative checks of the Section IV claim.
 
     ``aware_not_worse``: the aware mean delay must not exceed the
-    oblivious mean by more than ``slack`` (relative) — awareness picks the
-    minimum-budget lines, so with shared ensembles any violation beyond
+    oblivious mean by more than ``AWARENESS_SLACK`` (relative) — awareness
+    picks the minimum-budget lines, so with shared ensembles any violation beyond
     Monte-Carlo noise indicates a selection-kernel regression.
     """
     checks = []
     for row in result.rows():
         not_worse = (row["aware_mean"]
-                     <= row["oblivious_mean"] * (1.0 + slack))
+                     <= row["oblivious_mean"] * (1.0 + AWARENESS_SLACK))
         checks.append({
             "sigma": row["sigma"],
             "aware_mean": row["aware_mean"],

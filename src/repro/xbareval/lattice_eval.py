@@ -65,35 +65,25 @@ def site_masks(lattice: "Lattice") -> SiteMasks:
 
 
 def conduction_tensor(lattice: "Lattice",
-                      assignments: np.ndarray | None = None,
-                      force_on: np.ndarray | None = None,
-                      force_off: np.ndarray | None = None) -> np.ndarray:
+                      assignments: np.ndarray) -> np.ndarray:
     """The boolean ``(B, rows, cols)`` conduction tensor of a lattice.
 
-    Args:
-        lattice: the four-terminal lattice to evaluate.
-        assignments: integer array of input assignments (bit ``i`` is the
-            value of ``x_i``); defaults to all ``2^n`` assignments in
-            order — the truth-table layout.
-        force_on / force_off: optional boolean ``(rows, cols)`` overlays
-            applied after the nominal site values — the batched analogue
-            of the scalar ``site_override`` hook (stuck-closed forces ON,
-            stuck-open forces OFF; see
-            :func:`repro.reliability.lattice_mapping.verify_mapped_lattice`).
-
-    Per assignment ``a`` the slice ``[a]`` equals the scalar
-    ``lattice.conduction_grid(assignments[a])`` bit for bit.
+    ``assignments`` is an integer array of input assignments (bit ``i`` is
+    the value of ``x_i``).  Per assignment ``a`` the slice ``[a]`` equals
+    the scalar ``lattice.conduction_grid(assignments[a])`` bit for bit.
     """
-    if assignments is None:
-        assignments = np.arange(1 << lattice.n, dtype=np.int64)
-    else:
-        assignments = np.asarray(assignments, dtype=np.int64)
-    return _masks_tensor(site_masks(lattice), assignments, force_on, force_off)
+    assignments = np.asarray(assignments, dtype=np.int64)
+    return _masks_tensor(site_masks(lattice), assignments, None, None)
 
 
 def _masks_tensor(masks: SiteMasks, assignments: np.ndarray,
                   force_on: np.ndarray | None,
                   force_off: np.ndarray | None) -> np.ndarray:
+    """Conduction grids of ``assignments``; the optional boolean
+    ``(rows, cols)`` overlays apply after the nominal site values, the
+    batched analogue of the scalar ``site_override`` hook (stuck-closed
+    forces ON, stuck-open forces OFF; see
+    :func:`repro.reliability.lattice_mapping.verify_mapped_lattice`)."""
     var, positive, is_literal, const = masks
     bits = (assignments[:, None, None] >> var[None, :, :]) & 1
     grids = np.where(is_literal[None], (bits == 1) == positive[None],
@@ -113,8 +103,8 @@ def evaluate_masks(n: int, masks: SiteMasks,
 
     The evaluation loop behind :func:`lattice_truthtable`: conduction
     grids for :data:`CHUNK_ASSIGNMENTS` assignments at a time, one flood
-    per chunk.  ``assignments`` defaults to all ``2^n`` in order, as in
-    :func:`conduction_tensor`; entry ``b`` of the result belongs to
+    per chunk.  ``assignments`` defaults to all ``2^n`` in order, the
+    truth-table layout; entry ``b`` of the result belongs to
     ``assignments[b]``.  Callers that edit a lattice's
     :func:`site_masks` (delete a row, fix a site) check the edit here
     without building a :class:`~repro.crossbar.lattice.Lattice`.

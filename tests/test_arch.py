@@ -19,23 +19,18 @@ from repro.boolean import BooleanFunction, TruthTable
 
 
 class TestBlocks:
-    def test_block_styles_all_implement(self):
+    def test_block_implements_its_function(self):
         f = BooleanFunction.from_expression("x1 x2 + x3", label="t")
-        for style in ("lattice", "diode", "fet"):
-            block = synthesize_block("t", f, style)
-            for m in range(8):
-                assert block.evaluate(m) == f.evaluate(m)
+        block = synthesize_block("t", f)
+        assert block.array.implements(f.on)
+        for m in range(8):
+            assert block.evaluate(m) == f.evaluate(m)
 
     def test_constant_function_degenerates_to_lattice(self):
         f = BooleanFunction.from_truth_table(TruthTable.constant(2, True))
-        block = synthesize_block("one", f, "diode")
-        assert block.style == "lattice"
+        block = synthesize_block("one", f)
+        assert block.shape == (1, 1)
         assert block.evaluate(0)
-
-    def test_unknown_style_rejected(self):
-        f = BooleanFunction.from_expression("x1")
-        with pytest.raises(ValueError):
-            synthesize_block("t", f, "quantum")
 
     def test_area_positive(self):
         f = BooleanFunction.from_expression("x1 x2")
@@ -48,16 +43,6 @@ class TestAdder:
         adder = synthesize_adder(width)
         reference = adder_reference(width)
         assert adder.verify_against(reference)
-
-    def test_adder_with_carry_in(self):
-        adder = synthesize_adder(1, with_carry_in=True)
-        reference = adder_reference(1, with_carry_in=True)
-        assert adder.verify_against(reference)
-
-    def test_adder_styles(self):
-        for style in ("lattice", "diode"):
-            adder = synthesize_adder(1, style=style)
-            assert adder.verify_against(adder_reference(1))
 
     def test_width_validation(self):
         with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ class TestEnumeration:
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            enumerate_lattice_functions(4, 4, 3, limit=1000)
+            enumerate_lattice_functions(4, 4, 3)
 
     def test_expressiveness_row_fields(self):
         row = expressiveness(2, 2, 2)
@@ -152,7 +152,7 @@ class TestEnumeration:
         assert row.labellings == 6 ** 4
 
     def test_minimal_area_map_known_entries(self):
-        frontier = minimal_area_map(2, max_area=4)
+        frontier = minimal_area_map(2)
         and2 = TruthTable.from_minterms(2, [3])
         or2 = TruthTable.from_minterms(2, [1, 2, 3])
         xor2 = TruthTable.from_minterms(2, [1, 2])

@@ -4,13 +4,13 @@ import pytest
 
 from repro.boolean import BooleanFunction, TruthTable
 from repro.crossbar import (
-    TechnologyParameters,
     compare_styles,
     diode_metrics,
     fet_metrics,
     lattice_metrics,
     Lattice,
 )
+from repro.crossbar.metrics import WIRE_DELAY_PER_LINE
 from repro.synthesis import synthesize_diode, synthesize_fet
 
 
@@ -22,10 +22,10 @@ class TestDiodeMetrics:
     def test_delay_counts_worst_chain(self):
         f = xnor()
         array = synthesize_diode(f.on)
-        tech = TechnologyParameters(wire_delay_per_line=0.0)
-        metrics = diode_metrics(array, tech)
+        metrics = diode_metrics(array)
+        wire = WIRE_DELAY_PER_LINE * (array.num_rows + array.num_cols)
         # worst product has 2 literals; +1 for the OR junction
-        assert metrics.delay == pytest.approx(3.0)
+        assert metrics.delay - wire == pytest.approx(3.0)
 
     def test_static_power_scales_with_rows(self):
         f = xnor()
@@ -50,17 +50,16 @@ class TestFetMetrics:
     def test_delay_counts_series_stack(self):
         f = xnor()
         fet = synthesize_fet(f.on)
-        tech = TechnologyParameters(wire_delay_per_line=0.0)
-        assert fet_metrics(fet, tech).delay == pytest.approx(2.0)
+        wire = WIRE_DELAY_PER_LINE * (fet.num_rows + fet.num_cols)
+        assert fet_metrics(fet).delay - wire == pytest.approx(2.0)
 
 
 class TestLatticeMetrics:
     def test_delay_is_worst_best_path(self):
         # straight 2x1 column: every on-input conducts through 2 sites
         lattice = Lattice.from_strings(2, ["x1", "x2"])
-        tech = TechnologyParameters(wire_delay_per_line=0.0)
-        metrics = lattice_metrics(lattice, tech=tech)
-        assert metrics.delay == pytest.approx(2.0)
+        wire = WIRE_DELAY_PER_LINE * (lattice.rows + lattice.cols)
+        assert lattice_metrics(lattice).delay - wire == pytest.approx(2.0)
 
     def test_non_conducting_onset_rejected(self):
         lattice = Lattice.from_strings(1, ["x1"])
@@ -72,9 +71,8 @@ class TestLatticeMetrics:
         # Fig. 4 lattice: the x2x3x4x5 product conducts through a 4-site
         # dog-leg, longer than the straight columns.
         lattice = Lattice.from_strings(6, ["x1 x4", "x2 x5", "x3 x6"])
-        tech = TechnologyParameters(wire_delay_per_line=0.0)
-        metrics = lattice_metrics(lattice, tech=tech)
-        assert metrics.delay == pytest.approx(4.0)
+        wire = WIRE_DELAY_PER_LINE * (lattice.rows + lattice.cols)
+        assert lattice_metrics(lattice).delay - wire == pytest.approx(4.0)
 
 
 class TestCompareStyles:

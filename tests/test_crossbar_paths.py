@@ -120,9 +120,6 @@ class TestPathEnumeration:
             # only the final site touches the bottom row
             assert all(r != 2 for r, _ in path[:-1])
 
-    def test_max_paths_caps(self):
-        assert len(list(enumerate_top_bottom_paths(3, 3, max_paths=5))) == 5
-
     def test_paths_witness_connectivity(self):
         # for random grids: top-bottom connected iff some enumerated path
         # is fully ON (path semantics == percolation semantics)

@@ -161,6 +161,34 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("faultsim", ["--n", "8", "12", "--k", "4", "--densities", "0.05",
+                      "--models", "clustered", "--strategies", "exact",
+                      "--trials", "30", "--seed", "3",
+                      "--stuck-open-fraction", "0.5", "--batch-size", "15"]),
+        ("varsweep", ["--bench", "xor3", "--sigmas", "0.2",
+                      "--crossbar-rows", "8", "--crossbar-cols", "9",
+                      "--trials", "20", "--seed", "4", "--nominal", "2.0",
+                      "--batch-size", "10"]),
+    ])
+    def test_submit_takes_every_campaign_flag(self, kind, flags):
+        from repro.eval.cli import (_campaign_params, _submit_payload,
+                                    build_parser)
+        from repro.grid.families import CAMPAIGNS
+
+        parser = build_parser()
+        direct = parser.parse_args([kind, *flags])
+        submitted = parser.parse_args(["submit", "--kind", kind, *flags])
+        keys = CAMPAIGNS[kind].keys
+        assert keys <= set(vars(direct)) and keys <= set(vars(submitted))
+        params = _campaign_params(direct, kind)
+        assert set(params) == keys
+        assert _submit_payload(submitted) == {"kind": kind, **params}
+        # Left-out flags take the same defaults on both commands.
+        assert _submit_payload(parser.parse_args(["submit", "--kind", kind])) \
+            == {"kind": kind, **_campaign_params(parser.parse_args([kind]),
+                                                 kind)}
+
 
 class TestCliErrorPaths:
     """Exit-code contracts: 2 for bad requests, 0 for tiny happy paths."""

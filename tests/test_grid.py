@@ -115,6 +115,27 @@ class TestGridConfig:
         with pytest.raises(GridConfigError):
             _bench_config(lease_seconds=-1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lease_seconds", float("nan")), ("lease_seconds", float("inf")),
+        ("lease_seconds", True), ("lease_seconds", "60"),
+        ("workers", 2.5), ("workers", "7"), ("workers", True),
+        ("max_attempts", 2.5), ("processes", "1"),
+    ])
+    def test_policy_values_are_checked_not_coerced(self, key, value):
+        # A NaN lease deadline is stored as NULL, which the expired-lease
+        # sweep never matches: a crashed worker's points stay claimed.
+        with pytest.raises(GridConfigError, match=key):
+            _bench_config(**{key: value})
+        with pytest.raises(GridConfigError, match=key):
+            GridConfig(name="t", family="bench", points=((("bench", "xnor2"),),),
+                       **{key: value})
+        from repro.server.protocol import ProtocolError, parse_submission
+
+        config = {"name": "t", "family": "bench",
+                  "points": [{"bench": "xnor2"}], key: value}
+        with pytest.raises(ProtocolError, match=key):
+            parse_submission({"kind": "grid", "config": config})
+
     def test_load_config_json(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({
@@ -123,7 +144,7 @@ class TestGridConfig:
         }))
         config = load_config(str(path))
         assert config.name == "j"
-        assert config.lease_seconds == 5.0  # coerced to the policy type
+        assert config.lease_seconds == 5.0  # an integer count of seconds
 
     def test_load_config_toml_gated_by_interpreter(self, tmp_path):
         path = tmp_path / "grid.toml"
@@ -515,7 +536,8 @@ class TestClaimProtocol:
             store.grid_claim(grid_id, "wA", 60.0)
             store.grid_claim(grid_id, "wA", 60.0)
             assert store.grid_release_claims(grid_id) == 2
-            rows = store.grid_rows_for(grid_id, status="pending")
+            rows = [row for row in store.grid_rows_for(grid_id)
+                    if row.status == "pending"]
             assert [row.attempts for row in rows] == [1, 1]
             assert all(row.worker is None and row.lease_deadline is None
                        for row in rows)
@@ -885,7 +907,8 @@ class TestMultiProcess:
                 proc.wait(timeout=30)
                 done_before = {
                     row.point_key: (row.finished_at, row.result)
-                    for row in store.grid_rows_for(grid_id, status="done")}
+                    for row in store.grid_rows_for(grid_id)
+                    if row.status == "done"}
                 assert done_before, "kill landed before any point finished"
                 # resume: free the victim's stale claims, drain in-process.
                 release_claims(store, grid_id)

@@ -17,7 +17,7 @@ from repro.obs import quantile_from_counts
 from repro.obs.health import HealthMonitor, WatchdogRule, \
     default_server_rules
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampler import StackSampler, sample_for
+from repro.obs.sampler import StackSampler
 from repro.obs.timeline import MetricsRecorder, read_process_resources
 
 
@@ -82,11 +82,12 @@ class TestRecorderFrameMath:
         frame = recorder.tick_once()
         assert frame["counters"]["seen_total"]["delta"] == 0
 
-    def test_rolling_p99_matches_direct_computation(self):
+    def test_rolling_p99_matches_direct_computation(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.QUANTILE_WINDOW", 3)
         reg = MetricsRegistry()
         hist = reg.histogram("lat_seconds", "help",
                              buckets=(0.001, 0.01, 0.1, 1.0))
-        recorder = _recorder(reg, quantile_window=3)
+        recorder = _recorder(reg)
         per_tick = [(0.005,) * 10, (0.05,) * 10, (0.5,) * 5]
         for values in per_tick:
             for value in values:
@@ -107,21 +108,23 @@ class TestRecorderFrameMath:
             pytest.approx(expected)
         assert expected > 0.1  # the slow tail dominates the tail quantile
 
-    def test_idle_window_quantiles_read_zero(self):
+    def test_idle_window_quantiles_read_zero(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.QUANTILE_WINDOW", 2)
         reg = MetricsRegistry()
         hist = reg.histogram("lat_seconds", "help")
         hist.observe(5.0)  # pre-recording traffic
-        recorder = _recorder(reg, quantile_window=2)
+        recorder = _recorder(reg)
         recorder.tick_once()
         frame = recorder.tick_once()
         entry = frame["histograms"]["lat_seconds"]
         assert entry["delta"] == 0
         assert entry["p99"] == 0.0  # quiet window, not lifetime latency
 
-    def test_coarse_ring_aggregates_deltas(self):
+    def test_coarse_ring_aggregates_deltas(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.COARSE_STRIDE", 3)
         reg = MetricsRegistry()
         counter = reg.counter("work_total", "help")
-        recorder = _recorder(reg, coarse_stride=3)
+        recorder = _recorder(reg)
         for _ in range(6):
             counter.inc(2)
             recorder.tick_once()
@@ -131,9 +134,10 @@ class TestRecorderFrameMath:
                    for f in coarse)
         assert all(f["stride"] == 3 for f in coarse)
 
-    def test_fine_ring_is_bounded(self):
+    def test_fine_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.CAPACITY", 4)
         reg = MetricsRegistry()
-        recorder = _recorder(reg, capacity=4)
+        recorder = _recorder(reg)
         for _ in range(10):
             recorder.tick_once()
         frames = recorder.history()
@@ -183,8 +187,10 @@ class TestSampler:
         worker = threading.Thread(target=self._spin, args=(stop,))
         worker.start()
         try:
-            report = sample_for(0.3, interval=0.002,
-                                thread_ids={worker.ident})
+            with StackSampler(interval=0.002,
+                              thread_ids={worker.ident}) as sampler:
+                time.sleep(0.3)
+            report = sampler.report()
         finally:
             stop.set()
             worker.join()
@@ -202,15 +208,18 @@ class TestSampler:
         waiter = threading.Thread(target=stop.wait)
         waiter.start()
         try:
-            report = sample_for(0.15, interval=0.005,
-                                thread_ids={waiter.ident})
+            with StackSampler(interval=0.005,
+                              thread_ids={waiter.ident}) as sampler:
+                time.sleep(0.15)
+            report = sampler.report()
         finally:
             stop.set()
             waiter.join()
         assert report.total == 0
         assert report.skipped_idle > 5
 
-    def test_top_table_renders(self):
+    def test_top_table_renders(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.sampler.TOP_N", 3)
         stop = threading.Event()
         worker = threading.Thread(target=self._spin, args=(stop,))
         worker.start()
@@ -225,7 +234,7 @@ class TestSampler:
         table = report.render_top(5)
         assert "samples over" in table
         assert "_spin" in table
-        payload = report.as_dict(top_n=3)
+        payload = report.as_dict()
         assert payload["total_samples"] == report.total
         assert len(payload["top"]) <= 3
 
@@ -239,7 +248,7 @@ class TestWatchdogs:
         reg = MetricsRegistry()
         gauge = reg.gauge("server_queue_depth", "help")
         rule = WatchdogRule("growth", "gauge_growth", "server_queue_depth",
-                            threshold=5.0, window=2, clear_after=2)
+                            threshold=5.0, window=2)
         monitor = HealthMonitor([rule])
         recorder = _recorder(reg, health=monitor)
         for depth in (1, 3, 8):  # strictly growing, last >= threshold
@@ -276,13 +285,14 @@ class TestWatchdogs:
         recorder.tick_once()
         assert monitor.status()["status"] == "degraded"
 
-    def test_for_frames_hysteresis_delays_firing(self):
+    def test_for_frames_hysteresis_delays_firing(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.timeline.QUANTILE_WINDOW", 5)
         reg = MetricsRegistry()
         hist = reg.histogram("lat_seconds", "help", buckets=(0.01, 10.0))
         rule = WatchdogRule("slow", "quantile_ceiling", "lat_seconds",
                             threshold=0.01, for_frames=2)
         monitor = HealthMonitor([rule])
-        recorder = _recorder(reg, health=monitor, quantile_window=5)
+        recorder = _recorder(reg, health=monitor)
         hist.observe(5.0)
         recorder.tick_once()
         assert monitor.status()["status"] == "ok"  # one breach: not yet
@@ -295,8 +305,6 @@ class TestWatchdogs:
             WatchdogRule("x", "unknown_kind", "s")
         with pytest.raises(ValueError):
             WatchdogRule("x", "gauge_growth", "s", window=0)
-        with pytest.raises(ValueError):
-            WatchdogRule("x", "quantile_ceiling", "s", quantile=0.9)
         with pytest.raises(ValueError):
             HealthMonitor([WatchdogRule("dup", "gauge_growth", "s"),
                            WatchdogRule("dup", "gauge_growth", "t")])

@@ -314,15 +314,16 @@ class TestDashboard:
 
 
 class TestHealthWatchdogs:
-    def test_healthz_degrades_and_recovers(self):
+    def test_healthz_degrades_and_recovers(self, monkeypatch):
         # A private fast-tick server with a hair-trigger watchdog: the
         # stock rules would need sustained real load to trip.
         from repro.obs import registry
         from repro.obs.health import WatchdogRule
 
+        monkeypatch.setattr("repro.obs.health.CLEAR_AFTER", 3)
         rule = WatchdogRule("probe-errors", "rate_threshold",
                             "probe_errors_total", threshold=0.5,
-                            window=2, clear_after=3)
+                            window=2)
         handle = serve_in_thread(obs_tick=0.05, health_rules=(rule,))
         client = ServerClient(port=handle.port, timeout=30.0)
         try:

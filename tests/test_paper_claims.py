@@ -170,7 +170,7 @@ def test_small_shape_expressiveness(fast_experiment):
 
 
 def test_minimal_area_frontier_matches_sat():
-    for function, area in minimal_area_map(2, max_area=4).items():
+    for function, area in minimal_area_map(2).items():
         result = synthesize_lattice_optimal(function, conflict_budget=50_000)
         assert result.proved_optimal
         assert result.area == area, (function, area, result.area)

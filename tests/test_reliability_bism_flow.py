@@ -126,10 +126,10 @@ class TestBismStrategies:
         # app (1,1) -> phys (1,1): programmed on stuck-closed -> fine
         assert (1, 1) not in bad
 
-    def test_density_sweep_shapes(self):
+    def test_density_sweep_shapes(self, monkeypatch):
+        monkeypatch.setattr("repro.reliability.bism.SWEEP_MAX_RETRIES", 60)
         rng = random.Random(9)
-        points = bism_density_sweep(PROGRAM, 8, 8, [0.0, 0.3], trials=10, rng=rng,
-                                    max_retries=60)
+        points = bism_density_sweep(PROGRAM, 8, 8, [0.0, 0.3], trials=10, rng=rng)
         by_key = {(p.strategy, p.density): p for p in points}
         # at zero density everything succeeds in one shot
         for strategy in ("blind", "greedy", "hybrid"):
@@ -306,5 +306,7 @@ class TestYield:
         rng = random.Random(42)
         greedy_est = monte_carlo_yield(5, k, density, 30, rng)
         rng = random.Random(42)
-        exact_est = monte_carlo_yield(5, k, density, 30, rng, exact=True)
-        assert greedy_est.yield_rate <= exact_est.yield_rate + 1e-9
+        exact_successes = sum(
+            max_clean_square_exact(random_defect_map(5, 5, density, rng)).k >= k
+            for _ in range(30))
+        assert greedy_est.successes <= exact_successes

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.reliability import (
+    BridgeFault,
     CrossbarFabric,
     CrosspointStuckClosed,
     CrosspointStuckOpen,
@@ -45,10 +46,12 @@ class TestBist:
         assert report.num_configurations < report.naive_configurations
 
     def test_single_column_bridge_exclusion(self):
-        # a row bridge with one input column is behaviourally dormant;
-        # exclude bridges and coverage is total
-        report = run_bist(3, 1, include_bridges=False)
-        assert report.coverage == 1.0
+        # a row bridge with one input column is behaviourally dormant: the
+        # two row bridges are the only escapes, every other fault is caught
+        report = run_bist(3, 1)
+        assert set(report.escapes) == {BridgeFault("row", 0),
+                                       BridgeFault("row", 1)}
+        assert report.num_detected == report.num_faults - 2
 
     def test_coverage_helper(self):
         fabric = CrossbarFabric(3, 3)

@@ -56,18 +56,3 @@ class TestFaultDictionary:
         unique = sum(1 for g in dictionary.groups.values() if len(g) == 1)
         assert unique / dictionary.num_faults > 0.6
 
-    def test_dictionary_without_bridges(self):
-        dictionary = build_fault_dictionary(3, 3, include_bridges=False)
-        assert dictionary.num_faults == 30
-        assert not any(
-            type(f).__name__ == "BridgeFault"
-            for g in dictionary.groups.values() for f in g
-        )
-
-    def test_extra_configurations_can_only_refine(self):
-        base = build_fault_dictionary(3, 3)
-        from repro.reliability.bist import bist_configurations
-
-        extra = [c for c in bist_configurations(3, 3) if c.name == "all-on"]
-        refined = build_fault_dictionary(3, 3, extra_configurations=extra)
-        assert refined.num_signatures >= base.num_signatures
