@@ -1,10 +1,12 @@
-"""The Monte-Carlo point runner and request parser the campaigns share.
+"""The Monte-Carlo point runner the campaigns share, and the request parser.
 
 The Section IV campaign families (:mod:`repro.faultlab.campaign`,
 :mod:`repro.varsim.campaign`) differ only in what one seeded trial batch
-computes: :class:`PointRunner` runs every family's points alike, and
-:func:`build_spec` parses their requests with the spec dataclass as the
-only schema.
+computes: :class:`PointRunner` runs every family's points alike.  Every
+request (a campaign, a synthesis job and its fault tolerance, a grid
+config) is parsed by :func:`build_spec` with its dataclass as the only
+schema, and each request dataclass holds its fields to one type rule on
+construction (:func:`check_fields`).
 """
 
 from __future__ import annotations
@@ -137,28 +139,79 @@ class CampaignRun:
         return self.trials_sampled / self.elapsed if self.elapsed > 0 else 0.0
 
 
-#: Parameter types per field annotation (integers pass as floats).
-_ACCEPTS: dict[type, tuple[type, ...]] = {
+#: The values a scalar annotation accepts (an integer passes as a float).
+_ACCEPTS: dict[Any, tuple[type, ...]] = {
     int: (int,), float: (int, float), str: (str,)}
 
 
 @functools.cache
-def _schema(spec_type: Any, point: bool) -> dict[str, tuple[Any, type, bool]]:
-    """``{parameter: (field, scalar type, is a tuple)}``.
+def _parts(hint: Any) -> tuple[bool, Any, Any, tuple]:
+    """``(allows None, X, origin of X, arguments of X)`` for ``X | None``
+    or ``X`` (cached: the checks run on every request)."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    return optional, hint, typing.get_origin(hint), typing.get_args(hint)
 
-    With ``point=True`` a tuple field is named by its ``axis`` metadata.
-    Fields of other types (the varsweep lattice) are never parameters.
-    """
+
+def _typed(name: str, value: Any, hint: Any) -> Any:
+    """``value`` as a field annotated ``hint`` stores it, by the type rule:
+    the annotated type exactly, booleans never, an integer (stored as a
+    float) for a float, a list (stored as a tuple) for a tuple, ``None``
+    only where the annotation allows it.  Else :class:`ValueError`."""
+    optional, hint, origin, args = _parts(hint)
+    if hint is Any or (value is None and optional):
+        return value
+    if origin is tuple:
+        if isinstance(value, (list, tuple)):
+            if args[-1] is Ellipsis:
+                return tuple(_typed(name, item, args[0]) for item in value)
+            if len(value) == len(args):
+                return tuple(_typed(name, item, arg)
+                             for item, arg in zip(value, args))
+        raise ValueError(f"parameter {name!r} must be a list, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value,
+                                                 _ACCEPTS.get(hint, hint)):
+        raise ValueError(f"parameter {name!r} must be {hint.__name__}, "
+                         f"got {value!r}")
+    try:
+        return float(value) if hint is float else value
+    except OverflowError:
+        raise ValueError(f"parameter {name!r} is too large for a float") \
+            from None
+
+
+@functools.cache
+def _hints(spec_type: Any) -> dict[str, Any]:
+    """``{field: annotation}`` of the dataclass ``spec_type``."""
     hints = typing.get_type_hints(spec_type)
-    schema = {}
+    return {item.name: hints[item.name]
+            for item in dataclasses.fields(spec_type)}
+
+
+def check_fields(spec: Any) -> None:
+    """Hold every field of the dataclass ``spec`` to the type rule, storing
+    the converted values; each request dataclass calls this first in its
+    ``__post_init__``."""
+    for name, hint in _hints(type(spec)).items():
+        object.__setattr__(spec, name, _typed(name, getattr(spec, name), hint))
+
+
+@functools.cache
+def _schema(spec_type: Any, point: bool) -> dict[str, tuple[Any, Any, bool]]:
+    """``{parameter: (field, annotation, is an axis)}``: the fields of
+    scalar type, also in a tuple or with ``None``.  With ``point=True`` a
+    tuple field is named by its ``axis`` metadata (no parameter without)."""
+    schema: dict[str, tuple[Any, Any, bool]] = {}
     for spec_field in dataclasses.fields(spec_type):
-        hint = hints[spec_field.name]
-        many = typing.get_origin(hint) is tuple
-        kind = typing.get_args(hint)[0] if many else hint
-        name = (spec_field.metadata.get("axis") if point and many
-                else spec_field.name)
-        if kind in _ACCEPTS and name is not None:
-            schema[name] = (spec_field, kind, many)
+        hint = _hints(spec_type)[spec_field.name]
+        _, bare, origin, args = _parts(hint)
+        many = origin is tuple
+        axis = point and many
+        name = spec_field.metadata.get("axis") if axis else spec_field.name
+        if (args[0] if many else bare) in _ACCEPTS and name is not None:
+            schema[name] = (spec_field, hint, axis)
     return schema
 
 
@@ -175,40 +228,27 @@ def check_keys(params: dict[str, Any], known: Iterable[str]) -> None:
                          f"(expected some of {sorted(known)})")
 
 
-def _scalar(name: str, value: Any, kind: type) -> Any:
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
-        raise ValueError(f"parameter {name!r} must be {kind.__name__}, "
-                         f"got {value!r}")
-    return kind(value)
-
-
 def build_spec(spec_type: Any, params: dict[str, Any], *,
                point: bool = False,
                given: dict[str, Any] | None = None) -> Any:
     """Build ``spec_type`` from a flat mapping; the dataclass is the schema.
 
-    A request (the server, the CLI) names fields, list-valued ones as
-    lists; one grid point (``point=True``) gives one value per axis.
-    Parameters override ``given`` (what the family supplies), and the
-    dataclass defaults fill the rest.  Unknown, missing and mistyped
-    parameters raise :class:`ValueError` naming the key.
+    A request (the server, the CLI, a grid config) names fields,
+    list-valued ones as lists; one grid point (``point=True``) gives one
+    value per axis.  Parameters override ``given`` (what the caller
+    supplies), and the dataclass defaults fill the rest.  Unknown and
+    missing parameters raise :class:`ValueError` naming the key, and so
+    does the dataclass for a mistyped one (:func:`check_fields`).
     """
     schema = _schema(spec_type, point)
     check_keys(params, schema)
     kwargs = dict(given or {})
-    for name, (spec_field, kind, many) in schema.items():
-        if name not in params:
-            if (spec_field.name not in kwargs
-                    and spec_field.default is dataclasses.MISSING):
-                raise ValueError(f"missing required parameter {name!r}")
-        elif not many:
-            kwargs[spec_field.name] = _scalar(name, params[name], kind)
-        elif point:
-            kwargs[spec_field.name] = (_scalar(name, params[name], kind),)
-        elif isinstance(params[name], (list, tuple)):
-            kwargs[spec_field.name] = tuple(
-                _scalar(name, value, kind) for value in params[name])
-        else:
-            raise ValueError(f"parameter {name!r} must be a list, "
-                             f"got {params[name]!r}")
+    for name, (spec_field, hint, axis) in schema.items():
+        if name in params:
+            # An axis value is checked under the name the point gives it.
+            kwargs[spec_field.name] = (_typed(name, [params[name]], hint)
+                                       if axis else params[name])
+        elif (spec_field.name not in kwargs
+              and spec_field.default is dataclasses.MISSING):
+            raise ValueError(f"missing required parameter {name!r}")
     return spec_type(**kwargs)

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..boolean.function import BooleanFunction
-from ..boolean.truthtable import TruthTable
+from ..boolean.truthtable import MAX_DENSE_VARS, TruthTable
 from ..crossbar.lattice import Lattice
+from .campaign import check_fields
 
 #: Portfolio strategy order (also the tie-break order: earlier wins ties).
 DEFAULT_STRATEGIES = ("dual", "dreducible", "pcircuit", "optimal")
@@ -44,13 +45,12 @@ class FaultToleranceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.defect_density < 1.0:
             raise ValueError("defect_density must be in [0, 1)")
         for name in ("fabric_rows", "fabric_cols", "mapping_trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.redundancy not in ("none", "tmr"):
             raise ValueError(f"unknown redundancy {self.redundancy!r}")
 
@@ -76,8 +76,11 @@ class SynthesisJob:
     fault_tolerance: FaultToleranceSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("jobs need at least one variable")
+        check_fields(self)
+        # Before the shift below: 1 << n for a huge n would fill memory.
+        if not 1 <= self.n <= MAX_DENSE_VARS:
+            raise ValueError(f"jobs need 1 to {MAX_DENSE_VARS} variables, "
+                             f"got n={self.n}")
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise ValueError(f"truth-table bits out of range for n={self.n}")
         if not self.strategies:

@@ -1,9 +1,11 @@
 """Experiment registry: one entry per paper table/figure.
 
-Every experiment returns an :class:`ExperimentResult` whose rows regenerate
-the corresponding artefact of the DATE'17 paper.  ``fast=True`` shrinks
-the sweeps for the tier-1 claim checks (``tests/test_paper_claims.py``);
-``nanoxbar run <id>`` runs the full sweeps.
+Every experiment returns the rows that regenerate the corresponding
+artefact of the DATE'17 paper, and a note; :meth:`Experiment.run` makes
+them an :class:`ExperimentResult` under the experiment's registered id
+and title.  ``fast=True`` shrinks the sweeps for the tier-1 claim checks
+(``tests/test_paper_claims.py``); ``nanoxbar run <id>`` runs the full
+sweeps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class ExperimentResult:
     title: str
     rows: list[dict]
     columns: list[str]
-    notes: str = ""
+    notes: str
 
     def render(self) -> str:
         text = format_table(self.rows, self.columns,
@@ -50,19 +52,25 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registry entry."""
+    """Registry entry; ``compute(fast)`` returns the rows and the notes."""
 
     experiment_id: str
     title: str
     paper_ref: str
-    run: Callable[[bool], ExperimentResult]
+    compute: Callable[[bool], tuple[list[dict], str]]
+
+    def run(self, fast: bool) -> ExperimentResult:
+        """The rows of ``compute(fast)``, columns in the first row's order."""
+        rows, notes = self.compute(fast)
+        return ExperimentResult(self.experiment_id, self.title, rows,
+                                list(rows[0]), notes)
 
 
 _REGISTRY: dict[str, Experiment] = {}
 
 
 def register(experiment_id: str, title: str, paper_ref: str):
-    def decorator(fn: Callable[[bool], ExperimentResult]):
+    def decorator(fn: Callable[[bool], tuple[list[dict], str]]):
         _REGISTRY[experiment_id] = Experiment(experiment_id, title, paper_ref, fn)
         return fn
 
@@ -86,7 +94,7 @@ def get_experiment(experiment_id: str) -> Experiment:
 # E-FIG1: switch model semantics
 # ----------------------------------------------------------------------
 @register("fig1", "Two- vs four-terminal switch semantics", "Fig. 1")
-def experiment_fig1(fast: bool = True) -> ExperimentResult:
+def experiment_fig1(fast: bool) -> tuple[list[dict], str]:
     from ..synthesis.two_terminal import synthesize_diode, synthesize_fet
 
     f = by_name("xnor2").function
@@ -113,18 +121,14 @@ def experiment_fig1(fast: bool = True) -> ExperimentResult:
             "implements_xnor2": lattice.implements(f.on),
         },
     ]
-    return ExperimentResult(
-        "fig1", "Two- vs four-terminal switch semantics", rows,
-        ["model", "conduction", "array", "implements_xnor2"],
-        notes="all three behavioural models verified against the same function",
-    )
+    return rows, "all three behavioural models verified against the same function"
 
 
 # ----------------------------------------------------------------------
 # E-FIG3: two-terminal size formulas
 # ----------------------------------------------------------------------
 @register("fig3", "Diode/FET array size formulas", "Fig. 3")
-def experiment_fig3(fast: bool = True) -> ExperimentResult:
+def experiment_fig3(fast: bool) -> tuple[list[dict], str]:
     benchmarks = suite(exclude=["large"] if fast else None, max_vars=6)
     rows = []
     for benchmark in benchmarks:
@@ -143,19 +147,14 @@ def experiment_fig3(fast: bool = True) -> ExperimentResult:
             "fet": report.fet_shape,
             "fet_cols_ok": report.fet_formula[1] == report.fet_shape[1],
         })
-    return ExperimentResult(
-        "fig3", "Diode/FET array size formulas", rows,
-        ["benchmark", "n", "products", "dual_products", "literals",
-         "diode", "diode_formula_ok", "fet", "fet_cols_ok"],
-        notes="formula sizes equal as-built array dimensions (Fig. 3 is exact)",
-    )
+    return rows, "formula sizes equal as-built array dimensions (Fig. 3 is exact)"
 
 
 # ----------------------------------------------------------------------
 # E-FIG4: the worked lattice example
 # ----------------------------------------------------------------------
 @register("fig4", "Fig. 4 worked lattice example", "Fig. 4")
-def experiment_fig4(fast: bool = True) -> ExperimentResult:
+def experiment_fig4(fast: bool) -> tuple[list[dict], str]:
     f = by_name("fig4").function
     hand = Lattice.from_strings(6, ["x1 x4", "x2 x5", "x3 x6"])
     formula = synthesize_lattice_dual(f.on)
@@ -168,19 +167,16 @@ def experiment_fig4(fast: bool = True) -> ExperimentResult:
         {"method": "formula + folding [11]", "shape": folded.shape,
          "area": folded.area, "implements": folded.implements(f.on)},
     ]
-    return ExperimentResult(
-        "fig4", "Fig. 4 worked lattice example", rows,
-        ["method", "shape", "area", "implements"],
-        notes="the formula is correct but suboptimal (28 sites); the paper's "
-              "hand lattice uses 6 — exactly the gap the preprocessing targets",
-    )
+    return rows, (
+        "the formula is correct but suboptimal (28 sites); the paper's "
+        "hand lattice uses 6 — exactly the gap the preprocessing targets")
 
 
 # ----------------------------------------------------------------------
 # E-FIG5: lattice sizes and the 2T-vs-4T comparison
 # ----------------------------------------------------------------------
 @register("fig5", "Four-terminal lattice sizes vs two-terminal arrays", "Fig. 5")
-def experiment_fig5(fast: bool = True) -> ExperimentResult:
+def experiment_fig5(fast: bool) -> tuple[list[dict], str]:
     benchmarks = suite(exclude=["large"] if fast else None, max_vars=6)
     rows = []
     wins = 0
@@ -208,13 +204,9 @@ def experiment_fig5(fast: bool = True) -> ExperimentResult:
             "fet_area": two_terminal.fet_area,
             "4T_wins": folded.area <= best_2t,
         })
-    return ExperimentResult(
-        "fig5", "Four-terminal lattice sizes vs two-terminal arrays", rows,
-        ["benchmark", "n", "p(f)", "p(fD)", "lattice", "folded",
-         "lattice_area", "diode_area", "fet_area", "4T_wins"],
-        notes=f"four-terminal wins on {wins}/{comparable} benchmarks "
-              "(the paper: 'favorably better crossbar sizes')",
-    )
+    return rows, (
+        f"four-terminal wins on {wins}/{comparable} benchmarks "
+        "(the paper: 'favorably better crossbar sizes')")
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +214,7 @@ def experiment_fig5(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("pcircuit", "Lattice synthesis with P-circuit decomposition",
           "Section III-B.1, [5],[7]")
-def experiment_pcircuit(fast: bool = True) -> ExperimentResult:
+def experiment_pcircuit(fast: bool) -> tuple[list[dict], str]:
     max_vars = 5 if fast else 6
     benchmarks = [b for b in suite(max_vars=max_vars)
                   if not b.function.on.is_constant()]
@@ -246,13 +238,9 @@ def experiment_pcircuit(fast: bool = True) -> ExperimentResult:
             ),
             "improves": dec_folded.area < direct.area,
         })
-    return ExperimentResult(
-        "pcircuit", "Lattice synthesis with P-circuit decomposition", rows,
-        ["benchmark", "n", "direct_area", "pcircuit_area", "split_var",
-         "blocks(=/!=/I)", "improves"],
-        notes=f"decomposition reduced area on {improved}/{len(rows)} benchmarks; "
-              "both columns are post-folding, so gains are structural",
-    )
+    return rows, (
+        f"decomposition reduced area on {improved}/{len(rows)} benchmarks; "
+        "both columns are post-folding, so gains are structural")
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +248,7 @@ def experiment_pcircuit(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("dreducible", "Lattice synthesis of D-reducible functions",
           "Section III-B.2, [4],[6]")
-def experiment_dreducible(fast: bool = True) -> ExperimentResult:
+def experiment_dreducible(fast: bool) -> tuple[list[dict], str]:
     benchmarks = suite(tags=["d-reducible"], max_vars=5 if fast else 7)
     rows = []
     for benchmark in benchmarks:
@@ -281,13 +269,9 @@ def experiment_dreducible(fast: bool = True) -> ExperimentResult:
             "composed_area": composed.area,
             "improves": composed.area < direct.area,
         })
-    return ExperimentResult(
-        "dreducible", "Lattice synthesis of D-reducible functions", rows,
-        ["benchmark", "n", "dim(A)", "dims_dropped", "chi_area", "fA_area",
-         "direct_area", "composed_area", "improves"],
-        notes="f = chi_A AND f_A; the projection block shrinks with dim(A), "
-              "the chi_A (parity) block is the price of the restriction",
-    )
+    return rows, (
+        "f = chi_A AND f_A; the projection block shrinks with dim(A), "
+        "the chi_A (parity) block is the price of the restriction")
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +279,7 @@ def experiment_dreducible(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("optimal", "SAT-optimal lattice synthesis vs the dual-based bound",
           "[9] (Gange et al.)")
-def experiment_optimal(fast: bool = True) -> ExperimentResult:
+def experiment_optimal(fast: bool) -> tuple[list[dict], str]:
     names = ["xnor2", "xor3", "maj3", "fa_sum", "fa_carry", "mux2"]
     if not fast:
         names += ["xor4", "thr4_2", "onehot4"]
@@ -316,13 +300,9 @@ def experiment_optimal(fast: bool = True) -> ExperimentResult:
             "proved": optimal.proved_optimal,
             "shapes_tried": len(optimal.shapes_tried),
         })
-    return ExperimentResult(
-        "optimal", "SAT-optimal lattice synthesis vs the dual-based bound", rows,
-        ["benchmark", "n", "formula_area", "folded_area", "optimal_area",
-         "optimal_shape", "proved", "shapes_tried"],
-        notes="optimal <= folded <= formula everywhere; 'proved' = every "
-              "smaller shape refuted by the CDCL solver",
-    )
+    return rows, (
+        "optimal <= folded <= formula everywhere; 'proved' = every "
+        "smaller shape refuted by the CDCL solver")
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +310,7 @@ def experiment_optimal(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("bist", "BIST: exhaustive coverage with constant configurations",
           "Section IV-A")
-def experiment_bist(fast: bool = True) -> ExperimentResult:
+def experiment_bist(fast: bool) -> tuple[list[dict], str]:
     sizes = [(4, 4), (6, 6), (8, 8)] if fast else [(4, 4), (6, 6), (8, 8),
                                                    (12, 12), (16, 16)]
     rows = []
@@ -344,19 +324,16 @@ def experiment_bist(fast: bool = True) -> ExperimentResult:
             "coverage": report.coverage,
             "naive_configs": report.naive_configurations,
         })
-    return ExperimentResult(
-        "bist", "BIST: exhaustive coverage with constant configurations", rows,
-        ["crossbar", "faults", "configs", "vectors", "coverage", "naive_configs"],
-        notes="100% coverage of stuck-at/bridge/open/functional faults with 5 "
-              "single-term configurations vs R*C naive configurations",
-    )
+    return rows, (
+        "100% coverage of stuck-at/bridge/open/functional faults with 5 "
+        "single-term configurations vs R*C naive configurations")
 
 
 # ----------------------------------------------------------------------
 # E-BISD
 # ----------------------------------------------------------------------
 @register("bisd", "BISD: logarithmic diagnosis configurations", "Section IV-A")
-def experiment_bisd(fast: bool = True) -> ExperimentResult:
+def experiment_bisd(fast: bool) -> tuple[list[dict], str]:
     sizes = [(2, 2), (4, 4), (4, 8)] if fast else [(2, 2), (4, 4), (4, 8),
                                                    (8, 8), (8, 16)]
     rows = []
@@ -371,13 +348,9 @@ def experiment_bisd(fast: bool = True) -> ExperimentResult:
             "diagnosed": report.num_correct,
             "accuracy": report.accuracy,
         })
-    return ExperimentResult(
-        "bisd", "BISD: logarithmic diagnosis configurations", rows,
-        ["crossbar", "resources", "configs", "log2(resources)",
-         "single_faults", "diagnosed", "accuracy"],
-        notes="configs = ceil(log2(resources)) + 2 type probes; every single "
-              "crosspoint fault decoded uniquely from its block-code signature",
-    )
+    return rows, (
+        "configs = ceil(log2(resources)) + 2 type probes; every single "
+        "crosspoint fault decoded uniquely from its block-code signature")
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +358,7 @@ def experiment_bisd(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("bism", "BISM: blind vs greedy vs hybrid across defect densities",
           "Section IV-B")
-def experiment_bism(fast: bool = True) -> ExperimentResult:
+def experiment_bism(fast: bool) -> tuple[list[dict], str]:
     rng = random.Random(20170327)
     densities = [0.0, 0.05, 0.1, 0.2, 0.3] if fast else [
         0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
@@ -404,12 +377,9 @@ def experiment_bism(fast: bool = True) -> ExperimentResult:
         "avg_bisd": p.avg_bisd_sessions,
         "avg_sessions": p.avg_total_sessions,
     } for p in points]
-    return ExperimentResult(
-        "bism", "BISM: blind vs greedy vs hybrid across defect densities", rows,
-        ["density", "strategy", "success", "avg_bist", "avg_bisd", "avg_sessions"],
-        notes="blind explodes with density; greedy pays diagnosis but stays "
-              "flat; hybrid tracks the cheaper of the two (Section IV-B)",
-    )
+    return rows, (
+        "blind explodes with density; greedy pays diagnosis but stays "
+        "flat; hybrid tracks the cheaper of the two (Section IV-B)")
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +387,7 @@ def experiment_bism(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("fig6", "Defect-unaware flow: k recovery, map size, mapping cost",
           "Fig. 6")
-def experiment_fig6(fast: bool = True) -> ExperimentResult:
+def experiment_fig6(fast: bool) -> tuple[list[dict], str]:
     rng = random.Random(691178)
     n = 16 if fast else 32
     densities = [0.01, 0.05, 0.1] if fast else [0.01, 0.02, 0.05, 0.1, 0.15]
@@ -443,32 +413,23 @@ def experiment_fig6(fast: bool = True) -> ExperimentResult:
             "unaware_sessions/app": sum(c.unaware_sessions_per_app for c in bucket)
             / len(bucket),
         })
-    return ExperimentResult(
-        "fig6", "Defect-unaware flow: k recovery, map size, mapping cost",
-        aggregated,
-        ["N", "density", "avg_recovered_k", "k_over_N", "aware_map_words",
-         "unaware_map_words", "aware_sessions/app", "unaware_sessions/app"],
-        notes="defect map shrinks O(N^2) -> O(N); per-application mapping cost "
-              "collapses to zero once the clean k x k is extracted (Fig. 6b)",
-    )
+    return aggregated, (
+        "defect map shrinks O(N^2) -> O(N); per-application mapping cost "
+        "collapses to zero once the clean k x k is extracted (Fig. 6b)")
 
 
 # ----------------------------------------------------------------------
 # E-RECOVERY (supplement to Fig. 6: k/N degradation)
 # ----------------------------------------------------------------------
 @register("recovery", "Recovered k/N vs defect density", "Fig. 6 supplement")
-def experiment_recovery(fast: bool = True) -> ExperimentResult:
+def experiment_recovery(fast: bool) -> tuple[list[dict], str]:
     rng = random.Random(7)
     n = 16 if fast else 32
     densities = [0.0, 0.02, 0.05, 0.1, 0.2] if fast else [
         0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3]
     trials = 10 if fast else 30
     rows = recovery_sweep(n, densities, trials, rng)
-    return ExperimentResult(
-        "recovery", "Recovered k/N vs defect density", rows,
-        ["N", "density", "avg_k", "k_over_n", "min_k", "max_k"],
-        notes="graceful degradation of the universal clean subarray size",
-    )
+    return rows, "graceful degradation of the universal clean subarray size"
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +437,7 @@ def experiment_recovery(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("variation", "Variation-aware vs oblivious mapping delay",
           "Section IV (variation tolerance)")
-def experiment_variation(fast: bool = True) -> ExperimentResult:
+def experiment_variation(fast: bool) -> tuple[list[dict], str]:
     rng = random.Random(113)
     lattice = synthesize_lattice_dual(by_name("xnor2").function.on)
     sigmas = [0.1, 0.3, 0.6] if fast else [0.05, 0.1, 0.2, 0.3, 0.5, 0.8]
@@ -490,13 +451,9 @@ def experiment_variation(fast: bool = True) -> ExperimentResult:
         "oblivious_p95": p.oblivious_p95,
         "mean_gain": p.mean_improvement,
     } for p in points]
-    return ExperimentResult(
-        "variation", "Variation-aware vs oblivious mapping delay", rows,
-        ["sigma", "aware_mean", "aware_p95", "oblivious_mean",
-         "oblivious_p95", "mean_gain"],
-        notes="selecting low-resistance lines tightens the delay distribution; "
-              "the gain grows with variation strength",
-    )
+    return rows, (
+        "selecting low-resistance lines tightens the delay distribution; "
+        "the gain grows with variation strength")
 
 
 # ----------------------------------------------------------------------
@@ -504,20 +461,16 @@ def experiment_variation(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("yield", "Yield: Monte Carlo vs analytic bounds",
           "Section IV (manufacturing yield)")
-def experiment_yield(fast: bool = True) -> ExperimentResult:
+def experiment_yield(fast: bool) -> tuple[list[dict], str]:
     rng = random.Random(42)
     n = 8 if fast else 12
     k_values = [n // 2, 3 * n // 4, n]
     densities = [0.02, 0.05, 0.1] if fast else [0.01, 0.02, 0.05, 0.1, 0.2]
     trials = 60 if fast else 300
     rows = yield_sweep(n, k_values, densities, trials, rng)
-    return ExperimentResult(
-        "yield", "Yield: Monte Carlo vs analytic bounds", rows,
-        ["N", "k", "density", "monte_carlo_yield", "fixed_placement_prob",
-         "expected_clean_count"],
-        notes="choosing k < N converts a near-zero full-array yield into a "
-              "high recovered yield — the economic case for defect tolerance",
-    )
+    return rows, (
+        "choosing k < N converts a near-zero full-array yield into a "
+        "high recovered yield — the economic case for defect tolerance")
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +478,7 @@ def experiment_yield(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("latticemap", "Defect-aware lattice placement on defective fabrics",
           "Sections III+IV combined (four-terminal BISM analogue)")
-def experiment_latticemap(fast: bool = True) -> ExperimentResult:
+def experiment_latticemap(fast: bool) -> tuple[list[dict], str]:
     from ..reliability.lattice_mapping import mapping_success_sweep
     from ..synthesis.optimize import fold_lattice
 
@@ -536,14 +489,10 @@ def experiment_latticemap(fast: bool = True) -> ExperimentResult:
         0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4]
     trials = 20 if fast else 80
     rows = mapping_success_sweep(lattice, f.n, densities, trials, rng)
-    return ExperimentResult(
-        "latticemap", "Defect-aware lattice placement on defective fabrics",
-        rows,
-        ["density", "success_rate", "avg_trials", "avg_exploited_defects"],
-        notes="stuck-closed fabric sites serve as the algebra's constant-1 "
-              "padding and stuck-open sites as constant-0 — defects become "
-              "resources when they align with padding",
-    )
+    return rows, (
+        "stuck-closed fabric sites serve as the algebra's constant-1 "
+        "padding and stuck-open sites as constant-0 — defects become "
+        "resources when they align with padding")
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +500,7 @@ def experiment_latticemap(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("expressiveness", "Lattice shape expressiveness (NPN classes)",
           "[3] context: which functions fit which lattices")
-def experiment_expressiveness(fast: bool = True) -> ExperimentResult:
+def experiment_expressiveness(fast: bool) -> tuple[list[dict], str]:
     from ..synthesis.enumerate_lattices import expressiveness
 
     shapes = [(1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)]
@@ -569,13 +518,9 @@ def experiment_expressiveness(fast: bool = True) -> ExperimentResult:
             "coverage": entry.coverage,
             "npn_classes": entry.npn_classes,
         })
-    return ExperimentResult(
-        "expressiveness", "Lattice shape expressiveness (NPN classes)", rows,
-        ["shape", "n", "labellings", "functions", "of_total", "coverage",
-         "npn_classes"],
-        notes="exhaustive site-labelling enumeration: a 2x2 lattice already "
-              "realises all 16 two-variable functions (4 NPN classes)",
-    )
+    return rows, (
+        "exhaustive site-labelling enumeration: a 2x2 lattice already "
+        "realises all 16 two-variable functions (4 NPN classes)")
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +528,7 @@ def experiment_expressiveness(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("metrics", "Area/delay/power across the three array styles",
           "Section II performance parameters")
-def experiment_metrics(fast: bool = True) -> ExperimentResult:
+def experiment_metrics(fast: bool) -> tuple[list[dict], str]:
     from ..crossbar.metrics import compare_styles
 
     names = ["xnor2", "maj3", "fa_sum", "thr4_2", "mux4", "pla5"]
@@ -600,13 +545,10 @@ def experiment_metrics(fast: bool = True) -> ExperimentResult:
                 "delay": metrics.delay,
                 "power": metrics.power,
             })
-    return ExperimentResult(
-        "metrics", "Area/delay/power across the three array styles", rows,
-        ["benchmark", "style", "area", "delay", "power"],
-        notes="normalised technology units (R_on = C_unit = 1): lattices "
-              "trade the diode plane's static power for longer percolation "
-              "paths; FET planes pay area for complementary operation",
-    )
+    return rows, (
+        "normalised technology units (R_on = C_unit = 1): lattices "
+        "trade the diode plane's static power for longer percolation "
+        "paths; FET planes pay area for complementary operation")
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +556,7 @@ def experiment_metrics(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("tmr", "TMR and spare-line repair (transient/permanent faults)",
           "[15] (Tunali & Altun) / Section IV lifetime reliability")
-def experiment_tmr(fast: bool = True) -> ExperimentResult:
+def experiment_tmr(fast: bool) -> tuple[list[dict], str]:
     from ..reliability.redundancy import (make_tmr, repair_with_spares,
                                           tmr_reliability)
     from ..synthesis.optimize import fold_lattice
@@ -648,14 +590,10 @@ def experiment_tmr(fast: bool = True) -> ExperimentResult:
         "tmr_wins": "",
         "area_overhead": f"spare repair 8x8-in-10x10: {repairs / trials_repair:.2f}",
     })
-    return ExperimentResult(
-        "tmr", "TMR and spare-line repair (transient/permanent faults)", rows,
-        ["upset_rate", "simplex_correct", "tmr_correct", "tmr_wins",
-         "area_overhead"],
-        notes="classic TMR crossover: wins at low upset rates, loses once "
-              "multi-replica upsets dominate; whole-line sparing only pays "
-              "at low densities (crosspoint-level mapping scales better)",
-    )
+    return rows, (
+        "classic TMR crossover: wins at low upset rates, loses once "
+        "multi-replica upsets dominate; whole-line sparing only pays "
+        "at low densities (crosspoint-level mapping scales better)")
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +601,7 @@ def experiment_tmr(fast: bool = True) -> ExperimentResult:
 # ----------------------------------------------------------------------
 @register("arch", "Arithmetic/memory/SSM built from crossbar blocks",
           "Section V (sub-objectives 3-4)")
-def experiment_arch(fast: bool = True) -> ExperimentResult:
+def experiment_arch(fast: bool) -> tuple[list[dict], str]:
     from ..arch.arithmetic import (adder_reference, synthesize_adder,
                                    synthesize_comparator, comparator_reference)
     from ..arch.memory import CrossbarMemory
@@ -712,9 +650,6 @@ def experiment_arch(fast: bool = True) -> ExperimentResult:
         "area": ssm.total_area,
         "verified": outputs == expected and ssm.verify_against_spec(),
     })
-    return ExperimentResult(
-        "arch", "Arithmetic/memory/SSM built from crossbar blocks", rows,
-        ["element", "inputs", "outputs", "area", "verified"],
-        notes="the paper's roadmap endpoint: arithmetic + memory + state "
-              "machine, every combinational bit a verified crossbar block",
-    )
+    return rows, (
+        "the paper's roadmap endpoint: arithmetic + memory + state "
+        "machine, every combinational bit a verified crossbar block")

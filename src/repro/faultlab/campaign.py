@@ -34,9 +34,10 @@ from itertools import product
 
 import numpy as np
 
-from ..engine.campaign import CampaignRun, PointRunner, build_spec
+from ..engine.campaign import CampaignRun, PointRunner, build_spec, check_fields
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
+from ..reliability.defects import STUCK_OPEN_FRACTION
 from .kernels import recovered_k_batch, recovered_k_exact_batch
 from .maps import bernoulli_defect_batch, clustered_defect_batch
 
@@ -111,13 +112,11 @@ class CampaignSpec:
                                         metadata={"axis": "strategy"})
     trials: int = 1000
     seed: int = 0
-    stuck_open_fraction: float = 0.8
+    stuck_open_fraction: float = STUCK_OPEN_FRACTION
     batch_size: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("n_values", "k_values", "densities", "models",
-                     "strategies"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_fields(self)
         if not self.n_values or not self.k_values or not self.densities:
             raise ValueError("campaign grid needs at least one N, k and "
                              "density")

@@ -30,6 +30,7 @@ from ..reliability.defects import (
     CLUSTER_RADIUS,
     CODE_TO_STATE,
     STATE_TO_CODE,
+    STUCK_OPEN_FRACTION,
     CrosspointState,
     DefectMap,
 )
@@ -119,7 +120,7 @@ def _validate(trials: int, rows: int, cols: int, density: float,
 # ----------------------------------------------------------------------
 def bernoulli_defect_batch(trials: int, rows: int, cols: int, density: float,
                            gen: np.random.Generator,
-                           stuck_open_fraction: float = 0.8) -> DefectBatch:
+                           stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectBatch:
     """Independent Bernoulli defects for a whole ensemble in two draws.
 
     Distribution-equivalent to ``trials`` calls of
@@ -142,7 +143,7 @@ def bernoulli_defect_batch(trials: int, rows: int, cols: int, density: float,
 
 def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
                            gen: np.random.Generator,
-                           stuck_open_fraction: float = 0.8) -> DefectBatch:
+                           stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectBatch:
     """Clustered defects, batched: Poisson centres with Gaussian spread.
 
     Distribution-equivalent to ``trials`` calls of

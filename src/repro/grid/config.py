@@ -40,17 +40,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
-from .families import FAMILIES, GridConfigError
-
-_POLICY_DEFAULTS = {
-    "workers": 1,
-    "lease_seconds": 60.0,
-    "max_attempts": 3,
-    "processes": 1,
-}
-
-_KNOWN_KEYS = frozenset(
-    {"name", "family", "grid", "fixed", "points", "store", *_POLICY_DEFAULTS})
+from ..engine.campaign import build_spec, check_fields, request_keys
+from .families import FAMILIES, GridConfigError, point_key
 
 
 @dataclass(frozen=True)
@@ -73,6 +64,10 @@ class GridConfig:
     store: str | None = None
 
     def __post_init__(self) -> None:
+        try:
+            check_fields(self)
+        except ValueError as error:
+            raise GridConfigError(str(error)) from None
         if not self.name:
             raise GridConfigError("grid configs need a non-empty 'name'")
         if self.family not in FAMILIES:
@@ -88,17 +83,13 @@ class GridConfig:
                 "a grid config needs a '[grid]' axes table or a 'points' "
                 "list")
         for key in ("workers", "max_attempts", "processes"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
+            if getattr(self, key) < 1:
                 raise GridConfigError(
-                    f"{key} must be an integer >= 1, got {value!r}")
+                    f"{key} must be >= 1, got {getattr(self, key)!r}")
         # A NaN deadline is stored as NULL, which no lease sweep matches.
-        lease = self.lease_seconds
-        if isinstance(lease, bool) or not isinstance(lease, (int, float)) \
-                or not math.isfinite(lease) or lease <= 0:
-            raise GridConfigError(
-                f"lease_seconds must be a finite number > 0, got {lease!r}")
+        if not math.isfinite(self.lease_seconds) or self.lease_seconds <= 0:
+            raise GridConfigError(f"lease_seconds must be finite and > 0, "
+                                  f"got {self.lease_seconds!r}")
 
     def expand(self) -> list[dict[str, Any]]:
         """The ordered per-point parameter dicts this config describes.
@@ -117,56 +108,65 @@ class GridConfig:
             for combo in product(*value_lists)
         ]
 
+    def keyed_points(self) -> dict[str, dict[str, Any]]:
+        """Each expanded point by its content-addressed key, in order.
+
+        A grid holds one row per key, so two points with one key (a
+        repeated axis value, or a point that spells out a default) are a
+        config error naming the key.
+        """
+        keyed: dict[str, dict[str, Any]] = {}
+        for params in self.expand():
+            key = point_key(self.family, params)
+            if key in keyed:
+                raise GridConfigError(f"the config names point {key!r} "
+                                      f"twice: {keyed[key]} and {params}")
+            keyed[key] = params
+        return keyed
+
+
+#: The config sections that are not :class:`GridConfig` fields.
+_SECTIONS = frozenset({"grid", "fixed", "points"})
+
 
 def _as_pairs(table: Any, where: str) -> tuple[tuple[str, Any], ...]:
     if not isinstance(table, dict):
         raise GridConfigError(f"{where} must be a table/object")
-    return tuple((str(key), value) for key, value in table.items())
+    return tuple(table.items())
 
 
 def config_from_dict(data: dict[str, Any]) -> GridConfig:
     """Validate and normalise one decoded config document."""
     if not isinstance(data, dict):
         raise GridConfigError("a grid config must be a table/object")
-    unknown = set(data) - _KNOWN_KEYS
+    unknown = sorted(set(data) - _SECTIONS - request_keys(GridConfig))
     if unknown:
-        raise GridConfigError(f"unknown grid config keys {sorted(unknown)}")
+        raise GridConfigError(f"unknown grid config keys {unknown}")
 
-    axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
+    given: dict[str, Any] = {
+        "fixed": _as_pairs(data.get("fixed", {}), "'fixed'")}
     if "grid" in data:
         grid = data["grid"]
         if not isinstance(grid, dict) or not grid:
             raise GridConfigError("'grid' must be a non-empty table of "
                                   "axis -> value-list")
-        pairs = []
         for axis, values in grid.items():
             if not isinstance(values, list) or not values:
                 raise GridConfigError(
                     f"grid axis {axis!r} must map to a non-empty list")
-            pairs.append((str(axis), tuple(values)))
-        axes = tuple(pairs)
-
-    points: tuple[tuple[tuple[str, Any], ...], ...] = ()
+        given["axes"] = tuple(grid.items())
     if "points" in data:
         raw_points = data["points"]
         if not isinstance(raw_points, list) or not raw_points:
             raise GridConfigError("'points' must be a non-empty list of "
                                   "tables/objects")
-        points = tuple(_as_pairs(point, "each entry of 'points'")
-                       for point in raw_points)
-
-    policy = {key: data.get(key, default)
-              for key, default in _POLICY_DEFAULTS.items()}
-    store = data.get("store")
-    return GridConfig(
-        name=str(data.get("name", "")),
-        family=str(data.get("family", "")),
-        axes=axes,
-        fixed=_as_pairs(data.get("fixed", {}), "'fixed'"),
-        points=points,
-        store=str(store) if store is not None else None,
-        **policy,
-    )
+        given["points"] = tuple(_as_pairs(point, "each entry of 'points'")
+                                for point in raw_points)
+    try:
+        return build_spec(GridConfig, {key: value for key, value in data.items()
+                                       if key not in _SECTIONS}, given=given)
+    except ValueError as error:
+        raise GridConfigError(str(error)) from None
 
 
 def load_config(path: str) -> GridConfig:

@@ -27,7 +27,6 @@ from typing import Any, Callable, Iterator
 
 from ..boolean.truthtable import TruthTable
 from ..engine import (
-    DEFAULT_STRATEGIES,
     BatchEngine,
     FaultToleranceReport,
     FaultToleranceSpec,
@@ -74,8 +73,10 @@ def parse_synthesis_job(params: dict[str, Any]) -> SynthesisJob:
     The function is ``bench`` (a suite name) or ``label`` + ``n`` +
     ``bits`` (its packed truth table).  ``strategies`` is a list or a
     comma string (the full portfolio by default); ``fault_tolerance`` an
-    object of :class:`~repro.engine.FaultToleranceSpec` fields.  Unknown
-    keys, and ``bench`` next to a truth-table key, are rejected by name.
+    object of :class:`~repro.engine.FaultToleranceSpec` fields.  Both
+    parse through :func:`~repro.engine.campaign.build_spec`: unknown keys,
+    mistyped values and ``bench`` next to a truth-table key are rejected
+    by name.
     """
     if "bench" in params and params.keys() & _TABLE_KEYS:
         raise GridPointError(
@@ -83,39 +84,31 @@ def parse_synthesis_job(params: dict[str, Any]) -> SynthesisJob:
             f"{sorted(params.keys() & _TABLE_KEYS)}")
     check_keys(params, {"strategies", "fault_tolerance",
                         *({"bench"} if "bench" in params else _TABLE_KEYS)})
-    strategies = params.get("strategies", DEFAULT_STRATEGIES)
-    if isinstance(strategies, str):
-        strategies = [name for name in strategies.split(",") if name]
-    if not isinstance(strategies, (list, tuple)) or not strategies:
-        raise GridPointError(
-            f"'strategies' must be a non-empty list, got {strategies!r}")
-    unknown = [name for name in strategies if name not in known_strategies()]
-    if unknown:
-        raise GridPointError(f"unknown strategies {unknown}")
-    fault_tolerance = None
+    values = {key: value for key, value in params.items()
+              if key not in ("bench", "fault_tolerance")}
+    if isinstance(values.get("strategies"), str):
+        values["strategies"] = [name for name in values["strategies"].split(",")
+                                if name]
+    given: dict[str, Any] = {}
     if "fault_tolerance" in params:
         if not isinstance(params["fault_tolerance"], dict):
             raise GridPointError("fault_tolerance must be a JSON object")
         try:
-            fault_tolerance = FaultToleranceSpec(**params["fault_tolerance"])
-        except (TypeError, ValueError) as error:
+            given["fault_tolerance"] = build_spec(FaultToleranceSpec,
+                                                  params["fault_tolerance"])
+        except ValueError as error:
             raise GridPointError(
                 f"bad fault_tolerance spec: {error}") from None
     if "bench" in params:
         benchmark = _benchmark(params)
-        return SynthesisJob.from_function(
-            benchmark.function, benchmark.name, tuple(strategies),
-            fault_tolerance)
-    try:
-        return SynthesisJob(
-            label=str(params["label"]), n=int(params["n"]),
-            bits=int(params["bits"]), strategies=tuple(strategies),
-            fault_tolerance=fault_tolerance)
-    except KeyError as error:
-        raise GridPointError(
-            f"missing required parameter {error.args[0]!r}") from None
-    except (TypeError, ValueError) as error:
-        raise GridPointError(str(error)) from None
+        table = benchmark.function.on
+        given.update(label=benchmark.name, n=table.n, bits=table.bits)
+    job = build_spec(SynthesisJob, values, given=given)
+    unknown = [name for name in job.strategies
+               if name not in known_strategies()]
+    if unknown:
+        raise GridPointError(f"unknown strategies {unknown}")
+    return job
 
 
 def job_key(job: SynthesisJob) -> str:

@@ -58,12 +58,11 @@ def plan(config: GridConfig, store: JsonStore
     and upgrades pending rows whose answers the ``json_store`` table has
     since learned (e.g. from a ``run_campaign`` sharing the store file).
     """
-    params_list = config.expand()
-    keys = [families.point_key(config.family, params)
-            for params in params_list]
+    points = config.keyed_points()
+    keys = list(points)
     grid_id = grid_id_for(config, keys)
     entries: list[tuple[str, dict, Any | None]] = []
-    for key, params in zip(keys, params_list):
+    for key, params in points.items():
         payload = store.get(key)
         if payload is not None and not families.validate_payload(
                 config.family, params, payload):

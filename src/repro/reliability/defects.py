@@ -39,6 +39,10 @@ CODE_TO_STATE = {code: state for state, code in STATE_TO_CODE.items()}
 #: cluster centre in the clustered model.
 CLUSTER_RADIUS = 1.5
 
+#: Default share of defects that are stuck-open in the Bernoulli and
+#: clustered models (opens dominate in nanowire crossbars).
+STUCK_OPEN_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class DefectMap:
@@ -115,7 +119,7 @@ def perfect_map(rows: int, cols: int) -> DefectMap:
 
 def random_defect_map(rows: int, cols: int, density: float,
                       rng: random.Random,
-                      stuck_open_fraction: float = 0.8) -> DefectMap:
+                      stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectMap:
     """Independent Bernoulli defects.
 
     Args:
@@ -140,7 +144,7 @@ def random_defect_map(rows: int, cols: int, density: float,
 
 def clustered_defect_map(rows: int, cols: int, density: float,
                          rng: random.Random,
-                         stuck_open_fraction: float = 0.8) -> DefectMap:
+                         stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectMap:
     """Clustered defects: Poisson cluster centres with Gaussian spread.
 
     The expected defect count matches ``density * rows * cols``; defects

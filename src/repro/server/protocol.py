@@ -47,7 +47,6 @@ from ..faultlab import CampaignSpec
 from ..faultlab.campaign import estimate_record as fault_estimate_record  # noqa: F401
 from ..grid import GridConfig, GridConfigError, GridPointError
 from ..grid import config_from_dict as grid_config_from_dict
-from ..grid import point_key as grid_point_key
 from ..grid.families import CAMPAIGNS, job_key, parse_synthesis_job
 from ..grid.families import job_result_record as job_result_record
 from ..varsim import VariationCampaignSpec
@@ -153,8 +152,7 @@ def _parse_grid(payload: dict) -> Submission:
         raise ProtocolError("grid submissions need a 'config' object")
     try:
         config = grid_config_from_dict(raw)
-        keys = [grid_point_key(config.family, params)
-                for params in config.expand()]
+        keys = list(config.keyed_points())
     except (GridConfigError, GridPointError) as error:
         raise ProtocolError(f"bad grid config: {error}") from error
     echo = {"kind": "grid", "name": config.name, "family": config.family,

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice
-from ..engine.campaign import CampaignRun, PointRunner
+from ..engine.campaign import CampaignRun, PointRunner, check_fields
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
 from ..xbareval.delay import onset_critical_delay_batch
@@ -128,7 +128,7 @@ class VariationCampaignSpec:
     batch_size: int = 128
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(self.sigmas))
+        check_fields(self)
         if not self.sigmas:
             raise ValueError("campaign grid needs at least one sigma")
         if not all(math.isfinite(s) and s >= 0 for s in self.sigmas):

@@ -199,13 +199,14 @@ def test_operations_page_covers_every_stock_watchdog_rule():
 
 
 def test_grid_page_covers_every_family_and_config_key():
-    from repro.grid import FAMILIES
-    from repro.grid.config import _KNOWN_KEYS
+    from repro.engine.campaign import request_keys
+    from repro.grid import FAMILIES, GridConfig
+    from repro.grid.config import _SECTIONS
 
     text = _read(REPO / "docs" / "grid.md")
     for family in FAMILIES:
         assert f"`{family}`" in text, (
             f"docs/grid.md does not document family {family!r}")
-    for key in sorted(_KNOWN_KEYS):
+    for key in sorted(_SECTIONS | request_keys(GridConfig)):
         assert f"`{key}`" in text, (
             f"docs/grid.md does not document config key {key!r}")

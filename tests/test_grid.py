@@ -17,8 +17,9 @@ import time
 
 import pytest
 
-from repro.engine import JsonStore
+from repro.engine import FaultToleranceSpec, JsonStore, SynthesisJob
 from repro.engine import store as store_module
+from repro.eval.benchsuite import by_name
 from repro.eval.cli import main as cli_main
 from repro.faultlab import CampaignSpec, run_campaign
 from repro.faultlab import campaign as faultsim_campaign
@@ -40,6 +41,8 @@ from repro.grid import (
 )
 from repro.grid.runner import run_point
 from repro.obs import get_logger, metrics
+from repro.synthesis import synthesize_lattice_dual
+from repro.varsim import VariationCampaignSpec
 
 
 def _bench_config(**overrides):
@@ -135,6 +138,51 @@ class TestGridConfig:
                   "points": [{"bench": "xnor2"}], key: value}
         with pytest.raises(ProtocolError, match=key):
             parse_submission({"kind": "grid", "config": config})
+
+    @pytest.mark.parametrize("key, value", [
+        ("name", None), ("name", 7), ("name", ["t"]),
+        ("store", 7), ("store", ["g.sqlite"]),
+    ], ids=["name-null", "name-int", "name-list", "store-int", "store-list"])
+    def test_names_are_checked_not_coerced(self, key, value):
+        # A name is a string: null is no grid named "None", and 7 no
+        # store file named "7".
+        with pytest.raises(GridConfigError, match=key):
+            _bench_config(**{key: value})
+        with pytest.raises(GridConfigError, match=key):
+            GridConfig(**{"name": "t", "family": "bench",
+                          "points": ((("bench", "xnor2"),),), key: value})
+        from repro.server.protocol import ProtocolError, parse_submission
+
+        config = {"name": "t", "family": "bench",
+                  "points": [{"bench": "xnor2"}], key: value}
+        with pytest.raises(ProtocolError, match=key):
+            parse_submission({"kind": "grid", "config": config})
+
+    @pytest.mark.parametrize("data", [
+        {"grid": {"n": [8, 8], "density": [0.05]}, "fixed": {"trials": 20}},
+        # trials=1000 is the default, so the two dicts are one point.
+        {"points": [{"n": 8, "density": 0.05},
+                    {"n": 8, "density": 0.05, "trials": 1000}]},
+    ], ids=["repeated-axis-value", "spelled-out-default"])
+    def test_a_repeated_point_is_a_config_error(self, data, tmp_path,
+                                                capsys):
+        """The grid holds one row per key, so a repeated point would be
+        announced twice and finish with fewer rows than points."""
+        from repro.server.protocol import ProtocolError, parse_submission
+
+        raw = {"name": "dup", "family": "faultsim", **data}
+        config = config_from_dict(raw)
+        (key,) = {point_key("faultsim", params) for params in config.expand()}
+        with pytest.raises(GridConfigError, match="twice") as excinfo:
+            config.keyed_points()
+        assert key in str(excinfo.value)
+        with JsonStore() as store, pytest.raises(GridConfigError):
+            plan(config, store)
+        with pytest.raises(ProtocolError, match="twice"):
+            parse_submission({"kind": "grid", "config": raw})
+        assert cli_main(["grid", "plan", _write_config(tmp_path, raw),
+                         "--store", str(tmp_path / "s.sqlite")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_load_config_json(self, tmp_path):
         path = tmp_path / "grid.json"
@@ -280,6 +328,37 @@ class TestFamilies:
         with pytest.raises(GridPointError, match=field):
             point_key("synthesis", {"bench": "xnor2",
                                     "fault_tolerance": spec})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: FaultToleranceSpec(seed=1.5), "seed"),
+        (lambda: SynthesisJob(None, 2, 6), "label"),
+        (lambda: SynthesisJob("f", True, 1), "n"),
+        (lambda: SynthesisJob("f", 2, 6.9), "bits"),
+        (lambda: CampaignSpec(n_values=(8,), k_values=(4,),
+                              densities=(0.05,), trials=2.5), "trials"),
+        (lambda: VariationCampaignSpec(
+            lattice=synthesize_lattice_dual(by_name("xnor2").function.on),
+            sigmas=(0.2,), crossbar_rows=8, crossbar_cols=8, seed=1.5),
+         "seed"),
+        (lambda: GridConfig(name="t", family="bench", store=7,
+                            points=((("bench", "xnor2"),),)), "store"),
+    ], ids=["FaultToleranceSpec", "SynthesisJob-label", "SynthesisJob-n",
+            "SynthesisJob-bits", "CampaignSpec", "VariationCampaignSpec",
+            "GridConfig"])
+    def test_request_dataclasses_check_their_field_types(self, build, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            build()
+
+    def test_ints_are_stored_as_floats_and_lists_as_tuples(self):
+        """An integer given for a float field is that float, so it keys
+        the same point or job as the float."""
+        spec = CampaignSpec(n_values=[8], k_values=[4], densities=[0])
+        assert spec.n_values == (8,) and spec.densities == (0.0,)
+        assert type(spec.densities[0]) is float
+        as_int, as_float = (families.parse_synthesis_job(
+            {"bench": "xnor2", "fault_tolerance": {"defect_density": value}})
+            for value in (0, 0.0))
+        assert families.job_key(as_int) == families.job_key(as_float)
 
     def test_fault_tolerance_payload_carries_the_report(self):
         """A fault-tolerance point's payload holds the engine's report; a

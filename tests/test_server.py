@@ -162,10 +162,28 @@ class TestProtocol:
         {"kind": "synthesis", "jobs": [{"bench": "xnor2", "n": 3,
                                         "bits": 0x96}]},
         {"kind": "synthesis", "jobs": [{"bench": "xnor2", "bits": 0x96}]},
+        # Mistyped job fields are rejected, never converted: 6.9 is not
+        # the function 6, nor true n = 1.
+        {"kind": "synthesis", "jobs": [{"label": "f", "n": 2, "bits": 6.9}]},
+        {"kind": "synthesis", "jobs": [{"label": "f", "n": True, "bits": 1}]},
+        {"kind": "synthesis", "jobs": [{"label": "f", "n": "2", "bits": 6}]},
+        {"kind": "synthesis", "jobs": [{"label": None, "n": 2, "bits": 6}]},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2"}],
+         "fault_tolerance": {"seed": 1.5}},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2"}],
+         "fault_tolerance": {"seed": "3"}},
+        {"kind": "synthesis", "jobs": [{"bench": "xnor2"}],
+         "fault_tolerance": {"seed": True}},
+        # An integer past the float range is no float.
+        {**FAULTSIM_PAYLOAD, "densities": [10 ** 400]},
+        # Past the dense-table limit (and 1 << n would fill memory).
+        {"kind": "synthesis", "jobs": [{"label": "f", "n": 25, "bits": 1}]},
     ], ids=["n_values", "densities", "sigmas", "strategies",
             "grid-strategies", "grid-trials", "sigmas-nan", "sigmas-inf",
             "nominal-nan", "job-key-typo", "top-level-key-typo",
-            "bench-with-table", "bench-with-bits"])
+            "bench-with-table", "bench-with-bits", "bits-float", "n-bool",
+            "n-string", "label-null", "ft-seed-float", "ft-seed-string",
+            "ft-seed-bool", "densities-overflow", "n-too-large"])
     def test_malformed_fields_rejected(self, payload):
         with pytest.raises(ProtocolError):
             parse_submission(payload)
