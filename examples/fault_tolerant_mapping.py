@@ -20,7 +20,6 @@ from repro.reliability import (
     STRATEGIES,
     as_program,
     greedy_clean_subarray,
-    is_clean,
     mapping_is_valid,
     random_defect_map,
     run_bisd,
@@ -74,7 +73,7 @@ def main() -> None:
 
     # 5. the defect-unaware flow
     clean = greedy_clean_subarray(defect_map)
-    assert is_clean(defect_map, clean.rows, clean.cols)
+    assert defect_map.is_clean(clean.rows, clean.cols)
     print(f"defect-unaware flow: recovered a clean "
           f"{len(clean.rows)} x {len(clean.cols)} region (k = {clean.k})")
     print(f"  stored map: {16 * 16} crosspoint states -> "

@@ -28,8 +28,7 @@ function plus a *polarity slot*:
 
 Key texts are the :meth:`~repro.boolean.truthtable.TruthTable.content_hash`
 of the keyed table (the packed-bit wire format of ``TruthTable.to_bytes``),
-not ad-hoc hex packing — the same content-addressing scheme ``DefectMap``
-uses in the faultlab store.
+not ad-hoc hex packing.
 
 The cache is not a table of its own: each slot is one row of the shared
 :class:`~repro.engine.store.JsonStore`, under :func:`cache_key` (the

@@ -25,6 +25,12 @@ from .campaign import check_fields
 #: Portfolio strategy order (also the tie-break order: earlier wins ties).
 DEFAULT_STRATEGIES = ("dual", "dreducible", "pcircuit", "optimal")
 
+#: Largest fabric side and placement budget a fault-tolerance spec accepts:
+#: a job draws one ``fabric_rows x fabric_cols`` defect map and tries up to
+#: ``mapping_trials`` placements on it.
+MAX_FABRIC_SIDE = 256
+MAX_MAPPING_TRIALS = 10_000
+
 
 @dataclass(frozen=True)
 class FaultToleranceSpec:
@@ -48,9 +54,11 @@ class FaultToleranceSpec:
         check_fields(self)
         if not 0.0 <= self.defect_density < 1.0:
             raise ValueError("defect_density must be in [0, 1)")
-        for name in ("fabric_rows", "fabric_cols", "mapping_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, most in (("fabric_rows", MAX_FABRIC_SIDE),
+                           ("fabric_cols", MAX_FABRIC_SIDE),
+                           ("mapping_trials", MAX_MAPPING_TRIALS)):
+            if not 1 <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must be in [1, {most}]")
         if self.redundancy not in ("none", "tmr"):
             raise ValueError(f"unknown redundancy {self.redundancy!r}")
 

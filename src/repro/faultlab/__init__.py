@@ -1,12 +1,11 @@
 """Vectorized Monte-Carlo fault-tolerance campaigns (Section IV at scale).
 
-:mod:`repro.reliability` models one chip at a time with per-crosspoint
-dicts and scalar RNG loops; this package turns the paper's Section IV
-experiments into *campaigns* — declarative sweeps over crossbar size,
-defect density, defect model and extraction strategy, evaluated as NumPy
-kernels over whole trial ensembles and sharded across the
-:mod:`repro.engine` worker pool with estimates persisted in the engine's
-JSON store.
+:mod:`repro.reliability` models one chip at a time with scalar RNG loops;
+this package turns the paper's Section IV experiments into *campaigns* —
+declarative sweeps over crossbar size, defect density, defect model and
+extraction strategy, evaluated as NumPy kernels over whole trial
+ensembles and sharded across the :mod:`repro.engine` worker pool with
+estimates persisted in the engine's JSON store.
 
 API -> paper map:
 

@@ -20,6 +20,7 @@ from ..reliability.defect_unaware import (
     max_clean_square_exact,
     recovered_k_batch,  # noqa: F401 - re-exported by repro.faultlab
 )
+from ..reliability.defects import DefectMap
 from .maps import DefectBatch
 
 
@@ -31,6 +32,6 @@ def recovered_k_exact_batch(batch: DefectBatch) -> np.ndarray:
     the same batched interface, and so tests can bound the greedy kernel.
     """
     return np.array([
-        max_clean_square_exact(defect_map).k
-        for defect_map in batch.iter_defect_maps()
+        max_clean_square_exact(DefectMap.from_grid(grid)).k
+        for grid in batch.states
     ], dtype=np.int64)

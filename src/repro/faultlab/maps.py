@@ -3,42 +3,36 @@
 Paper anchor: Section IV (defect tolerance) — the defect regimes whose
 scalar, one-chip-at-a-time models live in :mod:`repro.reliability.defects`.
 Here a whole *ensemble* of crossbars is one dense ``(trials, rows, cols)``
-``uint8`` tensor so the Section IV questions (Fig. 6 recovery, yield) can
-be answered for thousands of sampled chips per NumPy kernel call:
+``uint8`` tensor of the same crosspoint codes (``OK``, ``STUCK_OPEN``,
+``STUCK_CLOSED`` of :mod:`repro.reliability.defects`), so the Section IV
+questions (Fig. 6 recovery, yield) can be answered for thousands of
+sampled chips per NumPy kernel call:
 
-* :class:`DefectBatch` — the tensor plus conversions to/from the scalar
-  :class:`~repro.reliability.defects.DefectMap`;
+* :class:`DefectBatch` — the tensor; one trial is
+  ``DefectMap.from_grid(batch.states[t])``, and a map's
+  :meth:`~repro.reliability.defects.DefectMap.grid` stacks into a batch;
 * :func:`bernoulli_defect_batch` — iid Bernoulli defects (global density),
   the batched analogue of
   :func:`~repro.reliability.defects.random_defect_map`;
 * :func:`clustered_defect_batch` — Poisson cluster centres with Gaussian
   spread (local density variation), the batched analogue of
   :func:`~repro.reliability.defects.clustered_defect_map`.
-
-State codes are :data:`repro.reliability.defects.STATE_TO_CODE`, with
-``0`` for OK: ``1`` stuck-open, ``2`` stuck-closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..reliability.defects import (
     CLUSTER_RADIUS,
-    CODE_TO_STATE,
-    STATE_TO_CODE,
+    OK,
+    STUCK_CLOSED,
+    STUCK_OPEN,
     STUCK_OPEN_FRACTION,
-    CrosspointState,
-    DefectMap,
+    check_model,
 )
-
-#: Numeric crosspoint states of the batch tensor.
-OK = 0
-STUCK_OPEN = STATE_TO_CODE[CrosspointState.STUCK_OPEN]
-STUCK_CLOSED = STATE_TO_CODE[CrosspointState.STUCK_CLOSED]
 
 
 @dataclass(frozen=True)
@@ -56,63 +50,16 @@ class DefectBatch:
         if self.states.size and int(self.states.max()) > STUCK_CLOSED:
             raise ValueError("defect batch contains unknown state codes")
 
-    # -- shape ------------------------------------------------------------
-    @property
-    def trials(self) -> int:
-        return int(self.states.shape[0])
-
-    @property
-    def rows(self) -> int:
-        return int(self.states.shape[1])
-
-    @property
-    def cols(self) -> int:
-        return int(self.states.shape[2])
-
-    # -- views ------------------------------------------------------------
     def defective(self) -> np.ndarray:
         """Boolean ``(trials, rows, cols)`` mask of non-OK crosspoints."""
         return self.states != OK
-
-    # -- conversions to/from the scalar reference model -------------------
-    def to_defect_map(self, trial: int) -> DefectMap:
-        """Materialise one trial as a scalar (dict-based) ``DefectMap``."""
-        grid = self.states[trial]
-        defects = {
-            (int(r), int(c)): CODE_TO_STATE[int(grid[r, c])]
-            for r, c in zip(*np.nonzero(grid))
-        }
-        return DefectMap(self.rows, self.cols, defects)
-
-    def iter_defect_maps(self) -> Iterable[DefectMap]:
-        for trial in range(self.trials):
-            yield self.to_defect_map(trial)
-
-    @staticmethod
-    def from_defect_maps(maps: Sequence[DefectMap]) -> "DefectBatch":
-        """Stack same-sized scalar maps into one batch tensor."""
-        if not maps:
-            raise ValueError("cannot build a batch from zero maps")
-        rows, cols = maps[0].rows, maps[0].cols
-        states = np.zeros((len(maps), rows, cols), dtype=np.uint8)
-        for t, defect_map in enumerate(maps):
-            if (defect_map.rows, defect_map.cols) != (rows, cols):
-                raise ValueError("all maps in a batch must share one shape")
-            for (r, c), state in defect_map.defects.items():
-                states[t, r, c] = STATE_TO_CODE[state]
-        return DefectBatch(states)
 
 
 def _validate(trials: int, rows: int, cols: int, density: float,
               stuck_open_fraction: float) -> None:
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be non-negative")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
-    if not 0.0 <= stuck_open_fraction <= 1.0:
-        raise ValueError("stuck_open_fraction must be in [0, 1]")
+    check_model(rows, cols, density, stuck_open_fraction)
 
 
 # ----------------------------------------------------------------------

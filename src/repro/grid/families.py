@@ -23,6 +23,7 @@ recomputed by another worker is bit-identical.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import Any, Callable, Iterator
 
 from ..boolean.truthtable import TruthTable
@@ -154,14 +155,22 @@ def _is_report(report: Any) -> bool:
                     for name, value in report.items() if name != "mapped"))
 
 
+@lru_cache(maxsize=None)
+def _dual_lattice(bench: str):
+    """The dual-construction lattice of a suite benchmark, built once per
+    process (the suite is fixed, so the cache is bounded)."""
+    from ..eval.benchsuite import by_name
+    from ..synthesis import synthesize_lattice_dual
+
+    return synthesize_lattice_dual(by_name(bench).function.on)
+
+
 def _varsweep_spec_from_params(params: dict[str, Any], point: bool = False):
     """The varsweep parser: ``bench`` names the lattice, the rest the spec.
 
     The crossbar defaults to the lattice's size, at least 16 x 16.
     """
-    from ..synthesis import synthesize_lattice_dual
-
-    lattice = synthesize_lattice_dual(_benchmark(params).function.on)
+    lattice = _dual_lattice(_benchmark(params).name)
     return build_spec(
         varsweep_campaign.VariationCampaignSpec,
         {key: value for key, value in params.items() if key != "bench"},

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .defects import DefectMap
+from .defects import STUCK_CLOSED, STUCK_OPEN, DefectMap
 
 Program = tuple[tuple[bool, ...], ...]
 
@@ -53,27 +53,32 @@ class Mapping:
 
 def mapping_is_valid(program: Program, mapping: Mapping,
                      defect_map: DefectMap) -> bool:
-    """Ground-truth validity (what a full BIST session would conclude)."""
-    for i, phys_r in enumerate(mapping.row_map):
-        for j, phys_c in enumerate(mapping.col_map):
-            if program[i][j]:
-                if defect_map.is_stuck_open(phys_r, phys_c):
-                    return False
-            else:
-                if defect_map.is_stuck_closed(phys_r, phys_c):
-                    return False
+    """Ground-truth validity (what a full BIST session would conclude):
+    no junction :func:`defective_junctions` would report."""
+    codes, cols = defect_map.codes, defect_map.cols
+    for row, phys_r in zip(program, mapping.row_map):
+        base = phys_r * cols
+        for programmed, phys_c in zip(row, mapping.col_map):
+            if codes[base + phys_c] == (STUCK_OPEN if programmed
+                                        else STUCK_CLOSED):
+                return False
     return True
 
 
 def defective_junctions(program: Program, mapping: Mapping,
                         defect_map: DefectMap) -> list[tuple[int, int]]:
-    """Application-dependent diagnosis: offending (app_row, app_col) pairs."""
+    """Application-dependent diagnosis: offending (app_row, app_col) pairs.
+
+    A programmed junction fails on a stuck-open crosspoint, an
+    unprogrammed one on a stuck-closed crosspoint.
+    """
+    codes, cols = defect_map.codes, defect_map.cols
     bad = []
-    for i, phys_r in enumerate(mapping.row_map):
-        for j, phys_c in enumerate(mapping.col_map):
-            if program[i][j] and defect_map.is_stuck_open(phys_r, phys_c):
-                bad.append((i, j))
-            elif not program[i][j] and defect_map.is_stuck_closed(phys_r, phys_c):
+    for i, (row, phys_r) in enumerate(zip(program, mapping.row_map)):
+        base = phys_r * cols
+        for j, (programmed, phys_c) in enumerate(zip(row, mapping.col_map)):
+            if codes[base + phys_c] == (STUCK_OPEN if programmed
+                                        else STUCK_CLOSED):
                 bad.append((i, j))
     return bad
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .defects import DefectMap, random_defect_map
+from .defects import OK, DefectMap, random_defect_map
 from .faults import CHUNK_ELEMENTS
 
 
@@ -38,11 +38,6 @@ class CleanSubarray:
     def k(self) -> int:
         """Side of the largest square inside the selection."""
         return min(len(self.rows), len(self.cols))
-
-
-def is_clean(defect_map: DefectMap, rows: Sequence[int], cols: Sequence[int]) -> bool:
-    """Every selected crosspoint is defect-free (universal usability)."""
-    return defect_map.is_clean(list(rows), list(cols))
 
 
 # ----------------------------------------------------------------------
@@ -61,9 +56,10 @@ def greedy_clean_subarray(defect_map: DefectMap) -> CleanSubarray:
     kernel :func:`greedy_clean_subarray_batch` reproduce the selection
     bit-exactly with ``argmax`` semantics.
     """
+    codes, n_cols = defect_map.codes, defect_map.cols
     rows = set(range(defect_map.rows))
-    cols = set(range(defect_map.cols))
-    live = {(r, c) for (r, c) in defect_map.defects}
+    cols = set(range(n_cols))
+    live = {divmod(i, n_cols) for i, code in enumerate(codes) if code}
     while live:
         row_counts: dict[int, int] = {}
         col_counts: dict[int, int] = {}
@@ -89,10 +85,10 @@ def greedy_clean_subarray(defect_map: DefectMap) -> CleanSubarray:
             live = {(r, c) for (r, c) in live if c != worst_col}
     # Re-insertion pass: a removed line may be clean against the survivors.
     for r in sorted(set(range(defect_map.rows)) - rows):
-        if all((r, c) not in defect_map.defects for c in cols):
+        if not any(codes[r * n_cols + c] for c in cols):
             rows.add(r)
-    for c in sorted(set(range(defect_map.cols)) - cols):
-        if all((r, c) not in defect_map.defects for r in rows):
+    for c in sorted(set(range(n_cols)) - cols):
+        if not any(codes[r * n_cols + c] for r in rows):
             cols.add(c)
     return CleanSubarray(tuple(sorted(rows)), tuple(sorted(cols)))
 
@@ -178,18 +174,18 @@ def _greedy_ks(n: int, density: float, trials: int,
     """Greedy recovered ``k`` of ``trials`` crossbars, in draw order.
 
     Each trial draws one ``random_defect_map(n, n, density, rng)``, as a
-    per-trial loop would; the maps are extracted by
+    per-trial loop would; the maps' codes are stacked and extracted by
     :func:`recovered_k_batch` in chunks of at most
     :data:`~repro.reliability.faults.CHUNK_ELEMENTS` crosspoints.
     """
     step = max(1, CHUNK_ELEMENTS // max(1, n * n))
     ks: list[int] = []
     for start in range(0, trials, step):
-        defective = np.zeros((min(step, trials - start), n, n), dtype=bool)
-        for trial in range(len(defective)):
-            for r, c in random_defect_map(n, n, density, rng).defects:
-                defective[trial, r, c] = True
-        ks.extend(recovered_k_batch(defective).tolist())
+        count = min(step, trials - start)
+        codes = b"".join(random_defect_map(n, n, density, rng).codes
+                         for _ in range(count))
+        states = np.frombuffer(codes, dtype=np.uint8).reshape(count, n, n)
+        ks.extend(recovered_k_batch(states != OK).tolist())
     return ks
 
 
@@ -206,15 +202,12 @@ def max_clean_square_exact(defect_map: DefectMap) -> CleanSubarray:
     Exponential in the worst case; intended for ``N`` up to ~14 (the
     validation regime).  ``EXACT_NODE_BUDGET`` caps the search defensively.
     """
-    n_rows, n_cols = defect_map.rows, defect_map.cols
+    n_rows, n_cols, codes = defect_map.rows, defect_map.cols, defect_map.codes
     full_cols = (1 << n_cols) - 1
-    clean_cols = []
-    for r in range(n_rows):
-        mask = full_cols
-        for c in range(n_cols):
-            if not defect_map.is_ok(r, c):
-                mask &= ~(1 << c)
-        clean_cols.append(mask)
+    clean_cols = [
+        sum(1 << c for c in range(n_cols) if codes[r * n_cols + c] == OK)
+        for r in range(n_rows)
+    ]
     order = sorted(range(n_rows), key=lambda r: -bin(clean_cols[r]).count("1"))
     best_k = 0
     best_rows: tuple[int, ...] = ()

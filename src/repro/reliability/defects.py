@@ -1,12 +1,15 @@
 """Defect models for reconfigurable nano-crossbars (Section IV).
 
 A :class:`DefectMap` records the physical state of every crosspoint of an
-``N x M`` crossbar:
+``N x M`` crossbar as one code per crosspoint, row-major:
 
-* ``OK`` — programmable both ways;
-* ``STUCK_OPEN`` — can never conduct (the dominant defect type in nanowire
-  crossbars: broken/missing junctions);
-* ``STUCK_CLOSED`` — always conducts.
+* ``OK`` (0) — programmable both ways;
+* ``STUCK_OPEN`` (1) — can never conduct (the dominant defect type in
+  nanowire crossbars: broken/missing junctions);
+* ``STUCK_CLOSED`` (2) — always conducts.
+
+The batched ensembles of :mod:`repro.faultlab.maps` stack the same codes
+into a ``(trials, rows, cols)`` uint8 tensor.
 
 Two generators model the paper's defect regimes: independent Bernoulli
 defects (global density) and clustered defects (local density variation —
@@ -18,22 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
+from typing import Sequence
 
+import numpy as np
 
-class CrosspointState(Enum):
-    """Physical state of one crosspoint."""
-
-    OK = "ok"
-    STUCK_OPEN = "stuck_open"
-    STUCK_CLOSED = "stuck_closed"
-
-
-#: Numeric codes of the defect states, the crosspoint values of the dense
-#: state grids (:mod:`repro.faultlab.maps`,
-#: :func:`repro.reliability.lattice_mapping.defect_map_states`); ``0`` is OK.
-STATE_TO_CODE = {CrosspointState.STUCK_OPEN: 1, CrosspointState.STUCK_CLOSED: 2}
-CODE_TO_STATE = {code: state for state, code in STATE_TO_CODE.items()}
+#: Crosspoint codes of a defect map.
+OK = 0
+STUCK_OPEN = 1
+STUCK_CLOSED = 2
 
 #: Standard deviation, in crosspoints, of a defect's offset from its
 #: cluster centre in the clustered model.
@@ -43,6 +38,9 @@ CLUSTER_RADIUS = 1.5
 #: clustered models (opens dominate in nanowire crossbars).
 STUCK_OPEN_FRACTION = 0.8
 
+_CODES = bytes([OK, STUCK_OPEN, STUCK_CLOSED])
+_SYMBOLS = bytes.maketrans(_CODES, b".ox")
+
 
 @dataclass(frozen=True)
 class DefectMap:
@@ -50,96 +48,96 @@ class DefectMap:
 
     rows: int
     cols: int
-    #: sparse map (r, c) -> non-OK state; OK crosspoints are absent.
-    defects: dict[tuple[int, int], CrosspointState]
+    #: one crosspoint code per crosspoint, row-major: ``(r, c)`` is
+    #: ``codes[r * cols + c]``.
+    codes: bytes
 
     def __post_init__(self) -> None:
-        for (r, c), state in self.defects.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"defect at ({r},{c}) outside {self.rows}x{self.cols}")
-            if state is CrosspointState.OK:
-                raise ValueError("defect dict must not contain OK entries")
+        if type(self.codes) is not bytes:
+            raise TypeError("defect map codes must be bytes")
+        if (self.rows < 0 or self.cols < 0
+                or len(self.codes) != self.rows * self.cols):
+            raise ValueError(f"{len(self.codes)} codes do not fill a "
+                             f"{self.rows}x{self.cols} crossbar")
+        if self.codes.translate(None, _CODES):
+            raise ValueError("defect map contains unknown crosspoint codes")
+
+    @staticmethod
+    def from_grid(grid) -> "DefectMap":
+        """The map of a 2-D array of codes (one trial of a defect batch)."""
+        grid = np.asarray(grid, dtype=np.uint8)
+        rows, cols = grid.shape
+        return DefectMap(rows, cols, grid.tobytes())
+
+    def grid(self) -> np.ndarray:
+        """A read-only ``(rows, cols)`` uint8 view of the codes (no copy)."""
+        return np.frombuffer(self.codes, dtype=np.uint8).reshape(
+            self.rows, self.cols)
 
     # ------------------------------------------------------------------
-    def state(self, r: int, c: int) -> CrosspointState:
-        return self.defects.get((r, c), CrosspointState.OK)
-
-    def is_ok(self, r: int, c: int) -> bool:
-        return (r, c) not in self.defects
-
-    def is_stuck_open(self, r: int, c: int) -> bool:
-        return self.defects.get((r, c)) is CrosspointState.STUCK_OPEN
-
-    def is_stuck_closed(self, r: int, c: int) -> bool:
-        return self.defects.get((r, c)) is CrosspointState.STUCK_CLOSED
+    def state(self, r: int, c: int) -> int:
+        """The code of crosspoint ``(r, c)``."""
+        return self.codes[r * self.cols + c]
 
     @property
     def num_defects(self) -> int:
-        return len(self.defects)
+        return len(self.codes) - self.codes.count(OK)
 
     @property
     def density(self) -> float:
         return self.num_defects / (self.rows * self.cols)
 
-    def defective_rows(self) -> set[int]:
-        return {r for r, _ in self.defects}
-
-    def defective_cols(self) -> set[int]:
-        return {c for _, c in self.defects}
-
-    def is_clean(self, row_ids: list[int], col_ids: list[int]) -> bool:
+    def is_clean(self, row_ids: Sequence[int],
+                 col_ids: Sequence[int]) -> bool:
         """True when the selected sub-crossbar has no defect at all."""
-        col_set = set(col_ids)
-        row_set = set(row_ids)
-        return not any(
-            r in row_set and c in col_set for (r, c) in self.defects
-        )
+        codes, cols = self.codes, self.cols
+        return not any(codes[r * cols + c] for r in row_ids for c in col_ids)
 
     def render(self) -> str:
         """ASCII map: ``.`` OK, ``o`` stuck-open, ``x`` stuck-closed."""
-        symbol = {
-            CrosspointState.STUCK_OPEN: "o",
-            CrosspointState.STUCK_CLOSED: "x",
-        }
-        lines = []
-        for r in range(self.rows):
-            lines.append("".join(
-                symbol.get(self.defects.get((r, c)), ".") for c in range(self.cols)
-            ))
-        return "\n".join(lines)
+        text = self.codes.translate(_SYMBOLS).decode()
+        return "\n".join(text[r * self.cols:(r + 1) * self.cols]
+                         for r in range(self.rows))
 
 
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
+def check_model(rows: int, cols: int, density: float,
+                stuck_open_fraction: float) -> None:
+    """Reject a crossbar size or defect model no generator can sample."""
+    if rows < 0 or cols < 0:
+        raise ValueError("rows and cols must be non-negative")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be in [0, 1]")
+    if not 0.0 <= stuck_open_fraction <= 1.0:
+        raise ValueError("stuck_open_fraction must be in [0, 1]")
+
+
 def perfect_map(rows: int, cols: int) -> DefectMap:
     """A defect-free crossbar."""
-    return DefectMap(rows, cols, {})
+    return DefectMap(rows, cols, bytes(rows * cols))
 
 
 def random_defect_map(rows: int, cols: int, density: float,
                       rng: random.Random,
                       stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectMap:
-    """Independent Bernoulli defects.
+    """Independent Bernoulli defects, drawn crosspoint by crosspoint in
+    row-major order.
 
     Args:
         density: per-crosspoint defect probability.
         stuck_open_fraction: share of defects that are stuck-open (the
             literature reports opens dominate in nanowire crossbars).
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
-    if not 0.0 <= stuck_open_fraction <= 1.0:
-        raise ValueError("stuck_open_fraction must be in [0, 1]")
-    defects: dict[tuple[int, int], CrosspointState] = {}
-    for r in range(rows):
-        for c in range(cols):
-            if rng.random() < density:
-                if rng.random() < stuck_open_fraction:
-                    defects[(r, c)] = CrosspointState.STUCK_OPEN
-                else:
-                    defects[(r, c)] = CrosspointState.STUCK_CLOSED
-    return DefectMap(rows, cols, defects)
+    check_model(rows, cols, density, stuck_open_fraction)
+    draw = rng.random
+    codes = bytearray(rows * cols)
+    for i in range(len(codes)):
+        if draw() < density:
+            codes[i] = (STUCK_OPEN if draw() < stuck_open_fraction
+                        else STUCK_CLOSED)
+    return DefectMap(rows, cols, bytes(codes))
 
 
 def clustered_defect_map(rows: int, cols: int, density: float,
@@ -150,12 +148,11 @@ def clustered_defect_map(rows: int, cols: int, density: float,
     The expected defect count matches ``density * rows * cols``; defects
     bunch around cluster centres, modelling local process variation.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
+    check_model(rows, cols, density, stuck_open_fraction)
     target = density * rows * cols
     defects_per_cluster = max(2.0, CLUSTER_RADIUS * 2)
     num_clusters = max(1, round(target / defects_per_cluster)) if target > 0 else 0
-    defects: dict[tuple[int, int], CrosspointState] = {}
+    codes = bytearray(rows * cols)
     placed = 0
     budget = round(target)
     for _ in range(num_clusters):
@@ -168,11 +165,10 @@ def clustered_defect_map(rows: int, cols: int, density: float,
                 break
             r = int(round(rng.gauss(centre_r, CLUSTER_RADIUS)))
             c = int(round(rng.gauss(centre_c, CLUSTER_RADIUS)))
-            if not (0 <= r < rows and 0 <= c < cols) or (r, c) in defects:
+            if not (0 <= r < rows and 0 <= c < cols) or codes[r * cols + c]:
                 continue
-            state = (CrosspointState.STUCK_OPEN
-                     if rng.random() < stuck_open_fraction
-                     else CrosspointState.STUCK_CLOSED)
-            defects[(r, c)] = state
+            codes[r * cols + c] = (STUCK_OPEN
+                                   if rng.random() < stuck_open_fraction
+                                   else STUCK_CLOSED)
             placed += 1
-    return DefectMap(rows, cols, defects)
+    return DefectMap(rows, cols, bytes(codes))

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .defects import CrosspointState, DefectMap
+from .defects import STUCK_CLOSED, STUCK_OPEN, DefectMap
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +136,19 @@ class CrossbarFabric:
         """Row outputs for one input vector, optionally faulty/defective.
 
         ``fault`` injects one modelled fault; ``defect_map`` overlays
-        fabrication defects (both may be given).
+        fabrication defects of a crossbar of the fabric's shape (both may
+        be given).
         """
         self.check_configuration(program)
         if len(vector) != self.cols:
             raise ValueError(f"vector must have {self.cols} entries")
         if fault is not None:
             self.check_fault(fault)
+        if defect_map is not None and (defect_map.rows, defect_map.cols) != (
+                self.rows, self.cols):
+            raise ValueError(
+                f"{defect_map.rows}x{defect_map.cols} defect map on a "
+                f"{self.rows}x{self.cols} fabric")
         inputs = [bool(v) for v in vector]
         # Column-line faults act on the input values seen by all rows.
         if isinstance(fault, LineStuckAt) and fault.line == "col":
@@ -156,9 +162,9 @@ class CrossbarFabric:
             programmed = bool(program[r][c])
             if defect_map is not None:
                 state = defect_map.state(r, c)
-                if state is CrosspointState.STUCK_OPEN:
+                if state == STUCK_OPEN:
                     programmed = False
-                elif state is CrosspointState.STUCK_CLOSED:
+                elif state == STUCK_CLOSED:
                     programmed = True
             if isinstance(fault, CrosspointStuckOpen) and (fault.row, fault.col) == (r, c):
                 programmed = False

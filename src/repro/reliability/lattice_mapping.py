@@ -31,19 +31,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice, Site
 from ..xbareval import lattice_truthtable
-from .defects import STATE_TO_CODE, CrosspointState, DefectMap
+from .defects import OK, STUCK_CLOSED, STUCK_OPEN, DefectMap
 
 
-def site_compatible(state: CrosspointState, site: Site) -> bool:
-    """Can a fabric site in ``state`` realise the target ``site``?"""
-    if state is CrosspointState.OK:
+def site_compatible(state: int, site: Site) -> bool:
+    """Can a fabric site with crosspoint code ``state`` realise the target
+    ``site``?"""
+    if state == OK:
         return True
-    if state is CrosspointState.STUCK_CLOSED:
+    if state == STUCK_CLOSED:
         return site is True
     return site is False  # STUCK_OPEN realises exactly the constant 0
 
@@ -61,17 +60,18 @@ def placement_valid(target: Lattice, defect_map: DefectMap,
       stuck-closed (a permanently conducting stray site could bridge two
       used columns laterally and create new paths).
     """
+    codes, cols = defect_map.codes, defect_map.cols
     used_cols = set(col_map)
     for i, fabric_row in enumerate(row_map):
         for j, fabric_col in enumerate(col_map):
-            if not site_compatible(defect_map.state(fabric_row, fabric_col),
+            if not site_compatible(codes[fabric_row * cols + fabric_col],
                                    target.site(i, j)):
                 return False
     for fabric_row in row_map:
-        for c in range(defect_map.cols):
+        for c in range(cols):
             if c in used_cols:
                 continue
-            if defect_map.state(fabric_row, c) is CrosspointState.STUCK_CLOSED:
+            if codes[fabric_row * cols + c] == STUCK_CLOSED:
                 return False
     return True
 
@@ -98,10 +98,8 @@ class LatticeMappingResult:
 
 def _exploited_defects(defect_map: DefectMap, row_map: tuple[int, ...],
                        col_map: tuple[int, ...]) -> int:
-    return sum(
-        1 for r in row_map for c in col_map
-        if defect_map.state(r, c) is not CrosspointState.OK
-    )
+    codes, cols = defect_map.codes, defect_map.cols
+    return sum(1 for r in row_map for c in col_map if codes[r * cols + c] != OK)
 
 
 def map_lattice_random(target: Lattice, defect_map: DefectMap,
@@ -125,15 +123,6 @@ def map_lattice_random(target: Lattice, defect_map: DefectMap,
                 True, row_map, col_map, trial,
                 _exploited_defects(defect_map, row_map, col_map))
     return LatticeMappingResult(False, None, None, max_trials)
-
-
-def defect_map_states(defect_map: DefectMap) -> np.ndarray:
-    """Dense uint8 ``(rows, cols)`` grid of :data:`~.defects.STATE_TO_CODE`
-    codes (``0`` for OK crosspoints)."""
-    states = np.zeros((defect_map.rows, defect_map.cols), dtype=np.uint8)
-    for (r, c), state in defect_map.defects.items():
-        states[r, c] = STATE_TO_CODE[state]
-    return states
 
 
 def verify_mapped_lattice(target: Lattice, table: TruthTable,
@@ -162,11 +151,11 @@ def verify_mapped_lattice(target: Lattice, table: TruthTable,
     # The physical overlay is static per site, so the whole 2^n check is
     # one batched truth-table evaluation with stuck-closed sites forced ON
     # and stuck-open sites forced OFF.
-    states = defect_map_states(defect_map)[list(result.row_map), :]
+    states = defect_map.grid()[list(result.row_map), :]
     operated = lattice_truthtable(
         fabric_lattice,
-        force_on=states == STATE_TO_CODE[CrosspointState.STUCK_CLOSED],
-        force_off=states == STATE_TO_CODE[CrosspointState.STUCK_OPEN],
+        force_on=states == STUCK_CLOSED,
+        force_off=states == STUCK_OPEN,
     )
     return operated == table
 

@@ -61,10 +61,10 @@ def repair_with_spares(defect_map: DefectMap, logical_rows: int,
     """
     if logical_rows > defect_map.rows or logical_cols > defect_map.cols:
         raise ValueError("logical array larger than the physical crossbar")
-    bad_rows = defect_map.defective_rows()
-    bad_cols = defect_map.defective_cols()
-    clean_rows = [r for r in range(defect_map.rows) if r not in bad_rows]
-    clean_cols = [c for c in range(defect_map.cols) if c not in bad_cols]
+    codes, rows, cols = defect_map.codes, defect_map.rows, defect_map.cols
+    clean_rows = [r for r in range(rows)
+                  if not any(codes[r * cols:(r + 1) * cols])]
+    clean_cols = [c for c in range(cols) if not any(codes[c::cols])]
     if len(clean_rows) < logical_rows or len(clean_cols) < logical_cols:
         return RepairResult(False, (), (), 0, 0)
     row_assignment = tuple(clean_rows[:logical_rows])

@@ -19,6 +19,11 @@ from repro.reliability import (
 )
 
 
+def _stack(maps):
+    """The batch of same-sized maps: their grids stacked trial by trial."""
+    return DefectBatch(np.stack([m.grid() for m in maps]))
+
+
 def _random_maps(seed, count, max_side=10):
     rng = random.Random(seed)
     maps = []
@@ -45,7 +50,7 @@ def test_property_greedy_kernel_matches_scalar_exactly(rows, cols, density,
     """The deterministic greedy algorithm: vectorized == scalar, bit-exact
     (same selected lines, not just the same k)."""
     defect_map = random_defect_map(rows, cols, density, random.Random(seed))
-    batch = DefectBatch.from_defect_maps([defect_map])
+    batch = _stack([defect_map])
     row_mask, col_mask = greedy_clean_subarray_batch(batch.defective())
     reference = greedy_clean_subarray(defect_map)
     assert tuple(np.nonzero(row_mask[0])[0].tolist()) == reference.rows
@@ -59,7 +64,7 @@ def test_greedy_kernel_matches_scalar_across_a_batch():
     for m in maps:
         by_shape.setdefault((m.rows, m.cols), []).append(m)
     for group in by_shape.values():
-        batch = DefectBatch.from_defect_maps(group)
+        batch = _stack(group)
         ks = recovered_k_batch(batch.defective())
         for trial, defect_map in enumerate(group):
             assert ks[trial] == greedy_clean_subarray(defect_map).k
@@ -73,7 +78,7 @@ def test_greedy_kernel_matches_scalar_across_a_batch():
 )
 def test_property_greedy_bounded_by_exact(side, density, seed):
     defect_map = random_defect_map(side, side, density, random.Random(seed))
-    batch = DefectBatch.from_defect_maps([defect_map])
+    batch = _stack([defect_map])
     greedy_k = int(recovered_k_batch(batch.defective())[0])
     exact_k = int(recovered_k_exact_batch(batch)[0])
     assert greedy_k <= exact_k
@@ -81,7 +86,7 @@ def test_property_greedy_bounded_by_exact(side, density, seed):
 
 
 def test_perfect_batch_recovers_everything():
-    batch = DefectBatch.from_defect_maps([perfect_map(6, 4)] * 3)
+    batch = _stack([perfect_map(6, 4)] * 3)
     row_mask, col_mask = greedy_clean_subarray_batch(batch.defective())
     assert row_mask.all() and col_mask.all()
     assert (recovered_k_batch(batch.defective()) == 4).all()

@@ -15,11 +15,15 @@ from repro.faultlab import (
     clustered_defect_batch,
 )
 from repro.reliability import (
-    CrosspointState,
+    DefectMap,
     clustered_defect_map,
-    perfect_map,
     random_defect_map,
 )
+
+
+def _stack(maps):
+    """The batch of same-sized maps: their grids stacked trial by trial."""
+    return DefectBatch(np.stack([m.grid() for m in maps]))
 
 
 class TestDefectBatch:
@@ -37,23 +41,14 @@ class TestDefectBatch:
         rng = random.Random(3)
         maps = [random_defect_map(5, 4, d, rng)
                 for d in (0.0, 0.1, 0.3, 0.8)]
-        batch = DefectBatch.from_defect_maps(maps)
-        assert (batch.trials, batch.rows, batch.cols) == (4, 5, 4)
-        for trial, original in enumerate(maps):
-            assert batch.to_defect_map(trial) == original
-        assert list(batch.iter_defect_maps()) == maps
-
-    def test_from_maps_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError):
-            DefectBatch.from_defect_maps([perfect_map(3, 3),
-                                          perfect_map(3, 4)])
-        with pytest.raises(ValueError):
-            DefectBatch.from_defect_maps([])
+        batch = _stack(maps)
+        assert batch.states.shape == (4, 5, 4)
+        assert [DefectMap.from_grid(grid) for grid in batch.states] == maps
 
     def test_densities_match_scalar(self):
         rng = random.Random(5)
         maps = [random_defect_map(6, 6, 0.2, rng) for _ in range(8)]
-        batch = DefectBatch.from_defect_maps(maps)
+        batch = _stack(maps)
         assert np.allclose(batch.defective().mean(axis=(1, 2)),
                            [m.density for m in maps])
 
@@ -91,11 +86,7 @@ class TestBernoulliBatch:
         assert abs(vec_density - ref_density) < 0.01
         vec_defects = batch.defective().sum()
         vec_open = (batch.states == STUCK_OPEN).sum() / vec_defects
-        ref_counts = [
-            sum(1 for s in m.defects.values()
-                if s is CrosspointState.STUCK_OPEN)
-            for m in scalar
-        ]
+        ref_counts = [m.codes.count(STUCK_OPEN) for m in scalar]
         ref_open = sum(ref_counts) / sum(m.num_defects for m in scalar)
         assert abs(float(vec_open) - ref_open) < 0.03
 
@@ -162,5 +153,5 @@ def test_property_batch_state_codes_round_trip(trials, rows, cols, density,
     """Any generated batch survives the scalar-map round trip unchanged."""
     gen = np.random.default_rng(seed)
     batch = bernoulli_defect_batch(trials, rows, cols, density, gen)
-    rebuilt = DefectBatch.from_defect_maps(list(batch.iter_defect_maps()))
+    rebuilt = _stack([DefectMap.from_grid(grid) for grid in batch.states])
     assert (rebuilt.states == batch.states).all()

@@ -274,6 +274,26 @@ class TestFamilies:
         point = spec.points()[0]
         assert point_key("faultsim", params) == point.key()
 
+    def test_varsweep_parses_build_each_lattice_once(self, monkeypatch):
+        """Parsing a varsweep point synthesizes the bench's lattice once per
+        process, not once per parse (the server parses every submission
+        on its event loop)."""
+        import repro.synthesis
+
+        calls = []
+
+        def counting(table, build=repro.synthesis.synthesize_lattice_dual):
+            calls.append(table)
+            return build(table)
+
+        monkeypatch.setattr(repro.synthesis, "synthesize_lattice_dual",
+                            counting)
+        params = {"bench": "mux4", "sigma": 0.2, "trials": 20}
+        keys = {point_key("varsweep", params) for _ in range(5)}
+        payload = families.compute("varsweep", params)
+        assert families.validate_payload("varsweep", params, payload)
+        assert len(keys) == 1 and len(calls) <= 1
+
     def test_missing_required_params_raise(self):
         with pytest.raises(GridPointError, match="density"):
             point_key("faultsim", {"n": 6})
@@ -321,7 +341,9 @@ class TestFamilies:
     @pytest.mark.parametrize("field,value", [
         ("mapping_trials", 0), ("mapping_trials", -1), ("mapping_trials", 2.5),
         ("fabric_rows", 0), ("fabric_rows", 8.5), ("fabric_cols", -3),
-        ("fabric_cols", True)])
+        ("fabric_cols", True), ("mapping_trials", 10_001),
+        ("mapping_trials", 10 ** 9), ("fabric_rows", 257),
+        ("fabric_cols", 100_000)])
     def test_fault_tolerance_sizes_must_be_positive_integers(self, field,
                                                              value):
         spec = {"defect_density": 0.1, field: value}

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crossbar import Lattice
 from repro.reliability import (
-    CrosspointState,
     DefectMap,
     VariationMap,
     as_program,
@@ -23,7 +22,6 @@ from repro.reliability import (
     greedy_bism,
     greedy_clean_subarray,
     hybrid_bism,
-    is_clean,
     lattice_critical_delay,
     lognormal_variation,
     mapping_is_valid,
@@ -35,6 +33,7 @@ from repro.reliability import (
     variation_aware_selection,
     variation_sweep,
 )
+from repro.reliability.defects import OK, STUCK_CLOSED, STUCK_OPEN
 
 PROGRAM = as_program([[True, False, True], [False, True, False]])
 
@@ -67,9 +66,7 @@ class TestBismStrategies:
     def test_blind_gives_up_on_hopeless_fabric(self):
         rng = random.Random(1)
         # every crosspoint stuck-open: programmed junctions can never close
-        defects = {(r, c): CrosspointState.STUCK_OPEN
-                   for r in range(4) for c in range(4)}
-        hopeless = DefectMap(4, 4, defects)
+        hopeless = DefectMap(4, 4, bytes([STUCK_OPEN] * 16))
         result = blind_bism(PROGRAM, hopeless, rng, max_retries=10)
         assert not result.success and result.bist_sessions == 10
 
@@ -117,8 +114,10 @@ class TestBismStrategies:
     def test_defective_junctions_identifies_offenders(self):
         from repro.reliability.bism import Mapping
 
-        defect_map = DefectMap(4, 4, {(0, 0): CrosspointState.STUCK_OPEN,
-                                      (1, 1): CrosspointState.STUCK_CLOSED})
+        defect_map = DefectMap.from_grid([[STUCK_OPEN, OK, OK, OK],
+                                          [OK, STUCK_CLOSED, OK, OK],
+                                          [OK, OK, OK, OK],
+                                          [OK, OK, OK, OK]])
         mapping = Mapping((0, 1), (0, 1, 2))
         bad = defective_junctions(PROGRAM, mapping, defect_map)
         # app (0,0) -> phys (0,0): programmed on stuck-open -> offending
@@ -146,7 +145,7 @@ class TestDefectUnaware:
         for seed in range(25):
             defect_map = random_defect_map(10, 10, 0.1, random.Random(seed))
             clean = greedy_clean_subarray(defect_map)
-            assert is_clean(defect_map, clean.rows, clean.cols)
+            assert defect_map.is_clean(clean.rows, clean.cols)
 
     def test_exact_result_is_clean_and_optimal_vs_bruteforce(self):
         from itertools import combinations
@@ -155,14 +154,14 @@ class TestDefectUnaware:
             rng = random.Random(seed)
             defect_map = random_defect_map(5, 5, 0.2, rng)
             exact = max_clean_square_exact(defect_map)
-            assert is_clean(defect_map, exact.rows, exact.cols)
+            assert defect_map.is_clean(exact.rows, exact.cols)
             # brute force the true maximum k
             best = 0
             for k in range(1, 6):
                 found = False
                 for rows in combinations(range(5), k):
                     for cols in combinations(range(5), k):
-                        if defect_map.is_clean(list(rows), list(cols)):
+                        if defect_map.is_clean(rows, cols):
                             found = True
                             break
                     if found:

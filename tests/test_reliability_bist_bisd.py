@@ -11,7 +11,6 @@ from repro.reliability import (
     CrosspointStuckClosed,
     CrosspointStuckOpen,
     DefectMap,
-    CrosspointState,
     application_bist_passes,
     bist_configurations,
     coverage,
@@ -22,6 +21,7 @@ from repro.reliability import (
     run_bist,
 )
 from repro.reliability.bisd import Diagnosis, signature
+from repro.reliability.defects import OK, STUCK_CLOSED, STUCK_OPEN
 
 
 class TestBist:
@@ -62,16 +62,16 @@ class TestBist:
     def test_application_bist_detects_relevant_defects(self):
         fabric = CrossbarFabric(2, 2)
         program = ((True, False), (False, True))
-        clean = DefectMap(2, 2, {})
+        clean = DefectMap.from_grid([[OK, OK], [OK, OK]])
         assert application_bist_passes(fabric, program, clean)
         # stuck-open under a programmed junction: caught
-        so = DefectMap(2, 2, {(0, 0): CrosspointState.STUCK_OPEN})
+        so = DefectMap.from_grid([[STUCK_OPEN, OK], [OK, OK]])
         assert not application_bist_passes(fabric, program, so)
         # stuck-closed under an unprogrammed junction: caught
-        sc = DefectMap(2, 2, {(0, 1): CrosspointState.STUCK_CLOSED})
+        sc = DefectMap.from_grid([[OK, STUCK_CLOSED], [OK, OK]])
         assert not application_bist_passes(fabric, program, sc)
         # stuck-closed under a *programmed* junction is harmless
-        harmless = DefectMap(2, 2, {(0, 0): CrosspointState.STUCK_CLOSED})
+        harmless = DefectMap.from_grid([[STUCK_CLOSED, OK], [OK, OK]])
         assert application_bist_passes(fabric, program, harmless)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.reliability import (
     BridgeFault,
     CrossbarFabric,
-    CrosspointState,
     CrosspointStuckClosed,
     CrosspointStuckOpen,
     DefectMap,
@@ -18,36 +17,57 @@ from repro.reliability import (
     perfect_map,
     random_defect_map,
 )
+from repro.reliability.defects import OK, STUCK_CLOSED, STUCK_OPEN
 
 
 class TestDefectMap:
     def test_perfect_map(self):
         m = perfect_map(4, 4)
         assert m.num_defects == 0 and m.density == 0.0
-        assert m.is_ok(0, 0)
+        assert m.state(0, 0) == OK
 
     def test_state_accessors(self):
-        m = DefectMap(2, 2, {(0, 1): CrosspointState.STUCK_OPEN,
-                             (1, 0): CrosspointState.STUCK_CLOSED})
-        assert m.is_stuck_open(0, 1) and not m.is_stuck_open(1, 0)
-        assert m.is_stuck_closed(1, 0)
-        assert m.state(0, 0) is CrosspointState.OK
-        assert m.defective_rows() == {0, 1}
+        m = DefectMap.from_grid([[OK, STUCK_OPEN], [STUCK_CLOSED, OK]])
+        assert (m.rows, m.cols, m.codes) == (2, 2, bytes([0, 1, 2, 0]))
+        assert m.state(0, 1) == STUCK_OPEN and m.state(1, 0) == STUCK_CLOSED
+        assert m.state(0, 0) == OK and m.state(1, 1) == OK
+        assert m.num_defects == 2 and m.density == 0.5
+
+    def test_grid_is_a_read_only_view(self):
+        m = DefectMap.from_grid([[OK, STUCK_OPEN, OK], [OK, OK, STUCK_CLOSED]])
+        grid = m.grid()
+        assert grid.tolist() == [[0, 1, 0], [0, 0, 2]]
+        assert not grid.flags.writeable and not grid.flags.owndata
+        assert DefectMap.from_grid(grid) == m
+
+    def test_value_semantics(self):
+        a = DefectMap(2, 2, bytes([0, 1, 0, 2]))
+        b = DefectMap.from_grid([[0, 1], [0, 2]])
+        assert a == b and hash(a) == hash(b)
+        assert a != DefectMap(1, 4, bytes([0, 1, 0, 2]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DefectMap(2, 2, {(5, 0): CrosspointState.STUCK_OPEN})
+            DefectMap(2, 2, bytes(3))
         with pytest.raises(ValueError):
-            DefectMap(2, 2, {(0, 0): CrosspointState.OK})
+            DefectMap(-2, -2, bytes(4))
+        with pytest.raises(ValueError):
+            DefectMap(2, 2, bytes([0, 0, 3, 0]))
+        with pytest.raises(ValueError):
+            DefectMap.from_grid([[OK, 3]])
+        with pytest.raises(ValueError):
+            DefectMap.from_grid([OK, STUCK_OPEN])
+        with pytest.raises(TypeError):
+            DefectMap(2, 2, bytearray(4))
 
     def test_is_clean(self):
-        m = DefectMap(3, 3, {(1, 1): CrosspointState.STUCK_OPEN})
+        m = DefectMap.from_grid([[OK, OK, OK], [OK, STUCK_OPEN, OK],
+                                 [OK, OK, OK]])
         assert m.is_clean([0, 2], [0, 1, 2])
         assert not m.is_clean([0, 1], [1])
 
     def test_render(self):
-        m = DefectMap(2, 2, {(0, 0): CrosspointState.STUCK_OPEN,
-                             (1, 1): CrosspointState.STUCK_CLOSED})
+        m = DefectMap.from_grid([[STUCK_OPEN, OK], [OK, STUCK_CLOSED]])
         assert m.render() == "o.\n.x"
 
     @given(st.floats(min_value=0.0, max_value=0.5), st.integers())
@@ -56,8 +76,7 @@ class TestDefectMap:
         rng = random.Random(seed)
         m = random_defect_map(20, 20, density, rng)
         assert abs(m.density - density) < 0.2
-        for state in m.defects.values():
-            assert state is not CrosspointState.OK
+        assert m.num_defects == sum(1 for code in m.codes if code != OK)
 
     def test_clustered_map_expected_count(self):
         rng = random.Random(3)
@@ -67,6 +86,8 @@ class TestDefectMap:
     def test_density_bounds_validated(self):
         with pytest.raises(ValueError):
             random_defect_map(4, 4, 1.5, random.Random(0))
+        with pytest.raises(ValueError):
+            clustered_defect_map(4, 4, 0.1, random.Random(0), 1.5)
 
 
 class TestFabric:
@@ -127,9 +148,17 @@ class TestFabric:
     def test_defect_map_overlay(self):
         fabric = CrossbarFabric(1, 2)
         program = [[True, True]]
-        defect = DefectMap(1, 2, {(0, 0): CrosspointState.STUCK_OPEN})
+        defect = DefectMap.from_grid([[STUCK_OPEN, OK]])
         assert fabric.evaluate(program, [False, True]) == [False]
         assert fabric.evaluate(program, [False, True], defect_map=defect) == [True]
+
+    def test_defect_map_of_another_shape_is_rejected(self):
+        fabric = CrossbarFabric(4, 4)
+        program = [[True] * 4 for _ in range(4)]
+        for shape in ((2, 2), (4, 5), (16, 1)):
+            with pytest.raises(ValueError, match="defect map"):
+                fabric.evaluate(program, [True] * 4,
+                                defect_map=perfect_map(*shape))
 
     def test_all_single_faults_count(self):
         faults = all_single_faults(3, 4)

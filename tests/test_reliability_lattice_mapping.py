@@ -7,7 +7,6 @@ import pytest
 from repro.boolean import BooleanFunction, Literal
 from repro.crossbar import Lattice
 from repro.reliability import (
-    CrosspointState,
     DefectMap,
     map_lattice_random,
     mapping_success_sweep,
@@ -17,7 +16,7 @@ from repro.reliability import (
     site_compatible,
     verify_mapped_lattice,
 )
-from repro.reliability.lattice_mapping import defect_map_states
+from repro.reliability.defects import OK, STUCK_CLOSED, STUCK_OPEN
 from repro.synthesis import fold_lattice, synthesize_lattice_dual
 
 
@@ -29,17 +28,17 @@ def xnor_lattice():
 class TestSiteCompatibility:
     def test_ok_hosts_anything(self):
         for site in (True, False, Literal(0, True)):
-            assert site_compatible(CrosspointState.OK, site)
+            assert site_compatible(OK, site)
 
     def test_stuck_closed_is_the_constant_one(self):
-        assert site_compatible(CrosspointState.STUCK_CLOSED, True)
-        assert not site_compatible(CrosspointState.STUCK_CLOSED, False)
-        assert not site_compatible(CrosspointState.STUCK_CLOSED, Literal(0))
+        assert site_compatible(STUCK_CLOSED, True)
+        assert not site_compatible(STUCK_CLOSED, False)
+        assert not site_compatible(STUCK_CLOSED, Literal(0))
 
     def test_stuck_open_is_the_constant_zero(self):
-        assert site_compatible(CrosspointState.STUCK_OPEN, False)
-        assert not site_compatible(CrosspointState.STUCK_OPEN, True)
-        assert not site_compatible(CrosspointState.STUCK_OPEN, Literal(1))
+        assert site_compatible(STUCK_OPEN, False)
+        assert not site_compatible(STUCK_OPEN, True)
+        assert not site_compatible(STUCK_OPEN, Literal(1))
 
 
 class TestPlacement:
@@ -57,19 +56,17 @@ class TestPlacement:
 
     def test_stuck_closed_under_literal_rejected(self):
         lattice, _ = xnor_lattice()  # 2x2, all literal sites
-        defects = {(r, c): CrosspointState.STUCK_CLOSED
-                   for r in range(2) for c in range(2)}
-        fabric = DefectMap(2, 2, defects)
+        fabric = DefectMap(2, 2, bytes([STUCK_CLOSED] * 4))
         assert not placement_valid(lattice, fabric, (0, 1), (0, 1))
 
     def test_stuck_closed_on_unused_column_rejected(self):
         lattice, _ = xnor_lattice()
         # fabric 2x3; middle column unused but permanently conducting at a
         # used row -> could bridge the two used columns
-        fabric = DefectMap(2, 3, {(0, 1): CrosspointState.STUCK_CLOSED})
+        fabric = DefectMap.from_grid([[OK, STUCK_CLOSED, OK], [OK, OK, OK]])
         assert not placement_valid(lattice, fabric, (0, 1), (0, 2))
         # placing the target over the defect-free columns adjacent is fine
-        clean = DefectMap(2, 3, {})
+        clean = perfect_map(2, 3)
         assert placement_valid(lattice, clean, (0, 1), (0, 2))
 
     def test_exploiting_stuck_closed_as_padding_one(self):
@@ -77,7 +74,7 @@ class TestPlacement:
         # placed right on top of a stuck-closed fabric site (the only
         # placement of a 3x1 target on a 3x1 fabric).
         target = Lattice(2, [[Literal(0)], [True], [Literal(1)]])
-        fabric = DefectMap(3, 1, {(1, 0): CrosspointState.STUCK_CLOSED})
+        fabric = DefectMap.from_grid([[OK], [STUCK_CLOSED], [OK]])
         result = map_lattice_random(target, fabric, random.Random(0))
         assert result.success
         assert result.exploited_defects == 1
@@ -87,16 +84,11 @@ class TestPlacement:
     def test_exploiting_stuck_open_as_padding_zero(self):
         # OR-separator columns (constant 0) land on stuck-open sites.
         target = Lattice(2, [[Literal(0), False, Literal(1)]])
-        fabric = DefectMap(1, 3, {(0, 1): CrosspointState.STUCK_OPEN})
+        fabric = DefectMap.from_grid([[OK, STUCK_OPEN, OK]])
         result = map_lattice_random(target, fabric, random.Random(0))
         assert result.success and result.exploited_defects == 1
         assert verify_mapped_lattice(target, target.to_truth_table(),
                                      fabric, result)
-
-    def test_defect_map_states_codes_every_crosspoint(self):
-        fabric = DefectMap(2, 3, {(0, 1): CrosspointState.STUCK_CLOSED,
-                                  (1, 2): CrosspointState.STUCK_OPEN})
-        assert defect_map_states(fabric).tolist() == [[0, 2, 0], [0, 0, 1]]
 
     def test_random_mapped_lattices_verify(self):
         lattice, table = xnor_lattice()

@@ -2,11 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.boolean import TruthTable
 from repro.reliability import (
-    CrosspointState,
     DefectMap,
     majority_voter_lattice,
     make_tmr,
@@ -14,6 +14,7 @@ from repro.reliability import (
     repair_with_spares,
     tmr_reliability,
 )
+from repro.reliability.defects import STUCK_OPEN
 from repro.synthesis import fold_lattice, synthesize_lattice_dual
 
 
@@ -30,7 +31,9 @@ class TestSpareRepair:
         assert result.rows_replaced == 0
 
     def test_defective_line_is_skipped(self):
-        defect_map = DefectMap(5, 5, {(1, 3): CrosspointState.STUCK_OPEN})
+        codes = np.zeros((5, 5), dtype=np.uint8)
+        codes[1, 3] = STUCK_OPEN
+        defect_map = DefectMap.from_grid(codes)
         result = repair_with_spares(defect_map, 4, 4)
         assert result.success
         assert 1 not in result.row_assignment
@@ -38,8 +41,9 @@ class TestSpareRepair:
         assert result.rows_replaced >= 1
 
     def test_insufficient_spares_fails(self):
-        defects = {(r, 0): CrosspointState.STUCK_OPEN for r in range(4)}
-        defect_map = DefectMap(4, 4, defects)
+        codes = np.zeros((4, 4), dtype=np.uint8)
+        codes[:, 0] = STUCK_OPEN
+        defect_map = DefectMap.from_grid(codes)
         assert not repair_with_spares(defect_map, 4, 4).success
 
     def test_assigned_lines_are_clean(self):
@@ -51,8 +55,9 @@ class TestSpareRepair:
             result = repair_with_spares(defect_map, 6, 6)
             if not result.success:
                 continue
-            bad_rows = defect_map.defective_rows()
-            bad_cols = defect_map.defective_cols()
+            grid = defect_map.grid()
+            bad_rows = set(np.flatnonzero(grid.any(axis=1)).tolist())
+            bad_cols = set(np.flatnonzero(grid.any(axis=0)).tolist())
             assert not (set(result.row_assignment) & bad_rows)
             assert not (set(result.col_assignment) & bad_cols)
 

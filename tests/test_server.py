@@ -251,13 +251,16 @@ class TestHttpEndpoints:
         assert excinfo.value.status == 400
 
     def test_bad_fault_tolerance_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.submit({"kind": "synthesis", "jobs": [{
-                "bench": "xnor2",
-                "fault_tolerance": {"defect_density": 0.1,
-                                    "mapping_trials": -1}}]})
-        assert excinfo.value.status == 400
-        assert "mapping_trials" in str(excinfo.value)
+        for field, value in [("mapping_trials", -1),
+                             ("mapping_trials", 1_000_000_000),
+                             ("fabric_rows", 100_000), ("fabric_cols", 257)]:
+            with pytest.raises(ServerError) as excinfo:
+                client.submit({"kind": "synthesis", "jobs": [{
+                    "bench": "xnor2",
+                    "fault_tolerance": {"defect_density": 0.1,
+                                        field: value}}]})
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
 
     def test_unknown_route_404(self, client):
         with pytest.raises(ServerError) as excinfo:
