@@ -198,6 +198,18 @@ def check_fields(spec: Any) -> None:
         object.__setattr__(spec, name, _typed(name, getattr(spec, name), hint))
 
 
+def check_distinct(spec: Any, *names: str) -> None:
+    """Reject a value repeated in one of the list fields ``names`` of
+    ``spec``, naming field and value: each value is one grid point (or
+    threshold), answered once."""
+    for name in names:
+        seen: set[Any] = set()
+        for value in getattr(spec, name):
+            if value in seen:
+                raise ValueError(f"parameter {name!r} repeats {value!r}")
+            seen.add(value)
+
+
 @functools.cache
 def _schema(spec_type: Any, point: bool) -> dict[str, tuple[Any, Any, bool]]:
     """``{parameter: (field, annotation, is an axis)}``: the fields of

@@ -11,7 +11,11 @@ API -> paper map:
 
 * :mod:`repro.faultlab.maps` — batched defect-map ensembles and their
   Bernoulli / clustered generators (Section IV defect regimes; the local
-  density variation motivating hybrid BISM and Fig. 6's per-chip flow);
+  density variation motivating hybrid BISM and Fig. 6's per-chip flow).
+  Both draw in trial chunks under
+  :data:`~repro.reliability.faults.CHUNK_ELEMENTS`, consuming the
+  generator exactly as one dense draw would; the clustered one keeps only
+  its live attempts, so its work past the draws grows with them;
 * :mod:`repro.faultlab.kernels` — batched clean-subarray extraction
   (Fig. 6 / Section IV-C): the greedy kernel, validated against its
   scalar :mod:`repro.reliability` reference, and the exact search;

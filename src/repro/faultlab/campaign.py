@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from ..engine.campaign import CampaignRun, PointRunner, build_spec, check_fields
+from ..engine.campaign import CampaignRun, PointRunner, build_spec, check_distinct, check_fields
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
 from ..reliability.defects import STUCK_OPEN_FRACTION
@@ -117,6 +117,8 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        check_distinct(self, "n_values", "k_values", "densities", "models",
+                       "strategies")
         if not self.n_values or not self.k_values or not self.densities:
             raise ValueError("campaign grid needs at least one N, k and "
                              "density")

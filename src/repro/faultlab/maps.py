@@ -22,6 +22,7 @@ sampled chips per NumPy kernel call:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from ..reliability.defects import (
     STUCK_OPEN_FRACTION,
     check_model,
 )
+from ..reliability.faults import CHUNK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,18 @@ def _validate(trials: int, rows: int, cols: int, density: float,
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
+def _trial_chunks(trials: int, per_trial: int) -> Iterator[slice]:
+    """Consecutive trial slices of at most :data:`CHUNK_ELEMENTS` elements
+    (``per_trial`` each), one trial at least."""
+    step = max(1, CHUNK_ELEMENTS // max(1, per_trial))
+    for start in range(0, trials, step):
+        yield slice(start, min(start + step, trials))
+
+
 def bernoulli_defect_batch(trials: int, rows: int, cols: int, density: float,
                            gen: np.random.Generator,
                            stuck_open_fraction: float = STUCK_OPEN_FRACTION) -> DefectBatch:
-    """Independent Bernoulli defects for a whole ensemble in two draws.
+    """Independent Bernoulli defects for a whole ensemble, one uniform each.
 
     Distribution-equivalent to ``trials`` calls of
     :func:`~repro.reliability.defects.random_defect_map`: each crosspoint
@@ -76,15 +86,19 @@ def bernoulli_defect_batch(trials: int, rows: int, cols: int, density: float,
     with probability ``stuck_open_fraction``.  A single uniform draw
     decides both: ``u < density`` marks the defect and — since ``u`` is
     then uniform on ``[0, density)`` — ``u < density * stuck_open_fraction``
-    splits opens from closeds with the right conditional probability.
+    splits opens from closeds with the right conditional probability.  The
+    uniforms are drawn in trial chunks of at most :data:`CHUNK_ELEMENTS`,
+    the same stream as one ``(trials, rows, cols)`` draw.
     """
     _validate(trials, rows, cols, density, stuck_open_fraction)
-    u = gen.random((trials, rows, cols))
-    states = np.where(
-        u < density * stuck_open_fraction,
-        np.uint8(STUCK_OPEN),
-        np.where(u < density, np.uint8(STUCK_CLOSED), np.uint8(OK)),
-    )
+    states = np.empty((trials, rows, cols), dtype=np.uint8)
+    for chunk in _trial_chunks(trials, rows * cols):
+        u = gen.random((chunk.stop - chunk.start, rows, cols))
+        states[chunk] = np.where(
+            u < density * stuck_open_fraction,
+            np.uint8(STUCK_OPEN),
+            np.where(u < density, np.uint8(STUCK_CLOSED), np.uint8(OK)),
+        )
     return DefectBatch(states)
 
 
@@ -101,6 +115,15 @@ def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
     crosspoint are skipped, and placements stop once the per-trial budget
     ``round(density * rows * cols)`` is reached — exactly the scalar
     semantics, evaluated for all trials at once.
+
+    Cost: the row offsets, column offsets and open/closed uniforms are
+    three draws over the ``(trials, num_clusters, max_size)`` tensor of
+    bursts padded to the largest one, consumed from ``gen`` in that order
+    and in trial chunks of at most :data:`CHUNK_ELEMENTS` (the same stream
+    as one dense draw each).  Each chunk keeps only its live attempts
+    (a tenth to a fifth of the padding on 16 to 128 wide crossbars), and
+    everything after the draws — bounds, first attempt per crosspoint,
+    budget, scatter — grows with the live attempts.
     """
     _validate(trials, rows, cols, density, stuck_open_fraction)
     states = np.zeros((trials, rows, cols), dtype=np.uint8)
@@ -111,7 +134,7 @@ def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
     if trials == 0 or budget <= 0 or num_clusters == 0:
         return DefectBatch(states)
 
-    # Per-cluster attempt counts.  The cap only bounds the dense attempt
+    # Per-cluster attempt counts.  The cap only bounds the padded attempt
     # tensor: it sits at the ~2e-9 tail of the exponential, so unlike a
     # budget-sized cap it does not starve small-budget regimes of the
     # retry attempts the scalar generator gets (out-of-bounds/duplicate
@@ -125,48 +148,37 @@ def clustered_defect_batch(trials: int, rows: int, cols: int, density: float,
 
     centre_r = gen.uniform(0, rows - 1, size=(trials, num_clusters))
     centre_c = gen.uniform(0, cols - 1, size=(trials, num_clusters))
-    attempt_shape = (trials, num_clusters, max_size)
-    r = np.rint(centre_r[..., None]
-                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
-    c = np.rint(centre_c[..., None]
-                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
-    opens = gen.random(attempt_shape) < stuck_open_fraction
 
-    # Flatten to (trials, attempts) in cluster-major attempt order — the
-    # order the scalar generator visits them in.
-    attempts = num_clusters * max_size
-    live = np.arange(max_size)[None, None, :] < sizes[..., None]
-    in_bounds = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
-    valid = (live & in_bounds).reshape(trials, attempts)
-    flat = (np.clip(r, 0, max(rows - 1, 0)) * cols
-            + np.clip(c, 0, max(cols - 1, 0))).astype(np.int64)
-    flat = flat.reshape(trials, attempts)
-    opens = opens.reshape(trials, attempts)
+    def live(draw) -> np.ndarray:
+        """One padded draw, chunk by chunk, kept at its live attempts in
+        (trial, cluster, attempt) order: the scalar generator's order."""
+        kept = []
+        for chunk in _trial_chunks(trials, num_clusters * max_size):
+            padded = draw((chunk.stop - chunk.start, num_clusters, max_size))
+            kept.append(padded[np.arange(max_size) < sizes[chunk, :, None]])
+        return np.concatenate(kept)
 
-    # Order-preserving dedup per trial: among valid attempts on the same
-    # crosspoint only the first places a defect (scalar "skip duplicates").
-    order = np.broadcast_to(np.arange(attempts), (trials, attempts))
-    trial_ids = np.broadcast_to(np.arange(trials)[:, None], (trials, attempts))
-    # Invalid attempts are pushed to a sentinel bucket so they never shadow
-    # a valid first occurrence.
-    key = np.where(valid, flat, rows * cols)
-    perm = np.lexsort((order.ravel(), key.ravel(), trial_ids.ravel()))
-    sorted_trials = trial_ids.ravel()[perm]
-    sorted_key = key.ravel()[perm]
-    first = np.ones(trials * attempts, dtype=bool)
-    first[1:] = (sorted_trials[1:] != sorted_trials[:-1]) | \
-                (sorted_key[1:] != sorted_key[:-1])
-    keep = np.empty(trials * attempts, dtype=bool)
-    keep[perm] = first
-    keep = keep.reshape(trials, attempts) & valid
+    r = np.rint(np.repeat(centre_r.ravel(), sizes.ravel())
+                + live(lambda shape: gen.normal(0.0, CLUSTER_RADIUS, shape)))
+    c = np.rint(np.repeat(centre_c.ravel(), sizes.ravel())
+                + live(lambda shape: gen.normal(0.0, CLUSTER_RADIUS, shape)))
+    opens = live(gen.random) < stuck_open_fraction
+    trial = np.repeat(np.arange(trials), sizes.sum(axis=1))
 
+    inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+    trial, opens = trial[inside], opens[inside]
+    key = (trial * (rows * cols) + r[inside].astype(np.int64) * cols
+           + c[inside].astype(np.int64))
+    # Among the attempts on one crosspoint of one trial only the first
+    # places a defect (scalar "skip duplicates").  The keys are
+    # trial-major, so the first attempts, back in attempt order, come
+    # grouped by trial.
+    _, first = np.unique(key, return_index=True)
+    first.sort()
     # Budget: the scalar loop stops placing once `budget` defects landed;
     # duplicates and out-of-bounds attempts never consume budget.
-    rank = np.cumsum(keep, axis=1)
-    place = keep & (rank <= budget)
-
-    t_idx, a_idx = np.nonzero(place)
-    codes = np.where(opens[t_idx, a_idx], STUCK_OPEN,
-                     STUCK_CLOSED).astype(np.uint8)
-    states.reshape(trials, -1)[t_idx, flat[t_idx, a_idx]] = codes
+    rank = np.arange(first.size) - np.searchsorted(trial[first], trial[first])
+    placed = first[rank < budget]
+    states.reshape(-1)[key[placed]] = np.where(
+        opens[placed], np.uint8(STUCK_OPEN), np.uint8(STUCK_CLOSED))
     return DefectBatch(states)

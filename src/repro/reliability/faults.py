@@ -221,10 +221,10 @@ class TestConfiguration:
 # ----------------------------------------------------------------------
 # The batched fault simulator
 # ----------------------------------------------------------------------
-#: Element budget for one chunk of the fault axis in
-#: :func:`detection_matrix`, counted as unpacked ``(faults, vectors,
-#: rows, cols)`` crosspoint reads; bounds the kernel's working set on
-#: large fabrics.
+#: Element budget for one chunk of a batched kernel; bounds its working
+#: set on large fabrics.  :func:`detection_matrix` counts unpacked
+#: ``(faults, vectors, rows, cols)`` crosspoint reads; the batched trial
+#: loops count sites or crosspoints, faultlab's samplers drawn values.
 CHUNK_ELEMENTS = 1 << 22
 
 # Where a fault acts, as in CrossbarFabric.evaluate: on the program, on

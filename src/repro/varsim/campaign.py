@@ -44,7 +44,7 @@ import numpy as np
 
 from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice
-from ..engine.campaign import CampaignRun, PointRunner, check_fields
+from ..engine.campaign import CampaignRun, PointRunner, check_distinct, check_fields
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
 from ..xbareval.delay import onset_critical_delay_batch
@@ -129,6 +129,7 @@ class VariationCampaignSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        check_distinct(self, "sigmas")
         if not self.sigmas:
             raise ValueError("campaign grid needs at least one sigma")
         if not all(math.isfinite(s) and s >= 0 for s in self.sigmas):

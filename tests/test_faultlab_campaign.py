@@ -59,6 +59,21 @@ class TestCampaignSpec:
         spec = CampaignSpec(n_values=[4], k_values=[2], densities=[0.1])
         assert spec.n_values == (4,)
 
+    @pytest.mark.parametrize("field,values,repeated", [
+        ("n_values", (8, 8, 8), "8"),
+        ("k_values", (4, 6, 4), "4"),
+        ("densities", (0.1, 0.02, 0.1), "0.1"),
+        ("densities", (0, 0.0), "0.0"),
+        ("models", ("clustered", "clustered"), "'clustered'"),
+        ("strategies", ("greedy", "exact", "greedy"), "'greedy'"),
+    ])
+    def test_a_repeated_value_is_rejected(self, field, values, repeated):
+        """A repeated value would sample its point once per repetition
+        (the store is probed before any point is persisted)."""
+        with pytest.raises(ValueError,
+                           match=f"'{field}' repeats {repeated}$"):
+            _small_spec(**{field: values})
+
     def test_entropy_is_content_addressed(self):
         a, b = _small_spec().points()[:2]
         assert a.entropy() != b.entropy()
@@ -222,3 +237,11 @@ class TestCli:
                      "--trials", "5", "--no-cache"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_faultsim_rejects_a_repeated_value(self, capsys):
+        from repro.eval.cli import main
+
+        code = main(["faultsim", "--n", "8", "8", "--densities", "0.05",
+                     "--trials", "5", "--no-cache"])
+        assert code == 2
+        assert "'n_values' repeats 8" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for faultlab's batched defect maps and generators."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from repro.reliability import (
     clustered_defect_map,
     random_defect_map,
 )
+from repro.reliability.defects import CLUSTER_RADIUS
+from repro.reliability.faults import CHUNK_ELEMENTS
 
 
 def _stack(maps):
@@ -155,3 +158,94 @@ def test_property_batch_state_codes_round_trip(trials, rows, cols, density,
     batch = bernoulli_defect_batch(trials, rows, cols, density, gen)
     rebuilt = _stack([DefectMap.from_grid(grid) for grid in batch.states])
     assert (rebuilt.states == batch.states).all()
+
+
+def _dense_bernoulli(trials, rows, cols, density, gen, share):
+    """The Bernoulli sampler as one dense uniform draw (the oracle)."""
+    u = gen.random((trials, rows, cols))
+    return np.where(u < density * share, np.uint8(STUCK_OPEN),
+                    np.where(u < density, np.uint8(STUCK_CLOSED),
+                             np.uint8(OK)))
+
+
+def _dense_clustered(trials, rows, cols, density, gen, share):
+    """The clustered sampler over the whole padded attempt tensor, with a
+    three-key lexsort for the first attempt per crosspoint (the oracle)."""
+    states = np.zeros((trials, rows, cols), dtype=np.uint8)
+    target = density * rows * cols
+    budget = round(target)
+    defects_per_cluster = max(2.0, CLUSTER_RADIUS * 2)
+    num_clusters = max(1, round(target / defects_per_cluster)) \
+        if target > 0 else 0
+    if trials == 0 or budget <= 0 or num_clusters == 0:
+        return states
+    attempt_cap = max(16, round(defects_per_cluster * 20))
+    sizes = np.maximum(
+        1, np.rint(gen.exponential(defects_per_cluster,
+                                   size=(trials, num_clusters))))
+    sizes = np.minimum(sizes, attempt_cap).astype(np.int64)
+    max_size = int(sizes.max())
+    centre_r = gen.uniform(0, rows - 1, size=(trials, num_clusters))
+    centre_c = gen.uniform(0, cols - 1, size=(trials, num_clusters))
+    attempt_shape = (trials, num_clusters, max_size)
+    r = np.rint(centre_r[..., None]
+                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
+    c = np.rint(centre_c[..., None]
+                + gen.normal(0.0, CLUSTER_RADIUS, size=attempt_shape))
+    opens = gen.random(attempt_shape) < share
+
+    attempts = num_clusters * max_size
+    live = np.arange(max_size)[None, None, :] < sizes[..., None]
+    in_bounds = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+    valid = (live & in_bounds).reshape(trials, attempts)
+    flat = (np.clip(r, 0, rows - 1) * cols
+            + np.clip(c, 0, cols - 1)).astype(np.int64)
+    flat = flat.reshape(trials, attempts)
+    opens = opens.reshape(trials, attempts)
+    order = np.broadcast_to(np.arange(attempts), (trials, attempts))
+    trial_ids = np.broadcast_to(np.arange(trials)[:, None],
+                                (trials, attempts))
+    key = np.where(valid, flat, rows * cols)
+    perm = np.lexsort((order.ravel(), key.ravel(), trial_ids.ravel()))
+    sorted_trials = trial_ids.ravel()[perm]
+    sorted_key = key.ravel()[perm]
+    first = np.ones(trials * attempts, dtype=bool)
+    first[1:] = ((sorted_trials[1:] != sorted_trials[:-1])
+                 | (sorted_key[1:] != sorted_key[:-1]))
+    keep = np.empty(trials * attempts, dtype=bool)
+    keep[perm] = first
+    keep = keep.reshape(trials, attempts) & valid
+    place = keep & (np.cumsum(keep, axis=1) <= budget)
+    t_idx, a_idx = np.nonzero(place)
+    states.reshape(trials, -1)[t_idx, flat[t_idx, a_idx]] = np.where(
+        opens[t_idx, a_idx], STUCK_OPEN, STUCK_CLOSED)
+    return states
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sampler=st.sampled_from(["bernoulli", "clustered"]),
+    trials=st.integers(min_value=0, max_value=6),
+    rows=st.integers(min_value=1, max_value=12),
+    cols=st.integers(min_value=1, max_value=12),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    chunk=st.sampled_from([1, 40, 400, CHUNK_ELEMENTS]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_samplers_match_dense_reference(sampler, trials, rows, cols,
+                                                 density, share, chunk, seed):
+    """Chunked, live-only sampling draws what the dense oracle draws: the
+    same batch and the same generator end state, however the trials fall
+    into chunks (a budget of 1 puts each trial in a chunk of its own)."""
+    sample, oracle = {
+        "bernoulli": (bernoulli_defect_batch, _dense_bernoulli),
+        "clustered": (clustered_defect_batch, _dense_clustered)}[sampler]
+    gen = np.random.default_rng(seed)
+    with mock.patch("repro.faultlab.maps.CHUNK_ELEMENTS", chunk):
+        batch = sample(trials, rows, cols, density, gen,
+                       stuck_open_fraction=share)
+    reference = np.random.default_rng(seed)
+    expected = oracle(trials, rows, cols, density, reference, share)
+    assert np.array_equal(batch.states, expected)
+    assert gen.bit_generator.state == reference.bit_generator.state

@@ -262,6 +262,17 @@ class TestHttpEndpoints:
             assert excinfo.value.status == 400
             assert field in str(excinfo.value)
 
+    def test_repeated_campaign_value_400(self, client):
+        for payload, field in [
+                ({**FAULTSIM_PAYLOAD, "n_values": [6, 6, 6]}, "n_values"),
+                ({**FAULTSIM_PAYLOAD, "models": ["bernoulli", "bernoulli"]},
+                 "models"),
+                ({**VARSWEEP_PAYLOAD, "sigmas": [0.3, 0.3]}, "sigmas")]:
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(payload)
+            assert excinfo.value.status == 400
+            assert f"{field!r} repeats" in str(excinfo.value)
+
     def test_unknown_route_404(self, client):
         with pytest.raises(ServerError) as excinfo:
             client._request("GET", "/api/nope")

@@ -170,6 +170,11 @@ def _spec(**overrides) -> VariationCampaignSpec:
     return VariationCampaignSpec(**defaults)
 
 
+def test_campaign_rejects_a_repeated_sigma():
+    with pytest.raises(ValueError, match="'sigmas' repeats 0.2$"):
+        _spec(sigmas=(0.2, 0.6, 0.2))
+
+
 def test_campaign_serial_vs_pooled_bit_identical():
     serial = run_variation_campaign(_spec(), processes=1)
     pooled = run_variation_campaign(_spec(), processes=2)
@@ -260,6 +265,13 @@ def test_cli_varsweep_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "varsim campaign" in out
+
+
+def test_cli_varsweep_rejects_a_repeated_sigma(capsys):
+    code = cli_main(["varsweep", "--bench", "xnor2", "--sigmas", "0.3",
+                     "0.3", "--trials", "5", "--no-cache"])
+    assert code == 2
+    assert "'sigmas' repeats 0.3" in capsys.readouterr().err
 
 
 def test_cli_varsweep_unknown_bench(capsys):
