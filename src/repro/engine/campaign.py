@@ -198,6 +198,33 @@ def check_fields(spec: Any) -> None:
         object.__setattr__(spec, name, _typed(name, getattr(spec, name), hint))
 
 
+#: The most crosspoints one seeded trial batch may hold (its trials x rows
+#: x cols): 256 trials of the largest, 256 x 256 crossbar.  Sampling one
+#: such batch peaks near 230 MiB.
+MAX_BATCH_ELEMENTS = 1 << 24
+
+#: The most crosspoint-trials one campaign request may cost: each point's
+#: trials x rows x cols, summed over its points.  One 256 x 256 point at
+#: this bound runs about 90 s under the clustered model (2-vCPU VM).
+MAX_WORK_ELEMENTS = 1 << 30
+
+
+def check_cost(trials: int, batch_size: int, areas: list[int]) -> None:
+    """Bound a campaign request's work; ``areas`` is each point's rows x
+    cols, whose sides the spec has already bounded by
+    :data:`~repro.engine.jobs.MAX_FABRIC_SIDE`."""
+    batch = min(batch_size, trials) * max(areas)
+    if batch > MAX_BATCH_ELEMENTS:
+        raise ValueError(
+            f"batch_size must keep min(batch_size, trials) x rows x cols "
+            f"within {MAX_BATCH_ELEMENTS} crosspoints, got {batch}")
+    work = trials * sum(areas)
+    if work > MAX_WORK_ELEMENTS:
+        raise ValueError(
+            f"trials must keep trials x rows x cols, summed over every "
+            f"point, within {MAX_WORK_ELEMENTS}, got {work}")
+
+
 def check_distinct(spec: Any, *names: str) -> None:
     """Reject a value repeated in one of the list fields ``names`` of
     ``spec``, naming field and value: each value is one grid point (or

@@ -122,32 +122,49 @@ def _collect(entry: tuple[str | None, float, R]) -> R:
     return result
 
 
-def map_sharded(fn: Callable[[T], R], items: Sequence[T],
-                processes: int = 1) -> list[R]:
-    """Order-preserving parallel map with graceful serial fallback."""
+def _sharded(fn: Callable[[T], R], items: Sequence[T], processes: int,
+             chunksize: Callable[[int, int], int],
+             mode: Callable[[str], None]) -> Iterator[R]:
+    """One order-preserving pass of ``fn`` over ``items``.
+
+    ``min(processes, len(items))`` pool workers pull tasks ahead of the
+    consumer in chunks of ``chunksize(tasks, workers)``.  One worker or
+    none, or a pool the platform refuses (restricted sandboxes, missing
+    semaphores), runs serially with identical results.  Exceptions
+    raised inside workers propagate as they would serially.  ``mode``
+    hears which path ran.
+    """
     items = list(items)
     call = partial(_timed_task, fn, tracing.current_trace_id())
-    with tracing.span("pool.map", tasks=len(items)) as handle:
-        if processes <= 1 or len(items) <= 1:
-            handle.set("mode", "serial")
-            return [_collect(call(item)) for item in items]
-        workers = min(processes, len(items))
+    workers = min(processes, len(items))
+    if workers > 1:
         ctx = _pool_context()
         try:
             pool = ctx.Pool(workers)
         except (OSError, PermissionError, RuntimeError, ImportError):
-            # Pool creation (or the semaphores behind it) can be forbidden
-            # in sandboxed environments; the contract is identical results,
-            # so fall back to the serial path rather than failing the
-            # batch.  Exceptions raised *inside* workers are not caught
-            # here — they propagate out of pool.map exactly as they would
-            # serially.
-            handle.set("mode", "serial-fallback")
-            return [_collect(call(item)) for item in items]
-        handle.set("mode", f"pooled-{workers}")
-        with pool:
-            return [_collect(entry) for entry in pool.map(
-                call, items, chunksize=chunk_size(len(items), workers))]
+            mode("serial-fallback")
+        else:
+            mode(f"pooled-{workers}")
+            # ``with pool`` terminates workers even when the consumer
+            # abandons the pass midway (generator .close() runs the exit).
+            with pool:
+                for entry in pool.imap(call, items,
+                                       chunksize=chunksize(len(items),
+                                                           workers)):
+                    yield _collect(entry)
+            return
+    else:
+        mode("serial")
+    for item in items:
+        yield _collect(call(item))
+
+
+def map_sharded(fn: Callable[[T], R], items: Sequence[T],
+                processes: int = 1) -> list[R]:
+    """Order-preserving parallel map with graceful serial fallback."""
+    with tracing.span("pool.map", tasks=len(items)) as handle:
+        return list(_sharded(fn, items, processes, chunk_size,
+                             partial(handle.set, "mode")))
 
 
 def iter_sharded(fn: Callable[[T], R], items: Sequence[T],
@@ -156,28 +173,9 @@ def iter_sharded(fn: Callable[[T], R], items: Sequence[T],
 
     The streaming sibling of :func:`map_sharded` for the campaign
     iterators: one pool serves the whole task list, workers pull tasks
-    ahead of the consumer (``imap``), and results come back in input
-    order — so the consumer can aggregate and yield grid point ``i``
-    while the pool is already sampling point ``i+1``.  Serial execution
-    (``processes <= 1`` or an unavailable pool) degrades to a plain lazy
-    generator with identical results.
+    ahead of the consumer (``imap``, one task at a time), and results come
+    back in input order — so the consumer can aggregate and yield grid
+    point ``i`` while the pool is already sampling point ``i+1``.
     """
-    items = list(items)
-    call = partial(_timed_task, fn, tracing.current_trace_id())
-    if processes <= 1 or len(items) <= 1:
-        for item in items:
-            yield _collect(call(item))
-        return
-    workers = min(processes, len(items))
-    ctx = _pool_context()
-    try:
-        pool = ctx.Pool(workers)
-    except (OSError, PermissionError, RuntimeError, ImportError):
-        for item in items:
-            yield _collect(call(item))
-        return
-    # ``with pool`` terminates workers even when the consumer abandons
-    # the generator mid-campaign (generator .close() runs the finally).
-    with pool:
-        for entry in pool.imap(call, items, chunksize=1):
-            yield _collect(entry)
+    return _sharded(fn, items, processes, lambda tasks, workers: 1,
+                    lambda mode: None)

@@ -55,8 +55,9 @@ import logging
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from ..obs import get_logger, log_event, metrics
 
@@ -99,6 +100,18 @@ GRID_STATUSES = ("pending", "claimed", "done", "failed")
 def _is_transient(error: sqlite3.OperationalError) -> bool:
     text = str(error).lower()
     return "locked" in text or "busy" in text
+
+
+def _json_or(text: str | None, default: Any) -> Any:
+    """A stored JSON column, or ``default`` when it does not parse.
+
+    Unparseable rows read as misses by design: corruption costs a
+    recompute (the caller overwrites the row), never a wrong answer.
+    """
+    try:
+        return json.loads(text)
+    except (TypeError, json.JSONDecodeError):
+        return default
 
 
 @dataclass(frozen=True)
@@ -214,14 +227,7 @@ class JsonStore:
             row = self._conn.execute(
                 "SELECT payload FROM json_store WHERE key = ?", (key,)
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except (TypeError, json.JSONDecodeError):
-            # An unparseable row reads as a miss; the caller recomputes and
-            # overwrites it.
-            return None
+        return _json_or(row[0], None) if row is not None else None
 
     def put(self, key: str, payload: Any) -> None:
         """Persist one entry (a single-row :meth:`put_many`)."""
@@ -262,36 +268,42 @@ class JsonStore:
 
     # -- experiment-grid rows ---------------------------------------------
     # The claim protocol.  Every mutation below runs as one IMMEDIATE
-    # transaction: the write lock is taken up front, so a concurrent
-    # claimer on another connection blocks inside SQLite's busy handler
-    # (up to the busy timeout) instead of interleaving half-applied state
-    # — and there is deliberately NO Python-level sleep/retry loop on
-    # this path (claims must not spin-wait on a locked store).
+    # transaction (:meth:`_transaction`): the write lock is taken up front,
+    # so a concurrent claimer on another connection blocks inside SQLite's
+    # busy handler (up to the busy timeout) instead of interleaving
+    # half-applied state — and there is deliberately NO Python-level
+    # sleep/retry loop on this path (claims must not spin-wait on a locked
+    # store).
 
-    def _begin_immediate(self, op: str) -> None:
-        try:
-            self._conn.execute("BEGIN IMMEDIATE")
-        except sqlite3.OperationalError as error:
-            if _is_transient(error):
-                _busy_counter(op, "exhausted").inc()
-            raise
+    @contextmanager
+    def _transaction(self, op: str) -> Iterator[sqlite3.Connection]:
+        """The store lock and one ``BEGIN IMMEDIATE`` transaction.
+
+        Commits when the block exits, early returns included; any
+        exception rolls the whole transaction back and propagates.  A busy
+        wait that outlasts the busy timeout is counted as ``exhausted``
+        under ``op``.
+        """
+        with self._lock:
+            try:
+                self._conn.execute("BEGIN IMMEDIATE")
+            except sqlite3.OperationalError as error:
+                if _is_transient(error):
+                    _busy_counter(op, "exhausted").inc()
+                raise
+            try:
+                yield self._conn
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
 
     def _grid_row(self, row: tuple) -> GridRow:
         (grid_id, point_key, params_text, status, worker, attempts,
          lease_deadline, claimed_at, finished_at, result_text, error) = row
-        try:
-            params = json.loads(params_text)
-        except (TypeError, json.JSONDecodeError):
-            params = {}
-        result = None
-        if result_text is not None:
-            try:
-                result = json.loads(result_text)
-            except (TypeError, json.JSONDecodeError):
-                result = None
-        return GridRow(grid_id, point_key, params, status, worker,
-                       int(attempts), lease_deadline, claimed_at,
-                       finished_at, result, error)
+        return GridRow(grid_id, point_key, _json_or(params_text, {}), status,
+                       worker, int(attempts), lease_deadline, claimed_at,
+                       finished_at, _json_or(result_text, None), error)
 
     _GRID_COLUMNS = ("grid_id, point_key, params, status, worker, attempts, "
                      "lease_deadline, claimed_at, finished_at, result, error")
@@ -311,39 +323,32 @@ class JsonStore:
         """
         now = time.time() if now is None else now
         added = 0
-        with self._lock:
-            self._begin_immediate("write")
-            try:
-                for point_key, params, result in entries:
-                    done = result is not None
-                    cursor = self._conn.execute(
-                        "INSERT OR IGNORE INTO grid_rows (grid_id, "
-                        "point_key, params, status, worker, attempts, "
-                        "finished_at, result, created) "
-                        "VALUES (?, ?, ?, ?, ?, 0, ?, ?, ?)",
-                        (grid_id, point_key,
-                         json.dumps(params, sort_keys=True),
-                         "done" if done else "pending",
-                         "store" if done else None,
-                         now if done else None,
-                         json.dumps(result, sort_keys=True) if done
-                         else None,
-                         now))
-                    added += cursor.rowcount
-                    if done and not cursor.rowcount:
-                        # The row predates this plan as pending; the
-                        # store has since learned the answer.
-                        self._conn.execute(
-                            "UPDATE grid_rows SET status = 'done', "
-                            "worker = 'store', result = ?, finished_at = ? "
-                            "WHERE grid_id = ? AND point_key = ? "
-                            "AND status = 'pending'",
-                            (json.dumps(result, sort_keys=True), now,
-                             grid_id, point_key))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("write") as conn:
+            for point_key, params, result in entries:
+                done = result is not None
+                cursor = conn.execute(
+                    "INSERT OR IGNORE INTO grid_rows (grid_id, "
+                    "point_key, params, status, worker, attempts, "
+                    "finished_at, result, created) "
+                    "VALUES (?, ?, ?, ?, ?, 0, ?, ?, ?)",
+                    (grid_id, point_key,
+                     json.dumps(params, sort_keys=True),
+                     "done" if done else "pending",
+                     "store" if done else None,
+                     now if done else None,
+                     json.dumps(result, sort_keys=True) if done else None,
+                     now))
+                added += cursor.rowcount
+                if done and not cursor.rowcount:
+                    # The row predates this plan as pending; the store
+                    # has since learned the answer.
+                    conn.execute(
+                        "UPDATE grid_rows SET status = 'done', "
+                        "worker = 'store', result = ?, finished_at = ? "
+                        "WHERE grid_id = ? AND point_key = ? "
+                        "AND status = 'pending'",
+                        (json.dumps(result, sort_keys=True), now,
+                         grid_id, point_key))
         if added:
             _WRITES.inc()
             _ROWS.inc(added)
@@ -367,80 +372,63 @@ class JsonStore:
         the wall clock.
         """
         now = time.time() if now is None else now
-        with self._lock:
-            self._begin_immediate("claim")
-            try:
-                expired = self._conn.execute(
-                    "SELECT point_key, attempts, worker FROM grid_rows "
-                    "WHERE grid_id = ? AND status = 'claimed' "
-                    "AND lease_deadline < ? ORDER BY rowid",
-                    (grid_id, now)).fetchall()
-                for point_key, attempts, holder in expired:
-                    if attempts >= max_attempts:
-                        self._conn.execute(
-                            "UPDATE grid_rows SET status = 'failed', "
-                            "error = ?, finished_at = ? "
-                            "WHERE grid_id = ? AND point_key = ?",
-                            (f"lease expired after {attempts} attempts "
-                             f"(last worker {holder!r})", now,
-                             grid_id, point_key))
-                        _grid_counter("failed").inc()
-                    else:
-                        self._conn.execute(
-                            "UPDATE grid_rows SET status = 'pending', "
-                            "worker = NULL, lease_deadline = NULL, "
-                            "claimed_at = NULL "
-                            "WHERE grid_id = ? AND point_key = ?",
-                            (grid_id, point_key))
-                    _grid_counter("lease_expired").inc()
-                    log_event(_LOG, "grid lease expired",
-                              level=logging.WARNING, grid_id=grid_id,
-                              point_key=point_key, attempts=attempts,
-                              worker=holder)
-                candidate = self._conn.execute(
-                    "SELECT point_key, params, attempts FROM grid_rows "
-                    "WHERE grid_id = ? AND status = 'pending' "
-                    "ORDER BY rowid LIMIT 1", (grid_id,)).fetchone()
-                if candidate is None:
-                    self._conn.commit()
-                    return None
-                point_key, params_text, attempts = candidate
-                self._conn.execute(
-                    "UPDATE grid_rows SET status = 'claimed', worker = ?, "
-                    "attempts = ?, lease_deadline = ?, claimed_at = ? "
-                    "WHERE grid_id = ? AND point_key = ?",
-                    (worker, attempts + 1, now + lease_seconds, now,
-                     grid_id, point_key))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("claim") as conn:
+            expired = conn.execute(
+                "SELECT point_key, attempts, worker FROM grid_rows "
+                "WHERE grid_id = ? AND status = 'claimed' "
+                "AND lease_deadline < ? ORDER BY rowid",
+                (grid_id, now)).fetchall()
+            for point_key, attempts, holder in expired:
+                if attempts >= max_attempts:
+                    conn.execute(
+                        "UPDATE grid_rows SET status = 'failed', "
+                        "error = ?, finished_at = ? "
+                        "WHERE grid_id = ? AND point_key = ?",
+                        (f"lease expired after {attempts} attempts "
+                         f"(last worker {holder!r})", now,
+                         grid_id, point_key))
+                    _grid_counter("failed").inc()
+                else:
+                    conn.execute(
+                        "UPDATE grid_rows SET status = 'pending', "
+                        "worker = NULL, lease_deadline = NULL, "
+                        "claimed_at = NULL "
+                        "WHERE grid_id = ? AND point_key = ?",
+                        (grid_id, point_key))
+                _grid_counter("lease_expired").inc()
+                log_event(_LOG, "grid lease expired",
+                          level=logging.WARNING, grid_id=grid_id,
+                          point_key=point_key, attempts=attempts,
+                          worker=holder)
+            candidate = conn.execute(
+                "SELECT point_key, params, attempts FROM grid_rows "
+                "WHERE grid_id = ? AND status = 'pending' "
+                "ORDER BY rowid LIMIT 1", (grid_id,)).fetchone()
+            if candidate is None:
+                return None
+            point_key, params_text, attempts = candidate
+            conn.execute(
+                "UPDATE grid_rows SET status = 'claimed', worker = ?, "
+                "attempts = ?, lease_deadline = ?, claimed_at = ? "
+                "WHERE grid_id = ? AND point_key = ?",
+                (worker, attempts + 1, now + lease_seconds, now,
+                 grid_id, point_key))
         _grid_counter("claimed").inc()
-        try:
-            params = json.loads(params_text)
-        except (TypeError, json.JSONDecodeError):
-            params = {}
-        return GridRow(grid_id, point_key, params, "claimed", worker,
-                       attempts + 1, now + lease_seconds, now, None, None,
-                       None)
+        return self._grid_row((grid_id, point_key, params_text, "claimed",
+                               worker, attempts + 1, now + lease_seconds,
+                               now, None, None, None))
 
     def grid_extend_lease(self, grid_id: str, point_key: str, worker: str,
                           lease_seconds: float,
                           now: float | None = None) -> bool:
         """Heartbeat: push ``worker``'s lease deadline out, if still held."""
         now = time.time() if now is None else now
-        with self._lock:
-            self._begin_immediate("claim")
-            try:
-                cursor = self._conn.execute(
-                    "UPDATE grid_rows SET lease_deadline = ? "
-                    "WHERE grid_id = ? AND point_key = ? "
-                    "AND status = 'claimed' AND worker = ?",
-                    (now + lease_seconds, grid_id, point_key, worker))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("claim") as conn:
+            cursor = conn.execute(
+                "UPDATE grid_rows SET lease_deadline = ? "
+                "WHERE grid_id = ? AND point_key = ? "
+                "AND status = 'claimed' AND worker = ?",
+                (now + lease_seconds, grid_id, point_key, worker))
         return cursor.rowcount == 1
 
     def grid_complete(self, grid_id: str, point_key: str, worker: str,
@@ -454,20 +442,14 @@ class JsonStore:
         publish a point twice.
         """
         now = time.time() if now is None else now
-        with self._lock:
-            self._begin_immediate("claim")
-            try:
-                cursor = self._conn.execute(
-                    "UPDATE grid_rows SET status = 'done', result = ?, "
-                    "finished_at = ?, error = NULL "
-                    "WHERE grid_id = ? AND point_key = ? "
-                    "AND status = 'claimed' AND worker = ?",
-                    (json.dumps(result, sort_keys=True), now, grid_id,
-                     point_key, worker))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("claim") as conn:
+            cursor = conn.execute(
+                "UPDATE grid_rows SET status = 'done', result = ?, "
+                "finished_at = ?, error = NULL "
+                "WHERE grid_id = ? AND point_key = ? "
+                "AND status = 'claimed' AND worker = ?",
+                (json.dumps(result, sort_keys=True), now, grid_id,
+                 point_key, worker))
         if cursor.rowcount == 1:
             _grid_counter("done").inc()
             return True
@@ -483,37 +465,30 @@ class JsonStore:
         status, or ``None`` when the row was not ``worker``'s to fail.
         """
         now = time.time() if now is None else now
-        with self._lock:
-            self._begin_immediate("claim")
-            try:
-                held = self._conn.execute(
-                    "SELECT attempts FROM grid_rows WHERE grid_id = ? "
-                    "AND point_key = ? AND status = 'claimed' "
-                    "AND worker = ?",
-                    (grid_id, point_key, worker)).fetchone()
-                if held is None:
-                    self._conn.commit()
-                    return None
-                (attempts,) = held
-                if attempts >= max_attempts:
-                    status = "failed"
-                    self._conn.execute(
-                        "UPDATE grid_rows SET status = 'failed', "
-                        "error = ?, finished_at = ? "
-                        "WHERE grid_id = ? AND point_key = ?",
-                        (error, now, grid_id, point_key))
-                else:
-                    status = "pending"
-                    self._conn.execute(
-                        "UPDATE grid_rows SET status = 'pending', "
-                        "worker = NULL, lease_deadline = NULL, "
-                        "claimed_at = NULL, error = ? "
-                        "WHERE grid_id = ? AND point_key = ?",
-                        (error, grid_id, point_key))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("claim") as conn:
+            held = conn.execute(
+                "SELECT attempts FROM grid_rows WHERE grid_id = ? "
+                "AND point_key = ? AND status = 'claimed' "
+                "AND worker = ?",
+                (grid_id, point_key, worker)).fetchone()
+            if held is None:
+                return None
+            (attempts,) = held
+            if attempts >= max_attempts:
+                status = "failed"
+                conn.execute(
+                    "UPDATE grid_rows SET status = 'failed', "
+                    "error = ?, finished_at = ? "
+                    "WHERE grid_id = ? AND point_key = ?",
+                    (error, now, grid_id, point_key))
+            else:
+                status = "pending"
+                conn.execute(
+                    "UPDATE grid_rows SET status = 'pending', "
+                    "worker = NULL, lease_deadline = NULL, "
+                    "claimed_at = NULL, error = ? "
+                    "WHERE grid_id = ? AND point_key = ?",
+                    (error, grid_id, point_key))
         _grid_counter("failed" if status == "failed" else "retried").inc()
         return status
 
@@ -526,19 +501,13 @@ class JsonStore:
         ``nanoxbar grid resume`` calls this on the operator's assertion
         that the previous run is dead.  Attempts counters are preserved.
         """
-        with self._lock:
-            self._begin_immediate("claim")
-            try:
-                cursor = self._conn.execute(
-                    "UPDATE grid_rows SET status = 'pending', "
-                    "worker = NULL, lease_deadline = NULL, "
-                    "claimed_at = NULL "
-                    "WHERE grid_id = ? AND status = 'claimed'",
-                    (grid_id,))
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+        with self._transaction("claim") as conn:
+            cursor = conn.execute(
+                "UPDATE grid_rows SET status = 'pending', "
+                "worker = NULL, lease_deadline = NULL, "
+                "claimed_at = NULL "
+                "WHERE grid_id = ? AND status = 'claimed'",
+                (grid_id,))
         return cursor.rowcount
 
     def grid_counts(self, grid_id: str) -> dict[str, int]:

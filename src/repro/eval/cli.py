@@ -29,6 +29,7 @@ import sys
 
 from .benchsuite import by_name, standard_suite
 from .experiments import all_experiments, get_experiment
+from .flags import count, positive_count, positive_seconds
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -160,9 +161,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for b in benchmarks
     ]
     cache_path = ":memory:" if args.no_cache else args.cache
-    processes = None if args.processes == 0 else args.processes
     try:
-        engine = BatchEngine(cache_path=cache_path, processes=processes)
+        engine = BatchEngine(cache_path=cache_path,
+                             processes=_processes(args))
     except sqlite3.DatabaseError as error:
         print(f"error: cannot open cache {cache_path!r}: {error}",
               file=sys.stderr)
@@ -197,6 +198,47 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print()
         print(engine.report())
     return 0
+
+
+def _add_server_flags(parser: argparse.ArgumentParser,
+                      timeout: float | None) -> None:
+    """The server's address; for a client also its per-request timeout."""
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="server address (the bind address for serve)")
+    parser.add_argument("--port", type=int, default=8351,
+                        help="server port (0 = ephemeral for serve)")
+    if timeout is not None:
+        parser.add_argument("--timeout", type=positive_seconds,
+                            default=timeout,
+                            help="per-request timeout in seconds")
+
+
+def _add_store_flags(parser: argparse.ArgumentParser, cache: str) -> None:
+    """The store file a command persists into, and its pool width."""
+    parser.add_argument("--cache", default=cache,
+                        help="SQLite store file results persist in "
+                             "(default: %(default)s)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="keep no store file (results live in memory "
+                             "for this run)")
+    parser.add_argument("--processes", type=count, default=1,
+                        help="worker processes (0 = auto)")
+
+
+def _processes(args: argparse.Namespace) -> int:
+    """``--processes``, where 0 means one worker per CPU (capped)."""
+    from ..engine import default_processes
+
+    return args.processes or default_processes()
+
+
+def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+    """The two profilers :func:`main` wraps a command in."""
+    parser.add_argument("--profile", action="store_true",
+                        help="print a span-tree timing breakdown afterwards")
+    parser.add_argument("--sample-profile", action="store_true",
+                        help="sample the main thread's wall-clock stacks "
+                             "and print a top-N self-time table afterwards")
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser,
@@ -265,7 +307,6 @@ def _campaign_params(args: argparse.Namespace, kind: str) -> dict:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from ..engine import default_processes
     from ..grid.families import CAMPAIGNS
 
     campaign = CAMPAIGNS[args.command]
@@ -275,10 +316,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     store = None if args.no_cache else args.cache
-    processes = (default_processes() if args.processes == 0
-                 else args.processes)
     try:
-        result = campaign.run(spec, store=store, processes=processes)
+        result = campaign.run(spec, store=store, processes=_processes(args))
     except sqlite3.DatabaseError as error:
         print(f"error: cannot use campaign store {store!r}: {error}",
               file=sys.stderr)
@@ -379,12 +418,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from ..engine import default_processes
     from ..server import BatchServer
 
     cache_path = ":memory:" if args.no_cache else args.cache
-    processes = (default_processes() if args.processes == 0
-                 else args.processes)
+    processes = _processes(args)
     server = BatchServer(host=args.host, port=args.port,
                          cache_path=cache_path, processes=processes,
                          job_workers=args.job_workers)
@@ -666,12 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch",
         help="synthesize a whole benchmark suite through the batch engine")
-    batch.add_argument("--cache", default=".nanoxbar-cache.sqlite",
-                       help="persistent result-cache path")
-    batch.add_argument("--no-cache", action="store_true",
-                       help="use an ephemeral in-memory cache")
-    batch.add_argument("--processes", type=int, default=1,
-                       help="worker processes (0 = auto)")
+    _add_store_flags(batch, ".nanoxbar-cache.sqlite")
     batch.add_argument("--tags", nargs="*", default=None,
                        help="restrict to benchmarks carrying any of these tags")
     batch.add_argument("--max-vars", type=int, default=None,
@@ -687,11 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also build TMR redundancy around each lattice")
     batch.add_argument("--seed", type=int, default=0,
                        help="seed for the fault-tolerance post-processing")
-    batch.add_argument("--profile", action="store_true",
-                       help="print a span-tree timing breakdown afterwards")
-    batch.add_argument("--sample-profile", action="store_true",
-                       help="sample the main thread's wall-clock stacks "
-                            "and print a top-N self-time table afterwards")
+    _add_profile_flags(batch)
     batch.set_defaults(fn=_cmd_batch)
 
     faultsim = sub.add_parser(
@@ -706,19 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
              "campaign through the varsim engine")
     _add_campaign_flags(varsweep, ("varsweep",))
     for campaign in (faultsim, varsweep):
-        campaign.add_argument("--processes", type=int, default=1,
-                              help="worker processes (0 = auto)")
-        campaign.add_argument("--cache", default=".nanoxbar-campaigns.sqlite",
-                              help="persistent campaign-store path")
-        campaign.add_argument("--no-cache", action="store_true",
-                              help="skip campaign persistence")
-        campaign.add_argument("--profile", action="store_true",
-                              help="print a span-tree timing breakdown "
-                                   "afterwards")
-        campaign.add_argument("--sample-profile", action="store_true",
-                              help="sample the main thread's wall-clock "
-                                   "stacks and print a top-N self-time "
-                                   "table afterwards")
+        _add_store_flags(campaign, ".nanoxbar-campaigns.sqlite")
+        _add_profile_flags(campaign)
         campaign.set_defaults(fn=_cmd_campaign)
 
     grid = sub.add_parser(
@@ -742,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         grid_cmd.add_argument("--json", action="store_true",
                               help="machine-readable output")
         if name in ("run", "resume"):
-            grid_cmd.add_argument("--workers", type=int, default=0,
+            grid_cmd.add_argument("--workers", type=count, default=0,
                                   help="worker processes (default: the "
                                        "config's; 1 = in-process)")
         if name == "export":
@@ -754,18 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="start the async HTTP/JSON batch server fronting the "
              "engine, faultlab and varsim workload families")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address")
-    serve.add_argument("--port", type=int, default=8351,
-                       help="bind port (0 = ephemeral)")
-    serve.add_argument("--cache", default=".nanoxbar-server.sqlite",
-                       help="one SQLite file backing the synthesis cache "
-                            "and the campaign store")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="use ephemeral in-memory stores")
-    serve.add_argument("--processes", type=int, default=1,
-                       help="pool width each job shards over (0 = auto)")
-    serve.add_argument("--job-workers", type=int, default=2,
+    _add_server_flags(serve, timeout=None)
+    _add_store_flags(serve, ".nanoxbar-server.sqlite")
+    serve.add_argument("--job-workers", type=positive_count, default=2,
                        help="how many jobs may compute concurrently")
     serve.set_defaults(fn=_cmd_serve)
 
@@ -773,12 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a job to a running nanoxbar server and print its "
              "per-point results")
-    submit.add_argument("--host", default="127.0.0.1",
-                        help="server address")
-    submit.add_argument("--port", type=int, default=8351,
-                        help="server port")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        help="per-request timeout in seconds")
+    _add_server_flags(submit, timeout=300.0)
     submit.add_argument("--wait-server", type=float, default=10.0,
                         help="seconds to wait for the server to come up "
                              "before the first request")
@@ -820,12 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="fetch and pretty-print a running server's queue, engine "
              "and telemetry snapshot")
-    stats.add_argument("--host", default="127.0.0.1",
-                       help="server address")
-    stats.add_argument("--port", type=int, default=8351,
-                       help="server port")
-    stats.add_argument("--timeout", type=float, default=30.0,
-                       help="request timeout in seconds")
+    _add_server_flags(stats, timeout=30.0)
     stats.add_argument("--json", action="store_true",
                        help="print the raw /api/stats JSON instead")
     stats.set_defaults(fn=_cmd_stats)
@@ -834,15 +832,10 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live refreshing terminal view of the metrics timeline "
              "(a running server's, or this process's with --local)")
-    top.add_argument("--host", default="127.0.0.1",
-                     help="server address")
-    top.add_argument("--port", type=int, default=8351,
-                     help="server port")
-    top.add_argument("--timeout", type=float, default=30.0,
-                     help="request timeout in seconds")
-    top.add_argument("--interval", type=float, default=1.0,
+    _add_server_flags(top, timeout=30.0)
+    top.add_argument("--interval", type=positive_seconds, default=1.0,
                      help="refresh period in seconds")
-    top.add_argument("--rows", type=int, default=12,
+    top.add_argument("--rows", type=positive_count, default=12,
                      help="series shown per table")
     top.add_argument("--once", action="store_true",
                      help="print one frame and exit (no screen clearing)")
@@ -853,40 +846,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """The command itself, under ``--profile``'s span tree when asked."""
+    if not getattr(args, "profile", False):
+        return args.fn(args)
+    from ..obs import profiled
+
+    with profiled(f"cli.{args.command}") as prof:
+        code = args.fn(args)
+    print()
+    print(prof.render())
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.log_json or os.environ.get("NANOXBAR_LOG"):
         from ..obs import configure_logging
         configure_logging(json_mode=True if args.log_json else None)
-    if getattr(args, "sample_profile", False):
-        # Sampling profiler around the whole command, main thread only:
-        # the serial compute path runs here, and pool children are
-        # separate processes the sampler cannot see anyway.
-        import threading
+    if not getattr(args, "sample_profile", False):
+        return _run(args)
+    # Sampling profiler around the whole command, main thread only: the
+    # serial compute path runs here, and pool children are separate
+    # processes the sampler cannot see anyway.
+    import threading
 
-        from ..obs import StackSampler
-        sampler = StackSampler(thread_ids={threading.get_ident()})
-        with sampler:
-            if getattr(args, "profile", False):
-                from ..obs import profiled
-                with profiled(f"cli.{args.command}") as prof:
-                    code = args.fn(args)
-                print()
-                print(prof.render())
-            else:
-                code = args.fn(args)
-        print()
-        print(sampler.report().render_top())
-        return code
-    if getattr(args, "profile", False):
-        from ..obs import profiled
-        with profiled(f"cli.{args.command}") as prof:
-            code = args.fn(args)
-        print()
-        print(prof.render())
-        return code
-    return args.fn(args)
+    from ..obs import StackSampler
+    sampler = StackSampler(thread_ids={threading.get_ident()})
+    with sampler:
+        code = _run(args)
+    print()
+    print(sampler.report().render_top())
+    return code
 
 
 if __name__ == "__main__":

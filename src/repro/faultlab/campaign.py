@@ -34,7 +34,15 @@ from itertools import product
 
 import numpy as np
 
-from ..engine.campaign import CampaignRun, PointRunner, build_spec, check_distinct, check_fields
+from ..engine.campaign import (
+    CampaignRun,
+    PointRunner,
+    build_spec,
+    check_cost,
+    check_distinct,
+    check_fields,
+)
+from ..engine.jobs import MAX_FABRIC_SIDE
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
 from ..reliability.defects import STUCK_OPEN_FRACTION
@@ -122,8 +130,8 @@ class CampaignSpec:
         if not self.n_values or not self.k_values or not self.densities:
             raise ValueError("campaign grid needs at least one N, k and "
                              "density")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("crossbar sizes must be positive")
+        if any(not 1 <= n <= MAX_FABRIC_SIDE for n in self.n_values):
+            raise ValueError(f"n_values must be in [1, {MAX_FABRIC_SIDE}]")
         if any(k < 0 for k in self.k_values):
             raise ValueError("k thresholds must be non-negative")
         if any(not 0.0 <= d <= 1.0 for d in self.densities):
@@ -148,6 +156,10 @@ class CampaignSpec:
             raise ValueError("batch_size must be positive")
         if not 0.0 <= self.stuck_open_fraction <= 1.0:
             raise ValueError("stuck_open_fraction must be in [0, 1]")
+        sampled = (len(self.models) * len(self.densities)
+                   * len(self.strategies))
+        check_cost(self.trials, self.batch_size,
+                   [n * n for n in self.n_values] * sampled)
 
     def points(self) -> list[CampaignPoint]:
         """Grid expansion; ``k`` is not sampled (thresholds share samples)."""

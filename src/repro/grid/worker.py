@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from ..engine.store import JsonStore
+from ..eval.flags import positive_seconds
 from .config import GridConfigError, load_config
 from .runner import DEFAULT_POLL_SECONDS, work_loop
 
@@ -33,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid identity as printed by 'grid plan'")
     parser.add_argument("--worker-id", default="w0",
                         help="worker name recorded on claimed rows")
-    parser.add_argument("--poll", type=float, default=DEFAULT_POLL_SECONDS,
+    parser.add_argument("--poll", type=positive_seconds,
+                        default=DEFAULT_POLL_SECONDS,
                         help="sleep between claim attempts while peers "
                              "hold leases")
     return parser

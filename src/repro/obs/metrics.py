@@ -4,7 +4,8 @@ The registry is the instrument panel every layer of the stack reports
 into — the engine's strategy races, the pool's shard timings, the
 campaign iterators, the ``JsonStore`` and the batch server all resolve
 instruments here by ``(name, labels)`` and mutate them under per-
-instrument locks.  Two read-out faces:
+instrument locks.  Three read-out faces, all rendered from one walk of
+the instruments:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serialisable dict (the
   enriched ``/api/stats`` payload and ``nanoxbar stats``), histograms
@@ -12,7 +13,9 @@ instrument locks.  Two read-out faces:
   buckets;
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format served at ``GET /api/metrics`` (``_bucket``
-  cumulative series with ``le`` labels, ``_sum``, ``_count``).
+  cumulative series with ``le`` labels, ``_sum``, ``_count``);
+* :meth:`MetricsRegistry.collect` — one raw record per series, which
+  the timeline recorder differences between ticks.
 
 Everything is stdlib-only.  Instruments are cheap enough for hot paths:
 an increment is one flag check, one lock acquire and one add; a
@@ -274,44 +277,53 @@ class MetricsRegistry:
                              {**(labels or {}), **label_kwargs}, bounds)
 
     # -- read-out ---------------------------------------------------------
-    def _sorted_items(self):
+    def _series(self) -> list[tuple[str, dict]]:
+        """The one walk of every instrument, sorted by ``(name, labels)``.
+
+        Each series is its metric's help text and its :meth:`collect`
+        record.  A histogram's ``(counts, sum, count)`` is copied once, so
+        its buckets, count and every quantile agree under concurrent
+        writes.
+        """
         with self._lock:
             meta = dict(self._meta)
             items = sorted(self._instruments.items())
-        return meta, items
+        series = []
+        for (name, labels), instrument in items:
+            kind, help_text, _buckets = meta[name]
+            record: dict = {"kind": kind, "name": name,
+                            "labels": _label_text(labels)}
+            if kind == "histogram":
+                counts, total_sum, total = instrument._state_copy()
+                record.update(bounds=instrument.bounds, counts=counts,
+                              sum=total_sum, count=total)
+            else:
+                record["value"] = instrument.value
+            series.append((help_text, record))
+        return series
 
     def snapshot(self) -> dict:
         """JSON-serialisable state of every instrument."""
-        meta, items = self._sorted_items()
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        for (name, labels), instrument in items:
-            kind = meta[name][0]
-            label_key = _label_text(labels)
-            if kind == "counter":
-                out["counters"].setdefault(name, {})[label_key] = \
-                    instrument.value
-            elif kind == "gauge":
-                out["gauges"].setdefault(name, {})[label_key] = \
-                    instrument.value
-            else:
-                # One consistent copy feeds the bucket table *and* every
-                # quantile: re-reading live state per quantile could
-                # disagree with the reported buckets under writes.
-                counts, total_sum, total = instrument._state_copy()
-                bounds = instrument.bounds
-                out["histograms"].setdefault(name, {})[label_key] = {
-                    "count": total,
-                    "sum": total_sum,
-                    "p50": quantile_from_counts(bounds, counts, 0.50),
-                    "p90": quantile_from_counts(bounds, counts, 0.90),
-                    "p99": quantile_from_counts(bounds, counts, 0.99),
-                    "buckets": {
-                        **{_format_value(bound): count
-                           for bound, count in zip(instrument.bounds,
-                                                   counts)},
-                        "+Inf": counts[-1],
-                    },
-                }
+        for _help, record in self._series():
+            kind, labels = record["kind"], record["labels"]
+            table = out[kind + "s"].setdefault(record["name"], {})
+            if kind != "histogram":
+                table[labels] = record["value"]
+                continue
+            bounds, counts = record["bounds"], record["counts"]
+            table[labels] = {
+                "count": record["count"],
+                "sum": record["sum"],
+                "p50": quantile_from_counts(bounds, counts, 0.50),
+                "p90": quantile_from_counts(bounds, counts, 0.90),
+                "p99": quantile_from_counts(bounds, counts, 0.99),
+                "buckets": {
+                    **{_format_value(bound): count
+                       for bound, count in zip(bounds, counts)},
+                    "+Inf": counts[-1],
+                },
+            }
         return out
 
     def collect(self) -> list[dict]:
@@ -323,51 +335,33 @@ class MetricsRegistry:
         text.  ``labels`` is the exposition-format label body (the same
         key :meth:`snapshot` uses).
         """
-        meta, items = self._sorted_items()
-        out: list[dict] = []
-        for (name, labels), instrument in items:
-            kind = meta[name][0]
-            record: dict = {"kind": kind, "name": name,
-                            "labels": _label_text(labels)}
-            if kind == "histogram":
-                counts, total_sum, total = instrument._state_copy()
-                record.update(bounds=instrument.bounds, counts=counts,
-                              sum=total_sum, count=total)
-            else:
-                record["value"] = instrument.value
-            out.append(record)
-        return out
+        return [record for _help, record in self._series()]
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
-        meta, items = self._sorted_items()
-        by_name: dict[str, list] = {}
-        for (name, labels), instrument in items:
-            by_name.setdefault(name, []).append((labels, instrument))
         lines: list[str] = []
-        for name in sorted(by_name):
-            kind, help_text, _buckets = meta[name]
-            if help_text:
-                lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, instrument in by_name[name]:
-                label_body = _label_text(labels)
-                if kind in ("counter", "gauge"):
-                    suffix = f"{{{label_body}}}" if label_body else ""
-                    lines.append(
-                        f"{name}{suffix} {_format_value(instrument.value)}")
-                    continue
-                counts, total_sum, total = instrument._state_copy()
-                cumulative = 0
-                for bound, bucket_count in zip(
-                        (*instrument.bounds, math.inf), counts):
-                    cumulative += bucket_count
-                    le = _label_text(
-                        (*labels, ("le", _format_value(bound))))
-                    lines.append(f"{name}_bucket{{{le}}} {cumulative}")
-                suffix = f"{{{label_body}}}" if label_body else ""
-                lines.append(f"{name}_sum{suffix} {_format_value(total_sum)}")
-                lines.append(f"{name}_count{suffix} {total}")
+        previous = None
+        for help_text, record in self._series():
+            name, kind = record["name"], record["kind"]
+            labels = record["labels"]
+            if name != previous:
+                previous = name
+                if help_text:
+                    lines.append(f"# HELP {name} {_escape_help(help_text)}")
+                lines.append(f"# TYPE {name} {kind}")
+            suffix = f"{{{labels}}}" if labels else ""
+            if kind != "histogram":
+                lines.append(f"{name}{suffix} {_format_value(record['value'])}")
+                continue
+            prefix = f"{labels}," if labels else ""
+            cumulative = 0
+            for bound, bucket_count in zip((*record["bounds"], math.inf),
+                                           record["counts"]):
+                cumulative += bucket_count
+                lines.append(f'{name}_bucket{{{prefix}le="'
+                             f'{_format_value(bound)}"}} {cumulative}')
+            lines.append(f"{name}_sum{suffix} {_format_value(record['sum'])}")
+            lines.append(f"{name}_count{suffix} {record['count']}")
         return "\n".join(lines) + "\n" if lines else ""
 
 

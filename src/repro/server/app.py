@@ -27,6 +27,10 @@ incremental per-point stream.  Endpoints:
 ``POST /api/shutdown``      graceful stop (drain jobs, close stores)
 ==========================  ==========================================
 
+The table above is ``_ROUTES``, the one list of endpoints: dispatch and
+the ``endpoint`` label of ``server_http_request_seconds`` both read it.
+A known path with another method answers 404 (405 for ``/api/submit``).
+
 The server is deliberately minimal — request coalescing, the worker
 bridge and the wire format live in their own modules — but it is a real
 HTTP/1.1 peer: ``curl`` works against every endpoint above.
@@ -72,22 +76,6 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _REQUEST: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "nanoxbar_http_request", default=None)
 
-#: Endpoints kept as-is in the ``endpoint`` label; job-scoped paths are
-#: collapsed to their prefix so the label set stays bounded.
-_KNOWN_ENDPOINTS = frozenset({
-    "/healthz", "/api/stats", "/api/metrics", "/api/metrics/history",
-    "/api/metrics/stream", "/dashboard", "/api/profile", "/api/submit",
-    "/api/shutdown",
-})
-_PREFIX_ENDPOINTS = ("/api/status/", "/api/result/", "/api/stream/")
-
-
-def _endpoint_label(path: str) -> str:
-    for prefix in _PREFIX_ENDPOINTS:
-        if path.startswith(prefix):
-            return prefix.rstrip("/")
-    return path if path in _KNOWN_ENDPOINTS else "other"
-
 
 def _observe_http(status: int) -> None:
     """Record one request's latency; first terminal response wins."""
@@ -107,6 +95,12 @@ def _head(status: int, extra: str = "",
     return (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Connection: close\r\n{extra}\r\n").encode()
+
+
+async def _chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
+    """One chunk of a chunked body; ``b""`` is the terminating chunk."""
+    writer.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
+    await writer.drain()
 
 
 class _BodyTooLarge(Exception):
@@ -206,9 +200,10 @@ class BatchServer:
             request = await self._read_request(reader)
             if request is not None:
                 method, path, query, body = request
-                _REQUEST.set({"endpoint": _endpoint_label(path),
+                route = _route_of(path)
+                _REQUEST.set({"endpoint": (route or "other").rstrip("/"),
                               "start": time.perf_counter()})
-                await self._route(writer, method, path, query, body)
+                await self._route(writer, method, route, path, query, body)
         except asyncio.TimeoutError:
             pass  # trickling body: drop the connection like a broken peer
         except _BadRequest as error:
@@ -272,16 +267,11 @@ class BatchServer:
         return method.upper(), parts.path, query, body
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: dict) -> None:
-        body = dumps(payload) + b"\n"
-        writer.write(_head(status, f"Content-Length: {len(body)}\r\n"))
-        writer.write(body)
-        _observe_http(status)
-        await writer.drain()
-
-    async def _respond_text(self, writer: asyncio.StreamWriter, status: int,
-                            text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+                       payload: dict | str,
+                       content_type: str = "application/json") -> None:
+        """One whole response: a JSON object, or text of ``content_type``."""
+        body = (payload.encode("utf-8") if isinstance(payload, str)
+                else dumps(payload) + b"\n")
         writer.write(_head(status, f"Content-Length: {len(body)}\r\n",
                            content_type=content_type))
         writer.write(body)
@@ -289,63 +279,58 @@ class BatchServer:
         await writer.drain()
 
     # -- routing ----------------------------------------------------------
-    async def _route(self, writer, method: str, path: str,
-                     query: dict, body: bytes) -> None:
-        if path == "/healthz" and method == "GET":
-            # Degraded still answers 200 — liveness and health are
-            # different questions; the body carries the watchdog verdict.
-            health = self.bridge.health.status()
-            await self._respond(writer, 200, {
-                **health,
-                **self.queue.snapshot(),
-            })
-        elif path == "/api/stats" and method == "GET":
-            # The queue snapshot is loop-side state; the bridge half
-            # touches SQLite (store/cache occupancy counts), so it runs
-            # in an executor instead of blocking the event loop.
-            queue_snapshot = self.queue.snapshot()
-            extra = await self._loop.run_in_executor(None,
-                                                     self._stats_payload)
-            await self._respond(writer, 200, {
-                "queue": queue_snapshot,
-                **extra,
-            })
-        elif path == "/api/metrics" and method == "GET":
-            await self._respond_text(
-                writer, 200, metrics.registry().render_prometheus(),
-                METRICS_CONTENT_TYPE)
-        elif path == "/api/metrics/history" and method == "GET":
-            await self._history(writer, query)
-        elif path == "/api/metrics/stream" and method == "GET":
-            await self._metrics_stream(writer, query)
-        elif path == "/dashboard" and method == "GET":
-            await self._respond_text(writer, 200, DASHBOARD_HTML,
-                                     "text/html; charset=utf-8")
-        elif path == "/api/profile" and method == "GET":
-            await self._profile(writer, query)
-        elif path == "/api/submit":
-            if method != "POST":
+    async def _route(self, writer, method: str, route: str | None,
+                     path: str, query: dict, body: bytes) -> None:
+        """Answer from :data:`_ROUTES`; a job route's handler gets the job."""
+        handler = _ROUTES.get((method, route))
+        if handler is None:
+            if route == "/api/submit":
                 await self._respond(writer, 405,
                                     {"error": "submit is POST-only"})
-                return
-            await self._submit(writer, body)
-        elif path.startswith("/api/status/") and method == "GET":
-            await self._with_job(writer, path, self._status)
-        elif path.startswith("/api/result/") and method == "GET":
-            wait = query.get("wait", "1") != "0"
-            await self._with_job(
-                writer, path,
-                lambda w, job: self._result(w, job, wait))
-        elif path.startswith("/api/stream/") and method == "GET":
-            await self._with_job(writer, path, self._stream)
-        elif path == "/api/shutdown" and method == "POST":
-            await self._respond(writer, 200, {"status": "stopping"})
-            self._stop.set()
+            else:
+                await self._respond(writer, 404, {
+                    "error": f"no route for {method} {path}"})
+        elif not route.endswith("/"):
+            await handler(self, writer, query, body)
         else:
-            await self._respond(writer, 404,
-                                {"error": f"no route for {method} {path}"})
+            job_id = path.rsplit("/", 1)[-1]
+            job = self.queue.get(job_id)
+            if job is None:
+                await self._respond(writer, 404,
+                                    {"error": f"unknown job {job_id!r}"})
+            else:
+                await handler(self, writer, job, query)
 
-    async def _submit(self, writer, body: bytes) -> None:
+    async def _healthz(self, writer, _query: dict, _body: bytes) -> None:
+        # Degraded still answers 200 — liveness and health are different
+        # questions; the body carries the watchdog verdict.
+        await self._respond(writer, 200, {
+            **self.bridge.health.status(),
+            **self.queue.snapshot(),
+        })
+
+    async def _stats(self, writer, _query: dict, _body: bytes) -> None:
+        # The queue snapshot is loop-side state; the bridge half touches
+        # SQLite (store/cache occupancy counts), so it runs in an executor
+        # instead of blocking the event loop.
+        queue_snapshot = self.queue.snapshot()
+        extra = await self._loop.run_in_executor(None, self._stats_payload)
+        await self._respond(writer, 200, {"queue": queue_snapshot, **extra})
+
+    async def _metrics(self, writer, _query: dict, _body: bytes) -> None:
+        await self._respond(writer, 200,
+                            metrics.registry().render_prometheus(),
+                            METRICS_CONTENT_TYPE)
+
+    async def _dashboard(self, writer, _query: dict, _body: bytes) -> None:
+        await self._respond(writer, 200, DASHBOARD_HTML,
+                            "text/html; charset=utf-8")
+
+    async def _shutdown(self, writer, _query: dict, _body: bytes) -> None:
+        await self._respond(writer, 200, {"status": "stopping"})
+        self._stop.set()
+
+    async def _submit(self, writer, _query: dict, body: bytes) -> None:
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -374,20 +359,11 @@ class BatchServer:
             "recent_spans": tracing.recent_spans(limit=50),
         }
 
-    async def _with_job(self, writer, path: str, handler) -> None:
-        job_id = path.rsplit("/", 1)[-1]
-        job = self.queue.get(job_id)
-        if job is None:
-            await self._respond(writer, 404,
-                                {"error": f"unknown job {job_id!r}"})
-            return
-        await handler(writer, job)
-
-    async def _status(self, writer, job: ServedJob) -> None:
+    async def _status(self, writer, job: ServedJob, _query: dict) -> None:
         await self._respond(writer, 200, job.status())
 
-    async def _result(self, writer, job: ServedJob, wait: bool) -> None:
-        if wait:
+    async def _result(self, writer, job: ServedJob, query: dict) -> None:
+        if query.get("wait", "1") != "0":
             await job.wait()
         if not job.complete:
             await self._respond(writer, 409, {
@@ -397,22 +373,16 @@ class BatchServer:
             return
         await self._respond(writer, 200, job.result())
 
-    async def _stream(self, writer, job: ServedJob) -> None:
+    async def _stream(self, writer, job: ServedJob, _query: dict) -> None:
         writer.write(_head(200, "Transfer-Encoding: chunked\r\n"))
         await writer.drain()
-
-        async def chunk(record: dict) -> None:
-            data = dumps(record) + b"\n"
-            writer.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
-            await writer.drain()
-
         async for record in job.stream():
-            await chunk({"point": record})
-        await chunk({"state": job.state, "error": job.error,
-                     "points_total": job.submission.points_total})
-        writer.write(b"0\r\n\r\n")
+            await _chunk(writer, dumps({"point": record}) + b"\n")
+        await _chunk(writer, dumps({
+            "state": job.state, "error": job.error,
+            "points_total": job.submission.points_total}) + b"\n")
         _observe_http(200)
-        await writer.drain()
+        await _chunk(writer, b"")
 
     # -- live observability ------------------------------------------------
     @staticmethod
@@ -425,7 +395,7 @@ class BatchServer:
                 f"unparseable {key}={query.get(key)!r}") from None
         return min(hi, max(lo, value))
 
-    async def _history(self, writer, query: dict) -> None:
+    async def _history(self, writer, query: dict, _body: bytes) -> None:
         """``GET /api/metrics/history``: recorder frames past a cursor."""
         recorder = self.bridge.recorder
         since = int(self._query_number(query, "since", 0, 0, 1 << 62))
@@ -447,7 +417,8 @@ class BatchServer:
             "resolution": resolution,
         })
 
-    async def _metrics_stream(self, writer, query: dict) -> None:
+    async def _metrics_stream(self, writer, query: dict,
+                              _body: bytes) -> None:
         """``GET /api/metrics/stream``: frames as Server-Sent Events.
 
         Rides the same chunked-transfer machinery as the per-job stream;
@@ -468,37 +439,32 @@ class BatchServer:
             "server_sse_readers", "attached /api/metrics/stream clients")
         readers.inc()
 
-        async def chunk(text: str) -> None:
-            data = text.encode("utf-8")
-            writer.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
-            await writer.drain()
-
         poll = min(max(recorder.interval, 0.05), 0.25)
         idle = 0.0
         try:
-            await chunk("retry: 2000\n\n")
+            await _chunk(writer, b"retry: 2000\n\n")
             while not self._stop.is_set():
                 frames = recorder.history(since=cursor)
                 for frame in frames:
                     cursor = frame["cursor"]
-                    await chunk(f"id: {frame['cursor']}\n"
-                                f"data: {json.dumps(frame)}\n\n")
+                    await _chunk(writer, (f"id: {frame['cursor']}\n"
+                                          f"data: {json.dumps(frame)}\n\n"
+                                          ).encode("utf-8"))
                 if frames:
                     idle = 0.0
                 else:
                     idle += poll
                     if idle >= 15.0:  # keep proxies from reaping us
                         idle = 0.0
-                        await chunk(": keepalive\n\n")
+                        await _chunk(writer, b": keepalive\n\n")
                 await asyncio.sleep(poll)
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+            await _chunk(writer, b"")
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # reader went away; nothing left to stream to
         finally:
             readers.dec()
 
-    async def _profile(self, writer, query: dict) -> None:
+    async def _profile(self, writer, query: dict, _body: bytes) -> None:
         """``GET /api/profile``: sample the process for a window."""
         seconds = self._query_number(query, "seconds", 5.0, 0.05, 60.0)
         interval = self._query_number(query, "interval_ms", 5.0,
@@ -513,8 +479,37 @@ class BatchServer:
         if fmt == "json":
             await self._respond(writer, 200, report.as_dict())
         else:
-            await self._respond_text(writer, 200, report.collapsed(),
-                                     "text/plain; charset=utf-8")
+            await self._respond(writer, 200, report.collapsed(),
+                                "text/plain; charset=utf-8")
+
+
+#: The one list of endpoints: ``(method, path)`` to handler.  A path
+#: ending in ``/`` is a job prefix, whose handler gets the job the rest of
+#: the path names.  The paths, job prefixes without their slash, are also
+#: the ``endpoint`` label values of ``server_http_request_seconds``; any
+#: other path is labelled ``other``.
+_ROUTES = {
+    ("GET", "/healthz"): BatchServer._healthz,
+    ("GET", "/api/stats"): BatchServer._stats,
+    ("GET", "/api/metrics"): BatchServer._metrics,
+    ("GET", "/api/metrics/history"): BatchServer._history,
+    ("GET", "/api/metrics/stream"): BatchServer._metrics_stream,
+    ("GET", "/dashboard"): BatchServer._dashboard,
+    ("GET", "/api/profile"): BatchServer._profile,
+    ("POST", "/api/submit"): BatchServer._submit,
+    ("GET", "/api/status/"): BatchServer._status,
+    ("GET", "/api/result/"): BatchServer._result,
+    ("GET", "/api/stream/"): BatchServer._stream,
+    ("POST", "/api/shutdown"): BatchServer._shutdown,
+}
+
+
+def _route_of(path: str) -> str | None:
+    """The route ``path`` names: a route path or a job prefix it extends."""
+    for _method, route in _ROUTES:
+        if path == route or (route.endswith("/") and path.startswith(route)):
+            return route
+    return None
 
 
 class ServerHandle:

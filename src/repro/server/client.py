@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from http.client import HTTPConnection, HTTPException
+from contextlib import contextmanager
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Any, Iterator
 
 
@@ -21,6 +22,18 @@ class ServerError(RuntimeError):
     def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+
+
+def _error_text(data: bytes) -> str:
+    """An error answer's message: its JSON ``error`` field, else the body."""
+    text = data.decode("utf-8", errors="replace")
+    try:
+        parsed = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    if isinstance(parsed, dict) and "error" in parsed:
+        return str(parsed["error"])
+    return text
 
 
 class ServerClient:
@@ -41,9 +54,16 @@ class ServerClient:
         self.timeout = timeout
 
     # -- plumbing ---------------------------------------------------------
-    def _request(self, method: str, path: str,
-                 payload: dict | None = None) -> Any:
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+    @contextmanager
+    def _exchange(self, method: str, path: str, payload: dict | None = None,
+                  timeout: float | None = None) -> Iterator[HTTPResponse]:
+        """One request on its own connection, closed when the block ends.
+
+        Yields the response once its status is below 400; an error
+        answer raises :class:`ServerError` instead.
+        """
+        conn = HTTPConnection(self.host, self.port,
+                              timeout=timeout or self.timeout)
         try:
             body = None
             headers = {}
@@ -52,14 +72,24 @@ class ServerClient:
                 headers["Content-Type"] = "application/json"
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
-            data = response.read()
-            parsed = json.loads(data.decode("utf-8")) if data else None
             if response.status >= 400:
-                message = (parsed or {}).get("error", data.decode("utf-8"))
-                raise ServerError(response.status, message)
-            return parsed
+                raise ServerError(response.status,
+                                  _error_text(response.read()))
+            yield response
         finally:
             conn.close()
+
+    def _request(self, method: str, path: str,
+                 payload: dict | None = None) -> Any:
+        """A JSON exchange: the parsed body (``None`` when empty)."""
+        with self._exchange(method, path, payload) as response:
+            data = response.read()
+        return json.loads(data.decode("utf-8")) if data else None
+
+    def _text(self, path: str, timeout: float | None = None) -> str:
+        """A ``GET`` whose body is text (exposition, HTML, stacks)."""
+        with self._exchange("GET", path, timeout=timeout) as response:
+            return response.read().decode("utf-8")
 
     # -- endpoints --------------------------------------------------------
     def health(self) -> dict:
@@ -84,16 +114,7 @@ class ServerClient:
 
     def metrics(self) -> str:
         """Fetch ``/api/metrics`` — raw Prometheus text exposition."""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", "/api/metrics")
-            response = conn.getresponse()
-            data = response.read().decode("utf-8")
-            if response.status >= 400:
-                raise ServerError(response.status, data)
-            return data
-        finally:
-            conn.close()
+        return self._text("/api/metrics")
 
     def history(self, since: int = 0, limit: int | None = None,
                 resolution: str | None = None) -> dict:
@@ -118,13 +139,8 @@ class ServerClient:
         comment lines are bookkeeping, not payload.  Runs until the
         server shuts down or the caller stops iterating.
         """
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", f"/api/metrics/stream?since={int(since)}")
-            response = conn.getresponse()
-            if response.status >= 400:
-                raise ServerError(response.status,
-                                  response.read().decode("utf-8"))
+        with self._exchange("GET", f"/api/metrics/stream?since={int(since)}"
+                            ) as response:
             data_lines: list[str] = []
             while True:
                 raw = response.readline()
@@ -140,37 +156,17 @@ class ServerClient:
                     data_lines.append(line[5:].lstrip(" "))
                 # id:/retry:/": comment" lines need no action here —
                 # resumption state is the frame's own cursor field.
-        finally:
-            conn.close()
 
     def profile(self, seconds: float = 5.0,
                 interval_ms: float = 5.0) -> str:
         """``/api/profile``: collapsed-stack text for a sampling window."""
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=max(self.timeout, seconds + 30.0))
-        try:
-            conn.request("GET", f"/api/profile?seconds={seconds}"
-                                f"&interval_ms={interval_ms}")
-            response = conn.getresponse()
-            data = response.read().decode("utf-8")
-            if response.status >= 400:
-                raise ServerError(response.status, data)
-            return data
-        finally:
-            conn.close()
+        return self._text(f"/api/profile?seconds={seconds}"
+                          f"&interval_ms={interval_ms}",
+                          timeout=max(self.timeout, seconds + 30.0))
 
     def dashboard(self) -> str:
         """Fetch the ``/dashboard`` HTML (smoke tests, curl parity)."""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", "/dashboard")
-            response = conn.getresponse()
-            data = response.read().decode("utf-8")
-            if response.status >= 400:
-                raise ServerError(response.status, data)
-            return data
-        finally:
-            conn.close()
+        return self._text("/dashboard")
 
     def submit(self, payload: dict) -> dict:
         """Submit one job; returns ``{job_id, coalesced, state, ...}``."""
@@ -197,17 +193,7 @@ class ServerClient:
 
     def stream(self, job_id: str) -> Iterator[dict]:
         """Yield ``{"point": ...}`` records live, then the terminal line."""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", f"/api/stream/{job_id}")
-            response = conn.getresponse()
-            if response.status >= 400:
-                data = response.read().decode("utf-8")
-                try:
-                    message = json.loads(data).get("error", data)
-                except json.JSONDecodeError:
-                    message = data
-                raise ServerError(response.status, message)
+        with self._exchange("GET", f"/api/stream/{job_id}") as response:
             while True:
                 line = response.readline()
                 if not line:
@@ -215,8 +201,6 @@ class ServerClient:
                 line = line.strip()
                 if line:
                     yield json.loads(line.decode("utf-8"))
-        finally:
-            conn.close()
 
     def shutdown(self) -> dict:
         """Ask the server to drain and stop."""

@@ -44,7 +44,14 @@ import numpy as np
 
 from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice
-from ..engine.campaign import CampaignRun, PointRunner, check_distinct, check_fields
+from ..engine.campaign import (
+    CampaignRun,
+    PointRunner,
+    check_cost,
+    check_distinct,
+    check_fields,
+)
+from ..engine.jobs import MAX_FABRIC_SIDE
 from ..engine.pool import batch_sizes
 from ..engine.store import JsonStore
 from ..xbareval.delay import onset_critical_delay_batch
@@ -137,12 +144,18 @@ class VariationCampaignSpec:
         if (self.crossbar_rows < self.lattice.rows
                 or self.crossbar_cols < self.lattice.cols):
             raise ValueError("crossbar smaller than the lattice")
+        for name in ("crossbar_rows", "crossbar_cols"):
+            if getattr(self, name) > MAX_FABRIC_SIDE:
+                raise ValueError(f"{name} must be at most {MAX_FABRIC_SIDE}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if not (math.isfinite(self.nominal) and self.nominal > 0):
             raise ValueError("nominal resistance must be finite and positive")
+        check_cost(self.trials, self.batch_size,
+                   [self.crossbar_rows * self.crossbar_cols]
+                   * len(self.sigmas))
 
     def points(self) -> list[VariationCampaignPoint]:
         """Grid expansion: one point per sigma."""

@@ -190,6 +190,67 @@ class TestCli:
                                                  kind)}
 
 
+class TestFlagRanges:
+    """A numeric flag out of its range is a usage error (exit 2), not a
+    silent serial run, a dropped row or a traceback out of time.sleep."""
+
+    @pytest.mark.parametrize("argv", [
+        ["top", "--local", "--interval", "-1"],
+        ["top", "--interval", "0"],
+        ["top", "--interval", "nan"],
+        ["top", "--rows", "-1"],
+        ["top", "--rows", "0"],
+        ["batch", "--processes", "-2"],
+        ["faultsim", "--processes", "-2"],
+        ["varsweep", "--processes", "-2"],
+        ["serve", "--processes", "-2"],
+        ["serve", "--job-workers", "0"],
+        ["grid", "run", "cfg.json", "--workers", "-3"],
+        ["grid", "resume", "cfg.json", "--workers", "1.5"],
+        ["submit", "--timeout", "0"],
+        ["stats", "--timeout", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_exits_2(self, argv, capsys):
+        from repro.eval.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,field,value", [
+        (["batch", "--processes", "0"], "processes", 0),
+        (["serve"], "processes", 1),
+        (["grid", "run", "cfg.json"], "workers", 0),
+        (["top", "--interval", "0.5", "--rows", "1"], "interval", 0.5),
+        (["submit"], "timeout", 300.0),
+        (["stats"], "timeout", 30.0),
+    ])
+    def test_in_range_values_and_defaults_parse(self, argv, field, value):
+        from repro.eval.cli import build_parser
+
+        assert getattr(build_parser().parse_args(argv), field) == value
+
+    def test_zero_processes_means_auto(self):
+        from repro.engine import default_processes
+        from repro.eval.cli import _processes, build_parser
+
+        for argv, expected in ((["batch", "--processes", "0"],
+                                default_processes()),
+                               (["faultsim", "--processes", "3"], 3)):
+            assert _processes(build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("poll", ["-1", "0", "inf"])
+    def test_grid_worker_rejects_a_non_positive_poll(self, poll, capsys):
+        from repro.grid.worker import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--config", "c", "--store", "s",
+                                       "--grid-id", "g", "--poll", poll])
+        assert excinfo.value.code == 2
+        assert "argument --poll: expected " in capsys.readouterr().err
+
+
 class TestCliErrorPaths:
     """Exit-code contracts: 2 for bad requests, 0 for tiny happy paths."""
 

@@ -55,6 +55,39 @@ class TestCampaignSpec:
         _small_spec(n_values=(MAX_EXACT_N,), strategies=("exact",))
         _small_spec(n_values=(MAX_EXACT_N + 1,), strategies=("greedy",))
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(n_values=(257,)), "n_values"),
+        (dict(n_values=(100_000,)), "n_values"),
+        # 257 trials of a 256 x 256 crossbar in one batch.
+        (dict(n_values=(256,), trials=1000, batch_size=257), "batch_size"),
+        # 2**30 + 2**16 crosspoint-trials in one point ...
+        (dict(n_values=(256,), trials=16385), "trials"),
+        # ... and 2**30 + 4 * 2**12 over eight points.
+        (dict(n_values=(8, 256), densities=(0.05, 0.1),
+              models=("bernoulli", "clustered"), trials=4096), "trials"),
+    ])
+    def test_cost_is_bounded(self, overrides, field):
+        """Rejected on construction (never run): one served request asked
+        numpy for about 10**10 elements per trial."""
+        params = dict(n_values=(8,), k_values=(4,), densities=(0.1,),
+                      trials=60, batch_size=256)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            CampaignSpec(**{**params, **overrides})
+
+    def test_a_request_at_the_bounds_parses(self):
+        from repro.engine.campaign import MAX_BATCH_ELEMENTS, MAX_WORK_ELEMENTS
+        from repro.engine.jobs import MAX_FABRIC_SIDE
+
+        area = MAX_FABRIC_SIDE ** 2
+        spec = CampaignSpec(n_values=(MAX_FABRIC_SIDE,), k_values=(1,),
+                            densities=(0.1,),
+                            trials=MAX_WORK_ELEMENTS // area,
+                            batch_size=MAX_BATCH_ELEMENTS // area)
+        assert spec.trials * area == MAX_WORK_ELEMENTS
+        # Only the trials a batch can hold count against the batch bound.
+        CampaignSpec(n_values=(256,), k_values=(1,), densities=(0.1,),
+                     trials=100, batch_size=100_000)
+
     def test_accepts_lists(self):
         spec = CampaignSpec(n_values=[4], k_values=[2], densities=[0.1])
         assert spec.n_values == (4,)
@@ -237,6 +270,25 @@ class TestCli:
                      "--trials", "5", "--no-cache"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_faultsim_rejects_an_oversized_crossbar(self, capsys,
+                                                    monkeypatch):
+        import dataclasses
+
+        from repro.eval.cli import main
+        from repro.grid.families import CAMPAIGNS
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("an oversized campaign reached the runner")
+
+        # Rejected before it runs: a run would ask for 10**10 crosspoints
+        # per trial.
+        monkeypatch.setitem(CAMPAIGNS, "faultsim", dataclasses.replace(
+            CAMPAIGNS["faultsim"], run=never))
+        code = main(["faultsim", "--n", "100000", "--k", "1",
+                     "--densities", "0.1", "--no-cache"])
+        assert code == 2
+        assert "n_values must be in [1, 256]" in capsys.readouterr().err
 
     def test_faultsim_rejects_a_repeated_value(self, capsys):
         from repro.eval.cli import main

@@ -660,6 +660,34 @@ class TestClaimProtocol:
             assert store.grid_add_points("g", [("p2", {}, {"v": 99})]) == 0
             assert store.grid_get("g", "p2").result == {"v": 2}
 
+    def test_a_failed_add_points_adds_nothing(self):
+        """An entry ``json.dumps`` rejects rolls the whole plan back."""
+        with JsonStore() as store:
+            with pytest.raises(TypeError):
+                store.grid_add_points("g", [("p1", {}, None),
+                                            ("p2", {"x": object()}, None)])
+            assert store.grid_rows_for("g") == []
+            # The store is usable: a later plan lands as usual.
+            assert store.grid_add_points("g", [("p1", {}, None)]) == 1
+            assert store.grid_claim("g", "wA", 60.0).point_key == "p1"
+
+    def test_a_failed_complete_leaves_the_claim_held(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        with JsonStore(path) as a, JsonStore(path) as b:
+            grid_id = self._seed(a, keys=("p1", "p2"))
+            claimed = a.grid_claim(grid_id, "wA", 60.0)
+            with pytest.raises(TypeError):
+                a.grid_complete(grid_id, "p1", "wA", {"v": object()})
+            row = a.grid_get(grid_id, "p1")
+            assert (row.status, row.worker, row.attempts, row.result,
+                    row.lease_deadline) == ("claimed", "wA", 1, None,
+                                            claimed.lease_deadline)
+            # No transaction was left open: another connection can write
+            # at once, and so can this one.
+            assert b.grid_claim(grid_id, "wB", 60.0).point_key == "p2"
+            assert a.grid_complete(grid_id, "p1", "wA", {"v": 1})
+            assert b.grid_get(grid_id, "p1").result == {"v": 1}
+
 
 class TestStoreContention:
     def test_claim_blocks_in_sqlite_never_sleeps_in_python(
@@ -930,6 +958,20 @@ class TestCli:
         assert cli_main(["grid", "plan", config,
                          "--store", str(tmp_path / "s.sqlite")]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,point,field", [
+        ("faultsim", {"n": 100_000, "density": 0.1}, "n_values"),
+        ("varsweep", {"bench": "xnor2", "sigma": 0.3,
+                      "crossbar_rows": 256, "crossbar_cols": 256,
+                      "trials": 16_385}, "trials"),
+    ])
+    def test_an_over_budget_point_exits_2(self, family, point, field,
+                                          tmp_path, capsys):
+        """Planned, never run: the bound is checked when the point parses."""
+        config = self._config_path(tmp_path, family=family, points=[point])
+        assert cli_main(["grid", "plan", config,
+                         "--store", str(tmp_path / "s.sqlite")]) == 2
+        assert f"{field} must" in capsys.readouterr().err
 
     def test_failed_points_exit_1(self, tmp_path, monkeypatch, capsys):
         config = self._config_path(tmp_path, max_attempts=1)

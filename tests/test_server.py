@@ -262,6 +262,32 @@ class TestHttpEndpoints:
             assert excinfo.value.status == 400
             assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"kind": "faultsim", "n_values": [100000], "k_values": [1],
+          "densities": [0.1]}, "n_values"),
+        ({**FAULTSIM_PAYLOAD, "n_values": [256], "trials": 1000,
+          "batch_size": 257}, "batch_size"),
+        ({**FAULTSIM_PAYLOAD, "n_values": [256], "trials": 16385,
+          "batch_size": 256}, "trials"),
+        ({**VARSWEEP_PAYLOAD, "crossbar_rows": 100000,
+          "crossbar_cols": 100000}, "crossbar_rows"),
+        ({**VARSWEEP_PAYLOAD, "crossbar_rows": 256, "crossbar_cols": 256,
+          "trials": 16385, "batch_size": 128}, "trials"),
+        ({"kind": "grid", "config": {
+            "name": "g", "family": "faultsim", "grid": {"n": [257]},
+            "fixed": {"density": 0.1}}}, "n_values"),
+    ], ids=["faultsim-n", "faultsim-batch", "faultsim-work", "varsweep-side",
+            "varsweep-work", "grid-n"])
+    def test_over_budget_campaign_400(self, client, payload, field):
+        """Bounced at parse time, so the worker never allocates."""
+        with pytest.raises(ProtocolError, match=f"{field} must"):
+            parse_submission(payload)
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert f"{field} must" in str(excinfo.value)
+        assert client.health()["status"] == "ok"
+
     def test_repeated_campaign_value_400(self, client):
         for payload, field in [
                 ({**FAULTSIM_PAYLOAD, "n_values": [6, 6, 6]}, "n_values"),
@@ -308,6 +334,171 @@ class TestHttpEndpoints:
             assert error.status == 409
         final = client.result(submitted["job_id"])
         assert final["state"] == "done"
+
+
+_JSON = "application/json"
+_PLAIN = ("Content-Type", "Connection", "Content-Length")
+_CHUNKED = ("Content-Type", "Connection", "Transfer-Encoding")
+
+#: Every route, wrong method, unknown path and unknown job id: (method,
+#: path, body, status, Content-Type, header names, ``endpoint`` label).
+#: ``{job}`` is a finished job's id.
+ROUTE_MATRIX = [
+    ("GET", "/healthz", None, 200, _JSON, _PLAIN, "/healthz"),
+    ("GET", "/api/stats", None, 200, _JSON, _PLAIN, "/api/stats"),
+    ("GET", "/api/metrics", None, 200,
+     "text/plain; version=0.0.4; charset=utf-8", _PLAIN, "/api/metrics"),
+    ("GET", "/api/metrics/history?since=0", None, 200, _JSON, _PLAIN,
+     "/api/metrics/history"),
+    ("GET", "/api/metrics/history?resolution=daily", None, 400, _JSON,
+     _PLAIN, "/api/metrics/history"),
+    ("GET", "/api/metrics/history?since=abc", None, 400, _JSON, _PLAIN,
+     "/api/metrics/history"),
+    ("GET", "/api/metrics/stream", None, 200, "text/event-stream",
+     (*_CHUNKED, "Cache-Control"), "/api/metrics/stream"),
+    ("GET", "/api/metrics/stream?since=abc", None, 400, _JSON, _PLAIN,
+     "/api/metrics/stream"),
+    ("GET", "/dashboard", None, 200, "text/html; charset=utf-8", _PLAIN,
+     "/dashboard"),
+    ("GET", "/api/profile?seconds=0.05", None, 200,
+     "text/plain; charset=utf-8", _PLAIN, "/api/profile"),
+    ("GET", "/api/profile?seconds=0.05&format=json", None, 200, _JSON,
+     _PLAIN, "/api/profile"),
+    ("GET", "/api/profile?format=svg", None, 400, _JSON, _PLAIN,
+     "/api/profile"),
+    ("POST", "/api/submit", {**FAULTSIM_PAYLOAD, "seed": 71}, 202, _JSON,
+     _PLAIN, "/api/submit"),
+    ("POST", "/api/submit", b"{nope", 400, _JSON, _PLAIN, "/api/submit"),
+    ("GET", "/api/submit", None, 405, _JSON, _PLAIN, "/api/submit"),
+    ("PUT", "/api/submit", b"{}", 405, _JSON, _PLAIN, "/api/submit"),
+    ("GET", "/api/status/{job}", None, 200, _JSON, _PLAIN, "/api/status"),
+    ("GET", "/api/result/{job}", None, 200, _JSON, _PLAIN, "/api/result"),
+    ("GET", "/api/result/{job}?wait=0", None, 200, _JSON, _PLAIN,
+     "/api/result"),
+    ("GET", "/api/stream/{job}", None, 200, _JSON, _CHUNKED, "/api/stream"),
+    ("GET", "/api/status/job-999999", None, 404, _JSON, _PLAIN,
+     "/api/status"),
+    ("GET", "/api/result/job-999999", None, 404, _JSON, _PLAIN,
+     "/api/result"),
+    ("GET", "/api/stream/job-999999", None, 404, _JSON, _PLAIN,
+     "/api/stream"),
+    ("GET", "/api/status/", None, 404, _JSON, _PLAIN, "/api/status"),
+    ("POST", "/healthz", b"{}", 404, _JSON, _PLAIN, "/healthz"),
+    ("POST", "/api/stats", None, 404, _JSON, _PLAIN, "/api/stats"),
+    ("DELETE", "/api/metrics", None, 404, _JSON, _PLAIN, "/api/metrics"),
+    ("POST", "/dashboard", None, 404, _JSON, _PLAIN, "/dashboard"),
+    ("POST", "/api/status/{job}", None, 404, _JSON, _PLAIN, "/api/status"),
+    ("DELETE", "/api/stream/{job}", None, 404, _JSON, _PLAIN,
+     "/api/stream"),
+    ("GET", "/api/shutdown", None, 404, _JSON, _PLAIN, "/api/shutdown"),
+    ("GET", "/", None, 404, _JSON, _PLAIN, "other"),
+    ("GET", "/api/nope", None, 404, _JSON, _PLAIN, "other"),
+    ("GET", "/api/statusx/1", None, 404, _JSON, _PLAIN, "other"),
+    ("GET", "/api/metrics/", None, 404, _JSON, _PLAIN, "other"),
+    ("GET", "/healthz/", None, 404, _JSON, _PLAIN, "other"),
+]
+
+
+def _http_counts() -> dict[str, int]:
+    """``server_http_request_seconds`` counts by label body."""
+    from repro.obs import registry
+
+    return {record["labels"]: record["count"]
+            for record in registry().collect()
+            if record["name"] == "server_http_request_seconds"}
+
+
+def _exchange(port: int, method: str, path: str, body) -> tuple:
+    """One raw request: (status, Content-Type, header names)."""
+    import http.client
+
+    if isinstance(body, dict):
+        body = json.dumps(body).encode()
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        names = tuple(name for name, _value in response.getheaders())
+        if response.getheader("Content-Type") != "text/event-stream":
+            response.read()  # an SSE stream runs until the server stops
+        return response.status, response.getheader("Content-Type"), names
+    finally:
+        conn.close()
+
+
+class TestRouteMatrix:
+    """Each (method, path) pair's status, headers and latency labels."""
+
+    @pytest.fixture(scope="class")
+    def job_id(self, server):
+        client = ServerClient(port=server.port, timeout=120.0)
+        return client.run({**FAULTSIM_PAYLOAD, "seed": 70})["job_id"]
+
+    @pytest.mark.parametrize(
+        "method,path,body,status,content_type,headers,endpoint",
+        ROUTE_MATRIX, ids=[f"{row[0]} {row[1]}" for row in ROUTE_MATRIX])
+    def test_route(self, server, job_id, method, path, body, status,
+                   content_type, headers, endpoint):
+        import time
+
+        label = f'endpoint="{endpoint}",status="{status}"'
+        before = _http_counts()
+        answer = _exchange(server.port, method, path.format(job=job_id), body)
+        assert answer == (status, content_type, headers)
+        deadline = time.monotonic() + 10.0
+        while (_http_counts().get(label, 0) == before.get(label, 0)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        after = _http_counts()
+        # The request adds one observation, under its own labels only.
+        assert after.get(label, 0) == before.get(label, 0) + 1
+        assert sum(after.values()) == sum(before.values()) + 1
+
+    def test_oversized_body_answers_413_without_an_observation(self,
+                                                               server):
+        import socket
+
+        before = _http_counts()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /api/submit HTTP/1.1\r\n"
+                         b"Content-Length: 99999999999\r\n\r\n")
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        head = b"".join(chunks).split(b"\r\n\r\n")[0].decode()
+        assert head.split("\r\n") == [
+            "HTTP/1.1 413 Payload Too Large",
+            "Content-Type: application/json", "Connection: close",
+            head.split("\r\n")[-1]]
+        assert head.split("\r\n")[-1].startswith("Content-Length: ")
+        assert _http_counts() == before
+
+    def test_shutdown_answers_200_and_stops(self):
+        handle = serve_in_thread(processes=1, job_workers=1)
+        label = 'endpoint="/api/shutdown",status="200"'
+        before = _http_counts().get(label, 0)
+        answer = _exchange(handle.port, "POST", "/api/shutdown", None)
+        assert answer == (200, _JSON, _PLAIN)
+        handle.thread.join(timeout=30)
+        assert not handle.thread.is_alive()
+        assert _http_counts()[label] == before + 1
+
+    def test_docstring_and_matrix_name_every_route(self):
+        """The module's endpoint table and the matrix's successful rows
+        (with the shutdown test above) list the routes ``_ROUTES``
+        dispatches, no more and no fewer."""
+        import re
+
+        from repro.server import app
+
+        documented = {(method, path.replace("<id>", ""))
+                      for method, path in re.findall(
+                          r"^``(GET|POST) +(/\S*)``", app.__doc__, re.M)}
+        answered = {(method, path.split("?")[0].replace("{job}", ""))
+                    for method, path, _body, status, *_rest in ROUTE_MATRIX
+                    if status < 300} | {("POST", "/api/shutdown")}
+        assert documented == answered == set(app._ROUTES)
 
 
 class TestServedEqualsDirect:

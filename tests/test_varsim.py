@@ -250,6 +250,26 @@ def test_campaign_rejects_bad_specs():
                                      crossbar_rows=4, crossbar_cols=4))
 
 
+@pytest.mark.parametrize("overrides,field", [
+    (dict(crossbar_rows=257), "crossbar_rows"),
+    (dict(crossbar_rows=100_000, crossbar_cols=100_000), "crossbar_rows"),
+    (dict(crossbar_cols=257), "crossbar_cols"),
+    (dict(crossbar_rows=256, crossbar_cols=256, trials=1000,
+          batch_size=257), "batch_size"),
+    # Two sigmas of 8193 trials on 256 x 256: 2**30 + 2**17.
+    (dict(crossbar_rows=256, crossbar_cols=256, trials=8193,
+          batch_size=128), "trials"),
+])
+def test_campaign_cost_is_bounded(overrides, field):
+    """Rejected on construction, never run."""
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        _spec(**overrides)
+
+
+def test_campaign_at_the_bounds_parses():
+    _spec(crossbar_rows=256, crossbar_cols=256, trials=8192, batch_size=256)
+
+
 def test_lattice_content_hash_tracks_content_not_identity():
     twin = Lattice(2, [[Literal(0, True), Literal(1, True)],
                        [Literal(1, False), Literal(0, False)]])
@@ -272,6 +292,23 @@ def test_cli_varsweep_rejects_a_repeated_sigma(capsys):
                      "0.3", "--trials", "5", "--no-cache"])
     assert code == 2
     assert "'sigmas' repeats 0.3" in capsys.readouterr().err
+
+
+def test_cli_varsweep_rejects_an_oversized_crossbar(capsys, monkeypatch):
+    import dataclasses
+
+    from repro.grid.families import CAMPAIGNS
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("an oversized campaign reached the runner")
+
+    monkeypatch.setitem(CAMPAIGNS, "varsweep", dataclasses.replace(
+        CAMPAIGNS["varsweep"], run=never))
+    code = cli_main(["varsweep", "--bench", "xnor2", "--sigmas", "0.3",
+                     "--crossbar-rows", "100000", "--crossbar-cols", "8",
+                     "--no-cache"])
+    assert code == 2
+    assert "crossbar_rows must be at most 256" in capsys.readouterr().err
 
 
 def test_cli_varsweep_unknown_bench(capsys):
